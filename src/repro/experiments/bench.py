@@ -220,14 +220,17 @@ def _measure_scaling(
     from repro.service.daemon import PersistentPoolBackend, WorkerDaemon
 
     def rung_entry(mode: str, workers: int, elapsed: float, measured: int, retries: int):
+        # Speedups are ratios of the *recorded* (rounded) elapsed times, so
+        # a reader recomputing them from the payload gets the same numbers.
+        recorded = round(elapsed, 4)
         return {
             "workers": int(workers),
             "mode": mode,
             "kernel": _resolved_kernel(),
-            "elapsed_seconds": round(elapsed, 4),
+            "elapsed_seconds": recorded,
             "measured_messages": int(measured),
             "messages_per_second": round(measured / elapsed, 1),
-            "speedup": round(curve[0]["elapsed_seconds"] / elapsed, 2) if curve else 1.0,
+            "speedup": round(curve[0]["elapsed_seconds"] / recorded, 2) if curve else 1.0,
             "retries": int(retries),
         }
 
@@ -264,7 +267,7 @@ def _measure_scaling(
         if rung["workers"] == effective_workers and rung["mode"] == "cold"
     )
     entry["speedup_vs_sequential"] = entry["speedup"]
-    entry["speedup"] = round(same_width["elapsed_seconds"] / elapsed, 2)
+    entry["speedup"] = round(same_width["elapsed_seconds"] / entry["elapsed_seconds"], 2)
     entry["warmup_seconds"] = round(warmup_seconds, 4)
     curve.append(entry)
 

@@ -19,9 +19,10 @@ Modules
   legs for the concentrator/dispatcher journeys);
 * :mod:`repro.routing.table` — precomputed routing tables plus traffic-load
   accounting used to verify the balanced-traffic claim;
-* :mod:`repro.routing.compile` — the same deterministic routes frozen into
-  integer-indexed tables over the compiled channel-id space (what the
-  wormhole simulator's hot path consumes).
+* :mod:`repro.routing.compile` — the same deterministic routes, computed
+  in closed form with array arithmetic and frozen into integer-indexed
+  tables over the compiled channel-id space (what the wormhole simulator's
+  hot path consumes).
 """
 
 from repro.routing.nca import (

@@ -1,11 +1,13 @@
 """Precompiled integer route tables for the wormhole hot path.
 
-:class:`~repro.routing.updown.UpDownRouter` is the routing source of truth:
+:class:`~repro.routing.updown.UpDownRouter` is the routing specification:
 it produces explicit, validated :class:`Channel` sequences, and the
 analytical model's stage accounting is checked against it.  But rebuilding
 that object chain for every simulated message is the single largest cost of
-a simulation run.  This module walks the router **once per tree shape** and
-freezes its output into integer-indexed route tables:
+a simulation run.  On an m-port n-tree the route is closed form (Eq. 3/4,
+:mod:`repro.routing.nca`), so :func:`route_legs` computes it with array
+arithmetic over a block of source rows, and this module freezes the result
+into integer-indexed route tables:
 
 * :class:`CompiledTreeRoutes` — for one ``(m, n)`` shape: the full
   node-to-node routes plus the ascending and descending ECN1 legs, each as a
@@ -22,15 +24,22 @@ freezes its output into integer-indexed route tables:
 
 Every compiled route round-trips: ``decompile(...)`` maps a compiled id
 tuple back to the exact ``Channel`` sequence, and the test suite asserts
-equality with a freshly routed :class:`Route` for heterogeneous specs.
+that the tables equal a router walk over every pair of the figures' shapes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from repro.routing.updown import UpDownRouter
-from repro.topology.compile import CompiledSystem, compile_system, compile_tree
+import numpy as np
+
+from repro.topology.compile import (
+    CompiledSystem,
+    compile_system,
+    compile_tree,
+    node_channel_ids,
+    up_channel_id,
+)
 from repro.topology.fat_tree import Channel, shared_tree
 from repro.topology.multicluster import MultiClusterSpec
 from repro.utils.validation import ValidationError
@@ -48,16 +57,113 @@ __all__ = [
     "compile_system_routes",
     "decompile",
     "clear_route_caches",
+    "route_legs",
 ]
 
 IdTuple = Tuple[int, ...]
 
 #: Shapes with at least this many nodes fill their route tables lazily, one
-#: source row per first query, instead of eagerly walking all O(N²) pairs at
-#: compile time.  512 nodes (m=8, n=4) is the first Table-1-style shape
-#: where eager compilation costs seconds while a typical scenario only ever
-#: touches the pairs its traffic pattern draws.
+#: source row per first query, instead of building all O(N²) pairs' tuples
+#: at compile time.  The routes themselves are cheap array arithmetic; the
+#: Python tuples are what costs.  For 512 nodes (m=8, n=4), the first
+#: Table-1-style shape past the threshold, eager tables take about 0.4 s
+#: and 86 MiB (786k tuples) on a 2-vCPU Xeon VM, against about 1.5 ms per
+#: lazy row, and a typical scenario only ever touches the pairs its
+#: traffic pattern draws.
 LAZY_NODE_THRESHOLD = 256
+
+#: The three id tables of a shape, by attribute name.
+TABLES = ("full", "ascending", "descending")
+
+
+def route_legs(
+    m: int, n: int, sources: Iterable[int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form route legs from each of ``sources`` to every node.
+
+    For the ``(m, n)`` shape with ``N`` nodes and ``S`` sources, returns
+    padded int64 arrays, pairs in order ``i * N + other``:
+
+    * ``lengths`` ``(S*N,)``: the NCA distance ``j``, 0 on the diagonal;
+    * ``ascending`` ``(S*N, n)``: injection, then the up channel leaving
+      level ``t - 1`` through ``other``'s digit ``n - t``
+      (:func:`repro.routing.nca.ascent_digits`) — a pair's leg is the
+      first ``j`` entries;
+    * ``descending`` ``(N, n)``, by ``other``: ejection, then the down
+      channel into level ``t - 1``.  The route turns at the level ``j - 1``
+      switch of ``other``'s own ascent, so a pair's leg is the first ``j``
+      entries, reversed.
+    """
+    k = m // 2
+    num_nodes = 2 * k**n
+    source = np.asarray(list(sources), dtype=np.int64).reshape(-1, 1)
+    other = np.arange(num_nodes, dtype=np.int64)
+    lengths = (source != other).astype(np.int64)
+    ascending = np.empty((len(source), num_nodes, n), dtype=np.int64)
+    descending = np.empty((num_nodes, n), dtype=np.int64)
+    ascending[:, :, 0] = node_channel_ids(source)[0]
+    descending[:, 0] = node_channel_ids(other)[1]
+    for t in range(1, n):
+        # The level t-1 switch on the way up keeps the top n-t digits of the
+        # node it started from and holds other's digits n-t+1.. below them;
+        # it leaves through up digit n-t of other.
+        low = other % k ** (t - 1)
+        digit = other // k ** (t - 1) % k
+        source_top = source // k**t
+        other_top = other // k**t
+        lengths += source_top != other_top
+        ascending[:, :, t] = up_channel_id(
+            num_nodes, k, t - 1, source_top * k ** (t - 1) + low, digit
+        )
+        descending[:, t] = (
+            up_channel_id(num_nodes, k, t - 1, other_top * k ** (t - 1) + low, digit) + 1
+        )
+    return lengths.ravel(), ascending.reshape(-1, n), descending
+
+
+class _LegBlock:
+    """:func:`route_legs` of a block of source rows, grouped by length.
+
+    Pairs with the same NCA distance ``j`` have legs of the same length, so
+    each group turns into id tuples with one ``tolist`` per column and a
+    ``zip``.  Rebasing happens on the array side, before any tuple exists.
+    """
+
+    __slots__ = ("num_pairs", "num_channels", "has_switch", "_groups")
+
+    def __init__(self, m: int, n: int, sources: Iterable[int]) -> None:
+        lengths, ascending, descending = route_legs(m, n, sources)
+        num_nodes = len(descending)
+        self.num_pairs = len(lengths)
+        self.num_channels = 2 * num_nodes * n
+        self.has_switch: List[bool] = (lengths > 1).tolist()
+        order = np.argsort(lengths, kind="stable")
+        bounds = np.cumsum(np.bincount(lengths, minlength=n + 1))
+        self._groups = []
+        for j in range(1, n + 1):
+            rows = order[bounds[j - 1] : bounds[j]]
+            if len(rows):
+                self._groups.append(
+                    (rows, ascending[rows, :j], descending[rows % num_nodes, j - 1 :: -1])
+                )
+
+    def tuples(self, table: str, offset: int = 0) -> List[IdTuple | None]:
+        """One of :data:`TABLES` in pair order, ids shifted by ``offset``."""
+        # One Python int per rebased channel id, shared by every tuple that
+        # holds it, instead of a fresh int per table entry from tolist():
+        # it halves the tables' memory.
+        id_objects = np.arange(offset, offset + self.num_channels).astype(object)
+        entries = np.empty(self.num_pairs, dtype=object)  # None on the diagonal
+        for rows, up, down in self._groups:
+            if table == "ascending":
+                ids = up
+            elif table == "descending":
+                ids = down
+            else:
+                ids = np.hstack((up, down))
+            columns = id_objects[ids.T].tolist()
+            entries[rows] = np.fromiter(zip(*columns), dtype=object, count=len(rows))
+        return entries.tolist()
 
 
 class CompiledTreeRoutes:
@@ -66,7 +172,8 @@ class CompiledTreeRoutes:
     Tables are flat lists indexed by ``source * num_nodes + other`` (the
     diagonal entries are ``None`` — a message to oneself never routes):
 
-    * ``full[s * N + d]`` — the 2j-link route from node ``s`` to node ``d``;
+    * ``full[s * N + d]`` — the 2j-link route from node ``s`` to node ``d``:
+      ``ascending[s * N + d]`` followed by ``descending[s * N + d]``;
     * ``full_has_switch[...]`` — True when that route crosses at least one
       switch-switch channel (it always crosses node channels), which is all
       the simulator needs to find the slowest hop of an intra-cluster
@@ -76,12 +183,13 @@ class CompiledTreeRoutes:
     * ``descending[p * N + d]`` — the ECN1 descending leg entered at the NCA
       of entry peer ``p`` and ``d`` (down + ejection channels).
 
-    Small shapes compile every row eagerly (the tables are then plain lists
-    with no indirection on the hot path).  Tall shapes — at least
-    :data:`LAZY_NODE_THRESHOLD` nodes, or ``lazy=True`` explicitly — keep
-    the router and fill one *source row* (all four tables for one ``s``) on
-    the first query touching it, so compile cost is O(rows used) instead of
-    O(N²); :attr:`compiled_rows` records which rows exist.
+    Small shapes compile every row eagerly, in one :func:`route_legs` call
+    (the tables are then plain lists with no indirection on the hot path),
+    and keep the grouped leg arrays for :meth:`rebased`.  Tall shapes — at
+    least :data:`LAZY_NODE_THRESHOLD` nodes, or ``lazy=True`` explicitly —
+    fill one *source row* (all four tables for one ``s``) on the first
+    query touching it, so compile cost is O(rows used) instead of O(N²);
+    :attr:`compiled_rows` records which rows exist.
     """
 
     __slots__ = (
@@ -94,64 +202,57 @@ class CompiledTreeRoutes:
         "descending",
         "lazy",
         "compiled_rows",
-        "_router",
-        "_ids",
+        "_legs",
     )
 
     def __init__(self, m: int, n: int, lazy: bool | None = None) -> None:
         self.m = int(m)
         self.n = int(n)
-        tree = shared_tree(m, n)
-        compiled = compile_tree(m, n)
-        num_nodes = tree.num_nodes
+        num_nodes = shared_tree(m, n).num_nodes
         self.num_nodes = num_nodes
         self.lazy = num_nodes >= LAZY_NODE_THRESHOLD if lazy is None else bool(lazy)
-        self._router = UpDownRouter(tree)
-        self._ids = compiled.channel_ids
-        self.compiled_rows: set = set()
+        if self.lazy:
+            pairs = num_nodes * num_nodes
+            self.full: List[IdTuple | None] = [None] * pairs
+            self.full_has_switch: List[bool] = [False] * pairs
+            self.ascending: List[IdTuple | None] = [None] * pairs
+            self.descending: List[IdTuple | None] = [None] * pairs
+            self.compiled_rows: set = set()
+            self._legs = None
+        else:
+            legs = self._legs = _LegBlock(self.m, self.n, range(num_nodes))
+            self.full = legs.tuples("full")
+            self.full_has_switch = legs.has_switch
+            self.ascending = legs.tuples("ascending")
+            self.descending = legs.tuples("descending")
+            self.compiled_rows = set(range(num_nodes))
 
-        pairs = num_nodes * num_nodes
-        self.full: List[IdTuple | None] = [None] * pairs
-        self.full_has_switch: List[bool] = [False] * pairs
-        self.ascending: List[IdTuple | None] = [None] * pairs
-        self.descending: List[IdTuple | None] = [None] * pairs
-        if not self.lazy:
-            for source in range(num_nodes):
-                self._fill_row(source)
-            # Eager tables are complete: drop the router and id map so the
-            # module-level shape cache does not pin them for the process
-            # lifetime.
-            self._router = None
-            self._ids = None
+    def rebased(self, table: str, offset: int) -> List[IdTuple | None]:
+        """Eager table ``table`` (one of :data:`TABLES`) shifted by ``offset``.
+
+        Offset 0 shares the shape's own list; any other offset builds fresh
+        tuples from the kept leg arrays.
+        """
+        if offset == 0:
+            return getattr(self, table)
+        return self._legs.tuples(table, offset)
+
+    def _fill_rows(self, sources: List[int]) -> None:
+        """Compile all four tables for the given source/entry-peer rows."""
+        legs = _LegBlock(self.m, self.n, sources)
+        filled = [(getattr(self, table), legs.tuples(table)) for table in TABLES]
+        filled.append((self.full_has_switch, legs.has_switch))
+        num_nodes = self.num_nodes
+        for index, source in enumerate(sources):
+            row = slice(source * num_nodes, (source + 1) * num_nodes)
+            block = slice(index * num_nodes, (index + 1) * num_nodes)
+            for table, entries in filled:
+                table[row] = entries[block]
+        self.compiled_rows.update(sources)
 
     def _fill_row(self, source: int) -> None:
         """Compile all four tables for one source/entry-peer row."""
-        router = self._router
-        ids = self._ids
-        num_nodes = self.num_nodes
-        full = self.full
-        has_switch = self.full_has_switch
-        ascending = self.ascending
-        descending = self.descending
-        base = source * num_nodes
-        for other in range(num_nodes):
-            if other == source:
-                continue
-            route = router.route(source, other)
-            full[base + other] = tuple(ids[channel] for channel in route)
-            has_switch[base + other] = any(
-                not channel.kind.is_node_channel for channel in route
-            )
-            ascending[base + other] = tuple(
-                ids[channel] for channel in router.ascending_leg(source, other)
-            )
-            # descending is keyed (entry peer, destination) = (source,
-            # other) here: the leg from the NCA of `source` and `other`
-            # down to `other`.
-            descending[base + other] = tuple(
-                ids[channel] for channel in router.descending_leg(source, other)
-            )
-        self.compiled_rows.add(source)
+        self._fill_rows([source])
 
     def ensure_pair(self, source: int, other: int) -> None:
         """Make sure the row covering ``(source, other)`` is compiled."""
@@ -166,9 +267,9 @@ class CompiledTreeRoutes:
         region — instead of paying row compilation inside the first run.
         Single-pair consumers simply never call this.
         """
-        for source in range(self.num_nodes):
-            if source not in self.compiled_rows:
-                self._fill_row(source)
+        missing = [s for s in range(self.num_nodes) if s not in self.compiled_rows]
+        if missing:
+            self._fill_rows(missing)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = "lazy" if self.lazy else "eager"
@@ -296,24 +397,14 @@ def install_graph_routes(spec, routes: CompiledGraphRoutes) -> CompiledGraphRout
     return _GRAPH_ROUTES.setdefault(spec.identity, routes)
 
 
-def _rebase(table: List[IdTuple | None], offset: int) -> List[IdTuple | None]:
-    """A shape-local id table shifted into a global channel-id block."""
-    if offset == 0:
-        return table
-    return [
-        None if entry is None else tuple(cid + offset for cid in entry)
-        for entry in table
-    ]
-
-
 class LazyRebasedTable:
     """Pair-indexed view over a lazily filled shape table, rebased on demand.
 
-    Behaves like the flat lists :func:`_rebase` produces — ``view[pair]``
-    with ``pair = source * N + other`` — but compiles the source row on the
-    first query touching it and memoises the offset-shifted tuple, so a
-    single-pair lookup against a tall shape costs one row compilation, not
-    O(N²).
+    Behaves like the flat lists :meth:`CompiledTreeRoutes.rebased` returns
+    — ``view[pair]`` with ``pair = source * N + other`` — but compiles the
+    source row on the first query touching it and memoises the
+    offset-shifted tuple, so a single-pair lookup against a tall shape costs
+    one row compilation, not O(N²).
     """
 
     __slots__ = ("_shape", "_table", "_offset", "_entries", "_num_nodes")
@@ -404,10 +495,10 @@ class CompiledSystemRoutes:
                 ascend.append(LazyRebasedTable(shape, shape.ascending, core.ecn1_offsets[index]))
                 descend.append(LazyRebasedTable(shape, shape.descending, core.ecn1_offsets[index]))
             else:
-                intra.append(_rebase(shape.full, core.icn1_offsets[index]))
+                intra.append(shape.rebased("full", core.icn1_offsets[index]))
                 intra_has_switch.append(shape.full_has_switch)
-                ascend.append(_rebase(shape.ascending, core.ecn1_offsets[index]))
-                descend.append(_rebase(shape.descending, core.ecn1_offsets[index]))
+                ascend.append(shape.rebased("ascending", core.ecn1_offsets[index]))
+                descend.append(shape.rebased("descending", core.ecn1_offsets[index]))
         icn2_shape = compile_tree_routes(spec.m, spec.icn2_height)
         self.intra = intra
         self.intra_has_switch = intra_has_switch
@@ -416,7 +507,7 @@ class CompiledSystemRoutes:
         self.icn2 = (
             LazyRebasedTable(icn2_shape, icn2_shape.full, core.icn2_offset)
             if icn2_shape.lazy
-            else _rebase(icn2_shape.full, core.icn2_offset)
+            else icn2_shape.rebased("full", core.icn2_offset)
         )
         self.concentrator = tuple(
             core.concentrator_slot(index) for index in range(spec.num_clusters)

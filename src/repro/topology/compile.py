@@ -15,6 +15,9 @@ This module compiles that object graph **once** into dense integer ids:
   flags).  Compiled trees depend only on the shape ``(m, n)`` — channel
   objects carry no tree name — so one compiled tree is shared by every
   same-shape ICN1/ECN1/ICN2 instance via a module-level cache.
+  :func:`node_channel_ids` and :func:`up_channel_id` state the same id
+  layout in closed form, so the route-table kernel computes ids with array
+  arithmetic instead of hashing :class:`Channel` objects.
 * :class:`CompiledSystem` lays the channels of every network of a
   :class:`MultiClusterSystem` into one global id space (one block per
   network, plus one pseudo-channel slot per concentrator and dispatcher
@@ -51,6 +54,8 @@ __all__ = [
     "compile_tree",
     "compile_system",
     "clear_compile_caches",
+    "node_channel_ids",
+    "up_channel_id",
     "KIND_CODES",
 ]
 
@@ -181,6 +186,26 @@ class CompiledTree:
         return (
             f"CompiledTree(m={self.m}, n={self.n}, channels={self.num_channels})"
         )
+
+
+# The closed form of the CompiledTree id layout.  MPortNTree.channels()
+# yields each node's injection/ejection pair in node order, then, level by
+# level, each non-root switch's up/down pairs in switch-rank order (the
+# lexicographic order of ``switches_at_level``) and up-digit order.  A
+# non-root level has N/k switches with k up-ports each, so every level adds
+# 2N ids.  Both helpers are plain arithmetic and accept NumPy arrays.
+def node_channel_ids(node):
+    """``(injection id, ejection id)`` of processing node ``node``."""
+    return 2 * node, 2 * node + 1
+
+
+def up_channel_id(num_nodes: int, k: int, level, rank, digit):
+    """Id of the up channel leaving a level-``level`` switch through ``digit``.
+
+    ``rank`` is the switch's position in ``switches_at_level(level)``; the
+    matching down channel (same link, reversed) has this id plus one.
+    """
+    return 2 * num_nodes * (1 + level) + 2 * (rank * k + digit)
 
 
 _COMPILED_TREES: Dict[Tuple[int, int], CompiledTree] = {}

@@ -171,9 +171,10 @@ class MPortNTree:
         self.k = self.m // 2
         self.name = name or f"{m}-port {n}-tree"
         # Per-instance memo of node index -> digit tuple.  Address arithmetic
-        # is the inner loop of the route-compilation pass, and an instance
-        # cache (unlike ``functools.lru_cache`` on a method) dies with the
-        # tree instead of pinning it for the process lifetime.
+        # is the inner loop of the router (which the object-path simulator
+        # calls for every message), and an instance cache (unlike
+        # ``functools.lru_cache`` on a method) dies with the tree instead of
+        # pinning it for the process lifetime.
         self._address_cache: Dict[int, Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------ sizes

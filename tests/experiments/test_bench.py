@@ -174,15 +174,17 @@ class TestParallelBench:
         assert curve[0]["speedup"] == pytest.approx(1.0)
         # Cold rungs compare against the sequential baseline; the daemon
         # rung compares warm-service vs the cold rung at the same width and
-        # carries the sequential ratio separately.
+        # carries the sequential ratio separately.  Speedups are defined on
+        # the recorded elapsed times, so they match up to their 2-dp
+        # rounding whatever the timings were.
         assert cold[1]["speedup"] == pytest.approx(
-            curve[0]["elapsed_seconds"] / cold[1]["elapsed_seconds"], abs=0.01
+            curve[0]["elapsed_seconds"] / cold[1]["elapsed_seconds"], abs=0.0051
         )
         assert daemon[0]["speedup"] == pytest.approx(
-            cold[1]["elapsed_seconds"] / daemon[0]["elapsed_seconds"], abs=0.01
+            cold[1]["elapsed_seconds"] / daemon[0]["elapsed_seconds"], abs=0.0051
         )
         assert daemon[0]["speedup_vs_sequential"] == pytest.approx(
-            curve[0]["elapsed_seconds"] / daemon[0]["elapsed_seconds"], abs=0.01
+            curve[0]["elapsed_seconds"] / daemon[0]["elapsed_seconds"], abs=0.0051
         )
 
     def test_scenario_fan_out_shares_one_pool_across_scenarios(self):
