@@ -41,7 +41,7 @@ experiment campaign as one schedulable unit:
 * the **content-addressed result store** (:mod:`repro.store`) backs every
   execution by default: tasks are keyed by a hash of the scenario JSON,
   engine name, operating point (the seed lives in the scenario) and the
-  active kernel/scheduler switches, so re-running a campaign re-simulates
+  active kernel switch, so re-running a campaign re-simulates
   only what changed and an interrupted campaign resumes — the golden-seed
   discipline guarantees cached records are bit-identical to fresh runs.
 
@@ -874,9 +874,9 @@ class CampaignExecutor:
     def tasks(self) -> Tuple[CampaignTask, ...]:
         """The flattened (scenario, engine, operating point) work queue.
 
-        Cache keys are computed here, against the *current* kernel/scheduler
-        switches, so two executions under different switches address
-        different records.
+        Cache keys are computed here, against the *current* kernel switch,
+        so two executions under different switches address different
+        records.
         """
         switches = kernel_switches() if self.store is not None else None
         queue: List[CampaignTask] = []

@@ -11,20 +11,16 @@ a self-contained kernel in the spirit of SimPy:
 * :class:`~repro.des.resources.Resource`, :class:`~repro.des.resources.PriorityResource`
   and :class:`~repro.des.resources.Store` model contention points (channels,
   buffers, queues);
-* :mod:`repro.des.monitor` provides time-weighted and tally statistics;
-* :mod:`repro.des.calendar` provides the bucketed calendar-queue scheduler
-  the environment migrates to on dense event queues (pop order identical to
-  the heap; force either with ``REPRO_DES_SCHEDULER``).
+* :mod:`repro.des.monitor` provides time-weighted and tally statistics.
 
+The event queue is a plain binary heap keyed on ``(time, priority, eid)``.
 The kernel is deliberately deterministic: events scheduled for the same time
-fire in FIFO order of scheduling, which makes simulation results reproducible
-for a fixed seed — under either scheduler.
+and priority fire in FIFO order of scheduling, which makes simulation
+results reproducible for a fixed seed.
 """
 
 from repro.des.exceptions import Interrupt, QueueEmpty, SimulationError, StopSimulation
 from repro.des.events import Event, Timeout, Process, AllOf, AnyOf, ConditionValue
-from repro.des.calendar import CalendarQueue
-from repro.des.ring import CalendarRing, FifoRing
 from repro.des.core import Environment
 from repro.des.resources import (
     Resource,
@@ -39,9 +35,6 @@ from repro.des.resources import (
 from repro.des.monitor import TimeWeightedValue, Tally, Counter
 
 __all__ = [
-    "CalendarQueue",
-    "CalendarRing",
-    "FifoRing",
     "Environment",
     "Event",
     "QueueEmpty",

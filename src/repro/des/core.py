@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
 from itertools import count
 from math import inf
 from typing import Any, Generator, List, Optional, Tuple
 
-from repro.des.calendar import CalendarQueue
 from repro.des.events import (
     AllOf,
     AnyOf,
@@ -20,21 +18,6 @@ from repro.des.events import (
 )
 from repro.des.exceptions import QueueEmpty, SimulationError, StopSimulation
 
-#: Recognised scheduler selection modes.
-SCHEDULER_MODES = ("auto", "heap", "calendar")
-
-#: Scheduler used when neither the constructor nor ``REPRO_DES_SCHEDULER``
-#: selects one.  The result store's task keys hash this default, so it must
-#: live here — next to the code it selects — not as a copied literal.
-DEFAULT_SCHEDULER = "auto"
-
-#: Queue size at which ``auto`` migrates from the flat heap to the calendar
-#: queue.  Below this the C-implemented heap wins outright; above it the
-#: event times are dense enough (thousands of pending arrivals and in-flight
-#: messages) that bucketing pays for itself.  Override per environment via
-#: the constructor or globally via ``REPRO_DES_CALENDAR_THRESHOLD``.
-DEFAULT_CALENDAR_THRESHOLD = 4096
-
 
 class Environment:
     """Execution environment of a discrete-event simulation.
@@ -43,62 +26,25 @@ class Environment:
     pending event queue and offers factory helpers for the common event
     types.  Time is a float in the paper's abstract "time units".
 
+    The queue is a flat binary heap of ``(time, priority, eid, event)``
+    entries; ``eid`` is allocated in scheduling order, so events at equal
+    time and priority fire first-in first-out.
+
     Parameters
     ----------
     initial_time:
         Simulation clock at creation.
-    scheduler:
-        Event-queue strategy: ``"heap"`` pins the flat binary heap,
-        ``"calendar"`` pins the bucketed :class:`CalendarQueue`, and
-        ``"auto"`` (default) starts on the heap and migrates to a calendar
-        queue sized from the live queue once it grows past
-        ``calendar_threshold`` entries.  Defaults to the
-        ``REPRO_DES_SCHEDULER`` environment variable when unset, so a
-        debugging session can force either structure without touching code.
-        Both schedulers pop events in exactly the same order — the choice
-        affects wall-clock only, never results.
-    calendar_threshold:
-        Queue size that triggers the ``auto`` migration (default
-        ``REPRO_DES_CALENDAR_THRESHOLD`` or 4096).
     """
 
     #: scheduling priority constants (smaller fires first at equal times)
     URGENT = Environment_URGENT
     NORMAL = Environment_NORMAL
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        scheduler: Optional[str] = None,
-        calendar_threshold: Optional[int] = None,
-    ) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._eid = count()
         self._active_process: Optional[Process] = None
-        if scheduler is None:
-            scheduler = os.environ.get("REPRO_DES_SCHEDULER", DEFAULT_SCHEDULER)
-        if scheduler not in SCHEDULER_MODES:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; expected one of {SCHEDULER_MODES}"
-            )
-        self.scheduler = scheduler
-        #: flat heap of (time, priority, eid, event); active while
-        #: :attr:`_calendar` is None
         self._queue: List[Tuple[float, int, int, Event]] = []
-        self._calendar: Optional[CalendarQueue] = (
-            CalendarQueue() if scheduler == "calendar" else None
-        )
-        if calendar_threshold is None:
-            calendar_threshold = int(
-                os.environ.get(
-                    "REPRO_DES_CALENDAR_THRESHOLD", DEFAULT_CALENDAR_THRESHOLD
-                )
-            )
-        # The hot path guards migration with one integer comparison; pinning
-        # the heap simply makes that comparison unwinnable.
-        self._calendar_threshold: float = (
-            calendar_threshold if scheduler == "auto" else inf
-        )
         #: Events popped and dispatched over the environment's lifetime.
         #: Fuels the benchmark's events-per-second figure; costs one local
         #: increment per event in the run loop.
@@ -115,55 +61,20 @@ class Environment:
         """The process currently being resumed (None outside process code)."""
         return self._active_process
 
-    @property
-    def active_scheduler(self) -> str:
-        """The queue structure currently in use: ``"heap"`` or ``"calendar"``."""
-        return "calendar" if self._calendar is not None else "heap"
-
     def schedule(self, event: Event, priority: int = Environment_NORMAL, delay: float = 0.0) -> None:
         """Insert a triggered event into the queue ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        calendar = self._calendar
-        if calendar is None:
-            heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
-            if len(self._queue) >= self._calendar_threshold:
-                self._migrate_to_calendar()
-        else:
-            calendar.push(self._now + delay, priority, next(self._eid), event)
-
-    def _schedule_at(self, time: float, priority: int, event: Event) -> None:
-        """Absolute-time insert (run's stop event) honouring the active scheduler.
-
-        ``run(until=<number>)`` must land its stop event in whichever
-        structure currently backs the queue — a raw ``heappush`` into the
-        heap list would silently strand the stop event once the calendar is
-        active and let the simulation drain past ``until``.
-        """
-        calendar = self._calendar
-        if calendar is None:
-            heappush(self._queue, (time, priority, next(self._eid), event))
-        else:
-            calendar.push(time, priority, next(self._eid), event)
-
-    def _migrate_to_calendar(self) -> None:
-        """Move every pending entry from the heap into a calendar queue."""
-        self._calendar = CalendarQueue.from_entries(self._queue)
-        self._queue = []
-        self._calendar_threshold = inf
+        heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the queue is empty."""
-        calendar = self._calendar
-        if calendar is None:
-            return self._queue[0][0] if self._queue else inf
-        return calendar.peek_time()
+        return self._queue[0][0] if self._queue else inf
 
     @property
     def queue_size(self) -> int:
         """Number of events currently scheduled (diagnostic aid)."""
-        calendar = self._calendar
-        return len(self._queue) if calendar is None else len(calendar)
+        return len(self._queue)
 
     # -- event factories ------------------------------------------------------
     def event(self) -> Event:
@@ -195,12 +106,8 @@ class Environment:
         QueueEmpty
             If the queue is empty (a :class:`SimulationError` subclass).
         """
-        calendar = self._calendar
         try:
-            if calendar is None:
-                self._now, _, _, event = heappop(self._queue)
-            else:
-                self._now, _, _, event = calendar.pop()
+            self._now, _, _, event = heappop(self._queue)
         except IndexError:
             raise QueueEmpty("cannot step an empty event queue") from None
 
@@ -249,7 +156,7 @@ class Environment:
             stop_event._ok = True
             stop_event._value = None
             stop_event.callbacks.append(self._stop_callback)
-            self._schedule_at(at, Environment_URGENT, stop_event)
+            heappush(self._queue, (at, Environment_URGENT, next(self._eid), stop_event))
 
         try:
             self._run_loop()
@@ -276,16 +183,11 @@ class Environment:
         :meth:`step` (and vice versa) — the test suite drives both.
         """
         processed = 0
+        queue = self._queue
         try:
             while True:
-                # Re-read the structure each iteration: a schedule() inside a
-                # callback may migrate the heap to the calendar mid-run.
-                calendar = self._calendar
                 try:
-                    if calendar is None:
-                        self._now, _, _, event = heappop(self._queue)
-                    else:
-                        self._now, _, _, event = calendar.pop()
+                    self._now, _, _, event = heappop(queue)
                 except IndexError:
                     return
                 processed += 1

@@ -27,11 +27,11 @@ machine-readable across PRs::
                              "run_seconds": ..,       # event-loop execute
                              "collect_seconds": ..,   # state + statistics
                              ...}, ...},
-      "kernels": [{"scenario": "fig3", "kernel": "dispatch",
+      "kernels": [{"scenario": "fig3", "kernel": "generator",
                    "wall_clock_seconds": .., "messages_per_second": ..,
                    "events_per_second": .., "speedup": 1.0},
                   {"scenario": "fig3", "kernel": "vectorized",
-                   "speedup": 2.3, ...}, ...],
+                   "speedup": 4.1, ...}, ...],
       "scaling": [{"workers": 1, "mode": "cold", "kernel": "vectorized",
                    "elapsed_seconds": ..,
                    "messages_per_second": .., "speedup": 1.0,
@@ -47,8 +47,8 @@ machine-readable across PRs::
       "speedup": {"fig3": 2.2, ...}                    # when compared
     }
 
-The ``kernels`` rungs are the matched-budget comparison between the FSM
-dispatch kernel (the executable specification) and the vectorized core:
+The ``kernels`` rungs are the matched-budget comparison between the
+generator kernel (the executable specification) and the vectorized core:
 same scenario, same :class:`~repro.sim.config.SimulationConfig`, same seed,
 interleaved repetitions with the minimum wall clock reported per kernel —
 the measurement ``benchmarks/diff_bench.py`` gates on.
@@ -95,9 +95,9 @@ BENCH_SCENARIOS = ("fig3", "fig4", "heterogeneous")
 #: Default operating-point count per scenario.
 BENCH_POINTS = 3
 
-#: The kernel-comparison rung pair: the FSM dispatch kernel (executable
+#: The kernel-comparison rung pair: the generator kernel (executable
 #: specification) first — it is the rung the speedups are relative to.
-BENCH_KERNELS = ("dispatch", "vectorized")
+BENCH_KERNELS = ("generator", "vectorized")
 
 #: Interleaved repetitions per kernel rung; the minimum wall clock is
 #: reported, which drops scheduler/thermal noise without inventing speed.
@@ -310,7 +310,7 @@ def _measure_kernels(
     sim,
     reps: int = KERNEL_BENCH_REPS,
 ) -> List[Dict[str, Any]]:
-    """Matched-budget kernel rungs: FSM dispatch vs the vectorized core.
+    """Matched-budget kernel rungs: the generator spec vs the vectorized core.
 
     Each scenario is run at its lowest grid operating point (the unsaturated
     regime, where the event loop — not the guard timeout — is what is being

@@ -15,13 +15,17 @@ built on the :mod:`repro.des` kernel:
 * warm-up, measurement and drain phases follow the paper's methodology, and
   latency statistics come with confidence intervals.
 
+Two kernels run that life cycle, bit-identical to each other: the
+generator specification (:func:`~repro.sim.wormhole.compiled_transfer` on
+:class:`~repro.des.Environment`) and the default flat-state core of
+:mod:`repro.sim.vector`; ``REPRO_SIM_KERNEL`` selects between them.
+
 See DESIGN.md for the two documented deviations from a fully physical
 simulator (channel-release granularity and the distributed-concentrator
 realisation of the ECN1 exit points).
 """
 
 from repro.sim.config import SimulationConfig
-from repro.sim.kernel import TransferKernel
 from repro.sim.message import Message, MessagePhase
 from repro.sim.network import ChannelGrant, ChannelPool, FlatChannels
 from repro.sim.statistics import ClusterStatistics, SimulationResult, StatisticsCollector
@@ -29,7 +33,6 @@ from repro.sim.simulator import MultiClusterSimulator
 
 __all__ = [
     "SimulationConfig",
-    "TransferKernel",
     "Message",
     "MessagePhase",
     "ChannelGrant",

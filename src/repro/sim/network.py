@@ -147,15 +147,9 @@ class FlatChannels:
         #: FIFO wait queues, created lazily on first contention
         self.queues: List[Optional[deque]] = [None] * num_slots
 
-    def acquire(self, slot: int, grant: Optional[Event] = None) -> Event:
-        """Claim ``slot``; the returned event fires once the claim holds.
-
-        ``grant`` lets the direct-dispatch kernel pass in a recycled event
-        record instead of allocating a fresh :class:`ChannelGrant` per hop;
-        the scheduling behaviour is identical either way.
-        """
-        if grant is None:
-            grant = ChannelGrant(self.env)
+    def acquire(self, slot: int) -> ChannelGrant:
+        """Claim ``slot``; the returned event fires once the claim holds."""
+        grant = ChannelGrant(self.env)
         if self.holder[slot] is None:
             self.holder[slot] = grant
             self.granted_at[slot] = self.env._now

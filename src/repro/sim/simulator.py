@@ -17,16 +17,19 @@ hot path: the constructor pulls the (module-cached) compiled channel-id
 space of the organisation (:func:`repro.topology.compile.compile_system`)
 and its precompiled route tables
 (:func:`repro.routing.compile.compile_system_routes`), and every message
-moves over dense integer channel ids.  The message life cycle itself runs
-on the batched vectorized core of :mod:`repro.sim.vector` by default
-(``kernel="vectorized"``): a calendar-ring scheduler popping equal-time
-event cohorts, per-source pre-drawn workload chunks and flat NumPy channel
-state.  The direct-dispatch FSM of :class:`~repro.sim.kernel.TransferKernel`
-(``kernel="dispatch"``) and the generator-coroutine specification
-(``kernel="generator"``) remain as the executable specification paths,
-selectable per constructor or via ``REPRO_SIM_KERNEL``; per-run random
-streams are restored from the pooled PCG64 snapshots of
-:mod:`repro.utils.rng` in every kernel.  The event sequence is identical
+moves over dense integer channel ids.  Two kernels realise the message life
+cycle, selectable per constructor or via ``REPRO_SIM_KERNEL``:
+
+* ``kernel="vectorized"`` (default) — the fast flat-state core of
+  :mod:`repro.sim.vector`: one ``heapq`` of ``(time, seq, payload)``
+  entries, per-source pre-drawn workload chunks and flat-list channel
+  state;
+* ``kernel="generator"`` — the executable specification: one
+  :func:`~repro.sim.wormhole.compiled_transfer` coroutine per message on
+  the generic :class:`~repro.des.Environment` heap.
+
+Per-run random streams are restored from the pooled PCG64 snapshots of
+:mod:`repro.utils.rng` in both kernels.  The event sequence is identical
 across kernels and identical to the object-path realisation
 (``ChannelPool`` + ``wormhole_transfer``), which remains in
 :mod:`repro.sim.wormhole` as the readable specification; a golden-seed
@@ -44,7 +47,6 @@ from repro.des import Environment
 from repro.model.parameters import MessageSpec, PAPER_TIMING, TimingParameters
 from repro.routing.compile import compile_system_routes
 from repro.sim.config import SimulationConfig
-from repro.sim.kernel import TransferKernel
 from repro.sim.message import Message
 from repro.sim.network import FlatChannels
 from repro.sim.statistics import SimulationResult, StatisticsCollector
@@ -57,11 +59,10 @@ from repro.workloads.base import TrafficPattern
 from repro.workloads.poisson import PoissonArrivals
 from repro.workloads.uniform import UniformTraffic
 
-#: Recognised message-kernel realisations: the direct-dispatch FSM
-#: (:mod:`repro.sim.kernel`), the generator-coroutine specification
-#: (:mod:`repro.sim.wormhole`) and the batched flat-state core
+#: Recognised message-kernel realisations: the generator-coroutine
+#: specification (:mod:`repro.sim.wormhole`) and the flat-state core
 #: (:mod:`repro.sim.vector`).
-KERNEL_MODES = ("dispatch", "generator", "vectorized")
+KERNEL_MODES = ("generator", "vectorized")
 
 #: Kernel used when neither the constructor nor ``REPRO_SIM_KERNEL`` selects
 #: one.  The result store's task keys hash this default, so it must live
@@ -99,16 +100,13 @@ class MultiClusterSimulator:
         into the variance ablation discussed in DESIGN.md.
     kernel:
         Message-lifecycle realisation: ``"vectorized"`` (default) runs the
-        batched flat-state core of
-        :class:`~repro.sim.vector.VectorizedRunState` on a calendar ring;
-        ``"dispatch"`` drives the direct-dispatch FSM of
-        :class:`~repro.sim.kernel.TransferKernel` on the generic event
-        loop; ``"generator"`` keeps the coroutine specification path
-        (:func:`~repro.sim.wormhole.compiled_transfer`).  All three replay
-        the identical event sequence — the choice affects wall-clock only.
-        Defaults to the ``REPRO_SIM_KERNEL`` environment variable when
-        unset, so a debugging session can force a readable path without
-        touching code.
+        flat-state core of :class:`~repro.sim.vector.VectorizedRunState`;
+        ``"generator"`` keeps the coroutine specification path
+        (:func:`~repro.sim.wormhole.compiled_transfer`) on the generic
+        event loop.  Both replay the identical event sequence — the choice
+        affects wall-clock only.  Defaults to the ``REPRO_SIM_KERNEL``
+        environment variable when unset, so a debugging session can force
+        the readable path without touching code.
     """
 
     def __init__(
@@ -225,7 +223,7 @@ class MultiClusterSimulator:
 
 
 class _RunState:
-    """Everything belonging to one simulation run (one environment)."""
+    """One run of the generator specification kernel (one environment)."""
 
     def __init__(
         self, simulator: MultiClusterSimulator, lambda_g: float, config: SimulationConfig
@@ -238,16 +236,6 @@ class _RunState:
         self.arrivals = simulator.arrivals_factory(lambda_g)
         core = simulator.core
         self.channels = FlatChannels(self.env, core.total_slots)
-        self.kernel: Optional[TransferKernel] = (
-            TransferKernel(
-                self.env,
-                self.channels,
-                simulator._header_times,
-                on_delivered=self._on_delivered,
-            )
-            if simulator.kernel == "dispatch"
-            else None
-        )
         #: which slots appeared on any built journey, and in which order per
         #: pool — mirrors the lazy-creation order of the object path's
         #: ChannelPool dicts so utilisation aggregation sums identically
@@ -266,12 +254,11 @@ class _RunState:
             self.env.process(self._source_process(cluster_index, node.index))
         guard = self.env.timeout(self.config.max_time)
         # The event loop allocates heavily (queue entries, messages) but its
-        # hot path creates no cyclic garbage — everything dies by refcount,
-        # and the slab-recycled kernel records never die at all.  Cyclic GC
-        # passes during the loop would rescan the (large, immortal) compiled
-        # route tables over and over, costing up to ~40% of a run on
-        # 1000-node systems, so collection is suspended for the duration and
-        # any stragglers are picked up when the caller's GC resumes.
+        # hot path creates no cyclic garbage — everything dies by refcount.
+        # Cyclic GC passes during the loop would rescan the (large, immortal)
+        # compiled route tables over and over, costing up to ~40% of a run
+        # on 1000-node systems, so collection is suspended for the duration
+        # and any stragglers are picked up when the caller's GC resumes.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -348,7 +335,6 @@ class _RunState:
         length_flits = simulator.message.length_flits
         warmup = config.warmup_messages
         measured_end = warmup + config.measured_messages
-        kernel = self.kernel
         while True:
             yield env.timeout(self.arrivals.next_interarrival(rng))
             if self.generated >= config.total_messages:
@@ -369,20 +355,17 @@ class _RunState:
                 measured=warmup <= index < measured_end,
             )
             slots, tail_time = self._build_journey(message, peer_rng)
-            if kernel is not None:
-                kernel.start(message, slots, tail_time)
-            else:
-                env.process(
-                    compiled_transfer(
-                        env,
-                        message,
-                        slots,
-                        self.channels,
-                        simulator._header_times,
-                        tail_time,
-                        on_delivered=self._on_delivered,
-                    )
+            env.process(
+                compiled_transfer(
+                    env,
+                    message,
+                    slots,
+                    self.channels,
+                    simulator._header_times,
+                    tail_time,
+                    on_delivered=self._on_delivered,
                 )
+            )
 
     def _touch(self, slots) -> None:
         """Record journey slots in pool-local first-touch order."""

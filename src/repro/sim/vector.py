@@ -1,71 +1,78 @@
-"""The vectorized event core: cohort-batched execution on flat state.
+"""The vectorized event core: the message life cycle on flat state.
 
-This is the third realisation of the message life cycle
-(``kernel="vectorized"``), and the first that abandons the generic DES
-environment: the run executes on a specialised integer-dispatch loop over a
-:class:`~repro.des.ring.FifoRing`, with every piece of per-message and
-per-channel state held in flat parallel arrays.  Three layers make it fast:
+This is the fast realisation of the message life cycle
+(``kernel="vectorized"``).  It abandons the generic DES environment: the
+run executes on a specialised integer-dispatch loop over one ``heapq``
+list, with every piece of per-message and per-channel state held in flat
+parallel lists.  Three things make it fast:
 
-* **scheduler** — the ring pops whole same-timestamp *runs* at once and
-  carries no per-event id: every push here uses one priority, and eids are
-  allocated in push order, so the ring's FIFO-by-position order *is* the
-  heap's ``(time, priority, eid)`` order.  Events scheduled at the
-  *current* time never enter it — they go through a plain FIFO ``deque``
-  (append order is eid order) — and the delay-0 grant hop is elided
-  entirely on schedules where that is provably order-safe (see
-  :meth:`VectorizedRunState._grant_elision_safe`), which leaves the deque
-  to the stop markers.
+* **one plain heap** — an event is a ``(time, seq, payload)`` tuple, where
+  ``payload`` packs ``(ident << 3) | kind`` into one int and ``seq`` counts
+  pushes: no event objects, callbacks or generator resumes.  Measured event
+  frontiers are one event wide, so the loop pops one event at a time.
 * **arrivals** — per-source :class:`~repro.workloads.batch.SourceBatcher`
   chunks replace one generator resume plus three scalar RNG round trips per
-  message with pre-drawn arrays (bit-identical by the property pinned in
-  ``tests/workloads/test_batch.py``).
-* **dispatch** — equal-time header cohorts large enough to matter are
-  processed with vectorized channel array ops (gathered hold-state, sorted
-  first-acquirer resolution), falling back to scalar dispatch for
-  intra-batch conflicts on the same channel and for the small cohorts that
-  dominate Poisson traffic, where NumPy call overhead would exceed the
-  loop it replaces.
+  message with pre-drawn NumPy arrays (bit-identical by the property pinned
+  in ``tests/workloads/test_batch.py``); this is what the kernel's name
+  refers to.
+* **grant elision** — the delay-0 grant hop is collapsed into its acquire
+  on schedules where that is provably order-safe (see
+  :meth:`VectorizedRunState._grant_elision_safe`), which removes nearly
+  half of all events.
 
-**Event-sequence bit-identity.**  The FSM path is the executable
-specification; this kernel replays its schedule exactly, by construction:
+**Event-sequence bit-identity.**  The generator path
+(:func:`~repro.sim.wormhole.compiled_transfer` on
+:class:`~repro.des.Environment`) is the executable specification; this
+kernel replays its schedule exactly, by construction:
 
-* every ``Environment.schedule`` call of the FSM path happens here at the
-  same simulation time, with the same priority, at the same relative
-  position — future events keep ring order because pushes occur in FSM
-  push order, and same-time events keep eid order because the FIFO queue
-  preserves append order;
-* the FSM-only bookkeeping events (URGENT ``Initialize`` kick-offs,
+* the environment pops in ``(time, priority, eid)`` order with ``eid``
+  allocated in scheduling order.  Every event that does work in the
+  specification is scheduled at NORMAL priority, and this kernel makes the
+  matching push at the same simulation time and, among pushes that can
+  land on the same time, in the same relative order, so ``(time, seq)``
+  order is the environment's order.  Pushes for the current time — grants
+  on the non-elided path, zero-length tails and the stop markers — go into
+  the same heap, where their ``seq`` puts them after everything already
+  queued at that time, exactly where a larger ``eid`` puts them;
+* one pair of pushes is swapped: a fresh transfer acquires its first
+  channel before its source schedules the next arrival, where the
+  specification's URGENT ``Initialize`` runs the acquire just after.  The
+  pair lands at ``t`` (``t + h`` when the grant is elided) and
+  ``t + gap``, so it can tie only on a zero gap or, elided, on a gap equal
+  to a header time, which :meth:`VectorizedRunState._grant_elision_safe`
+  rules out;
+* ``seq`` starts with the guard timeout (0), then each source's first
+  arrival in source order: the specification schedules its guard before
+  any source draws a gap;
+* the specification's bookkeeping events (URGENT ``Initialize`` kick-offs,
   process-completion events) do no work in the transfer, so dropping them
-  renumbers event ids without reordering any two surviving events — the
-  same argument that justified the dispatch kernel;
-* ``run(until=done | guard)`` stop semantics are replayed with FIFO
-  markers: ``done.succeed()`` schedules the done event at NORMAL priority,
-  whose processing schedules the condition, whose processing stops the run
-  — two hops, so events scheduled in between still fire.  ``_MARK_DONE``
-  followed by ``_MARK_STOP`` reproduce the cutoff event for event; the
-  guard timeout has one hop and appends ``_MARK_STOP`` directly.
+  renumbers event ids without reordering any two surviving events;
+* ``run(until=done | guard)`` stop semantics are replayed with markers:
+  ``done.succeed()`` schedules the done event at NORMAL priority, whose
+  processing schedules the condition, whose processing stops the run —
+  two hops, so events scheduled in between still fire.  ``_EV_DONE``
+  followed by ``_EV_STOP`` reproduce the cutoff event for event; the guard
+  timeout has one hop and pushes ``_EV_STOP`` directly;
 * statistics arithmetic is shared:
   :meth:`~repro.sim.statistics.StatisticsCollector.record_delivery`
   performs the identical float operations in the identical order as the
   message-object path, and channel accounting accumulates ``busy_time`` on
   release exactly like :class:`~repro.sim.network.FlatChannels`.
 
-The golden-seed regression pins all four scenarios to the fixture under
-this kernel, and ``tests/sim/test_vectorized.py`` pins it against the FSM
-path directly.
+The golden-seed regression pins every scenario to the fixture under this
+kernel, and ``tests/sim/test_vectorized.py`` pins it against the generator
+path directly, including on random small topologies.
 """
 
 from __future__ import annotations
 
 import gc
 from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.des.calendar import sized_width
-from repro.des.exceptions import SimulationError
-from repro.des.ring import FifoRing
 from repro.sim.config import SimulationConfig
 from repro.sim.statistics import StatisticsCollector
 from repro.utils.rng import RandomStreams
@@ -79,17 +86,9 @@ _EV_ARRIVAL = 0   # ident = source id
 _EV_HEADER = 1    # ident = transfer row
 _EV_TAIL = 2      # ident = transfer row
 _EV_GUARD = 3     # ident unused
-_EV_GRANT = 4     # ident = transfer row (FIFO queue only, never the ring)
-
-#: FIFO markers replaying the done -> condition -> stop cascade.
-_MARK_DONE = -1
-_MARK_STOP = -2
-
-#: Cohort size from which an all-header cohort takes the vectorized channel
-#: path.  Below it, building the index arrays costs more than the scalar
-#: loop; above it (lockstep phases, deterministic arrivals) the gathers and
-#: the sorted first-acquirer resolution run at C speed.
-VECTOR_BATCH_MIN = 64
+_EV_GRANT = 4     # ident = transfer row (non-elided schedules only)
+_EV_DONE = 5      # ident unused: the done -> condition -> stop cascade
+_EV_STOP = 6      # ident unused
 
 #: Safety margin over the clock's unit-in-the-last-place used by the grant
 #: elision precondition: two deterministic schedule deltas are "separated"
@@ -115,14 +114,12 @@ class VectorizedRunState:
         self.timed_out = False
         self.now = 0.0
         self.events_processed = 0
-        self._done_fired = False
         # -- flat channel state (the FlatChannels protocol on flat lists) --
         # Plain lists, not ndarrays: the scalar loop reads and writes one
         # element at a time, where a list indexes in ~40ns but a numpy
         # scalar access boxes through __getitem__/__setitem__ at several
         # times that.  Arithmetic on the Python floats is the same IEEE
-        # double arithmetic, so accounting stays bit-identical; the batch
-        # path gathers into arrays with ``np.fromiter`` where it wins.
+        # double arithmetic, so accounting stays bit-identical.
         num_slots = core.total_slots
         self._holder: List[int] = [-1] * num_slots
         self._granted_at: List[float] = [0.0] * num_slots
@@ -180,47 +177,58 @@ class VectorizedRunState:
     def _grant_elision_safe(self) -> bool:
         """Whether the delay-0 grant hop may be collapsed into its acquire.
 
-        A channel grant's whole effect is to stamp the injection time and
-        schedule the header one header-time ahead; everything the FSM
-        mutates at grant *scheduling* (holder, grant counters) this kernel
-        already mutates synchronously at the acquire.  Eliding the hop
-        therefore only moves the header's event id earlier — from "after
-        the grant pops" to "at the acquire" — which can flip pop order
-        solely against an event pushed in that window landing at the *same*
-        ``(time, priority)`` key.  All such pushes target ``time + delta``
-        for a delta in a small deterministic set (header times, tail
-        times, a fixed inter-arrival gap), so it suffices that those deltas
-        are pairwise separated by more than four ulps of the largest
-        reachable clock: no two ``time + delta`` values can then round to
-        equality.  Poisson gaps are continuous draws — a half-ulp
-        coincidence with a header delta has the same measure-zero status as
-        the documented zero-gap caveat, and the golden fixtures pin the
-        actual seeds.  Unknown arrival processes disable elision outright,
-        as do zero header times (whose headers would re-enter the same-time
-        FIFO *behind* later appends, unlike the grant they replace).
+        A channel grant's whole effect in the specification is to stamp the
+        injection time (first hop only) and push the header one header time
+        ahead; everything it mutates at grant *scheduling* (holder, grant
+        counters) this kernel mutates there too.  Eliding the hop therefore
+        only gives the header push an earlier ``seq``: it is pushed where
+        the grant is scheduled (the acquire of a free channel, or the
+        release that hands a busy one on) instead of when the grant would
+        have popped.  Both moments share one clock value ``t`` (the grant
+        is a delay-0 event), so the header at ``t + h`` can only change
+        places with an event pushed at ``t`` in between, at ``t + d`` for a
+        delta ``d`` that is one of:
+
+        * another header delta — harmless: that header is elided too, both
+          pushes moved to where their grants were scheduled, in the order
+          the grants would have popped, so the pair keeps its relative
+          order;
+        * a tail delta ``(M - 1) * h'``;
+        * the inter-arrival gap of a source processed in the window;
+        * zero — the done and stop markers.
+
+        The pair swaps only if ``t + h == t + d``.  It therefore suffices
+        that every *header* delta differs from every tail, gap and zero
+        delta by more than four ulps of the largest reachable clock: no
+        ``t + h`` and ``t + d`` can then round to equality.  Header deltas
+        may coincide among themselves.  Poisson gaps are continuous draws —
+        a half-ulp coincidence with a header delta has the same measure-zero
+        status as a zero gap, and the golden fixtures pin the actual seeds.
+        Unknown arrival processes disable elision outright.
         """
-        headers = sorted({float(h) for h in self.simulator._header_times})
-        if not headers or headers[0] <= 0.0:
-            return False
+        headers = {float(h) for h in self.simulator._header_times}
         # Exact types only: a subclass may override the gap distribution,
         # which would void the separation argument below.
         arrivals = self.arrivals
         if type(arrivals) is DeterministicArrivals:
-            extra = (1.0 / arrivals.rate,)
+            gaps = (1.0 / arrivals.rate,)
         elif type(arrivals) is PoissonArrivals:
-            extra = ()
+            gaps = ()
         else:
             return False
         tail_flits = self.simulator.message.length_flits - 1
-        deltas = sorted({*headers, *(tail_flits * h for h in headers), *extra})
-        separation = min(
-            (b - a for a, b in zip(deltas, deltas[1:])), default=float("inf")
-        )
-        return separation > self.config.max_time * _ULP_MARGIN
+        others = {0.0, *(tail_flits * h for h in headers), *gaps}
+        margin = self.config.max_time * _ULP_MARGIN
+        return all(abs(h - d) > margin for h in headers for d in others)
 
     # ------------------------------------------------------------- execution
     def execute(self) -> None:
-        """Run the event loop to the stop marker (same GC policy as the FSM)."""
+        """Run the event loop to the stop marker, with cyclic GC suspended.
+
+        Same policy as the generator path: the loop creates no cyclic
+        garbage, and collector passes would rescan the large, immortal
+        compiled route tables.
+        """
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -229,7 +237,6 @@ class VectorizedRunState:
         finally:
             if gc_was_enabled:
                 gc.enable()
-        self.timed_out = not self._done_fired
 
     def _loop(self) -> None:
         # Local aliases: this loop processes hundreds of thousands of
@@ -282,36 +289,24 @@ class VectorizedRunState:
         pool_index = core.pool_index_list
         pool_order = self._pool_touch_order
         record_delivery = self.collector.record_delivery
-
-        # -- initial schedule -------------------------------------------
-        # The FSM path schedules its guard timeout before any source draws
-        # a gap, so the guard precedes every arrival; the ring must see the
-        # same push order for the FIFO tie at max_time.
-        first_times = [batcher.times[0] for batcher in batchers]
-        num_sources = len(batchers)
-        ring = FifoRing(
-            width=sized_width(min(first_times), max(first_times), num_sources)
-        )
-        ring.push(config.max_time, _EV_GUARD)
-        ring.push_batch(
-            first_times,
-            [(source << 3) | _EV_ARRIVAL for source in range(num_sources)],
-        )
-
-        now_queue: deque = deque()
-        nq_append = now_queue.append
-        nq_popleft = now_queue.popleft
-        ring_push = ring.push
-        pop_run = ring.pop_run
         # Collapse the delay-0 grant hop into its acquire when provably
         # order-safe (see _grant_elision_safe) — grants are nearly half of
-        # all events, and elision leaves the FIFO to the stop markers.
+        # all events.
         elide = self._elide_grants
+
+        # -- initial schedule: the guard first, then every first arrival ---
+        heap = [(config.max_time, 0, _EV_GUARD)]
+        heap.extend(
+            (batcher.times[0], source + 1, (source << 3) | _EV_ARRIVAL)
+            for source, batcher in enumerate(batchers)
+        )
+        heapify(heap)
+        # the next push's sequence number (== pushes so far)
+        seq = len(heap)
 
         generated = 0
         delivered = 0
-        events = 0
-        time = 0.0
+        done_fired = False
 
         def start_transfer(created_at, measured, external, cluster, slots, tail):
             if free_rows:
@@ -335,374 +330,170 @@ class VectorizedRunState:
                 row_external.append(external)
             return row
 
-        halted = False
-        while not halted:
-            run = pop_run()
-            if run is None:
-                # Unreachable while the guard is pending: mirrors the
-                # environment's complaint when `until` never triggers.
-                raise SimulationError(
-                    "vectorized run drained its event queue before stopping"
-                )
-            # `head[start:end]` stays valid while we push: pop_run advanced
-            # the consume cursor, so insorts land at or past `end`.
-            time, head, start, end = run
-            events += end - start
-
-            if end - start >= VECTOR_BATCH_MIN and all(
-                head[index][1] & 7 == _EV_HEADER for index in range(start, end)
-            ):
-                # ---------------- vectorized header cohort ----------------
-                # Split the cohort into runs of pure channel acquisitions
-                # broken by deliveries: a delivery releases channels, which
-                # can hand a slot to a *later* acquirer at the same time, so
-                # hold-state gathered across a delivery would be stale.
-                pending: List[Tuple[int, int]] = []
-
-                def flush_acquires():
-                    count = len(pending)
-                    slots_arr = np.fromiter(
-                        (slot for _, slot in pending), np.int64, count
-                    )
-                    # First acquirer per slot wins (stable sort keeps eid
-                    # order within a slot); later ones fall back to the
-                    # scalar queueing path below.
-                    order = np.argsort(slots_arr, kind="stable")
-                    ranked = slots_arr[order]
-                    duplicate = np.empty(count, dtype=bool)
-                    duplicate[0] = False
-                    duplicate[1:] = ranked[1:] == ranked[:-1]
-                    first = np.empty(count, dtype=bool)
-                    first[order] = ~duplicate
-                    holder_arr = np.fromiter(
-                        (holder[slot] for _, slot in pending), np.int64, count
-                    )
-                    wins = (holder_arr < 0) & first
-                    for index, win in enumerate(wins.tolist()):
-                        row, slot = pending[index]
-                        if win:
-                            holder[slot] = row
-                            granted_at[slot] = time
-                            total_grants[slot] += 1
-                            if elide:
-                                # Pending rows advanced to position >= 1,
-                                # so no injection stamp here.
-                                ring_push(
-                                    time + header_times[slot], (row << 3) | _EV_HEADER
-                                )
-                            else:
-                                nq_append((row << 3) | _EV_GRANT)
-                        else:
-                            queue = queues[slot]
-                            if queue is None:
-                                queue = queues[slot] = deque()
-                            queue.append(row)
-                    pending.clear()
-
-                for index in range(start, end):
-                    row = head[index][1] >> 3
-                    position = row_pos[row] + 1
-                    slots = row_slots[row]
-                    if position < len(slots):
-                        row_pos[row] = position
-                        pending.append((row, slots[position]))
-                        continue
-                    if row_tail[row] > 0.0:
-                        if pending:
-                            flush_acquires()
-                        tail_at = time + row_tail[row]
-                        if tail_at > time:
-                            ring_push(tail_at, (row << 3) | _EV_TAIL)
-                        else:
-                            nq_append((row << 3) | _EV_TAIL)
-                        continue
-                    # Delivered with no body: finish right here — releases
-                    # change hold state, so drain the acquisitions first.
-                    if pending:
-                        flush_acquires()
-                    slots = row_slots[row]
-                    if row_measured[row]:
-                        record_delivery(
-                            row_cluster[row],
-                            row_external[row],
-                            row_created[row],
-                            row_injected[row],
-                            time,
-                        )
-                        delivered += 1
-                        if delivered >= measured_target and not self._done_fired:
-                            self._done_fired = True
-                            nq_append(_MARK_DONE)
-                    for slot in slots:
-                        busy_time[slot] += time - granted_at[slot]
-                        queue = queues[slot]
-                        if queue:
-                            successor = queue.popleft()
-                            holder[slot] = successor
-                            granted_at[slot] = time
-                            total_grants[slot] += 1
-                            if elide:
-                                if row_pos[successor] == 0:
-                                    row_injected[successor] = time
-                                ring_push(
-                                    time + header_times[slot], (successor << 3) | _EV_HEADER
-                                )
-                            else:
-                                nq_append((successor << 3) | _EV_GRANT)
-                        else:
-                            holder[slot] = -1
-                    row_slots[row] = ()
-                    free_rows.append(row)
-                if pending:
-                    flush_acquires()
-                start = end
-
-            for index in range(start, end):
-                payload = head[index][1]
-                kind = payload & 7
-                ident = payload >> 3
-                if kind == _EV_HEADER:
-                    position = row_pos[ident] + 1
-                    slots = row_slots[ident]
-                    if position < len(slots):
-                        row_pos[ident] = position
-                        slot = slots[position]
-                        if holder[slot] < 0:
-                            holder[slot] = ident
-                            granted_at[slot] = time
-                            total_grants[slot] += 1
-                            if elide:
-                                # Headers advance to position >= 1 before
-                                # acquiring, so no injection stamp.
-                                ring_push(
-                                    time + header_times[slot], (ident << 3) | _EV_HEADER
-                                )
-                            else:
-                                nq_append((ident << 3) | _EV_GRANT)
-                        else:
-                            queue = queues[slot]
-                            if queue is None:
-                                queue = queues[slot] = deque()
-                            queue.append(ident)
-                        continue
-                    if row_tail[ident] > 0.0:
-                        tail_at = time + row_tail[ident]
-                        if tail_at > time:
-                            ring_push(tail_at, (ident << 3) | _EV_TAIL)
-                        else:
-                            nq_append((ident << 3) | _EV_TAIL)
-                        continue
-                    kind = _EV_TAIL  # delivered with no body: fall through
-                if kind == _EV_TAIL:
-                    slots = row_slots[ident]
-                    if row_measured[ident]:
-                        record_delivery(
-                            row_cluster[ident],
-                            row_external[ident],
-                            row_created[ident],
-                            row_injected[ident],
-                            time,
-                        )
-                        delivered += 1
-                        if delivered >= measured_target and not self._done_fired:
-                            self._done_fired = True
-                            nq_append(_MARK_DONE)
-                    for slot in slots:
-                        busy_time[slot] += time - granted_at[slot]
-                        queue = queues[slot]
-                        if queue:
-                            successor = queue.popleft()
-                            holder[slot] = successor
-                            granted_at[slot] = time
-                            total_grants[slot] += 1
-                            if elide:
-                                if row_pos[successor] == 0:
-                                    row_injected[successor] = time
-                                ring_push(
-                                    time + header_times[slot], (successor << 3) | _EV_HEADER
-                                )
-                            else:
-                                nq_append((successor << 3) | _EV_GRANT)
-                        else:
-                            holder[slot] = -1
-                    row_slots[ident] = ()
-                    free_rows.append(ident)
-                elif kind == _EV_ARRIVAL:
-                    if generated >= total_messages:
-                        continue  # the source retires without drawing
-                    index = generated
-                    generated = index + 1
-                    batcher = batchers[ident]
-                    cursor = batcher.cursor
-                    dest_cluster = batcher.dest_clusters[cursor]
-                    dest_node = batcher.dest_nodes[cursor]
-                    cluster = source_cluster[ident]
-                    node = source_node[ident]
-                    if dest_cluster == cluster:
-                        pair = node * cluster_nodes[cluster] + dest_node
-                        slots = routes_intra[cluster][pair]
-                        tail = tail_flits * intra_headers[
-                            intra_has_switch[cluster][pair]
-                        ]
-                        external = False
-                        for slot in slots:
-                            if not touched[slot]:
-                                touched[slot] = 1
-                                pool_order[pool_index[slot]].append(slot)
-                    else:
-                        source_nodes = cluster_nodes[cluster]
-                        dest_nodes = cluster_nodes[dest_cluster]
-                        ascent = routes_ascend[cluster][
-                            node * source_nodes + batcher.exit_peers[cursor]
-                        ]
-                        crossing = routes_icn2[
-                            cluster * num_clusters + dest_cluster
-                        ]
-                        descent = routes_descend[dest_cluster][
-                            batcher.entry_peers[cursor] * dest_nodes + dest_node
-                        ]
-                        for group in (ascent, crossing, descent):
-                            for slot in group:
-                                if not touched[slot]:
-                                    touched[slot] = 1
-                                    pool_order[pool_index[slot]].append(slot)
-                        slots = (
-                            ascent
-                            + (concentrator[cluster],)
-                            + crossing
-                            + (dispatcher[dest_cluster],)
-                            + descent
-                        )
-                        tail = tail_flits * max_header
-                        external = True
-                    row = start_transfer(
-                        time,
-                        warmup <= index < measured_end,
-                        external,
-                        cluster,
-                        slots,
-                        tail,
-                    )
-                    slot = slots[0]
+        # The guard stays queued until it pops, and its pop queues the stop,
+        # so the heap cannot drain before the loop breaks.
+        while True:
+            time, _, payload = heappop(heap)
+            kind = payload & 7
+            ident = payload >> 3
+            if kind == _EV_HEADER:
+                position = row_pos[ident] + 1
+                slots = row_slots[ident]
+                if position < len(slots):
+                    row_pos[ident] = position
+                    slot = slots[position]
                     if holder[slot] < 0:
-                        holder[slot] = row
+                        holder[slot] = ident
                         granted_at[slot] = time
                         total_grants[slot] += 1
                         if elide:
-                            # A fresh transfer acquires at position 0: the
-                            # elided grant's injection stamp lands here.
-                            row_injected[row] = time
-                            ring_push(
-                                time + header_times[slot], (row << 3) | _EV_HEADER
-                            )
+                            # Headers advance to position >= 1 before
+                            # acquiring, so no injection stamp.
+                            heappush(heap, (time + header_times[slot], seq, payload))
                         else:
-                            nq_append((row << 3) | _EV_GRANT)
+                            heappush(heap, (time, seq, (ident << 3) | _EV_GRANT))
+                        seq += 1
                     else:
                         queue = queues[slot]
                         if queue is None:
                             queue = queues[slot] = deque()
-                        queue.append(row)
-                    cursor += 1
-                    if cursor >= batcher.limit:
-                        batcher.refill()
-                    batcher.cursor = cursor
-                    ring_push(batcher.times[cursor], (ident << 3) | _EV_ARRIVAL)
-                else:  # _EV_GUARD — one hop to the stop, like its condition
-                    nq_append(_MARK_STOP)
-
-            # ------------- same-time FIFO (eid order == append order) ------
-            while now_queue:
-                payload = nq_popleft()
-                events += 1
-                if payload < 0:
-                    if payload == _MARK_DONE:
-                        nq_append(_MARK_STOP)
-                        continue
-                    halted = True  # _MARK_STOP: nothing after e2 may run
-                    break
-                kind = payload & 7
-                ident = payload >> 3
-                if kind == _EV_GRANT:
-                    position = row_pos[ident]
-                    if position == 0:
-                        # The wait for the injection slot is the source-queue
-                        # delay of the analytical model.
-                        row_injected[ident] = time
-                    slot = row_slots[ident][position]
-                    header_at = time + header_times[slot]
-                    if header_at > time:
-                        ring_push(header_at, (ident << 3) | _EV_HEADER)
+                        queue.append(ident)
+                    continue
+                tail = row_tail[ident]
+                if tail > 0.0:
+                    heappush(heap, (time + tail, seq, (ident << 3) | _EV_TAIL))
+                    seq += 1
+                    continue
+                kind = _EV_TAIL  # delivered with no body: fall through
+            if kind == _EV_TAIL:
+                if row_measured[ident]:
+                    record_delivery(
+                        row_cluster[ident],
+                        row_external[ident],
+                        row_created[ident],
+                        row_injected[ident],
+                        time,
+                    )
+                    delivered += 1
+                    if delivered >= measured_target and not done_fired:
+                        done_fired = True
+                        heappush(heap, (time, seq, _EV_DONE))
+                        seq += 1
+                # Release in acquisition order, waking each slot's FIFO head.
+                for slot in row_slots[ident]:
+                    busy_time[slot] += time - granted_at[slot]
+                    queue = queues[slot]
+                    if queue:
+                        successor = queue.popleft()
+                        holder[slot] = successor
+                        granted_at[slot] = time
+                        total_grants[slot] += 1
+                        if elide:
+                            if row_pos[successor] == 0:
+                                row_injected[successor] = time
+                            heappush(
+                                heap,
+                                (time + header_times[slot], seq, (successor << 3) | _EV_HEADER),
+                            )
+                        else:
+                            heappush(heap, (time, seq, (successor << 3) | _EV_GRANT))
+                        seq += 1
                     else:
-                        nq_append((ident << 3) | _EV_HEADER)
-                elif kind == _EV_HEADER:
-                    position = row_pos[ident] + 1
-                    slots = row_slots[ident]
-                    if position < len(slots):
-                        row_pos[ident] = position
-                        slot = slots[position]
-                        if holder[slot] < 0:
-                            holder[slot] = ident
-                            granted_at[slot] = time
-                            total_grants[slot] += 1
-                            if elide:
-                                # Headers advance to position >= 1 before
-                                # acquiring, so no injection stamp.
-                                ring_push(
-                                    time + header_times[slot], (ident << 3) | _EV_HEADER
-                                )
-                            else:
-                                nq_append((ident << 3) | _EV_GRANT)
-                        else:
-                            queue = queues[slot]
-                            if queue is None:
-                                queue = queues[slot] = deque()
-                            queue.append(ident)
-                        continue
-                    if row_tail[ident] > 0.0:
-                        tail_at = time + row_tail[ident]
-                        if tail_at > time:
-                            ring_push(tail_at, (ident << 3) | _EV_TAIL)
-                        else:
-                            nq_append((ident << 3) | _EV_TAIL)
-                        continue
-                    kind = _EV_TAIL  # zero-body delivery
-                if kind == _EV_TAIL:
-                    slots = row_slots[ident]
-                    if row_measured[ident]:
-                        record_delivery(
-                            row_cluster[ident],
-                            row_external[ident],
-                            row_created[ident],
-                            row_injected[ident],
-                            time,
-                        )
-                        delivered += 1
-                        if delivered >= measured_target and not self._done_fired:
-                            self._done_fired = True
-                            nq_append(_MARK_DONE)
+                        holder[slot] = -1
+                row_slots[ident] = ()
+                free_rows.append(ident)
+            elif kind == _EV_ARRIVAL:
+                if generated >= total_messages:
+                    continue  # the source retires without drawing
+                index = generated
+                generated = index + 1
+                batcher = batchers[ident]
+                cursor = batcher.cursor
+                dest_cluster = batcher.dest_clusters[cursor]
+                dest_node = batcher.dest_nodes[cursor]
+                cluster = source_cluster[ident]
+                node = source_node[ident]
+                if dest_cluster == cluster:
+                    pair = node * cluster_nodes[cluster] + dest_node
+                    slots = routes_intra[cluster][pair]
+                    tail = tail_flits * intra_headers[intra_has_switch[cluster][pair]]
+                    external = False
                     for slot in slots:
-                        busy_time[slot] += time - granted_at[slot]
-                        queue = queues[slot]
-                        if queue:
-                            successor = queue.popleft()
-                            holder[slot] = successor
-                            granted_at[slot] = time
-                            total_grants[slot] += 1
-                            if elide:
-                                if row_pos[successor] == 0:
-                                    row_injected[successor] = time
-                                ring_push(
-                                    time + header_times[slot], (successor << 3) | _EV_HEADER
-                                )
-                            else:
-                                nq_append((successor << 3) | _EV_GRANT)
-                        else:
-                            holder[slot] = -1
-                    row_slots[ident] = ()
-                    free_rows.append(ident)
+                        if not touched[slot]:
+                            touched[slot] = 1
+                            pool_order[pool_index[slot]].append(slot)
+                else:
+                    source_nodes = cluster_nodes[cluster]
+                    dest_nodes = cluster_nodes[dest_cluster]
+                    ascent = routes_ascend[cluster][
+                        node * source_nodes + batcher.exit_peers[cursor]
+                    ]
+                    crossing = routes_icn2[cluster * num_clusters + dest_cluster]
+                    descent = routes_descend[dest_cluster][
+                        batcher.entry_peers[cursor] * dest_nodes + dest_node
+                    ]
+                    for group in (ascent, crossing, descent):
+                        for slot in group:
+                            if not touched[slot]:
+                                touched[slot] = 1
+                                pool_order[pool_index[slot]].append(slot)
+                    slots = (
+                        ascent
+                        + (concentrator[cluster],)
+                        + crossing
+                        + (dispatcher[dest_cluster],)
+                        + descent
+                    )
+                    tail = tail_flits * max_header
+                    external = True
+                row = start_transfer(
+                    time, warmup <= index < measured_end, external, cluster, slots, tail
+                )
+                slot = slots[0]
+                if holder[slot] < 0:
+                    holder[slot] = row
+                    granted_at[slot] = time
+                    total_grants[slot] += 1
+                    if elide:
+                        # A fresh transfer acquires at position 0: the
+                        # elided grant's injection stamp lands here.
+                        row_injected[row] = time
+                        heappush(
+                            heap, (time + header_times[slot], seq, (row << 3) | _EV_HEADER)
+                        )
+                    else:
+                        heappush(heap, (time, seq, (row << 3) | _EV_GRANT))
+                    seq += 1
+                else:
+                    queue = queues[slot]
+                    if queue is None:
+                        queue = queues[slot] = deque()
+                    queue.append(row)
+                cursor += 1
+                if cursor >= batcher.limit:
+                    batcher.refill()
+                batcher.cursor = cursor
+                heappush(heap, (batcher.times[cursor], seq, payload))
+                seq += 1
+            elif kind == _EV_GRANT:
+                position = row_pos[ident]
+                if position == 0:
+                    # The wait for the injection slot is the source-queue
+                    # delay of the analytical model.
+                    row_injected[ident] = time
+                slot = row_slots[ident][position]
+                heappush(heap, (time + header_times[slot], seq, (ident << 3) | _EV_HEADER))
+                seq += 1
+            elif kind == _EV_STOP:
+                break  # nothing queued behind the stop may run
+            else:  # _EV_DONE or _EV_GUARD — one hop to the stop
+                heappush(heap, (time, seq, _EV_STOP))
+                seq += 1
 
         self.now = time
-        self.events_processed = events
+        self.timed_out = not done_fired
+        # Every push took one seq and every pop processed one event.
+        self.events_processed = seq - len(heap)
 
     # ----------------------------------------------------------- utilisation
     def channel_utilisation(self) -> Dict[str, tuple]:

@@ -3,9 +3,8 @@
 Every (scenario, engine, operating point) task the campaign executor runs is
 **deterministic**: the scenario carries the RNG seed and the statistics
 budget, the engine is reconstructable from its registry name, and the only
-ambient state that can change a result is the set of kernel/scheduler
-switches (``REPRO_SIM_KERNEL``, ``REPRO_DES_SCHEDULER``,
-``REPRO_DES_CALENDAR_THRESHOLD``).  That makes results *content-addressable*:
+ambient state that can change a result is the simulation-kernel switch
+(``REPRO_SIM_KERNEL``).  That makes results *content-addressable*:
 the SHA-256 of the canonical task description is a complete identity for the
 record it produces, and the golden-seed discipline guarantees the cached
 record is bit-identical to a fresh run.
@@ -59,7 +58,6 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Protocol, Union, runtime_checkable
 
 from repro.api import RunRecord, Scenario
-from repro.des.core import DEFAULT_CALENDAR_THRESHOLD, DEFAULT_SCHEDULER
 from repro.sim.simulator import DEFAULT_KERNEL
 from repro.utils.serialization import from_jsonable, to_jsonable
 from repro.utils.validation import ValidationError
@@ -102,19 +100,12 @@ _MIGRATE_MAX_PASSES = 8
 def kernel_switches() -> Dict[str, str]:
     """The ambient switches that can change a simulation result.
 
-    These are the environment knobs honoured by the simulator and the DES
-    kernel; they select between bit-identical-by-construction structures in
-    the common case, but a task key must still cover them — "bit-identical"
-    is exactly the claim the golden-seed tests pin, and a cache must never
-    be the thing that hides a divergence.
+    The one environment knob is the simulator's kernel selection; it picks
+    between bit-identical-by-construction realisations, but a task key must
+    still cover it — "bit-identical" is exactly the claim the golden-seed
+    tests pin, and a cache must never be the thing that hides a divergence.
     """
-    return {
-        "sim_kernel": os.environ.get("REPRO_SIM_KERNEL", DEFAULT_KERNEL),
-        "des_scheduler": os.environ.get("REPRO_DES_SCHEDULER", DEFAULT_SCHEDULER),
-        "des_calendar_threshold": os.environ.get(
-            "REPRO_DES_CALENDAR_THRESHOLD", str(DEFAULT_CALENDAR_THRESHOLD)
-        ),
-    }
+    return {"sim_kernel": os.environ.get("REPRO_SIM_KERNEL", DEFAULT_KERNEL)}
 
 
 def task_key(
@@ -130,8 +121,8 @@ def task_key(
     timing, traffic pattern, statistics budget *including the seed*, variance
     approximation and name), the engine's registry name, the operating point
     (as an exact ``float.hex`` so no decimal rounding can alias two loads)
-    and the active kernel/scheduler switches.  Any change to any of those
-    misses the cache.
+    and the active kernel switch.  Any change to any of those misses the
+    cache.
     """
     # Imported here, not at module level: repro/__init__ imports this module
     # (indirectly via repro.campaign) before __version__ is assigned.
@@ -516,12 +507,36 @@ class SqliteBackend:
                 raise
             entry = cache[path] = _CachedConnection(conn, self._db_inode())
         if create and not entry.ddl_done:
-            entry.conn.execute("PRAGMA journal_mode=WAL")
-            for statement in self._SCHEMA_SQL:
-                entry.conn.execute(statement)
-            entry.conn.commit()
+            self._create_schema(entry.conn)
             entry.ddl_done = True
         return entry.conn
+
+    def _create_schema(self, conn: sqlite3.Connection) -> None:
+        """Switch on WAL and create the table, retrying a lost WAL-switch race.
+
+        Turning a fresh file into WAL upgrades a read lock to the write lock,
+        and SQLite refuses that upgrade at once — without consulting the busy
+        timeout — while another connection holds the write lock.  Writers
+        that open a new store together hit exactly that, so the setup waits
+        out the contention on its own deadline.  Every statement is
+        idempotent, so a retry simply starts over.
+        """
+        deadline = time.monotonic() + _SQLITE_BUSY_SECONDS
+        delay = 0.001
+        while True:
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                for statement in self._SCHEMA_SQL:
+                    conn.execute(statement)
+                conn.commit()
+                return
+            except sqlite3.OperationalError as error:
+                if "locked" not in str(error) or time.monotonic() >= deadline:
+                    raise
+                with contextlib.suppress(sqlite3.Error):
+                    conn.rollback()
+            time.sleep(delay)
+            delay = min(2 * delay, 0.05)
 
     @contextlib.contextmanager
     def _cursor(self, *, create: bool) -> Iterator[Optional[sqlite3.Connection]]:

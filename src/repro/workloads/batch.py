@@ -3,8 +3,8 @@
 The sequential simulator resumes one generator per source per message: draw
 an inter-arrival gap, yield, draw a destination, draw two concentrator
 peers if the message leaves its cluster.  Each of those is a Python-level
-round trip into a PCG64 generator — roughly a third of the wall clock of an
-FSM run, for about one event in twenty.
+round trip into a PCG64 generator — a measured third of the wall clock of
+an event-callback run, for about one event in twenty.
 
 :class:`SourceBatcher` pre-draws that schedule in chunks instead: one sized
 ``exponential`` call for the gaps, one batched destination sample, one

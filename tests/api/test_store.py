@@ -86,34 +86,19 @@ class TestTaskKey:
         assert base not in keys
         assert len(keys) == len(variants)
 
-    @pytest.mark.parametrize(
-        "variable, value",
-        [
-            ("REPRO_SIM_KERNEL", "generator"),
-            ("REPRO_DES_SCHEDULER", "calendar"),
-            ("REPRO_DES_CALENDAR_THRESHOLD", "128"),
-        ],
-    )
-    def test_kernel_switches_reach_the_key(self, monkeypatch, variable, value):
+    def test_kernel_switch_reaches_the_key(self, monkeypatch):
         scenario = tiny_scenario()
-        monkeypatch.delenv(variable, raising=False)
+        monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
         base = task_key(scenario, "sim", 4e-4)
-        monkeypatch.setenv(variable, value)
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "generator")
         assert task_key(scenario, "sim", 4e-4) != base
 
     def test_explicit_default_switches_match_unset_environment(self, monkeypatch):
-        """Setting a switch to its default value is the same key as unset."""
+        """Setting the switch to its default value is the same key as unset."""
         scenario = tiny_scenario()
-        for variable in (
-            "REPRO_SIM_KERNEL",
-            "REPRO_DES_SCHEDULER",
-            "REPRO_DES_CALENDAR_THRESHOLD",
-        ):
-            monkeypatch.delenv(variable, raising=False)
+        monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
         base = task_key(scenario, "sim", 4e-4)
         monkeypatch.setenv("REPRO_SIM_KERNEL", DEFAULT_KERNEL)
-        monkeypatch.setenv("REPRO_DES_SCHEDULER", "auto")
-        monkeypatch.setenv("REPRO_DES_CALENDAR_THRESHOLD", "4096")
         assert task_key(scenario, "sim", 4e-4) == base
 
     def test_package_version_reaches_the_key(self, monkeypatch):
@@ -126,9 +111,7 @@ class TestTaskKey:
 
     def test_switches_snapshot_shape(self, monkeypatch):
         monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
-        switches = kernel_switches()
-        assert switches["sim_kernel"] == DEFAULT_KERNEL
-        assert set(switches) == {"sim_kernel", "des_scheduler", "des_calendar_threshold"}
+        assert kernel_switches() == {"sim_kernel": DEFAULT_KERNEL}
 
 
 class TestStoreRoundTrip:

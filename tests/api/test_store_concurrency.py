@@ -8,7 +8,9 @@ atomic (``os.replace``); SQLite serialises through WAL transactions.
 """
 
 import json
+import sqlite3
 import threading
+import time
 
 import pytest
 
@@ -147,3 +149,35 @@ class TestHousekeepingRaces:
 
         _run_threads([reader, clearer], errors)
         assert outcomes  # both hits and clean misses are legal; crashes are not
+
+
+class TestSqliteFirstWrite:
+    def test_first_put_waits_out_a_writer_blocking_the_wal_switch(self, tmp_path, record):
+        # Switching a fresh file into WAL upgrades a read lock to the write
+        # lock, and SQLite refuses that upgrade at once (no busy timeout)
+        # while another connection holds the write lock: concurrent first
+        # writers hit this.  The put must wait, not raise.
+        store = ResultStore(tmp_path, backend="sqlite")
+        key = task_key(tiny_scenario(), "model", 4e-4)
+        other = sqlite3.connect(
+            str(tmp_path / "store.db"), isolation_level=None, check_same_thread=False
+        )
+        other.execute("CREATE TABLE hold (x)")
+        other.execute("BEGIN IMMEDIATE")
+        errors = []
+
+        def writer():
+            try:
+                store.put(key, record)
+            except Exception as error:  # noqa: BLE001
+                errors.append(error)
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        time.sleep(0.2)
+        other.execute("COMMIT")
+        other.close()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "writer deadlocked"
+        assert errors == []
+        assert store.get(key) is not None

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Environment, SimulationError
+from repro.des import Environment, QueueEmpty, SimulationError
 
 
 def test_initial_time_defaults_to_zero():
@@ -65,6 +65,9 @@ def test_run_until_beyond_queue_exhaustion_advances_clock():
 
 def test_step_on_empty_queue_raises():
     env = Environment()
+    with pytest.raises(QueueEmpty):
+        env.step()
+    # QueueEmpty is a SimulationError, so old handlers still catch it.
     with pytest.raises(SimulationError):
         env.step()
 
@@ -164,6 +167,91 @@ def test_nested_process_waiting():
 
     process = env.process(parent(env))
     assert env.run(until=process) == 100
+
+
+class TestRunUntilBoundary:
+    """Regression: ``run(until=t)`` stops *at* t via its scheduled stop event.
+
+    Equal-time ordering at the boundary is pinned: URGENT events enqueued at
+    the stop time *before* ``run`` still fire, NORMAL ones (and URGENT ones
+    scheduled after ``run`` began) stay pending.
+    """
+
+    def test_normal_event_at_stop_time_is_left_pending(self):
+        env = Environment()
+        timeout = env.timeout(5.0)
+        env.run(until=5.0)
+        assert env.now == 5.0
+        assert not timeout.processed
+        assert env.queue_size == 1
+
+    def test_event_beyond_until_is_never_processed(self):
+        env = Environment()
+        fired = []
+
+        def proc(env):
+            while True:
+                yield env.timeout(2.0)
+                fired.append(env.now)
+
+        env.process(proc(env))
+        env.run(until=5.0)
+        assert env.now == 5.0
+        assert fired == [2.0, 4.0]
+
+    def test_urgent_tie_scheduled_before_run_fires_first(self):
+        env = Environment()
+        fired = []
+        event = env.event()
+        event._ok = True
+        event._value = None
+        event.callbacks.append(lambda e: fired.append(env.now))
+        env.schedule(event, priority=env.URGENT, delay=5.0)
+        env.run(until=5.0)
+        assert env.now == 5.0
+        assert fired == [5.0]
+
+    def test_urgent_scheduled_during_boundary_stays_pending(self):
+        env = Environment()
+        fired = []
+
+        def chain(first_event):
+            fired.append("first")
+            follow = env.event()
+            follow._ok = True
+            follow._value = None
+            follow.callbacks.append(lambda e: fired.append("second"))
+            # Scheduled at the stop time but after run() began: the stop
+            # event's earlier eid wins the URGENT tie.
+            env.schedule(follow, priority=env.URGENT)
+
+        event = env.event()
+        event._ok = True
+        event._value = None
+        event.callbacks.append(chain)
+        env.schedule(event, priority=env.URGENT, delay=5.0)
+        env.run(until=5.0)
+        assert env.now == 5.0
+        assert fired == ["first"]
+        assert env.queue_size == 1
+        # Resuming past the boundary processes the leftover urgent event.
+        env.run()
+        assert fired == ["first", "second"]
+
+    def test_resume_after_boundary_continues(self):
+        env = Environment()
+        ticks = []
+
+        def proc(env):
+            while True:
+                yield env.timeout(1.0)
+                ticks.append(env.now)
+
+        env.process(proc(env))
+        env.run(until=3.0)
+        assert ticks == [1.0, 2.0]
+        env.run(until=5.0)
+        assert ticks == [1.0, 2.0, 3.0, 4.0]
 
 
 def _wait(env, delay):

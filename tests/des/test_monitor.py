@@ -219,53 +219,41 @@ def _advance(env, delay):
     yield env.timeout(delay)
 
 
-class TestCollectorsUnderCalendarScheduler:
-    """The collectors read ``env.now`` only — scheduler choice cannot skew them.
+class TestCollectorsDrivenBySimulation:
+    """The collectors read ``env.now`` only, as the run loop advances it."""
 
-    Exercised explicitly because the calendar queue changes how the clock
-    advances between callbacks (bucketed pops instead of heap pops).
-    """
+    def test_time_weighted_value_integrates(self):
+        env = Environment()
+        signal = TimeWeightedValue(env, initial=1.0)
 
-    def test_time_weighted_value_integrates_identically(self):
-        def run_with(scheduler):
-            env = Environment(scheduler=scheduler)
-            signal = TimeWeightedValue(env, initial=1.0)
+        def proc(env):
+            yield env.timeout(2.0)
+            signal.set(3.0)
+            yield env.timeout(2.0)
+            signal.set(0.0)
+            yield env.timeout(4.0)
 
-            def proc(env):
+        env.process(proc(env))
+        env.run()
+        assert env.now == 8.0
+        assert signal.time_average == pytest.approx((1.0 * 2 + 3.0 * 2 + 0.0 * 4) / 8.0)
+        assert (signal.maximum, signal.minimum) == (3.0, 0.0)
+
+    def test_counter_rate_over_the_run(self):
+        env = Environment()
+        counter = Counter(env)
+
+        def proc(env):
+            for _ in range(5):
                 yield env.timeout(2.0)
-                signal.set(3.0)
-                yield env.timeout(2.0)
-                signal.set(0.0)
-                yield env.timeout(4.0)
+                counter.increment()
 
-            env.process(proc(env))
-            env.run()
-            return (signal.time_average, signal.maximum, signal.minimum, env.now)
+        env.process(proc(env))
+        env.run()
+        assert (counter.count, counter.rate) == (5, 0.5)
 
-        heap = run_with("heap")
-        calendar = run_with("calendar")
-        assert heap == calendar
-        assert heap[0] == pytest.approx((1.0 * 2 + 3.0 * 2 + 0.0 * 4) / 8.0)
-
-    def test_counter_rate_identical_across_schedulers(self):
-        def run_with(scheduler):
-            env = Environment(scheduler=scheduler)
-            counter = Counter(env)
-
-            def proc(env):
-                for _ in range(5):
-                    yield env.timeout(2.0)
-                    counter.increment()
-
-            env.process(proc(env))
-            env.run()
-            return (counter.count, counter.rate)
-
-        assert run_with("heap") == run_with("calendar")
-        assert run_with("calendar") == (5, 0.5)
-
-    def test_tally_under_calendar_driven_simulation(self):
-        env = Environment(scheduler="calendar")
+    def test_tally_of_simulated_delays(self):
+        env = Environment()
         tally = Tally("latencies")
 
         def proc(env, delay):
@@ -281,8 +269,8 @@ class TestCollectorsUnderCalendarScheduler:
         assert tally.minimum == 1.0
         assert tally.maximum == 4.0
 
-    def test_time_weighted_reset_mid_run_under_calendar(self):
-        env = Environment(scheduler="calendar")
+    def test_time_weighted_reset_mid_run(self):
+        env = Environment()
         signal = TimeWeightedValue(env, initial=2.0)
 
         def proc(env):

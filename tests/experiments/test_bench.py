@@ -52,19 +52,20 @@ class TestRunBench:
         )
         assert entry["setup_seconds"] >= 0
 
-    def test_kernel_rungs_compare_dispatch_and_vectorized(self, smoke_payload):
+    def test_kernel_rungs_compare_generator_and_vectorized(self, smoke_payload):
         from repro.experiments.bench import BENCH_KERNELS
 
         rungs = smoke_payload["kernels"]
+        assert BENCH_KERNELS == ("generator", "vectorized")
         assert [rung["kernel"] for rung in rungs] == list(BENCH_KERNELS)
-        dispatch, vectorized = rungs
-        assert dispatch["scenario"] == vectorized["scenario"] == "heterogeneous"
+        generator, vectorized = rungs
+        assert generator["scenario"] == vectorized["scenario"] == "heterogeneous"
         # Matched budget: same operating point, same measured messages.
-        assert dispatch["lambda_g"] == vectorized["lambda_g"]
-        assert dispatch["measured_messages"] == vectorized["measured_messages"]
-        assert dispatch["speedup"] == pytest.approx(1.0)
+        assert generator["lambda_g"] == vectorized["lambda_g"]
+        assert generator["measured_messages"] == vectorized["measured_messages"]
+        assert generator["speedup"] == pytest.approx(1.0)
         assert vectorized["speedup"] == pytest.approx(
-            dispatch["wall_clock_seconds"] / vectorized["wall_clock_seconds"],
+            generator["wall_clock_seconds"] / vectorized["wall_clock_seconds"],
             rel=0.05,
         )
         for rung in rungs:
@@ -264,8 +265,8 @@ class TestDiffBenchScript:
         fresh = {
             "scenarios": {"fig3": {}},
             "kernels": [
-                {"scenario": "fig3", "kernel": "dispatch", "speedup": 1.0},
-                {"scenario": "fig3", "kernel": "vectorized", "speedup": 2.1},
+                {"scenario": "fig3", "kernel": "generator", "speedup": 1.0},
+                {"scenario": "fig3", "kernel": "vectorized", "speedup": 2.6},
             ],
         }
         assert diff_bench.check_kernel_gate(fresh) == []
@@ -275,12 +276,13 @@ class TestDiffBenchScript:
         fresh = {
             "scenarios": {"fig3": {}},
             "kernels": [
-                {"scenario": "fig3", "kernel": "dispatch", "speedup": 1.0},
-                {"scenario": "fig3", "kernel": "vectorized", "speedup": 1.2},
+                {"scenario": "fig3", "kernel": "generator", "speedup": 1.0},
+                {"scenario": "fig3", "kernel": "vectorized", "speedup": 2.4},
             ],
         }
         failures = diff_bench.check_kernel_gate(fresh)
-        assert len(failures) == 1 and "1.20x" in failures[0]
+        assert len(failures) == 1 and "2.40x" in failures[0]
+        assert "generator kernel (gate 2.5x" in failures[0]
 
     def test_kernel_gate_fails_when_rung_is_missing(self):
         diff_bench = self._diff()
@@ -300,8 +302,8 @@ class TestDiffBenchScript:
         committed = tmp_path / "committed.json"
         fresh = tmp_path / "fresh.json"
         kernels = [
-            {"scenario": "fig3", "kernel": "dispatch", "speedup": 1.0},
-            {"scenario": "fig3", "kernel": "vectorized", "speedup": 2.0},
+            {"scenario": "fig3", "kernel": "generator", "speedup": 1.0},
+            {"scenario": "fig3", "kernel": "vectorized", "speedup": 3.0},
         ]
         committed.write_text(
             json.dumps({"scenarios": {"fig3": {"messages_per_second": 100.0}}})

@@ -51,7 +51,7 @@ def _result_for(name: str, entry_index: int):
     [(name, index) for name in sorted(GOLDEN) for index in range(len(GOLDEN[name]))],
 )
 def test_simulation_statistics_are_bit_identical(name, entry_index, kernel, monkeypatch):
-    # Every kernel is pinned to the same fixture: the FSM paths as the
+    # Every kernel is pinned to the same fixture: the generator path as the
     # executable specification, the vectorized core as the default that
     # must replay it bit for bit.
     monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)

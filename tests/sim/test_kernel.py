@@ -1,11 +1,12 @@
-"""Tests of the direct-dispatch message kernel (:mod:`repro.sim.kernel`).
+"""Tests of kernel selection and the generator specification kernel.
 
-The FSM realisation must replay the generator specification event for
-event: every statistic of a run — latencies, per-cluster tallies, channel
-utilisation — must be bit-identical between the two kernels (and under
-either event scheduler).  The golden-seed regression pins the dispatch
-kernel against the historical fixture; these tests pin the two kernels
-against each other directly, so a future edit to one path cannot drift.
+The generator path (:func:`~repro.sim.wormhole.compiled_transfer` on the
+DES environment) is the executable specification; the vectorized core
+must replay it event for event, so every statistic of a run — latencies,
+per-cluster tallies, channel utilisation — must be bit-identical between
+the two kernels.  The golden-seed regression pins both kernels against the
+historical fixture; these tests pin them against each other directly, so a
+future edit to one path cannot drift.
 """
 
 import pytest
@@ -46,29 +47,17 @@ def _statistics_tuple(result):
 
 
 class TestKernelEquivalence:
-    def test_dispatch_and_generator_kernels_are_bit_identical(self):
-        dispatch = _run("dispatch")
+    def test_generator_and_vectorized_are_bit_identical(self):
         generator = _run("generator")
-        assert _statistics_tuple(dispatch) == _statistics_tuple(generator)
-
-    def test_dispatch_kernel_is_bit_identical_under_calendar_scheduler(self, monkeypatch):
-        dispatch_heap = _run("dispatch")
-        monkeypatch.setenv("REPRO_DES_SCHEDULER", "calendar")
-        dispatch_calendar = _run("dispatch")
-        assert _statistics_tuple(dispatch_heap) == _statistics_tuple(dispatch_calendar)
-
-    def test_generator_kernel_matches_under_calendar_too(self, monkeypatch):
-        reference = _run("dispatch")
-        monkeypatch.setenv("REPRO_DES_SCHEDULER", "calendar")
-        generator_calendar = _run("generator")
-        assert _statistics_tuple(reference) == _statistics_tuple(generator_calendar)
+        vectorized = _run("vectorized")
+        assert _statistics_tuple(generator) == _statistics_tuple(vectorized)
 
 
 class TestKernelSelection:
     def test_default_kernel_is_vectorized(self):
         simulator = MultiClusterSimulator(SPEC, config=CONFIG)
         assert simulator.kernel == "vectorized"
-        assert KERNEL_MODES == ("dispatch", "generator", "vectorized")
+        assert KERNEL_MODES == ("generator", "vectorized")
 
     def test_env_var_selects_kernel(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_KERNEL", "generator")
@@ -77,8 +66,8 @@ class TestKernelSelection:
 
     def test_explicit_kernel_overrides_env_var(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_KERNEL", "generator")
-        simulator = MultiClusterSimulator(SPEC, config=CONFIG, kernel="dispatch")
-        assert simulator.kernel == "dispatch"
+        simulator = MultiClusterSimulator(SPEC, config=CONFIG, kernel="vectorized")
+        assert simulator.kernel == "vectorized"
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValidationError):
@@ -86,35 +75,13 @@ class TestKernelSelection:
 
 
 class TestKernelDiagnostics:
-    def test_all_transfers_complete_and_records_recycle(self):
-        from repro.sim.simulator import _RunState
-
-        simulator = MultiClusterSimulator(
-            SPEC,
-            MessageSpec(length_flits=16, flit_bytes=128),
-            config=CONFIG,
-            kernel="dispatch",
-        )
-        state = _RunState(simulator, LAMBDA, CONFIG)
-        state.execute()
-        kernel = state.kernel
-        assert kernel is not None
-        assert kernel.started >= CONFIG.measured_messages
-        # Measurement can stop with drain messages still in flight, but every
-        # started transfer either completed or is still holding channels.
-        assert 0 <= kernel.in_flight <= kernel.started
-        assert kernel.completed == kernel.started - kernel.in_flight
-        # The slab never holds more records than transfers that finished.
-        assert len(kernel._free) <= kernel.completed
-
     def test_empty_journey_rejected(self):
         from repro.des import Environment
-        from repro.sim.kernel import TransferKernel
         from repro.sim.message import Message
         from repro.sim.network import FlatChannels
+        from repro.sim.wormhole import compiled_transfer
 
         env = Environment()
-        kernel = TransferKernel(env, FlatChannels(env, 4), [1.0] * 4)
         message = Message(
             index=0,
             source_cluster=0,
@@ -124,8 +91,11 @@ class TestKernelDiagnostics:
             length_flits=4,
             created_at=0.0,
         )
+        transfer = compiled_transfer(
+            env, message, (), FlatChannels(env, 4), [1.0] * 4, 0.0
+        )
         with pytest.raises(ValidationError):
-            kernel.start(message, (), 0.0)
+            next(transfer)
 
 
 class TestEngineUsesKernel:

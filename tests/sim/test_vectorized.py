@@ -1,16 +1,18 @@
 """Tests of the vectorized event core (:mod:`repro.sim.vector`).
 
-The vectorized kernel executes on flat state — a :class:`FifoRing`
-scheduler, pre-drawn workload batches, array-resolved channel grants — but
-must replay the FSM specification event for event.  The golden-seed
-regression pins it to the historical fixture; these tests pin it against
-the dispatch kernel directly, on the paths the fixture does not reach:
-lockstep deterministic arrivals (the vectorized header-cohort fast path),
-the guard-timeout stop, and the explicit-grant fallback that runs when
-delay-0 grant elision cannot be proven safe.
+The vectorized kernel executes on flat state — one ``heapq`` of
+``(time, seq, payload)`` entries, pre-drawn workload batches, flat-list
+channel state — but must replay the generator specification event for
+event.  The golden-seed regression pins it to the historical fixture;
+these tests pin it against the generator kernel directly, on the paths the
+fixture does not reach: lockstep deterministic arrivals, the guard-timeout
+stop, the explicit-grant fallback that runs when delay-0 grant elision
+cannot be proven safe, the schedules that proof must reject, and random
+small topologies.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import api
 from repro.model.parameters import MessageSpec
@@ -18,7 +20,8 @@ from repro.sim.config import SimulationConfig
 from repro.sim.simulator import MultiClusterSimulator
 from repro.sim.vector import VectorizedRunState
 from repro.topology.multicluster import MultiClusterSpec
-from repro.workloads.poisson import DeterministicArrivals
+from repro.topology.zoo import TopologySpec
+from repro.workloads.poisson import DeterministicArrivals, PoissonArrivals
 
 SPEC = MultiClusterSpec(m=4, cluster_heights=(1, 2, 2, 1), name="vector-test")
 MESSAGE = MessageSpec(length_flits=16, flit_bytes=128)
@@ -28,10 +31,18 @@ CONFIG = SimulationConfig(
 LAMBDA = 6e-4
 
 
-def _run(kernel, seed=31, config=CONFIG, arrivals_factory=None, lambda_g=LAMBDA):
+def _run(
+    kernel,
+    seed=31,
+    config=CONFIG,
+    arrivals_factory=None,
+    lambda_g=LAMBDA,
+    spec=SPEC,
+    message=MESSAGE,
+):
     simulator = MultiClusterSimulator(
-        SPEC,
-        MESSAGE,
+        spec,
+        message,
         config=config,
         kernel=kernel,
         arrivals_factory=arrivals_factory,
@@ -57,28 +68,20 @@ def _statistics_tuple(result):
     )
 
 
-class TestVectorizedMatchesDispatch:
+def _assert_kernels_agree(**kwargs):
+    generator = _run("generator", **kwargs)
+    vectorized = _run("vectorized", **kwargs)
+    assert _statistics_tuple(generator) == _statistics_tuple(vectorized)
+
+
+class TestMatchesGenerator:
     @pytest.mark.parametrize("seed", [0, 7, 31])
     def test_poisson_run_is_bit_identical(self, seed):
-        dispatch = _run("dispatch", seed=seed)
-        vectorized = _run("vectorized", seed=seed)
-        assert _statistics_tuple(dispatch) == _statistics_tuple(vectorized)
+        _assert_kernels_agree(seed=seed)
 
-    def test_deterministic_lockstep_exercises_the_batch_path(self, monkeypatch):
-        """All sources fire simultaneously: maximal equal-time cohorts.
-
-        Lowering ``VECTOR_BATCH_MIN`` forces even this small system through
-        the vectorized header-cohort resolution (gathered hold state,
-        stable-sorted first-acquirer wins) instead of the scalar loop.
-        """
-        monkeypatch.setattr("repro.sim.vector.VECTOR_BATCH_MIN", 2)
-        dispatch = _run(
-            "dispatch", arrivals_factory=DeterministicArrivals, lambda_g=2e-3
-        )
-        vectorized = _run(
-            "vectorized", arrivals_factory=DeterministicArrivals, lambda_g=2e-3
-        )
-        assert _statistics_tuple(dispatch) == _statistics_tuple(vectorized)
+    def test_deterministic_lockstep_is_bit_identical(self):
+        """All sources fire simultaneously: maximal equal-time frontiers."""
+        _assert_kernels_agree(arrivals_factory=DeterministicArrivals, lambda_g=2e-3)
 
     def test_guard_timeout_stop_is_bit_identical(self):
         """A run the guard cuts off: saturated flag and partial statistics."""
@@ -89,10 +92,10 @@ class TestVectorizedMatchesDispatch:
             seed=31,
             max_time=400.0,
         )
-        dispatch = _run("dispatch", config=config, lambda_g=2e-3)
+        generator = _run("generator", config=config, lambda_g=2e-3)
         vectorized = _run("vectorized", config=config, lambda_g=2e-3)
-        assert dispatch.saturated and vectorized.saturated
-        assert _statistics_tuple(dispatch) == _statistics_tuple(vectorized)
+        assert generator.saturated and vectorized.saturated
+        assert _statistics_tuple(generator) == _statistics_tuple(vectorized)
 
     def test_elision_fallback_matches_elided_run(self, monkeypatch):
         """The explicit-grant path and the elided path agree bit for bit.
@@ -124,3 +127,93 @@ class TestVectorizedMatchesDispatch:
         )
         state = VectorizedRunState(simulator, LAMBDA, CONFIG)
         assert not state._elide_grants
+
+
+#: Zoo shapes whose two-flit schedules put a tail delta ``1 * h`` on top of
+#: the header delta ``h`` — the coincidence grant elision must refuse.
+TREE = TopologySpec("tree", {"depth": 3, "fanout": 3})
+TORUS = TopologySpec("torus", {"rows": 4, "cols": 4})
+
+
+class TestGrantElisionSafety:
+    @pytest.mark.parametrize("flit_bytes", [64, 128, 256])
+    @pytest.mark.parametrize("spec", [TREE, TORUS], ids=["tree", "torus"])
+    def test_two_flit_zoo_schedules_are_bit_identical(self, spec, flit_bytes):
+        _assert_kernels_agree(
+            spec=spec,
+            message=MessageSpec(length_flits=2, flit_bytes=flit_bytes),
+            arrivals_factory=DeterministicArrivals,
+            lambda_g=2e-3,
+        )
+
+    def test_tail_delta_equal_to_a_header_delta_disables_elision(self):
+        message = MessageSpec(length_flits=2, flit_bytes=128)
+        simulator = MultiClusterSimulator(TREE, message, config=CONFIG)
+        assert not VectorizedRunState(simulator, 2e-3, CONFIG)._elide_grants
+
+    @pytest.mark.parametrize("name", api.scenario_names())
+    def test_every_registered_scenario_elides(self, name):
+        # A tiny budget keeps the arrival pre-draw cheap; elision depends
+        # only on the message geometry, the timing and the arrival process.
+        budget = SimulationConfig(
+            measured_messages=20, warmup_messages=0, drain_messages=0, seed=0
+        )
+        scenario = api.scenario(name, points=2, sim=budget)
+        simulator = api.SimulationEngine().simulator_for(scenario)
+        state = VectorizedRunState(simulator, scenario.offered_traffic[0], budget)
+        assert state._elide_grants
+
+
+#: Budget of the differential test: small enough for ~60 examples in tier-1.
+RANDOM_BUDGET = (150, 15, 15)
+
+
+@st.composite
+def _random_shapes(draw):
+    family = draw(st.sampled_from(["multicluster", "tree", "torus"]))
+    if family == "multicluster":
+        m, clusters, tallest = draw(st.sampled_from([(2, 2, 3), (4, 4, 2)]))
+        heights = draw(
+            st.lists(
+                st.integers(1, tallest), min_size=clusters, max_size=clusters
+            )
+        )
+        return MultiClusterSpec(m=m, cluster_heights=tuple(heights), name="random")
+    if family == "tree":
+        return TopologySpec(
+            "tree",
+            {"depth": draw(st.integers(1, 3)), "fanout": draw(st.integers(2, 3))},
+        )
+    return TopologySpec(
+        "torus", {"rows": draw(st.integers(3, 5)), "cols": draw(st.integers(3, 5))}
+    )
+
+
+class TestRandomShapes:
+    @given(
+        spec=_random_shapes(),
+        length_flits=st.sampled_from([1, 2, 8, 32]),
+        flit_bytes=st.sampled_from([64, 256]),
+        arrivals=st.sampled_from([PoissonArrivals, DeterministicArrivals]),
+        seed=st.integers(0, 2**31 - 1),
+        lambda_g=st.floats(1e-4, 8e-3),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_vectorized_equals_generator(
+        self, spec, length_flits, flit_bytes, arrivals, seed, lambda_g
+    ):
+        measured, warmup, drain = RANDOM_BUDGET
+        config = SimulationConfig(
+            measured_messages=measured,
+            warmup_messages=warmup,
+            drain_messages=drain,
+            seed=seed,
+        )
+        _assert_kernels_agree(
+            spec=spec,
+            message=MessageSpec(length_flits=length_flits, flit_bytes=flit_bytes),
+            config=config,
+            arrivals_factory=arrivals,
+            lambda_g=lambda_g,
+            seed=seed,
+        )
