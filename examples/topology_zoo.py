@@ -78,8 +78,8 @@ def main() -> None:
 
     # ------------------------------------------------- bring your own family
     # A builder keyed by `kind` is all the registry needs; the compile
-    # cache, routing, shared-memory export and Scenario layer follow from
-    # the (kind, params) identity.
+    # cache, routing and Scenario layer follow from the (kind, params)
+    # identity.
     register_topology("square-torus", lambda side: Torus2D(side, side))
     scenario = api.Scenario(
         topology=TopologySpec("square-torus", {"side": 5}),

@@ -23,10 +23,10 @@ The package provides, as importable building blocks:
   (:mod:`repro.store`, pluggable directory / single-file SQLite backends)
   so re-runs only simulate what changed,
 * the **campaign service** (:mod:`repro.service`): a persistent warm
-  worker daemon (compiled route tables shared via
-  :mod:`multiprocessing.shared_memory`) behind a stdlib asyncio HTTP
-  front-end (``repro-multicluster serve``) that streams campaign progress
-  to any number of concurrent clients as server-sent events,
+  worker daemon (each worker keeps its compiled tables and engines) behind
+  a stdlib asyncio HTTP front-end (``repro-multicluster serve``) that
+  streams campaign progress to any number of concurrent clients as
+  server-sent events,
 * a command line, ``repro-multicluster`` (:mod:`repro.cli`).
 
 Quick start — one declarative call runs the model and the simulator over the

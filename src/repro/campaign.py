@@ -65,6 +65,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import secrets
 import shutil
 import tempfile
 import time
@@ -557,33 +558,40 @@ def _maybe_inject_fault(task_id: str) -> None:
         time.sleep(3600.0)  # wedge: only the task timeout can reclaim this
 
 
-def _note_worker_task(registry_dir: Optional[str], task_id: str) -> None:
-    """Tag this worker's pid with the task it is about to run.
+#: Where a worker tags its pid: ``(registry directory, execution token)``.
+#: The directory belongs to the pool; the token to one
+#: :meth:`CampaignExecutor.execute` call, so executions sharing a pool (a
+#: daemon serving several campaigns) can tell their tasks apart.
+WorkerRegistry = Tuple[str, str]
+
+
+def _note_worker_task(registry: Optional[WorkerRegistry], task_id: str) -> None:
+    """Tag this worker's pid with the execution and task it is about to run.
 
     The executor reads these tags when a pool breaks: the dead pids name the
     tasks that actually took workers down, so innocent casualties of the
     shared crash re-queue without being charged an attempt.  Written before
     the fault hook so even an injected crash leaves its tag behind.
     """
-    if registry_dir is None:
+    if registry is None:
         return
+    directory, execution = registry
     try:
-        Path(registry_dir, str(os.getpid())).write_text(task_id, encoding="utf-8")
+        Path(directory, str(os.getpid())).write_text(
+            f"{execution} {task_id}", encoding="utf-8"
+        )
     except OSError:  # pragma: no cover - registry loss degrades to charge-all
         pass
 
 
-def _pool_evaluate(
-    engine: Engine,
-    scenario: Scenario,
-    lambda_g: float,
-    task_id: str,
-    registry_dir: Optional[str] = None,
-) -> RunRecord:
-    """Process-pool worker: evaluate one campaign task (fault hook included)."""
-    _note_worker_task(registry_dir, task_id)
-    _maybe_inject_fault(task_id)
-    return _evaluate_point(engine, scenario, lambda_g)
+def _read_worker_tag(directory: str, pid: int) -> Optional[Tuple[str, str]]:
+    """The ``(execution token, task id)`` a worker last tagged, if any."""
+    try:
+        tag = Path(directory, str(pid)).read_text(encoding="utf-8")
+    except OSError:
+        return None  # died before tagging any task: attributes nothing
+    execution, _, task_id = tag.partition(" ")
+    return execution, task_id
 
 
 #: One per-task outcome inside a chunk: ``("ok", record)`` or
@@ -595,14 +603,18 @@ def _pool_evaluate_chunk(
     engine: Engine,
     scenario: Scenario,
     items: Sequence[Tuple[float, str]],
-    registry_dir: Optional[str] = None,
+    registry: Optional[WorkerRegistry] = None,
 ) -> List[ChunkOutcome]:
-    """Process-pool worker: evaluate a chunk of tasks for one (engine, scenario).
+    """Evaluate a chunk of tasks for one (engine, scenario) — every worker's core.
 
-    ``items`` is a sequence of ``(lambda_g, task_id)`` pairs.  Chunking
-    amortises the per-submission IPC and engine/scenario pickling over many
-    operating points — one pickled engine per chunk instead of per task —
-    which is what keeps the cold 2-worker fan-out above 1x.
+    ``items`` is a sequence of ``(lambda_g, task_id)`` pairs.  This is the
+    one chunk evaluator: ephemeral pool workers run it directly, daemon
+    workers and inline runners after looking up their cached engine.  Per
+    task it tags the pid, runs the fault hook, evaluates, and records the
+    outcome.  Chunking amortises the per-submission IPC and engine/scenario
+    pickling over many operating points — one pickled engine per chunk
+    instead of per task — which is what keeps the cold 2-worker fan-out
+    above 1x.
 
     An ordinary evaluation error is contained to its task: the chunk keeps
     going and reports per-task outcomes, so one bad operating point never
@@ -612,7 +624,7 @@ def _pool_evaluate_chunk(
     """
     outcomes: List[ChunkOutcome] = []
     for lambda_g, task_id in items:
-        _note_worker_task(registry_dir, task_id)
+        _note_worker_task(registry, task_id)
         _maybe_inject_fault(task_id)
         try:
             record = _evaluate_point(engine, scenario, lambda_g)
@@ -628,16 +640,14 @@ class _HarnessFailure(RuntimeError):
 
 
 def _inline_task_main(conn, engine, scenario, lambda_g, task_id) -> None:
-    """Disposable-process entry for inline tasks running under a timeout."""
+    """Disposable-process entry for inline tasks running under a timeout.
+
+    Evaluation errors come back as an ``("error", repr)`` outcome; anything
+    that kills the process first reads as a crash on the parent's side.
+    """
     try:
-        record = _pool_evaluate(engine, scenario, lambda_g, task_id)
-    except BaseException as error:  # noqa: BLE001 - marshalled to the parent
-        try:
-            conn.send(("error", repr(error)))
-        except Exception:  # pragma: no cover - parent already gone
-            pass
-    else:
-        conn.send(("ok", record))
+        (outcome,) = _pool_evaluate_chunk(engine, scenario, ((lambda_g, task_id),))
+        conn.send(outcome)
     finally:
         conn.close()
 
@@ -657,7 +667,7 @@ class WorkerBackend:
     Round protocol, driven once per pool round of one execution::
 
         begin_round(workers) -> effective concurrency
-        submit(...) per task -> Future
+        submit_chunk(...) per chunk -> Future
         note_workers()                  # snapshot pids for crash forensics
         [dead_worker_pids() / kill_workers() as failures demand]
         end_round(broken=...)           # always runs, via finally
@@ -670,29 +680,21 @@ class WorkerBackend:
     #: then never demotes a lone pooled task to inline execution.
     persistent = False
 
+    #: The pool's pid registry directory, valid during a round: workers tag
+    #: their pid there (see :func:`_note_worker_task`).  ``None`` for pools
+    #: whose pids this process cannot observe (remote runners).
+    registry: Optional[str] = None
+
     def prepare_entry(self, engine: Engine, scenario: Scenario) -> None:
-        """Warm one (engine, scenario) pair before its tasks are submitted."""
-        prepare = getattr(engine, "prepare", None)
-        if prepare is not None:
-            prepare(scenario)
+        """Warm one (engine, scenario) pair before its tasks are submitted.
+
+        Nothing by default: workers that outlive a round compile their own
+        tables when they first cache the pair.
+        """
 
     def begin_round(self, workers: int) -> int:
         """Make the pool ready for one round; returns the concurrency to
         assume when clamping the per-task timeout clock."""
-        raise NotImplementedError
-
-    def submit(
-        self,
-        engine: Engine,
-        scenario: Scenario,
-        lambda_g: float,
-        task_id: str,
-        registry_dir: Optional[str],
-        *,
-        named_engine: bool,
-    ) -> Future:
-        """Submit one task; ``named_engine`` marks registry engines, which a
-        persistent backend may cache worker-side by (name, scenario)."""
         raise NotImplementedError
 
     def submit_chunk(
@@ -700,18 +702,21 @@ class WorkerBackend:
         engine: Engine,
         scenario: Scenario,
         items: Sequence[Tuple[float, str]],
-        registry_dir: Optional[str],
+        execution: str,
         *,
         named_engine: bool,
     ) -> Future:
         """Submit a chunk of tasks sharing one (engine, scenario).
 
-        ``items`` holds ``(lambda_g, task_id)`` pairs.  The future resolves
-        to a list of :data:`ChunkOutcome` aligned with ``items`` — per-task
-        ``("ok", record)`` / ``("error", repr)`` — so an evaluation error in
-        one task never fails the whole chunk.  A chunk-level exception from
-        the future means infrastructure died (broken pool, lost runner),
-        not that a task mis-evaluated.
+        ``items`` holds ``(lambda_g, task_id)`` pairs and ``execution`` is
+        the submitting execution's token, which workers write into their pid
+        tags.  ``named_engine`` marks registry engines, which a persistent
+        backend may cache worker-side by (name, scenario).  The future
+        resolves to a list of :data:`ChunkOutcome` aligned with ``items`` —
+        per-task ``("ok", record)`` / ``("error", repr)`` — so an evaluation
+        error in one task never fails the whole chunk.  A chunk-level
+        exception from the future means infrastructure died (broken pool,
+        lost runner), not that a task mis-evaluated.
         """
         raise NotImplementedError
 
@@ -737,44 +742,41 @@ class EphemeralPoolBackend(WorkerBackend):
 
     A crashed worker poisons its whole pool, so recovery is simply a new
     pool over whatever the old one left unfinished; nothing survives the
-    round, and fork-started workers inherit the caches
-    :meth:`~WorkerBackend.prepare_entry` warmed in this process.
+    round, the pid registry included, and fork-started workers inherit the
+    caches :meth:`prepare_entry` warmed in this process.
     """
 
     def __init__(self) -> None:
         self._pool: Optional[ProcessPoolExecutor] = None
         self._workers: Dict[int, Any] = {}
 
+    def prepare_entry(self, engine: Engine, scenario: Scenario) -> None:
+        """Compile and warm in this process, before the pool forks."""
+        prepare = getattr(engine, "prepare", None)
+        if prepare is not None:
+            prepare(scenario)
+
     def begin_round(self, workers: int) -> int:
+        self.registry = tempfile.mkdtemp(prefix="repro-campaign-pids-")
         self._pool = ProcessPoolExecutor(max_workers=workers)
         self._workers = {}
         return workers
-
-    def submit(
-        self,
-        engine: Engine,
-        scenario: Scenario,
-        lambda_g: float,
-        task_id: str,
-        registry_dir: Optional[str],
-        *,
-        named_engine: bool,
-    ) -> Future:
-        return self._pool.submit(
-            _pool_evaluate, engine, scenario, lambda_g, task_id, registry_dir
-        )
 
     def submit_chunk(
         self,
         engine: Engine,
         scenario: Scenario,
         items: Sequence[Tuple[float, str]],
-        registry_dir: Optional[str],
+        execution: str,
         *,
         named_engine: bool,
     ) -> Future:
         return self._pool.submit(
-            _pool_evaluate_chunk, engine, scenario, tuple(items), registry_dir
+            _pool_evaluate_chunk,
+            engine,
+            scenario,
+            tuple(items),
+            (self.registry, execution),
         )
 
     def note_workers(self) -> None:
@@ -798,6 +800,9 @@ class EphemeralPoolBackend(WorkerBackend):
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
             self._workers = {}
+        if self.registry is not None:
+            shutil.rmtree(self.registry, ignore_errors=True)
+            self.registry = None
 
 
 # --------------------------------------------------------------------------- #
@@ -1026,12 +1031,10 @@ class CampaignExecutor:
 
         if pooled:
             # Compile every pooled entry's network core before the workers
-            # see it.  The ephemeral backend prepares in this process —
-            # fork-started workers inherit the module-level caches,
-            # spawn-started workers compile once per process, not per point
-            # — and the persistent backend additionally exports the compiled
-            # tables to shared memory so daemon workers map instead of
-            # rebuild.
+            # see it.  The ephemeral backend prepares in this process, so
+            # its fork-started workers inherit the module-level caches;
+            # persistent backends leave it to their workers, which prepare
+            # each (engine, scenario) pair once when they first cache it.
             prepared = set()
             for task in pooled:
                 slot = (task.entry_index, task.engine_index)
@@ -1043,36 +1046,32 @@ class CampaignExecutor:
                     engine, self.campaign.entries[task.entry_index].scenario
                 )
 
-            # Per-execution worker-pid registry: workers tag their pid with
-            # the task they run, which is what lets a broken pool charge the
-            # actual culprits instead of every unfinished task.
-            registry_dir = tempfile.mkdtemp(prefix="repro-campaign-pids-")
+            # Workers tag their pid in the pool's registry with this token
+            # and the task they run, which is what lets a broken pool charge
+            # the actual culprits instead of every unfinished task — even
+            # when another execution sharing the pool caused the break.
+            execution = secrets.token_hex(8)
             attempts: Dict[CampaignTask, int] = {task: 0 for task in pooled}
             pending: List[CampaignTask] = list(pooled)
-            try:
-                while pending:
-                    # One "round" per pool: a crashed worker poisons its
-                    # whole process pool, so recovery means a fresh (or
-                    # restarted) pool over everything the previous one left
-                    # unfinished.
-                    requeue: List[CampaignTask] = []
-                    for event in self._pooled_round(
-                        pending, attempts, requeue, _failure_event, started,
-                        lambda: done, total, registry_dir,
-                    ):
-                        if isinstance(event, TaskCompleted):
-                            done += 1
-                        yield event
-                    pending = requeue
-                    if pending:
-                        delay = max(
-                            policy.delay_before(attempts[task] + 1)
-                            for task in pending
-                        )
-                        if delay > 0:
-                            time.sleep(delay)
-            finally:
-                shutil.rmtree(registry_dir, ignore_errors=True)
+            while pending:
+                # One "round" per pool: a crashed worker poisons its whole
+                # process pool, so recovery means a fresh (or restarted)
+                # pool over everything the previous one left unfinished.
+                requeue: List[CampaignTask] = []
+                for event in self._pooled_round(
+                    pending, attempts, requeue, _failure_event, started,
+                    lambda: done, total, execution,
+                ):
+                    if isinstance(event, TaskCompleted):
+                        done += 1
+                    yield event
+                pending = requeue
+                if pending:
+                    delay = max(
+                        policy.delay_before(attempts[task] + 1) for task in pending
+                    )
+                    if delay > 0:
+                        time.sleep(delay)
 
         yield CampaignProgress(
             done, total, hits, time.perf_counter() - started, failed, retries
@@ -1087,7 +1086,7 @@ class CampaignExecutor:
         started: float,
         current_done: Callable[[], int],
         total: int,
-        registry_dir: Optional[str] = None,
+        execution: str,
     ) -> Iterator[CampaignEvent]:
         """Run one backend round over ``pending``, streaming its events.
 
@@ -1095,11 +1094,11 @@ class CampaignExecutor:
         retries left (attempt counted), plus innocent casualties of a
         timeout kill or of *another* task's worker crash (attempt *not*
         counted — the culprit is known, from the kill itself or from the
-        dead workers' pid tags).  Only when crash attribution fails — no
-        dead pid observed, or no dead worker had tagged an unfinished task —
-        is every unfinished task of the round charged an attempt, the
-        fallback that makes a deterministic crasher converge in
-        ``max_attempts`` rounds.
+        dead workers' pid tags, which may name a task of another execution
+        sharing the pool).  Only when crash attribution fails — no dead pid
+        observed, or no dead worker had tagged an unfinished task — is every
+        unfinished task of the round charged an attempt, the fallback that
+        makes a deterministic crasher converge in ``max_attempts`` rounds.
         """
         policy = self.retry
         backend = self.backend
@@ -1138,7 +1137,7 @@ class CampaignExecutor:
                             engine,
                             entry.scenario,
                             tuple((task.lambda_g, task.task_id) for task in chunk),
-                            registry_dir,
+                            execution,
                             named_engine=named,
                         )
                     ] = chunk
@@ -1188,7 +1187,7 @@ class CampaignExecutor:
                             else:
                                 if crash_culprits is _UNDETERMINED:
                                     crash_culprits = self._crash_culprits(
-                                        registry_dir, unresolved
+                                        execution, unresolved
                                     )
                                 if (
                                     crash_culprits is not None
@@ -1295,19 +1294,25 @@ class CampaignExecutor:
             backend.end_round(broken=broken)
 
     def _crash_culprits(
-        self, registry_dir: Optional[str], unresolved: Set[str]
+        self, execution: str, unresolved: Set[str]
     ) -> Optional[Set[str]]:
-        """Which unfinished tasks were running on the workers that died.
+        """Which unfinished tasks of this execution took the dead workers down.
 
-        Workers tag a per-pid registry file with their task id before
-        picking it up, so when the pool breaks the dead pids name the tasks
-        that actually took workers down.  Returns ``None`` when attribution
-        is impossible (no dead pid observed, or no dead worker had tagged a
-        still-unfinished task) — the caller then falls back to charging
-        every unfinished task, which is what guarantees a deterministic
-        crasher converges within ``max_attempts`` rounds.
+        Workers tag their pid in the pool's registry with an execution token
+        and a task id before running the task, so when the pool breaks the
+        dead pids tell three cases apart:
+
+        * tagged with one of this execution's unresolved tasks — those tasks
+          are the culprits and are charged;
+        * tagged only by another execution sharing the pool — this round's
+          tasks are collateral: the empty set re-queues them all uncharged;
+        * no usable tag (no dead pid observed, or none tagged a task still
+          unfinished here) — ``None``: the caller charges every unfinished
+          task, which is what guarantees a deterministic crasher converges
+          within ``max_attempts`` rounds.
         """
-        if registry_dir is None:
+        registry = self.backend.registry
+        if registry is None:
             return None
         # A broken pool means a worker died abruptly, but its death may not
         # be *observable* yet: the pool's manager thread reaps workers
@@ -1320,14 +1325,19 @@ class CampaignExecutor:
             time.sleep(0.02)
             dead = self.backend.dead_worker_pids()
         culprits: Set[str] = set()
+        foreign = False
         for pid in dead:
-            try:
-                tag = Path(registry_dir, str(pid)).read_text(encoding="utf-8")
-            except OSError:
-                continue  # died before tagging any task: attributes nothing
-            culprits.add(tag)
+            tag = _read_worker_tag(registry, pid)
+            if tag is None:
+                continue
+            if tag[0] == execution:
+                culprits.add(tag[1])
+            else:
+                foreign = True
         culprits &= unresolved
-        return culprits or None
+        if culprits:
+            return culprits
+        return set() if foreign else None
 
     def _evaluate(self, task: CampaignTask) -> RunRecord:
         engine = self._engines[task.entry_index][task.engine_index]

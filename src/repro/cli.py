@@ -38,9 +38,9 @@ Sub-commands mirror the experiment harness:
 * ``serve``      — the campaign service (:mod:`repro.service`): a persistent
   warm worker daemon behind a stdlib HTTP front-end that accepts campaign
   plans as JSON on ``POST /campaigns`` and streams progress back as
-  server-sent events; compiled route tables live in shared memory, so a
-  warm daemon skips the per-campaign compile entirely and fully cached
-  plans are answered straight from the result store.
+  server-sent events; warm workers keep their own compiled tables and
+  engines, so a warm daemon skips the per-campaign compile entirely, and
+  fully cached plans are answered straight from the result store.
 
 Every command is pure text output (tables / CSV / JSON); nothing requires a
 plotting stack.
@@ -483,13 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="attempts per task for served campaigns (default 1 = no retries); "
         "a crashed worker pool is restarted and its tasks re-queued",
     )
-    serve_parser.add_argument(
-        "--no-shared-memory",
-        action="store_true",
-        help="skip the shared-memory export of compiled tables (debugging aid; "
-        "workers recompile instead of mapping)",
-    )
-
     return parser
 
 
@@ -1077,7 +1070,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ValidationError(f"--retries must be >= 1, got {args.retries}")
     store = None if args.no_store else _campaign_store(args)
     retry = RetryPolicy(max_attempts=args.retries) if args.retries > 1 else None
-    daemon = WorkerDaemon(args.workers, use_shared_memory=not args.no_shared_memory)
+    daemon = WorkerDaemon(args.workers)
     serve(args.host, args.port, daemon=daemon, store=store, retry=retry)
     return 0
 

@@ -60,8 +60,8 @@ where multi-core fan-out is recorded.  Its ``"cold"`` rungs measure a fresh
 campaign process (compile caches cleared, ephemeral pool); the ``"daemon"``
 rung measures the same campaign against a warm
 :class:`repro.service.daemon.WorkerDaemon` — what a request to an
-already-running ``repro-multicluster serve`` costs once the compiled route
-tables sit in shared memory and the persistent workers are warm.  Cold
+already-running ``repro-multicluster serve`` costs once the persistent
+workers are warm and hold their own compiled route tables.  Cold
 rungs report ``speedup`` against the sequential (1-worker cold) baseline;
 the daemon rung reports ``speedup`` against the cold rung at the *same*
 worker count — warm service vs fresh campaign process is the comparison
@@ -194,10 +194,10 @@ def _measure_scaling(
       sequentially in-process and is the curve's speedup baseline.
     * ``"daemon"`` — the same campaign served by a *warm*
       :class:`repro.service.daemon.WorkerDaemon` at the top worker count:
-      one untimed warm-up campaign spawns the persistent workers, exports
-      the compiled tables into shared memory and warms the worker-side
-      engines, then the timed run measures what a request to an
-      already-running ``repro-multicluster serve`` costs.  The warm-up cost
+      one untimed warm-up campaign spawns the persistent workers, which
+      compile their tables and warm their engines, then the timed run
+      measures what a request to an already-running
+      ``repro-multicluster serve`` costs.  The warm-up cost
       itself is recorded as ``warmup_seconds``.  Its ``speedup`` is against
       the cold rung at the same worker count (warm service vs fresh
       campaign process); ``speedup_vs_sequential`` keeps the ratio against

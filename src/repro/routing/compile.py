@@ -389,14 +389,6 @@ def compile_graph_routes(spec) -> CompiledGraphRoutes:
     return routes
 
 
-def install_graph_routes(spec, routes: CompiledGraphRoutes) -> CompiledGraphRoutes:
-    """Adopt externally built (e.g. shm-attached) graph route tables.
-
-    ``setdefault`` semantics, mirroring the compiled-graph install hook.
-    """
-    return _GRAPH_ROUTES.setdefault(spec.identity, routes)
-
-
 class LazyRebasedTable:
     """Pair-indexed view over a lazily filled shape table, rebased on demand.
 

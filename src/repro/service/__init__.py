@@ -3,9 +3,9 @@
 Three layers, separable on purpose:
 
 * :mod:`repro.service.daemon` — :class:`WorkerDaemon`, a process pool that
-  survives across campaigns, with compiled route tables and topology
-  metadata exported once into shared memory so workers map instead of
-  rebuild, and :class:`PersistentPoolBackend`, the
+  survives across campaigns, whose workers compile their own topology and
+  route tables once and keep warm engines between tasks (the serving
+  process compiles nothing), and :class:`PersistentPoolBackend`, the
   :class:`~repro.campaign.WorkerBackend` adapter that lets any
   :class:`~repro.campaign.CampaignExecutor` run on it unchanged.
 * :mod:`repro.service.server` — :class:`CampaignServer`, a stdlib-asyncio

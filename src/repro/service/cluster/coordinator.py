@@ -315,9 +315,6 @@ class ClusterBackend(WorkerBackend):
                 )
 
     # ------------------------------------------------------------------ rounds
-    def prepare_entry(self, engine: Engine, scenario: Scenario) -> None:
-        """Runners compile their own tables; nothing to warm coordinator-side."""
-
     def begin_round(self, workers: int) -> int:
         with self._dead_lock:
             candidates = [a for a in self.addresses if a not in self._dead]
@@ -359,7 +356,7 @@ class ClusterBackend(WorkerBackend):
         engine: Engine,
         scenario: Scenario,
         items: Sequence[Tuple[float, str]],
-        registry_dir: Optional[str],
+        execution: str,
         *,
         named_engine: bool,
     ) -> Future:

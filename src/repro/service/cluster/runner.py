@@ -13,8 +13,9 @@ nothing about evaluation changes by being remote.  Two execution modes:
 
 ``pool`` (``repro runner --workers N``)
     Chunks are forwarded to a local :class:`~repro.service.daemon.WorkerDaemon`
-    warm pool — one runner machine contributing N worker processes, with
-    the daemon's shared-memory table exports and broken-pool restart.
+    warm pool — one runner machine contributing N worker processes, each
+    keeping its own warm engines and compiled tables, with the daemon's
+    broken-pool restart.
 
 Fault injection (``REPRO_CAMPAIGN_FAULT``) runs in the evaluating process
 exactly as for local pools.  In inline mode an injected ``crash`` takes the
@@ -37,7 +38,7 @@ import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api import Engine, Scenario, resolve_engines
-from repro.campaign import _maybe_inject_fault
+from repro.campaign import _pool_evaluate_chunk
 from repro.store import kernel_switches
 from repro.utils.serialization import to_jsonable
 from repro.utils.validation import ValidationError
@@ -261,24 +262,13 @@ class RunnerServer:
         scenario: Scenario,
         items: List[Tuple[float, str]],
     ) -> List[Tuple[str, Any]]:
-        from repro.api import _evaluate_point
-
         if self._daemon is not None:
             future = self._daemon.submit_chunk(
-                engine, scenario, items, None, named_engine=True
+                engine, scenario, items, "runner", named_engine=True
             )
             return future.result()
-        outcomes: List[Tuple[str, Any]] = []
         with _INLINE_EVALUATE_LOCK:
-            for lambda_g, task_id in items:
-                _maybe_inject_fault(task_id)
-                try:
-                    record = _evaluate_point(engine, scenario, lambda_g)
-                except Exception as error:  # noqa: BLE001 - contained per task
-                    outcomes.append(("error", repr(error)))
-                else:
-                    outcomes.append(("ok", record))
-        return outcomes
+            return _pool_evaluate_chunk(engine, scenario, items)
 
 
 def parse_listen_spec(spec: str) -> Tuple[str, int]:

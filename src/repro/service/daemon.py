@@ -10,16 +10,16 @@ across a stream of campaigns:
   and campaigns in flight re-queue through their
   :class:`~repro.campaign.RetryPolicy` exactly as they would on an
   ephemeral pool.
-* **compiled state in shared memory** — the first campaign touching a tree
-  shape compiles its route tables and topology metadata once, in the daemon
-  process, and exports them via :mod:`repro.topology.shm` /
-  :mod:`repro.routing.shm`; every worker (including workers born *after* a
-  restart, which inherit nothing useful) maps the arrays instead of
-  rebuilding them.
 * **warm worker-side engines** — workers cache one engine instance per
-  (engine name, scenario), so the memoised simulator, its warmed stream
-  pool and its prepared route tables survive from task to task and from
-  campaign to campaign.
+  (engine name, scenario) and prepare it once, when they first cache it:
+  the topology and route tables compile into the worker's own
+  process-local compile caches, and the memoised simulator and its warmed
+  stream pool survive from task to task and from campaign to campaign.
+  The serving process compiles nothing; it never runs the simulator.
+* **one pid registry for the pool's lifetime** — workers tag their pid
+  with the submitting execution's token and the task id, so when a crash
+  breaks the shared pool each campaign on it can tell its own culprit from
+  collateral damage caused by another campaign.
 
 :class:`PersistentPoolBackend` adapts one daemon to the
 :class:`~repro.campaign.WorkerBackend` protocol, one backend instance per
@@ -34,30 +34,17 @@ rounds).  The serving front-end therefore defaults to no per-task timeout.
 
 from __future__ import annotations
 
-import atexit
 import json
 import multiprocessing
 import os
+import tempfile
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
-from repro.api import Engine, Scenario, _evaluate_point
-from repro.campaign import WorkerBackend, _maybe_inject_fault, _note_worker_task
-from repro.routing.shm import (
-    export_graph_route_tables,
-    export_route_tables,
-    install_graph_route_tables,
-    install_route_tables,
-)
-from repro.topology.shm import (
-    SharedArena,
-    export_graphs,
-    export_trees,
-    install_graphs,
-    install_trees,
-)
+from repro.api import Engine, Scenario
+from repro.campaign import WorkerBackend, WorkerRegistry, _pool_evaluate_chunk
 from repro.utils.validation import ValidationError
 
 __all__ = ["PersistentPoolBackend", "WorkerDaemon"]
@@ -66,11 +53,6 @@ __all__ = ["PersistentPoolBackend", "WorkerDaemon"]
 # --------------------------------------------------------------------------- #
 # Worker-side state (one copy per worker process)
 # --------------------------------------------------------------------------- #
-#: Arenas attached in this worker, keyed by export-batch token.  Kept
-#: referenced for the worker's lifetime: the NumPy views installed into the
-#: compile caches alias these segments.
-_ATTACHED: Dict[str, Tuple[SharedArena, ...]] = {}
-
 #: (engine name, canonical scenario JSON) -> (engine, scenario) pairs whose
 #: memoised simulator state stays warm across tasks and campaigns.  Bounded
 #: like the compile caches: cleared wholesale when it outgrows the limit.
@@ -78,149 +60,86 @@ _WORKER_ENGINES: Dict[Tuple[str, str], Tuple[Engine, Scenario]] = {}
 _WORKER_ENGINE_CACHE_LIMIT = 32
 
 
-def _attach_batches(batches: Sequence[Dict[str, Any]]) -> None:
-    """Map every not-yet-seen export batch into this worker's caches."""
-    for batch in batches:
-        token = batch["token"]
-        if token in _ATTACHED:
-            continue
-        arenas: List[SharedArena] = []
-        if batch.get("trees") is not None:
-            arenas.append(install_trees(batch["trees"]))
-        if batch.get("routes") is not None:
-            arenas.append(install_route_tables(batch["routes"]))
-        if batch.get("graphs") is not None:
-            arenas.append(install_graphs(batch["graphs"]))
-        if batch.get("graph_routes") is not None:
-            arenas.append(install_graph_route_tables(batch["graph_routes"]))
-        _ATTACHED[token] = tuple(arenas)
+def _worker_engine(
+    engine: Engine, scenario: Scenario, cache_key: Optional[Tuple[str, str]]
+) -> Tuple[Engine, Scenario]:
+    """The warm (engine, scenario) pair a daemon worker evaluates with.
 
-
-def _daemon_evaluate(
-    batches: Optional[Sequence[Dict[str, Any]]],
-    engine: Engine,
-    scenario: Scenario,
-    lambda_g: float,
-    task_id: str,
-    registry_dir: Optional[str],
-    cache_key: Optional[Tuple[str, str]],
-) -> Any:
-    """Daemon worker entry: attach shared state once, reuse warm engines.
-
-    Mirrors :func:`repro.campaign._pool_evaluate` (pid tag first, then the
-    fault hook, then evaluation) so the executor's crash/timeout machinery
-    observes identical worker behaviour on both backends.
+    A pair seen for the first time is prepared here, once: that compiles
+    the topology and route tables into this worker's compile caches, warms
+    its stream pool and fills lazily compiled route rows before the first
+    timed run.  Engines without a cache key (programmatic instances) arrive
+    fresh with every chunk and are prepared every time; the compile caches
+    make the repeat cheap.
     """
-    _note_worker_task(registry_dir, task_id)
-    if batches:
-        _attach_batches(batches)
-    _maybe_inject_fault(task_id)
     if cache_key is not None:
         cached = _WORKER_ENGINES.get(cache_key)
-        if cached is None:
-            if len(_WORKER_ENGINES) >= _WORKER_ENGINE_CACHE_LIMIT:
-                _WORKER_ENGINES.clear()
-            _WORKER_ENGINES[cache_key] = (engine, scenario)
-        else:
+        if cached is not None:
             # Evaluate against the *cached* scenario object: engine
             # memoisation is identity-based, so the freshly unpickled (but
             # equal) scenario would rebuild the simulator it came to reuse.
-            engine, scenario = cached
-    return _evaluate_point(engine, scenario, lambda_g)
+            return cached
+        if len(_WORKER_ENGINES) >= _WORKER_ENGINE_CACHE_LIMIT:
+            _WORKER_ENGINES.clear()
+        _WORKER_ENGINES[cache_key] = (engine, scenario)
+    prepare = getattr(engine, "prepare", None)
+    if prepare is not None:
+        prepare(scenario)
+    return engine, scenario
 
 
 def _daemon_evaluate_chunk(
-    batches: Optional[Sequence[Dict[str, Any]]],
     engine: Engine,
     scenario: Scenario,
     items: Sequence[Tuple[float, str]],
-    registry_dir: Optional[str],
+    registry: WorkerRegistry,
     cache_key: Optional[Tuple[str, str]],
 ) -> Any:
-    """Daemon worker entry for a chunk of tasks sharing one (engine, scenario).
+    """Daemon worker entry: reuse the warm engine, then run the chunk.
 
-    The chunked counterpart of :func:`_daemon_evaluate`, with the outcome
-    contract of :func:`repro.campaign._pool_evaluate_chunk`: per-task
-    ``("ok", record)`` / ``("error", repr)`` tuples, so one task's
-    evaluation error never fails its chunk-mates, while pid tags are
-    refreshed per task for crash attribution.
+    Evaluation is :func:`repro.campaign._pool_evaluate_chunk`, the one
+    chunk evaluator every backend shares, so the executor's crash/timeout
+    machinery observes identical worker behaviour everywhere.
     """
-    if batches:
-        _attach_batches(batches)
-    if cache_key is not None:
-        cached = _WORKER_ENGINES.get(cache_key)
-        if cached is None:
-            if len(_WORKER_ENGINES) >= _WORKER_ENGINE_CACHE_LIMIT:
-                _WORKER_ENGINES.clear()
-            _WORKER_ENGINES[cache_key] = (engine, scenario)
-        else:
-            engine, scenario = cached
-    outcomes: List[Tuple[str, Any]] = []
-    for lambda_g, task_id in items:
-        _note_worker_task(registry_dir, task_id)
-        _maybe_inject_fault(task_id)
-        try:
-            record = _evaluate_point(engine, scenario, lambda_g)
-        except Exception as error:  # noqa: BLE001 - contained per-task failure
-            outcomes.append(("error", repr(error)))
-        else:
-            outcomes.append(("ok", record))
-    return outcomes
-
-
-def _scenario_shapes(scenario: Scenario) -> List[Tuple[int, int]]:
-    """The tree shapes a multi-cluster scenario compiles (clusters plus ICN2).
-
-    Only meaningful when ``scenario.system`` is set; zoo scenarios export
-    whole compiled graphs instead (see :meth:`WorkerDaemon.prepare`).
-    """
-    spec = scenario.system
-    if spec is None:
-        return []
-    heights = (*spec.cluster_heights, spec.icn2_height)
-    return list(dict.fromkeys((spec.m, height) for height in heights))
+    engine, scenario = _worker_engine(engine, scenario, cache_key)
+    return _pool_evaluate_chunk(engine, scenario, items, registry)
 
 
 # --------------------------------------------------------------------------- #
 # The daemon
 # --------------------------------------------------------------------------- #
 class WorkerDaemon:
-    """A long-lived worker pool plus the shared compiled state it serves.
+    """A long-lived worker pool shared by any number of campaigns.
 
     Lifecycle: construct (optionally :meth:`start`), run any number of
-    campaigns through :class:`PersistentPoolBackend`, then :meth:`shutdown`
-    — which is what unlinks every shared-memory segment the daemon
-    exported.  Also usable as a context manager.  All public methods are
-    thread-safe; the serving front-end drives one daemon from several
-    executor threads at once.
+    campaigns through :class:`PersistentPoolBackend`, then :meth:`shutdown`,
+    which stops the workers and removes the pid registry.  Also usable as a
+    context manager.  All public methods are thread-safe; the serving
+    front-end drives one daemon from several executor threads at once.
 
     Workers are spawned on demand by the pool (up to ``max_workers``) and
     persist until a crash or shutdown; a broken pool is replaced lazily on
     the next submission, and :attr:`restarts` counts those replacements.
     """
 
-    def __init__(
-        self, max_workers: Optional[int] = None, *, use_shared_memory: bool = True
-    ) -> None:
+    def __init__(self, max_workers: Optional[int] = None) -> None:
         self.max_workers = max(
             1, int(max_workers) if max_workers is not None else (os.cpu_count() or 1)
         )
-        self.use_shared_memory = bool(use_shared_memory)
         self._lock = threading.RLock()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_generation = 0
-        self._arenas: List[SharedArena] = []
-        self._batches: List[Dict[str, Any]] = []
-        #: export keys already packed: (m, height) tree shapes and
-        #: ("zoo", identity) zoo specs
-        self._exported: Set[Any] = set()
+        #: the pid registry every worker of every pool generation tags
+        self._registry = tempfile.TemporaryDirectory(
+            prefix="repro-daemon-pids-", ignore_cleanup_errors=True
+        )
+        self.registry = self._registry.name
         self._closed = False
         #: tasks handed to workers (never incremented for store hits, which
         #: the executor serves before any submission — the "warm requests
         #: bypass workers" invariant is an assertion on this counter)
         self.tasks_dispatched = 0
         self.restarts = 0
-        atexit.register(self._cleanup_segments)
 
     # ------------------------------------------------------------- lifecycle
     def start(self) -> "WorkerDaemon":
@@ -242,8 +161,8 @@ class WorkerDaemon:
             # Spawn, not fork: the serving front-end submits from executor
             # threads while the event-loop thread runs, and forking a
             # multithreaded process leaves children deadlocked on inherited
-            # locks.  Spawned workers also inherit no compiled caches, which
-            # is exactly the case the shared-memory export exists for.
+            # locks.  Spawned workers inherit no compiled caches and compile
+            # their own, once per (engine, scenario) pair they cache.
             self._pool = ProcessPoolExecutor(
                 max_workers=self.max_workers,
                 mp_context=multiprocessing.get_context("spawn"),
@@ -252,140 +171,47 @@ class WorkerDaemon:
         return self._pool
 
     def shutdown(self, *, wait: bool = True) -> None:
-        """Stop the workers and unlink every exported shm segment."""
+        """Stop the workers and remove the pid registry."""
         with self._lock:
             self._closed = True
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=wait, cancel_futures=True)
-        self._cleanup_segments()
-
-    def _cleanup_segments(self) -> None:
-        with self._lock:
-            arenas, self._arenas = self._arenas, []
-            self._batches = []
-            self._exported = set()
-        for arena in arenas:
-            arena.destroy()
-
-    # ------------------------------------------------------------ preparation
-    def prepare(self, engine: Engine, scenario: Scenario) -> None:
-        """Warm this process for one (engine, scenario) and export its shapes.
-
-        The engine's own ``prepare`` compiles the system and route tables in
-        the daemon process; shapes not yet exported are then packed into
-        fresh shared-memory arenas so the spawn-started workers — which
-        inherit none of this process's caches — map them instead of
-        recompiling.
-        """
-        prepare = getattr(engine, "prepare", None)
-        if prepare is not None:
-            prepare(scenario)
-        if not self.use_shared_memory or not getattr(engine, "expensive", True):
-            return
-        with self._lock:
-            if scenario.system is not None:
-                shapes = [
-                    shape
-                    for shape in _scenario_shapes(scenario)
-                    if shape not in self._exported
-                ]
-                if not shapes:
-                    return
-                tree_arena, tree_manifest = export_trees(shapes)
-                route_arena, route_manifest = export_route_tables(shapes)
-                self._arenas.extend((tree_arena, route_arena))
-                self._batches.append(
-                    {
-                        "token": f"{id(self)}-{len(self._batches)}",
-                        "trees": tree_manifest,
-                        "routes": route_manifest,
-                    }
-                )
-                self._exported.update(shapes)
-            else:
-                # Zoo scenario: export the whole compiled graph and its
-                # complete route table, keyed by the spec's full identity.
-                spec = scenario.topology
-                key = ("zoo", spec.identity)
-                if key in self._exported:
-                    return
-                graph_arena, graph_manifest = export_graphs((spec,))
-                route_arena, route_manifest = export_graph_route_tables((spec,))
-                self._arenas.extend((graph_arena, route_arena))
-                self._batches.append(
-                    {
-                        "token": f"{id(self)}-{len(self._batches)}",
-                        "graphs": graph_manifest,
-                        "graph_routes": route_manifest,
-                    }
-                )
-                self._exported.add(key)
+        self._registry.cleanup()
 
     # ------------------------------------------------------------- execution
-    def submit(
-        self,
-        engine: Engine,
-        scenario: Scenario,
-        lambda_g: float,
-        task_id: str,
-        registry_dir: Optional[str],
-        *,
-        named_engine: bool,
-    ) -> Future:
-        """Hand one task to the pool, restarting it once if it arrived broken.
-
-        Only registry-named engines get a worker-side cache key (an engine
-        *instance* may carry arbitrary programmatic state that must not be
-        conflated across campaigns by name).
-        """
-        with self._lock:
-            pool = self._ensure_pool()
-            batches = tuple(self._batches) if self.use_shared_memory else None
-            cache_key = (
-                (engine.name, json.dumps(scenario.to_dict(), sort_keys=True))
-                if named_engine
-                else None
-            )
-            self.tasks_dispatched += 1
-        args = (batches, engine, scenario, lambda_g, task_id, registry_dir, cache_key)
-        try:
-            return pool.submit(_daemon_evaluate, *args)
-        except (BrokenProcessPool, RuntimeError):
-            # The pool broke under another campaign between rounds; retire
-            # it and resubmit on a fresh one (a second failure propagates).
-            with self._lock:
-                self._retire_pool(pool)
-                pool = self._ensure_pool()
-            return pool.submit(_daemon_evaluate, *args)
-
     def submit_chunk(
         self,
         engine: Engine,
         scenario: Scenario,
         items: Sequence[Tuple[float, str]],
-        registry_dir: Optional[str],
+        execution: str,
         *,
         named_engine: bool,
     ) -> Future:
         """Hand a chunk of same-(engine, scenario) tasks to the pool.
 
-        Same broken-pool recovery as :meth:`submit`; the future resolves to
-        the per-task outcome list of :func:`_daemon_evaluate_chunk`.
+        A pool that arrived broken is restarted once and the chunk
+        resubmitted.  Only registry-named engines get a worker-side cache
+        key (an engine *instance* may carry arbitrary programmatic state
+        that must not be conflated across campaigns by name).  The future
+        resolves to the per-task outcome list of
+        :func:`repro.campaign._pool_evaluate_chunk`.
         """
         with self._lock:
             pool = self._ensure_pool()
-            batches = tuple(self._batches) if self.use_shared_memory else None
             cache_key = (
                 (engine.name, json.dumps(scenario.to_dict(), sort_keys=True))
                 if named_engine
                 else None
             )
             self.tasks_dispatched += len(items)
-        args = (batches, engine, scenario, tuple(items), registry_dir, cache_key)
+        args = (engine, scenario, tuple(items), (self.registry, execution), cache_key)
         try:
             return pool.submit(_daemon_evaluate_chunk, *args)
         except (BrokenProcessPool, RuntimeError):
+            # The pool broke under another campaign between rounds; retire
+            # it and resubmit on a fresh one (a second failure propagates).
             with self._lock:
                 self._retire_pool(pool)
                 pool = self._ensure_pool()
@@ -442,21 +268,20 @@ class WorkerDaemon:
             except Exception:  # pragma: no cover - already-dead worker
                 pass
 
-    def segment_names(self) -> Tuple[str, ...]:
-        """Names of the shm segments this daemon currently owns."""
-        with self._lock:
-            return tuple(arena.name for arena in self._arenas)
-
     def stats(self) -> Dict[str, Any]:
-        """A JSON-able health snapshot (the ``/health`` endpoint body)."""
+        """A JSON-able health snapshot (the ``/health`` endpoint body).
+
+        ``shared_memory_segments`` is always empty: the daemon owns no
+        shared memory.  The key stays so health checks that sweep for
+        leaked segments keep working.
+        """
         with self._lock:
             return {
                 "max_workers": self.max_workers,
                 "worker_pids": sorted(self.worker_pids()),
                 "tasks_dispatched": self.tasks_dispatched,
                 "restarts": self.restarts,
-                "shared_memory": self.use_shared_memory,
-                "shared_memory_segments": list(self.segment_names()),
+                "shared_memory_segments": [],
                 "closed": self._closed,
             }
 
@@ -471,57 +296,34 @@ class PersistentPoolBackend(WorkerBackend):
     number of instances may point at the same daemon concurrently.  The
     executor's retry machinery is unchanged: a broken round retires the
     daemon's pool (once, generation-guarded) and the next round's
-    submissions bring up a fresh one.
+    submissions bring up a fresh one.  Nothing is prepared in this process
+    (the inherited :meth:`~repro.campaign.WorkerBackend.prepare_entry` is a
+    no-op): daemon workers prepare each pair themselves.
     """
 
     persistent = True
 
     def __init__(self, daemon: WorkerDaemon) -> None:
         self.daemon = daemon
+        self.registry = daemon.registry
         self._workers: Dict[int, Any] = {}
         self._generation: Optional[int] = None
-
-    def prepare_entry(self, engine: Engine, scenario: Scenario) -> None:
-        self.daemon.prepare(engine, scenario)
 
     def begin_round(self, workers: int) -> int:
         self._generation = self.daemon.pool_generation()
         return max(1, min(workers, self.daemon.max_workers))
-
-    def submit(
-        self,
-        engine: Engine,
-        scenario: Scenario,
-        lambda_g: float,
-        task_id: str,
-        registry_dir: Optional[str],
-        *,
-        named_engine: bool,
-    ) -> Future:
-        return self.daemon.submit(
-            engine,
-            scenario,
-            lambda_g,
-            task_id,
-            registry_dir,
-            named_engine=named_engine,
-        )
 
     def submit_chunk(
         self,
         engine: Engine,
         scenario: Scenario,
         items: Sequence[Tuple[float, str]],
-        registry_dir: Optional[str],
+        execution: str,
         *,
         named_engine: bool,
     ) -> Future:
         return self.daemon.submit_chunk(
-            engine,
-            scenario,
-            items,
-            registry_dir,
-            named_engine=named_engine,
+            engine, scenario, items, execution, named_engine=named_engine
         )
 
     def note_workers(self) -> None:

@@ -6,7 +6,7 @@ multiplexes any number of concurrent clients onto one shared
 :class:`~repro.service.daemon.WorkerDaemon`:
 
 * ``GET /health`` — JSON snapshot: worker pids, tasks dispatched, pool
-  restarts, owned shared-memory segments, campaigns served.
+  restarts, campaigns served (``shared_memory_segments`` is always ``[]``).
 * ``POST /campaigns`` — body is a campaign plan exactly as
   :meth:`repro.campaign.Campaign.from_dict` accepts it (the ``repro
   campaign run`` plan-file format).  The response is a
@@ -348,7 +348,7 @@ async def _serve_async(server: CampaignServer) -> None:
         except (NotImplementedError, RuntimeError):  # pragma: no cover - non-Unix
             signal.signal(signum, lambda *_: _request_stop())
     await stop
-    print("shutting down: stopping workers and unlinking shared memory")
+    print("shutting down: stopping workers")
     await server.stop()
 
 
@@ -364,8 +364,8 @@ def serve(
     """Blocking entry point: serve until SIGINT/SIGTERM, then clean up.
 
     Shutdown order matters: the listener stops first (no new campaigns),
-    then the daemon terminates its workers and unlinks every shared-memory
-    segment it exported — the guarantee the ``/dev/shm`` leak test pins.
+    then the daemon stops its workers and removes its pid registry, so no
+    worker outlives the server — the guarantee the CI serve job pins.
     """
     server = CampaignServer(
         daemon, host=host, port=port, store=store, retry=retry, max_workers=max_workers

@@ -287,15 +287,6 @@ def compile_graph(spec: TopologySpec) -> CompiledGraph:
     return compiled
 
 
-def install_compiled_graph(spec: TopologySpec, graph: CompiledGraph) -> CompiledGraph:
-    """Adopt an externally built (e.g. shm-attached) compiled graph.
-
-    ``setdefault`` semantics: a graph already compiled locally wins, so an
-    attach can never replace arrays the process is already pointing at.
-    """
-    return _COMPILED_GRAPHS.setdefault(spec.identity, graph)
-
-
 def compile_zoo_system(spec: TopologySpec) -> CompiledZooSystem:
     """The (cached) compiled-system facade of ``spec``."""
     key = spec.identity

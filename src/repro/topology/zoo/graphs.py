@@ -3,9 +3,8 @@
 Every member lowers to the exact representation the compilation pass of
 :mod:`repro.topology.compile` produces for fat trees — a deterministic
 enumeration of directed :class:`~repro.topology.fat_tree.Channel` objects
-over dense host/switch indices — so the flat-array simulator hot path,
-the frozen integer route tables and the shared-memory export all apply
-unchanged.
+over dense host/switch indices — so the flat-array simulator hot path
+and the frozen integer route tables apply unchanged.
 
 A :class:`ZooTopology` is described by four things:
 

@@ -7,7 +7,7 @@ zoo topology through JSON round trips, campaign plans and content-store
 keys.  The spec also plays the role :class:`~repro.topology.multicluster.
 MultiClusterSpec` plays for the paper's system — it keys the compile
 caches (via :attr:`TopologySpec.identity`, since the params mapping is
-not hashable) and names shared-memory segments (:attr:`TopologySpec.token`).
+not hashable) and labels compiled artifacts (:attr:`TopologySpec.token`).
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class TopologySpec:
 
     @property
     def token(self) -> str:
-        """Filesystem/shared-memory-safe identity token."""
+        """Filesystem-safe identity token (labels and test ids)."""
         args = "-".join(f"{key}{value}" for key, value in sorted(self.params.items()))
         return f"zoo-{self.kind}-{args}" if args else f"zoo-{self.kind}"
 

@@ -3,11 +3,16 @@
 The daemon's workers are *spawn*-started (the serving front-end submits
 from threads, and forking a multithreaded process deadlocks), so workers
 inherit none of this process's compiled caches — every table they read
-arrives through the shared-memory export.  That makes the bit-identity
-assertions here a real end-to-end check of the shm path, not a formality.
+they compile themselves, and the serving process compiles nothing.  That
+makes the bit-identity assertions here a real end-to-end check of
+worker-side compilation, not a formality.
 """
 
+import dataclasses
 import json
+import os
+import threading
+import time
 
 import pytest
 
@@ -19,25 +24,14 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.model.parameters import MessageSpec
+from repro.routing import compile as route_compile
 from repro.service.daemon import PersistentPoolBackend, WorkerDaemon
 from repro.sim.config import SimulationConfig
 from repro.store import ResultStore, jsonable_record
+from repro.topology import compile as topology_compile
 from repro.topology.multicluster import MultiClusterSpec
-from repro.topology.shm import _untrack
+from repro.utils import rng
 from repro.utils.validation import ValidationError
-
-
-def segment_exists(name: str) -> bool:
-    """Probe a segment by name without letting the tracker adopt it."""
-    from multiprocessing import shared_memory
-
-    try:
-        probe = shared_memory.SharedMemory(name=name, create=False)
-    except FileNotFoundError:
-        return False
-    _untrack(probe)
-    probe.close()
-    return True
 
 TINY = MultiClusterSpec(m=4, cluster_heights=(1, 2, 2, 1), name="tiny")
 WIDE = MultiClusterSpec(m=4, cluster_heights=(1, 1, 1, 1), name="wide")
@@ -121,12 +115,31 @@ class TestDaemonExecution:
         assert not served.failures
         assert canonical(served) == canonical(reference)
 
-    def test_exported_segments_back_the_campaign(self, daemon):
-        run_on(daemon, sim_campaign())
-        names = daemon.segment_names()
-        assert names  # trees + routes crossed into shared memory
-        assert all(name.startswith("repro_shm") for name in names)
-        assert all(segment_exists(name) for name in names)
+    def test_zoo_campaign_on_daemon_is_bit_identical(self, daemon):
+        """Zoo topologies compile worker-side too, down to the same bits."""
+        scenario = api.scenario("zoo/torus", points=2, sim=FAST)
+        campaign = Campaign(
+            entries=(CampaignEntry(scenario=scenario, engines=("sim",)),),
+            name="zoo",
+        )
+        sequential = run_campaign(campaign, store=None)
+        dispatched = daemon.tasks_dispatched
+        served = run_on(daemon, campaign)
+        assert daemon.tasks_dispatched == dispatched + 2
+        assert not served.failures
+        assert canonical(served) == canonical(sequential)
+
+    def test_serving_process_compiles_nothing(self, daemon):
+        """Workers compile and warm their own state; the serving process,
+        which never runs the simulator, leaves its caches empty."""
+        topology_compile.clear_compile_caches()
+        route_compile.clear_route_caches()
+        rng.clear_stream_pool()
+        served = run_on(daemon, sim_campaign(traffic=(3e-4,)))
+        assert not served.failures
+        assert not topology_compile._COMPILED_SYSTEMS
+        assert not route_compile._SYSTEM_ROUTES
+        assert not rng._STREAM_POOL
 
     def test_dispatch_counter_counts_submissions(self, daemon):
         before = daemon.tasks_dispatched
@@ -155,11 +168,11 @@ class TestDaemonExecution:
     def test_stats_surface(self, daemon):
         stats = daemon.stats()
         assert stats["max_workers"] == 2
-        assert stats["shared_memory"] is True
         assert stats["closed"] is False
         assert stats["tasks_dispatched"] >= 0
         assert isinstance(stats["worker_pids"], list)
-        assert isinstance(stats["shared_memory_segments"], list)
+        # The daemon owns no shared memory; the key stays for leak sweeps.
+        assert stats["shared_memory_segments"] == []
         json.dumps(stats)  # the /health body must be JSON-able
 
 
@@ -201,6 +214,57 @@ class TestDaemonFaults:
         assert len(result.runset("wide").records) == 1  # casualty completed
         assert len(result.runset("tiny").records) == 0
 
+    def test_crash_in_another_campaign_is_not_charged(self, tmp_path, monkeypatch):
+        """Two campaigns share one worker.  Campaign "bee"'s second task
+        crashes it while campaign "ay"'s only task waits in the queue, so
+        the broken pool fails both.  The dead pid's tag names bee's task, so
+        ay re-queues uncharged and completes without any retry budget, while
+        bee recovers through its own retries."""
+        long_run = dataclasses.replace(FAST, measured_messages=20_000)
+        bee = Campaign(
+            entries=(
+                CampaignEntry(
+                    scenario=dataclasses.replace(scenario_for(TINY), sim=long_run),
+                    engines=("sim",),
+                    label="bee",
+                ),
+            ),
+            name="bee",
+        )
+        ay = Campaign(
+            entries=(
+                CampaignEntry(
+                    scenario=scenario_for(WIDE, traffic=(4e-4,)),
+                    engines=("sim",),
+                    label="ay",
+                ),
+            ),
+            name="ay",
+        )
+        reference = run_campaign(ay, store=None)
+        marker = inject_fault(monkeypatch, tmp_path, "crash", "bee:sim:1")
+        results = {}
+        with WorkerDaemon(1) as daemon:
+            thread = threading.Thread(
+                target=lambda: results.setdefault(
+                    "bee", run_on(daemon, bee, retry=RetryPolicy(max_attempts=3))
+                )
+            )
+            thread.start()
+            deadline = time.monotonic() + 60.0
+            while daemon.tasks_dispatched < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert daemon.tasks_dispatched == 2  # bee's two chunks are queued
+            served = run_on(daemon, ay, strict=False)
+            thread.join(timeout=300.0)
+        assert not thread.is_alive()
+        assert marker.exists()
+        assert [failure.task.task_id for failure in served.failures] == []
+        assert served.task_retries == 0  # collateral re-queues are free
+        assert canonical(served) == canonical(reference)
+        assert not results["bee"].failures
+        assert results["bee"].task_retries == 1  # only the culprit is charged
+
     def test_hung_worker_is_killed_and_the_campaign_recovers(
         self, tmp_path, monkeypatch
     ):
@@ -221,14 +285,14 @@ class TestDaemonFaults:
 
 
 class TestDaemonLifecycle:
-    def test_shutdown_unlinks_every_shm_segment(self):
+    def test_shutdown_stops_every_worker_and_removes_the_registry(self):
         with WorkerDaemon(2) as daemon:
             run_on(daemon, sim_campaign(traffic=(4e-4,)))
-            names = daemon.segment_names()
-            assert names and all(segment_exists(name) for name in names)
-        # Context exit is shutdown(): nothing may survive in /dev/shm.
-        assert daemon.segment_names() == ()
-        assert all(not segment_exists(name) for name in names)
+            workers = daemon.worker_snapshot()
+            assert workers and os.path.isdir(daemon.registry)
+        # Context exit is shutdown(): no worker and no pid tag survive it.
+        assert not any(process.is_alive() for process in workers.values())
+        assert not os.path.exists(daemon.registry)
 
     def test_shutdown_is_idempotent_and_closes_for_good(self):
         daemon = WorkerDaemon(1).start()
@@ -236,26 +300,13 @@ class TestDaemonLifecycle:
         daemon.shutdown()
         assert daemon.stats()["closed"] is True
         with pytest.raises(ValidationError, match="shut down"):
-            daemon.submit(
+            daemon.submit_chunk(
                 api.AnalyticalEngine(),
                 scenario_for(TINY, traffic=(4e-4,)),
-                4e-4,
-                "tiny:model:0",
-                None,
+                ((4e-4, "tiny:model:0"),),
+                "execution",
                 named_engine=True,
             )
-
-    def test_shared_memory_opt_out_exports_nothing(self):
-        daemon = WorkerDaemon(2, use_shared_memory=False)
-        try:
-            backend = PersistentPoolBackend(daemon)
-            backend.prepare_entry(
-                api.SimulationEngine(), scenario_for(TINY, traffic=(4e-4,))
-            )
-            assert daemon.segment_names() == ()
-            assert daemon.stats()["shared_memory"] is False
-        finally:
-            daemon.shutdown()
 
     def test_worker_count_floor(self):
         daemon = WorkerDaemon(0)

@@ -5,7 +5,7 @@ is exercised through real ``http.client`` connections — the same byte
 stream a curl-driven CI job sees.  Model-only campaigns keep most tests off
 the worker pool entirely (inexpensive engines run inline in the serving
 executor thread); the one cold/warm simulation test at the end is the
-end-to-end acceptance path through spawn workers and shared memory.
+end-to-end acceptance path through the daemon's spawn workers.
 """
 
 import asyncio
@@ -290,8 +290,12 @@ class TestServedSimulationCampaigns:
 
 class TestServerConstruction:
     def test_store_argument_validated(self):
-        with pytest.raises(ValidationError, match="store"):
-            CampaignServer(WorkerDaemon(1), store=123)
+        daemon = WorkerDaemon(1)
+        try:
+            with pytest.raises(ValidationError, match="store"):
+                CampaignServer(daemon, store=123)
+        finally:
+            daemon.shutdown()
 
     def test_default_daemon_built_from_max_workers(self):
         server = CampaignServer(store=None, max_workers=3)

@@ -520,7 +520,6 @@ class TestServeCommand:
         assert args.workers is None
         assert args.retries == 1
         assert args.no_store is False
-        assert args.no_shared_memory is False
         assert args.store is None and args.backend is None
 
     def test_serve_flags_parse(self):
@@ -532,12 +531,11 @@ class TestServeCommand:
                 "--workers", "4",
                 "--no-store",
                 "--retries", "3",
-                "--no-shared-memory",
             ]
         )
         assert args.port == 0 and args.workers == 4
         assert args.retries == 3
-        assert args.no_store and args.no_shared_memory
+        assert args.no_store
 
     def test_serve_rejects_a_zero_retry_budget(self, capsys):
         assert main(["serve", "--retries", "0"]) == 2
