@@ -1,9 +1,9 @@
 """Setuptools shim.
 
-The metadata lives in ``pyproject.toml``; this file exists so that the
-package can also be installed in environments whose pip/setuptools cannot do
-PEP 517 editable installs (e.g. offline machines without the ``wheel``
-package): ``pip install -e . --no-build-isolation --no-use-pep517``.
+The metadata lives in ``pyproject.toml``; this file only lets tools that
+still call ``setup.py`` directly read it, e.g. an offline metadata query
+(``python setup.py --name --version``) or ``python setup.py develop``.
+The documented install is ``pip install -e . --no-build-isolation``.
 """
 
 from setuptools import setup

@@ -22,8 +22,8 @@ cycle, selectable per constructor or via ``REPRO_SIM_KERNEL``:
 
 * ``kernel="vectorized"`` (default) — the fast flat-state core of
   :mod:`repro.sim.vector`: one ``heapq`` of ``(time, seq, payload)``
-  entries, per-source pre-drawn workload chunks and flat-list channel
-  state;
+  entries, the run's messages pre-drawn before the loop and flat-list
+  channel state;
 * ``kernel="generator"`` — the executable specification: one
   :func:`~repro.sim.wormhole.compiled_transfer` coroutine per message on
   the generic :class:`~repro.des.Environment` heap.

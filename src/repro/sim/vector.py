@@ -10,11 +10,13 @@ parallel lists.  Three things make it fast:
   ``payload`` packs ``(ident << 3) | kind`` into one int and ``seq`` counts
   pushes: no event objects, callbacks or generator resumes.  Measured event
   frontiers are one event wide, so the loop pops one event at a time.
-* **arrivals** — per-source :class:`~repro.workloads.batch.SourceBatcher`
-  chunks replace one generator resume plus three scalar RNG round trips per
-  message with pre-drawn NumPy arrays (bit-identical by the property pinned
-  in ``tests/workloads/test_batch.py``); this is what the kernel's name
-  refers to.
+* **arrivals** — :func:`~repro.workloads.batch.predraw` draws, before the
+  loop and with sized NumPy calls, exactly the messages the run can
+  generate, replacing one generator resume plus three scalar RNG round
+  trips per message (bit-identical by the property pinned in
+  ``tests/workloads/test_batch.py``); this is what the kernel's name refers
+  to.  The loop reads them from plain per-source lists by cursor and never
+  draws.
 * **grant elision** — the delay-0 grant hop is collapsed into its acquire
   on schedules where that is provably order-safe (see
   :meth:`VectorizedRunState._grant_elision_safe`), which removes nearly
@@ -71,12 +73,10 @@ from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.sim.config import SimulationConfig
 from repro.sim.statistics import StatisticsCollector
 from repro.utils.rng import RandomStreams
-from repro.workloads.batch import SourceBatcher, initial_chunk
+from repro.workloads.batch import predraw
 from repro.workloads.poisson import DeterministicArrivals, PoissonArrivals
 
 __all__ = ["VectorizedRunState"]
@@ -139,38 +139,22 @@ class VectorizedRunState:
         # -- journey-touch bookkeeping (mirrors _RunState._touch) ----------
         self._touched = bytearray(num_slots)
         self._pool_touch_order: List[List[int]] = [[] for _ in range(core.num_pools)]
-        # -- per-source batched workload ----------------------------------
-        system = simulator.system
-        cluster_nodes = np.asarray(simulator._cluster_nodes, dtype=np.int64)
-        pattern = simulator.pattern
-        streams_get = self.streams.get
-        chunk = initial_chunk(config.total_messages, system.total_nodes)
-        self._source_cluster: List[int] = []
-        self._source_node: List[int] = []
-        self._batchers: List[SourceBatcher] = []
-        for cluster_index, node in system.nodes():
-            node_index = node.index
-            self._source_cluster.append(cluster_index)
-            self._source_node.append(node_index)
-            batcher = SourceBatcher(
-                system,
-                pattern,
-                self.arrivals,
-                streams_get("arrivals", cluster_index, node_index),
-                streams_get("destinations", cluster_index, node_index),
-                streams_get("peers", cluster_index, node_index),
-                cluster_index,
-                node_index,
-                cluster_nodes,
-                chunk,
-            )
-            # Pre-draw the source's expected share here, outside the event
-            # loop: the loop then refills only for sources that run ahead
-            # of the mean.
-            batcher.materialize()
-            if chunk > 1:
-                batcher.refill()
-            self._batchers.append(batcher)
+        # -- the run's pre-drawn messages, read by a per-source cursor -----
+        workload = predraw(
+            simulator.system,
+            simulator.pattern,
+            self.arrivals,
+            self.streams,
+            config.total_messages,
+        )
+        self._source_cluster = workload.clusters
+        self._source_node = workload.nodes
+        self._times = workload.times
+        self._dest_clusters = workload.dest_clusters
+        self._dest_nodes = workload.dest_nodes
+        self._exit_peers = workload.exit_peers
+        self._entry_peers = workload.entry_peers
+        self._cursors = [0] * len(workload.times)
         self._cluster_nodes_list = simulator._cluster_nodes
         self._elide_grants = self._grant_elision_safe()
 
@@ -282,7 +266,12 @@ class VectorizedRunState:
         row_cluster = self._row_cluster
         row_external = self._row_external
         free_rows = self._free_rows
-        batchers = self._batchers
+        arrival_times = self._times
+        drawn_clusters = self._dest_clusters
+        drawn_nodes = self._dest_nodes
+        drawn_exits = self._exit_peers
+        drawn_entries = self._entry_peers
+        cursors = self._cursors
         source_cluster = self._source_cluster
         source_node = self._source_node
         touched = self._touched
@@ -297,8 +286,8 @@ class VectorizedRunState:
         # -- initial schedule: the guard first, then every first arrival ---
         heap = [(config.max_time, 0, _EV_GUARD)]
         heap.extend(
-            (batcher.times[0], source + 1, (source << 3) | _EV_ARRIVAL)
-            for source, batcher in enumerate(batchers)
+            (times[0], source + 1, (source << 3) | _EV_ARRIVAL)
+            for source, times in enumerate(arrival_times)
         )
         heapify(heap)
         # the next push's sequence number (== pushes so far)
@@ -407,10 +396,9 @@ class VectorizedRunState:
                     continue  # the source retires without drawing
                 index = generated
                 generated = index + 1
-                batcher = batchers[ident]
-                cursor = batcher.cursor
-                dest_cluster = batcher.dest_clusters[cursor]
-                dest_node = batcher.dest_nodes[cursor]
+                cursor = cursors[ident]
+                dest_cluster = drawn_clusters[ident][cursor]
+                dest_node = drawn_nodes[ident][cursor]
                 cluster = source_cluster[ident]
                 node = source_node[ident]
                 if dest_cluster == cluster:
@@ -426,11 +414,11 @@ class VectorizedRunState:
                     source_nodes = cluster_nodes[cluster]
                     dest_nodes = cluster_nodes[dest_cluster]
                     ascent = routes_ascend[cluster][
-                        node * source_nodes + batcher.exit_peers[cursor]
+                        node * source_nodes + drawn_exits[ident][cursor]
                     ]
                     crossing = routes_icn2[cluster * num_clusters + dest_cluster]
                     descent = routes_descend[dest_cluster][
-                        batcher.entry_peers[cursor] * dest_nodes + dest_node
+                        drawn_entries[ident][cursor] * dest_nodes + dest_node
                     ]
                     for group in (ascent, crossing, descent):
                         for slot in group:
@@ -470,10 +458,8 @@ class VectorizedRunState:
                         queue = queues[slot] = deque()
                     queue.append(row)
                 cursor += 1
-                if cursor >= batcher.limit:
-                    batcher.refill()
-                batcher.cursor = cursor
-                heappush(heap, (batcher.times[cursor], seq, payload))
+                cursors[ident] = cursor
+                heappush(heap, (arrival_times[ident][cursor], seq, payload))
                 seq += 1
             elif kind == _EV_GRANT:
                 position = row_pos[ident]

@@ -16,7 +16,6 @@ adversarial patterns used in interconnection-network studies:
 """
 
 from repro.workloads.base import ArrivalProcess, DestinationSample, TrafficPattern
-from repro.workloads.batch import SourceBatcher
 from repro.workloads.poisson import DeterministicArrivals, PoissonArrivals
 from repro.workloads.uniform import UniformTraffic
 from repro.workloads.hotspot import HotspotTraffic
@@ -27,7 +26,6 @@ __all__ = [
     "ArrivalProcess",
     "DestinationSample",
     "TrafficPattern",
-    "SourceBatcher",
     "PoissonArrivals",
     "DeterministicArrivals",
     "UniformTraffic",

@@ -1,9 +1,19 @@
-"""Workload abstractions: destination patterns and arrival processes."""
+"""Workload abstractions: destination patterns and arrival processes.
+
+The scalar methods (:meth:`TrafficPattern.sample_destination`,
+:meth:`ArrivalProcess.next_interarrival`) are the specification the
+generator kernel draws with.  Their batched twins
+(:meth:`TrafficPattern.sample_destinations`,
+:meth:`ArrivalProcess.next_interarrivals`) serve the vectorized kernel's
+pre-draw (:mod:`repro.workloads.batch`) and must consume each stream
+exactly like the scalar calls they replace.
+"""
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -37,30 +47,34 @@ class TrafficPattern(abc.ABC):
     ) -> DestinationSample:
         """Draw the destination of one message."""
 
-    def sample_destination_batch(
+    def sample_destinations(
         self,
-        rng: np.random.Generator,
+        rngs: Sequence[np.random.Generator],
         system: MultiClusterSystem,
-        source_cluster: int,
-        source_node: int,
-        count: int,
-    ) -> "tuple[list[int], list[int]]":
-        """Draw ``count`` destinations as ``(clusters, nodes)`` lists.
+        source_clusters: Sequence[int],
+        source_nodes: Sequence[int],
+        counts: Sequence[int],
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Draw ``counts[s]`` destinations for every source ``s`` at once.
 
-        The batched entry point of the vectorized kernel.  This default
-        simply resumes :meth:`sample_destination` ``count`` times, so *any*
-        pattern is batchable with bit-identical draws; subclasses whose
-        distribution vectorizes (uniform) override it with array code.  The
-        contract is absolute: element ``i`` must equal the ``i``-th scalar
-        sample from the same generator state.
+        The all-sources entry point of the vectorized kernel's pre-draw
+        (:func:`repro.workloads.batch.predraw`): returns ``(clusters,
+        nodes)`` int64 arrays, source after source, where source ``s`` is
+        node ``source_nodes[s]`` of cluster ``source_clusters[s]`` and draws
+        from ``rngs[s]``.  This default simply resumes
+        :meth:`sample_destination`, so *any* pattern qualifies with
+        bit-identical draws; subclasses override it with cheaper code.  The
+        contract is absolute: each source's ``i``-th element must equal its
+        ``i``-th scalar sample from the same generator state.
         """
-        clusters = [0] * count
-        nodes = [0] * count
-        for index in range(count):
-            sample = self.sample_destination(rng, system, source_cluster, source_node)
-            clusters[index] = sample.cluster
-            nodes[index] = sample.node
-        return clusters, nodes
+        clusters = []
+        nodes = []
+        for rng, cluster, node, count in zip(rngs, source_clusters, source_nodes, counts):
+            for _ in range(count):
+                sample = self.sample_destination(rng, system, cluster, node)
+                clusters.append(sample.cluster)
+                nodes.append(sample.node)
+        return np.asarray(clusters, dtype=np.int64), np.asarray(nodes, dtype=np.int64)
 
     def describe(self) -> str:
         """Human-readable name used in experiment reports."""
@@ -95,7 +109,7 @@ class ArrivalProcess(abc.ABC):
         """Draw ``count`` inter-arrival gaps as a float64 array.
 
         Batched twin of :meth:`next_interarrival` with the same bit-identity
-        contract as :meth:`TrafficPattern.sample_destination_batch`: element
+        contract as :meth:`TrafficPattern.sample_destinations`: element
         ``i`` must equal the ``i``-th sequential scalar draw.  The default
         loops; distributions whose sampler vectorizes override it.
         """

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.topology.multicluster import MultiClusterSystem
@@ -26,23 +28,27 @@ class UniformTraffic(TrafficPattern):
         dest_cluster, dest_node = system.locate(draw)
         return DestinationSample(dest_cluster, dest_node)
 
-    def sample_destination_batch(
+    def sample_destinations(
         self,
-        rng: np.random.Generator,
+        rngs: Sequence[np.random.Generator],
         system: MultiClusterSystem,
-        source_cluster: int,
-        source_node: int,
-        count: int,
-    ) -> "tuple[list[int], list[int]]":
-        source_global = system.global_index(source_cluster, source_node)
-        # One sized draw consumes the stream exactly like `count` scalar
-        # draws, so each element matches the sequential path bit for bit.
-        draws = rng.integers(0, system.total_nodes - 1, size=count)
-        draws += draws >= source_global
+        source_clusters: Sequence[int],
+        source_nodes: Sequence[int],
+        counts: Sequence[int],
+    ) -> "tuple[np.ndarray, np.ndarray]":
         offsets = system.node_offsets
+        bound = system.total_nodes - 1
+        draws = np.empty(sum(counts), dtype=np.int64)
+        end = 0
+        for rng, count in zip(rngs, counts):
+            if count:
+                # One sized draw consumes the stream exactly like `count`
+                # scalar draws, so each element matches the sequential path.
+                start, end = end, end + count
+                draws[start:end] = rng.integers(0, bound, size=count)
+        draws += draws >= np.repeat(offsets[source_clusters] + source_nodes, counts)
         clusters = np.searchsorted(offsets, draws, side="right") - 1
-        nodes = draws - offsets[clusters]
-        return clusters.tolist(), nodes.tolist()
+        return clusters, draws - offsets[clusters]
 
     def describe(self) -> str:
         return "uniform"

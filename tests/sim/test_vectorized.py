@@ -1,7 +1,7 @@
 """Tests of the vectorized event core (:mod:`repro.sim.vector`).
 
 The vectorized kernel executes on flat state — one ``heapq`` of
-``(time, seq, payload)`` entries, pre-drawn workload batches, flat-list
+``(time, seq, payload)`` entries, the run's pre-drawn messages, flat-list
 channel state — but must replay the generator specification event for
 event.  The golden-seed regression pins it to the historical fixture;
 these tests pin it against the generator kernel directly, on the paths the
