@@ -31,9 +31,11 @@ DEFAULT_TOLERANCE = 0.30
 #: The kernel rung the vectorized-speedup gate reads (the paper's 1120-node
 #: fig3 organisation — the large-topology case the vectorized core exists
 #: for) and the minimum speedup over the generator specification kernel it
-#: demands.
+#: demands: about 0.6 of the fig3 rung with the native event core (median
+#: 82.8x over nine runs, 77-102x, on the machine that recorded the
+#: artifact), the margin the gate has always kept.  Only ever raised.
 KERNEL_GATE_SCENARIO = "fig3"
-KERNEL_GATE_MIN = 2.5
+KERNEL_GATE_MIN = 49.0
 
 
 def load_payload(path: Path) -> dict:

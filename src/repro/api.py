@@ -524,8 +524,8 @@ class SimulationEngine:
         per-(seed, node) random-stream pool — every stream's initial PCG64
         state is snapshotted once here, so each sweep point (and, under a
         fork start, every pool worker) restores states instead of re-seeding
-        — and completes any lazily compiled route rows of tall shapes, so
-        neither cost lands inside a timed run.
+        — and lays out the route tables the kernels read (every route row of
+        a zoo topology), so neither cost lands inside a timed run.
         """
         self.simulator_for(scenario).prepare()
 

@@ -7,16 +7,18 @@ Three collectors cover the needs of the wormhole simulator:
   constant signal (queue lengths, channel occupancy);
 * :class:`Counter` — a plain event counter with rate helpers.
 
-All collectors are NumPy-free in the hot path (simple running sums) so that
-recording one observation costs a handful of float operations; summary
-statistics (mean, variance, percentiles, confidence intervals) are computed
-on demand.
+Recording one observation costs a handful of float operations (simple
+running sums); :meth:`Tally.extend` folds a whole NumPy batch with the same
+arithmetic in the same order.  Summary statistics (mean, variance,
+percentiles, confidence intervals) are computed on demand.
 """
 
 from __future__ import annotations
 
 import math
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.des.exceptions import SimulationError
 
@@ -58,9 +60,30 @@ class Tally:
             self._samples.append(value)
 
     def extend(self, values: Sequence[float]) -> None:
-        """Record a batch of observations."""
-        for value in values:
-            self.record(value)
+        """Record a batch of observations, exactly as :meth:`record` would.
+
+        Bit for bit: the running sums continue by ``np.add.accumulate``, a
+        sequential left fold in array order (``np.sum`` adds pairwise and
+        would round differently), and the extremes replace the current ones
+        only on a strictly smaller (larger) value, first occurrence first,
+        as ``min``/``max`` do.
+        """
+        values = np.asarray(values, dtype=np.float64).ravel()
+        if not values.size:
+            return
+        self._count += len(values)
+        self._sum = float(np.add.accumulate(np.concatenate(((self._sum,), values)))[-1])
+        self._sum_sq = float(
+            np.add.accumulate(np.concatenate(((self._sum_sq,), values * values)))[-1]
+        )
+        low = float(values[np.argmin(values)])
+        if low < self._min:
+            self._min = low
+        high = float(values[np.argmax(values)])
+        if high > self._max:
+            self._max = high
+        if self.keep_samples:
+            self._samples.extend(values.tolist())
 
     def reset(self) -> None:
         """Forget all observations (used at the end of the warm-up phase)."""

@@ -6,30 +6,35 @@ analytical model's stage accounting is checked against it.  But rebuilding
 that object chain for every simulated message is the single largest cost of
 a simulation run.  On an m-port n-tree the route is closed form (Eq. 3/4,
 :mod:`repro.routing.nca`), so :func:`route_legs` computes it with array
-arithmetic over a block of source rows, and this module freezes the result
-into integer-indexed route tables:
+arithmetic over every source row at once, and this module freezes the
+result into flat CSR route tables (:class:`RouteTable`: int32 offsets plus
+int32 channel ids, pair ``s * N + d`` crossing
+``ids[offsets[pair]:offsets[pair + 1]]``):
 
 * :class:`CompiledTreeRoutes` — for one ``(m, n)`` shape: the full
-  node-to-node routes plus the ascending and descending ECN1 legs, each as a
-  tuple of dense channel ids (ids from
-  :func:`repro.topology.compile.compile_tree`).  Shape tables are cached at
-  module level: every same-shape cluster of every spec shares them, across
-  sweep points and across process-pool workers.
-* :class:`CompiledSystemRoutes` — for one :class:`MultiClusterSpec`: the
-  shape tables rebased into the global channel-id space of
-  :func:`repro.topology.compile.compile_system`, plus the concentrator and
-  dispatcher pseudo-channel slots.  Building a journey becomes tuple
-  concatenation of precomputed id tuples — no per-message ``Route``,
-  ``Channel`` or address arithmetic survives on the hot path.
+  node-to-node routes with their has-switch flags, plus the ascending and
+  descending ECN1 legs, in shape-local channel ids (from
+  :func:`repro.topology.compile.compile_tree`).  Shape tables are built
+  eagerly and cached at module level: every same-shape cluster of every
+  spec shares them, across sweep points.
+* :class:`CompiledGraphRoutes` — the full routes of one zoo topology in
+  the same layout, filled one source row at a time by breadth-first search.
+* :class:`CompiledSystemRoutes` / :class:`CompiledZooRoutes` — one system:
+  which shape table each cluster reads and the channel offset of each of
+  its networks in the global id space of
+  :func:`repro.topology.compile.compile_system`.  :meth:`~CompiledSystemRoutes.flat`
+  lays every distinct table out as one CSR (:class:`FlatRoutes`), which is
+  what the native event core reads; the kernels add each cluster's channel
+  offset as they copy a route, so no table is ever rebased.
 
-Every compiled route round-trips: ``decompile(...)`` maps a compiled id
-tuple back to the exact ``Channel`` sequence, and the test suite asserts
-that the tables equal a router walk over every pair of the figures' shapes.
+Every compiled route round-trips: ``decompile(...)`` maps a route's ids back
+to the exact ``Channel`` sequence, and the test suite asserts that the
+tables equal a router walk over every pair of the figures' shapes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -49,9 +54,8 @@ __all__ = [
     "CompiledTreeRoutes",
     "CompiledSystemRoutes",
     "CompiledZooRoutes",
-    "LAZY_NODE_THRESHOLD",
-    "LazyFlagTable",
-    "LazyRebasedTable",
+    "FlatRoutes",
+    "RouteTable",
     "compile_graph_routes",
     "compile_tree_routes",
     "compile_system_routes",
@@ -62,18 +66,8 @@ __all__ = [
 
 IdTuple = Tuple[int, ...]
 
-#: Shapes with at least this many nodes fill their route tables lazily, one
-#: source row per first query, instead of building all O(N²) pairs' tuples
-#: at compile time.  The routes themselves are cheap array arithmetic; the
-#: Python tuples are what costs.  For 512 nodes (m=8, n=4), the first
-#: Table-1-style shape past the threshold, eager tables take about 0.4 s
-#: and 86 MiB (786k tuples) on a 2-vCPU Xeon VM, against about 1.5 ms per
-#: lazy row, and a typical scenario only ever touches the pairs its
-#: traffic pattern draws.
-LAZY_NODE_THRESHOLD = 256
-
-#: The three id tables of a shape, by attribute name.
-TABLES = ("full", "ascending", "descending")
+#: Largest id count an int32 offset array can address.
+_INT32_LIMIT = 2**31 - 1
 
 
 def route_legs(
@@ -121,162 +115,76 @@ def route_legs(
     return lengths.ravel(), ascending.reshape(-1, n), descending
 
 
-class _LegBlock:
-    """:func:`route_legs` of a block of source rows, grouped by length.
+class RouteTable(NamedTuple):
+    """Routes of one table in CSR form.
 
-    Pairs with the same NCA distance ``j`` have legs of the same length, so
-    each group turns into id tuples with one ``tolist`` per column and a
-    ``zip``.  Rebasing happens on the array side, before any tuple exists.
+    Pair ``p`` crosses the channel ids ``ids[offsets[p]:offsets[p + 1]]``
+    (both int32); the diagonal's routes are empty.
     """
 
-    __slots__ = ("num_pairs", "num_channels", "has_switch", "_groups")
+    offsets: np.ndarray
+    ids: np.ndarray
 
-    def __init__(self, m: int, n: int, sources: Iterable[int]) -> None:
-        lengths, ascending, descending = route_legs(m, n, sources)
-        num_nodes = len(descending)
-        self.num_pairs = len(lengths)
-        self.num_channels = 2 * num_nodes * n
-        self.has_switch: List[bool] = (lengths > 1).tolist()
-        order = np.argsort(lengths, kind="stable")
-        bounds = np.cumsum(np.bincount(lengths, minlength=n + 1))
-        self._groups = []
-        for j in range(1, n + 1):
-            rows = order[bounds[j - 1] : bounds[j]]
-            if len(rows):
-                self._groups.append(
-                    (rows, ascending[rows, :j], descending[rows % num_nodes, j - 1 :: -1])
-                )
+    @property
+    def num_pairs(self) -> int:
+        return len(self.offsets) - 1
 
-    def tuples(self, table: str, offset: int = 0) -> List[IdTuple | None]:
-        """One of :data:`TABLES` in pair order, ids shifted by ``offset``."""
-        # One Python int per rebased channel id, shared by every tuple that
-        # holds it, instead of a fresh int per table entry from tolist():
-        # it halves the tables' memory.
-        id_objects = np.arange(offset, offset + self.num_channels).astype(object)
-        entries = np.empty(self.num_pairs, dtype=object)  # None on the diagonal
-        for rows, up, down in self._groups:
-            if table == "ascending":
-                ids = up
-            elif table == "descending":
-                ids = down
-            else:
-                ids = np.hstack((up, down))
-            columns = id_objects[ids.T].tolist()
-            entries[rows] = np.fromiter(zip(*columns), dtype=object, count=len(rows))
-        return entries.tolist()
+    def route(self, pair: int, offset: int = 0) -> IdTuple:
+        """Pair ``pair``'s channel ids, shifted by ``offset``."""
+        start, end = self.offsets[pair : pair + 2].tolist()
+        return tuple((self.ids[start:end] + offset).tolist())
+
+
+def _route_table(lengths: np.ndarray, entries: np.ndarray, mask: np.ndarray) -> RouteTable:
+    """CSR of padded per-pair routes: row ``p`` of ``entries`` where ``mask``."""
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    if offsets[-1] > _INT32_LIMIT:
+        raise ValidationError(f"{offsets[-1]} route ids do not fit int32 offsets")
+    return RouteTable(offsets.astype(np.int32), entries[mask].astype(np.int32))
 
 
 class CompiledTreeRoutes:
-    """All deterministic routes of one tree shape as dense-id tuples.
+    """All deterministic routes of one tree shape as CSR tables.
 
-    Tables are flat lists indexed by ``source * num_nodes + other`` (the
-    diagonal entries are ``None`` — a message to oneself never routes):
+    Tables are indexed by pair ``source * num_nodes + other``:
 
-    * ``full[s * N + d]`` — the 2j-link route from node ``s`` to node ``d``:
-      ``ascending[s * N + d]`` followed by ``descending[s * N + d]``;
-    * ``full_has_switch[...]`` — True when that route crosses at least one
+    * ``full`` — the 2j-link route from node ``s`` to node ``d``: the
+      ascending leg followed by the descending leg;
+    * ``has_switch[...]`` — True when that route crosses at least one
       switch-switch channel (it always crosses node channels), which is all
       the simulator needs to find the slowest hop of an intra-cluster
       journey;
-    * ``ascending[s * N + p]`` — the ECN1 ascending leg from ``s`` towards
-      exit peer ``p`` (injection + up channels);
-    * ``descending[p * N + d]`` — the ECN1 descending leg entered at the NCA
-      of entry peer ``p`` and ``d`` (down + ejection channels).
+    * ``ascending`` — the ECN1 ascending leg from ``s`` towards exit peer
+      ``p`` (injection + up channels);
+    * ``descending`` — the ECN1 descending leg entered at the NCA of entry
+      peer ``p`` and ``d`` (down + ejection channels).
 
-    Small shapes compile every row eagerly, in one :func:`route_legs` call
-    (the tables are then plain lists with no indirection on the hot path),
-    and keep the grouped leg arrays for :meth:`rebased`.  Tall shapes — at
-    least :data:`LAZY_NODE_THRESHOLD` nodes, or ``lazy=True`` explicitly —
-    fill one *source row* (all four tables for one ``s``) on the first
-    query touching it, so compile cost is O(rows used) instead of O(N²);
-    :attr:`compiled_rows` records which rows exist.
+    One :func:`route_legs` call over every source row builds all three.
     """
 
-    __slots__ = (
-        "m",
-        "n",
-        "num_nodes",
-        "full",
-        "full_has_switch",
-        "ascending",
-        "descending",
-        "lazy",
-        "compiled_rows",
-        "_legs",
-    )
+    __slots__ = ("m", "n", "num_nodes", "full", "has_switch", "ascending", "descending")
 
-    def __init__(self, m: int, n: int, lazy: bool | None = None) -> None:
+    def __init__(self, m: int, n: int) -> None:
         self.m = int(m)
         self.n = int(n)
         num_nodes = shared_tree(m, n).num_nodes
         self.num_nodes = num_nodes
-        self.lazy = num_nodes >= LAZY_NODE_THRESHOLD if lazy is None else bool(lazy)
-        if self.lazy:
-            pairs = num_nodes * num_nodes
-            self.full: List[IdTuple | None] = [None] * pairs
-            self.full_has_switch: List[bool] = [False] * pairs
-            self.ascending: List[IdTuple | None] = [None] * pairs
-            self.descending: List[IdTuple | None] = [None] * pairs
-            self.compiled_rows: set = set()
-            self._legs = None
-        else:
-            legs = self._legs = _LegBlock(self.m, self.n, range(num_nodes))
-            self.full = legs.tuples("full")
-            self.full_has_switch = legs.has_switch
-            self.ascending = legs.tuples("ascending")
-            self.descending = legs.tuples("descending")
-            self.compiled_rows = set(range(num_nodes))
-
-    def rebased(self, table: str, offset: int) -> List[IdTuple | None]:
-        """Eager table ``table`` (one of :data:`TABLES`) shifted by ``offset``.
-
-        Offset 0 shares the shape's own list; any other offset builds fresh
-        tuples from the kept leg arrays.
-        """
-        if offset == 0:
-            return getattr(self, table)
-        return self._legs.tuples(table, offset)
-
-    def _fill_rows(self, sources: List[int]) -> None:
-        """Compile all four tables for the given source/entry-peer rows."""
-        legs = _LegBlock(self.m, self.n, sources)
-        filled = [(getattr(self, table), legs.tuples(table)) for table in TABLES]
-        filled.append((self.full_has_switch, legs.has_switch))
-        num_nodes = self.num_nodes
-        for index, source in enumerate(sources):
-            row = slice(source * num_nodes, (source + 1) * num_nodes)
-            block = slice(index * num_nodes, (index + 1) * num_nodes)
-            for table, entries in filled:
-                table[row] = entries[block]
-        self.compiled_rows.update(sources)
-
-    def _fill_row(self, source: int) -> None:
-        """Compile all four tables for one source/entry-peer row."""
-        self._fill_rows([source])
-
-    def ensure_pair(self, source: int, other: int) -> None:
-        """Make sure the row covering ``(source, other)`` is compiled."""
-        if source not in self.compiled_rows:
-            self._fill_row(source)
-
-    def ensure_complete(self) -> None:
-        """Compile every remaining row (setup-time warm-up hook).
-
-        Uniform traffic eventually touches every source row, so a simulation
-        engine preparing a lazy shape fills it here — outside the timed
-        region — instead of paying row compilation inside the first run.
-        Single-pair consumers simply never call this.
-        """
-        missing = [s for s in range(self.num_nodes) if s not in self.compiled_rows]
-        if missing:
-            self._fill_rows(missing)
+        lengths, up, down = route_legs(self.m, self.n, range(num_nodes))
+        column = np.arange(self.n)
+        up_mask = column < lengths[:, None]
+        # Row ``other`` of ``down``, reversed, ends with every descending leg
+        # that turns on other's ascent: pair (s, other) takes its last j.
+        down = down[:, ::-1][np.tile(np.arange(num_nodes), num_nodes)]
+        down_mask = column >= self.n - lengths[:, None]
+        self.full = _route_table(
+            2 * lengths, np.hstack((up, down)), np.hstack((up_mask, down_mask))
+        )
+        self.has_switch = lengths > 1
+        self.ascending = _route_table(lengths, up, up_mask)
+        self.descending = _route_table(lengths, down, down_mask)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        mode = "lazy" if self.lazy else "eager"
-        return (
-            f"CompiledTreeRoutes(m={self.m}, n={self.n}, nodes={self.num_nodes}, "
-            f"{mode}, rows={len(self.compiled_rows)})"
-        )
+        return f"CompiledTreeRoutes(m={self.m}, n={self.n}, nodes={self.num_nodes})"
 
 
 _TREE_ROUTES: Dict[Tuple[int, int], CompiledTreeRoutes] = {}
@@ -292,29 +200,21 @@ def compile_tree_routes(m: int, n: int) -> CompiledTreeRoutes:
 
 
 class CompiledGraphRoutes:
-    """All deterministic up*/down* routes of one zoo topology as id tuples.
+    """All deterministic up*/down* routes of one zoo topology, row by row.
 
     The zoo counterpart of :class:`CompiledTreeRoutes`, holding only the
-    tables a one-cluster system needs: ``full[s * N + d]`` (dense channel
-    ids of the shortest legal route) and ``full_has_switch[...]`` (True
-    when the route crosses a switch-switch channel).  Same lazy
-    per-source-row discipline, driven by the memoised per-source BFS of
-    :class:`~repro.routing.updown.GraphUpDownRouter` — filling a row costs
-    one breadth-first search plus one walk per destination.
+    full routes a one-cluster system needs.  Rows are filled on demand by
+    the memoised per-source BFS of
+    :class:`~repro.routing.updown.GraphUpDownRouter` — one breadth-first
+    search plus one walk per destination — because a large graph's table
+    is expensive to complete (a 16x16 torus takes seconds) and a run only
+    reads the rows of the sources that send.  :meth:`table` presents the
+    filled rows in :class:`RouteTable` layout, unfilled rows empty.
     """
 
-    __slots__ = (
-        "token",
-        "num_nodes",
-        "full",
-        "full_has_switch",
-        "lazy",
-        "compiled_rows",
-        "_router",
-        "_ids",
-    )
+    __slots__ = ("token", "num_nodes", "_rows", "_table", "_router", "_ids")
 
-    def __init__(self, spec, lazy: bool | None = None) -> None:
+    def __init__(self, spec) -> None:
         # Imported lazily: the zoo package is optional on the import path of
         # fat-tree-only consumers.
         from repro.routing.updown import GraphUpDownRouter
@@ -322,58 +222,72 @@ class CompiledGraphRoutes:
         from repro.topology.zoo.spec import build_topology
 
         topology = build_topology(spec)
-        compiled = compile_graph(spec)
         self.token = spec.token
-        num_nodes = topology.num_nodes
-        self.num_nodes = num_nodes
-        self.lazy = num_nodes >= LAZY_NODE_THRESHOLD if lazy is None else bool(lazy)
+        self.num_nodes = topology.num_nodes
         self._router = GraphUpDownRouter(topology)
-        self._ids = compiled.channel_ids
-        self.compiled_rows: set = set()
+        self._ids = compile_graph(spec).channel_ids
+        #: source -> (row offsets, ids, has-switch flags)
+        self._rows: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._table: Optional[Tuple[RouteTable, np.ndarray]] = None
 
-        pairs = num_nodes * num_nodes
-        self.full: List[IdTuple | None] = [None] * pairs
-        self.full_has_switch: List[bool] = [False] * pairs
-        if not self.lazy:
-            for source in range(num_nodes):
-                self._fill_row(source)
-            self._router = None
-            self._ids = None
+    @property
+    def compiled_rows(self) -> set:
+        return set(self._rows)
 
     def _fill_row(self, source: int) -> None:
-        """Compile the full/has-switch tables for one source row."""
-        router = self._router
         ids = self._ids
-        num_nodes = self.num_nodes
-        full = self.full
-        has_switch = self.full_has_switch
-        base = source * num_nodes
-        for other in range(num_nodes):
+        lengths = np.zeros(self.num_nodes, dtype=np.int64)
+        flags = np.zeros(self.num_nodes, dtype=bool)
+        row: List[int] = []
+        for other in range(self.num_nodes):
             if other == source:
                 continue
-            route = router.route(source, other)
-            full[base + other] = tuple(ids[channel] for channel in route)
-            has_switch[base + other] = any(
-                not channel.kind.is_node_channel for channel in route
-            )
-        self.compiled_rows.add(source)
+            channels = self._router.route(source, other).channels
+            lengths[other] = len(channels)
+            flags[other] = any(not channel.kind.is_node_channel for channel in channels)
+            row.extend(ids[channel] for channel in channels)
+        offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.int32)
+        self._rows[source] = (offsets, np.asarray(row, dtype=np.int32), flags)
+        self._table = None
 
-    def ensure_pair(self, source: int, other: int) -> None:
-        """Make sure the row covering ``(source, other)`` is compiled."""
-        if source not in self.compiled_rows:
+    def ensure_rows(self, sources: Iterable[int]) -> None:
+        """Fill every row of ``sources`` not filled yet."""
+        for source in sorted(set(int(source) for source in sources) - self._rows.keys()):
             self._fill_row(source)
 
     def ensure_complete(self) -> None:
-        """Compile every remaining row (setup-time warm-up hook)."""
-        for source in range(self.num_nodes):
-            if source not in self.compiled_rows:
-                self._fill_row(source)
+        """Fill every remaining row (setup-time warm-up hook)."""
+        self.ensure_rows(range(self.num_nodes))
+
+    def route(self, source: int, other: int) -> Tuple[IdTuple, bool]:
+        """The route from ``source`` to ``other`` and its has-switch flag."""
+        if source not in self._rows:
+            self._fill_row(source)
+        offsets, ids, flags = self._rows[source]
+        start, end = offsets[other : other + 2].tolist()
+        return tuple(ids[start:end].tolist()), bool(flags[other])
+
+    def table(self) -> Tuple[RouteTable, np.ndarray]:
+        """The filled rows over every pair: ``(routes, has-switch flags)``."""
+        if self._table is None:
+            num_nodes = self.num_nodes
+            lengths = np.zeros((num_nodes, num_nodes), dtype=np.int64)
+            flags = np.zeros((num_nodes, num_nodes), dtype=bool)
+            pieces = []
+            for source in sorted(self._rows):
+                offsets, ids, row_flags = self._rows[source]
+                lengths[source] = np.diff(offsets)
+                flags[source] = row_flags
+                pieces.append(ids)
+            ids = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int32)
+            offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.int32)
+            self._table = (RouteTable(offsets, ids), flags.ravel())
+        return self._table
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        mode = "lazy" if self.lazy else "eager"
         return (
             f"CompiledGraphRoutes({self.token}, nodes={self.num_nodes}, "
-            f"{mode}, rows={len(self.compiled_rows)})"
+            f"rows={len(self._rows)})"
         )
 
 
@@ -389,137 +303,178 @@ def compile_graph_routes(spec) -> CompiledGraphRoutes:
     return routes
 
 
-class LazyRebasedTable:
-    """Pair-indexed view over a lazily filled shape table, rebased on demand.
+class FlatRoutes(NamedTuple):
+    """Every route table one system reads, laid out as one CSR.
 
-    Behaves like the flat lists :meth:`CompiledTreeRoutes.rebased` returns
-    — ``view[pair]`` with ``pair = source * N + other`` — but compiles the
-    source row on the first query touching it and memoises the
-    offset-shifted tuple, so a single-pair lookup against a tall shape costs
-    one row compilation, not O(N²).
+    Route ``q`` crosses the shape-local ids ``ids[offsets[q]:offsets[q + 1]]``
+    and ``has_switch[q]`` flags full routes that cross a switch-switch
+    channel.  Cluster ``c``'s full routes start at route ``intra[c]``
+    (pair ``s * N_c + d``), its ECN1 legs at ``ascend[c]`` and
+    ``descend[c]``, and the ICN2 routes at ``icn2`` (pair ``sc * C + dc``).
+    A kernel adds the owning network's channel offset to every id it
+    copies: ``icn1_shift[c]``, ``ecn1_shift[c]`` or ``icn2_shift``.  Each
+    distinct shape table appears once, shared by its same-shape clusters.
     """
 
-    __slots__ = ("_shape", "_table", "_offset", "_entries", "_num_nodes")
-
-    def __init__(self, shape: CompiledTreeRoutes, table: List[IdTuple | None], offset: int) -> None:
-        self._shape = shape
-        self._table = table
-        self._offset = offset
-        self._entries: List[IdTuple | None] = [None] * len(table)
-        self._num_nodes = shape.num_nodes
-
-    def __getitem__(self, pair: int) -> IdTuple | None:
-        entry = self._entries[pair]
-        if entry is None:
-            raw = self._table[pair]
-            if raw is None:
-                source, other = divmod(pair, self._num_nodes)
-                if source == other:
-                    # Diagonal entries stay None, as in the eager tables.
-                    return None
-                self._shape._fill_row(source)
-                raw = self._table[pair]
-            offset = self._offset
-            entry = self._entries[pair] = tuple(cid + offset for cid in raw)
-        return entry
-
-    def __len__(self) -> int:
-        return len(self._entries)
+    offsets: np.ndarray  # int32 (routes + 1,)
+    ids: np.ndarray  # int32
+    has_switch: np.ndarray  # uint8 (routes,)
+    intra: np.ndarray  # int64 (C,)
+    ascend: np.ndarray  # int64 (C,)
+    descend: np.ndarray  # int64 (C,)
+    icn1_shift: np.ndarray  # int64 (C,)
+    ecn1_shift: np.ndarray  # int64 (C,)
+    icn2: int
+    icn2_shift: int
 
 
-class LazyFlagTable:
-    """Pair-indexed view over ``full_has_switch`` of a lazily filled shape."""
-
-    __slots__ = ("_shape",)
-
-    def __init__(self, shape: CompiledTreeRoutes) -> None:
-        self._shape = shape
-
-    def __getitem__(self, pair: int) -> bool:
-        shape = self._shape
-        if shape.full[pair] is None:
-            source, other = divmod(pair, shape.num_nodes)
-            if source != other:
-                shape._fill_row(source)
-        return shape.full_has_switch[pair]
-
-    def __len__(self) -> int:
-        return len(self._shape.full_has_switch)
+def _concatenate(tables: List[Tuple[RouteTable, Optional[np.ndarray]]]) -> tuple:
+    """One CSR over ``tables`` plus the first route of each."""
+    id_starts = np.cumsum([0] + [len(table.ids) for table, _ in tables])
+    if id_starts[-1] > _INT32_LIMIT:
+        raise ValidationError(f"{id_starts[-1]} route ids do not fit int32 offsets")
+    offsets = np.concatenate(
+        [table.offsets[:-1] + start for (table, _), start in zip(tables, id_starts)]
+        + [id_starts[-1:]]
+    ).astype(np.int32)
+    ids = np.concatenate([table.ids for table, _ in tables]).astype(np.int32, copy=False)
+    has_switch = np.concatenate(
+        [
+            np.zeros(table.num_pairs, dtype=np.uint8) if flags is None else flags.astype(np.uint8)
+            for table, flags in tables
+        ]
+    )
+    firsts = np.cumsum([0] + [table.num_pairs for table, _ in tables])[:-1].tolist()
+    return offsets, ids, has_switch, firsts
 
 
 class CompiledSystemRoutes:
-    """Global-id route tables for every journey of one multi-cluster spec.
+    """The route tables of every journey of one multi-cluster spec.
 
-    Attributes (all indexed with local node indices; ``N_c`` is the node
-    count of cluster ``c``):
+    Attributes (``N_c`` is the node count of cluster ``c``, node indices are
+    local):
 
-    * ``intra[c][s * N_c + d]`` — ICN1 route ids of cluster ``c``;
-    * ``intra_has_switch[c][...]`` — slowest-hop flag for those routes;
-    * ``ascend[c][s * N_c + p]`` — ECN1 ascending-leg ids of cluster ``c``;
-    * ``descend[c][p * N_c + d]`` — ECN1 descending-leg ids of cluster ``c``;
-    * ``icn2[sc * C + dc]`` — ICN2 route ids between two concentrators;
+    * ``shapes[c]`` — cluster ``c``'s :class:`CompiledTreeRoutes`, read for
+      its ICN1 routes and both ECN1 legs;
+    * ``icn2_shape`` — the ICN2 tree's tables (pair ``sc * C + dc``);
+    * ``icn1_offsets`` / ``ecn1_offsets`` / ``icn2_offset`` — each
+      network's first global channel id;
     * ``concentrator[c]`` / ``dispatcher[c]`` — relay pseudo-channel slots.
+
+    :meth:`intra_route` and :meth:`external_route` assemble one journey in
+    global ids (the generator kernel's reads); :meth:`flat` is the same
+    data for the native kernel.
     """
 
     __slots__ = (
         "core",
-        "intra",
-        "intra_has_switch",
-        "ascend",
-        "descend",
-        "icn2",
+        "shapes",
+        "icn2_shape",
+        "icn1_offsets",
+        "ecn1_offsets",
+        "icn2_offset",
         "concentrator",
         "dispatcher",
+        "_flat",
     )
 
     def __init__(self, core: CompiledSystem) -> None:
         self.core = core
         spec = core.spec
-        intra: List[List[IdTuple | None]] = []
-        intra_has_switch: List[List[bool]] = []
-        ascend: List[List[IdTuple | None]] = []
-        descend: List[List[IdTuple | None]] = []
-        for index, height in enumerate(spec.cluster_heights):
-            shape = compile_tree_routes(spec.m, height)
-            if shape.lazy:
-                intra.append(LazyRebasedTable(shape, shape.full, core.icn1_offsets[index]))
-                intra_has_switch.append(LazyFlagTable(shape))
-                ascend.append(LazyRebasedTable(shape, shape.ascending, core.ecn1_offsets[index]))
-                descend.append(LazyRebasedTable(shape, shape.descending, core.ecn1_offsets[index]))
-            else:
-                intra.append(shape.rebased("full", core.icn1_offsets[index]))
-                intra_has_switch.append(shape.full_has_switch)
-                ascend.append(shape.rebased("ascending", core.ecn1_offsets[index]))
-                descend.append(shape.rebased("descending", core.ecn1_offsets[index]))
-        icn2_shape = compile_tree_routes(spec.m, spec.icn2_height)
-        self.intra = intra
-        self.intra_has_switch = intra_has_switch
-        self.ascend = ascend
-        self.descend = descend
-        self.icn2 = (
-            LazyRebasedTable(icn2_shape, icn2_shape.full, core.icn2_offset)
-            if icn2_shape.lazy
-            else icn2_shape.rebased("full", core.icn2_offset)
-        )
+        self.shapes = tuple(compile_tree_routes(spec.m, height) for height in spec.cluster_heights)
+        self.icn2_shape = compile_tree_routes(spec.m, spec.icn2_height)
+        self.icn1_offsets = core.icn1_offsets
+        self.ecn1_offsets = core.ecn1_offsets
+        self.icn2_offset = core.icn2_offset
         self.concentrator = tuple(
             core.concentrator_slot(index) for index in range(spec.num_clusters)
         )
         self.dispatcher = tuple(
             core.dispatcher_slot(index) for index in range(spec.num_clusters)
         )
+        self._flat: Optional[FlatRoutes] = None
+
+    def intra_route(self, cluster: int, source: int, dest: int) -> Tuple[IdTuple, bool]:
+        """The ICN1 journey of cluster ``cluster`` and its has-switch flag."""
+        shape = self.shapes[cluster]
+        pair = source * shape.num_nodes + dest
+        return (
+            shape.full.route(pair, self.icn1_offsets[cluster]),
+            bool(shape.has_switch[pair]),
+        )
+
+    def external_route(
+        self,
+        source_cluster: int,
+        source: int,
+        exit_peer: int,
+        dest_cluster: int,
+        entry_peer: int,
+        dest: int,
+    ) -> IdTuple:
+        """The ECN1 + relay + ICN2 + relay + ECN1 journey between clusters."""
+        source_shape = self.shapes[source_cluster]
+        dest_shape = self.shapes[dest_cluster]
+        num_clusters = len(self.shapes)
+        return (
+            source_shape.ascending.route(
+                source * source_shape.num_nodes + exit_peer,
+                self.ecn1_offsets[source_cluster],
+            )
+            + (self.concentrator[source_cluster],)
+            + self.icn2_shape.full.route(
+                source_cluster * num_clusters + dest_cluster, self.icn2_offset
+            )
+            + (self.dispatcher[dest_cluster],)
+            + dest_shape.descending.route(
+                entry_peer * dest_shape.num_nodes + dest, self.ecn1_offsets[dest_cluster]
+            )
+        )
+
+    def flat(self, senders: Iterable[int] = ()) -> FlatRoutes:
+        """Every table as one :class:`FlatRoutes` (built once, then cached).
+
+        ``senders`` is accepted for symmetry with
+        :meth:`CompiledZooRoutes.flat`; tree tables are always complete.
+        """
+        if self._flat is None:
+            tables: List[Tuple[RouteTable, Optional[np.ndarray]]] = []
+            first: Dict[int, int] = {}
+
+            def place(table: RouteTable, flags: Optional[np.ndarray] = None) -> int:
+                # Same-shape clusters share one copy of each table.
+                if id(table) not in first:
+                    first[id(table)] = len(tables)
+                    tables.append((table, flags))
+                return first[id(table)]
+
+            intra = [place(shape.full, shape.has_switch) for shape in self.shapes]
+            ascend = [place(shape.ascending) for shape in self.shapes]
+            descend = [place(shape.descending) for shape in self.shapes]
+            icn2 = place(self.icn2_shape.full, self.icn2_shape.has_switch)
+            offsets, ids, has_switch, firsts = _concatenate(tables)
+            bases = np.asarray(firsts, dtype=np.int64)
+            self._flat = FlatRoutes(
+                offsets,
+                ids,
+                has_switch,
+                bases[intra],
+                bases[ascend],
+                bases[descend],
+                np.asarray(self.icn1_offsets, dtype=np.int64),
+                np.asarray(self.ecn1_offsets, dtype=np.int64),
+                firsts[icn2],
+                self.icn2_offset,
+            )
+        return self._flat
 
     def warm(self) -> None:
-        """Fill every lazy shape table completely (setup-time hook).
+        """Build :meth:`flat` now (setup-time hook).
 
-        Called by :meth:`repro.api.SimulationEngine.prepare` so scenarios
-        whose traffic will touch most pairs anyway (uniform destinations)
-        compile outside the timed region and before process-pool fan-out.
+        Called by :meth:`repro.api.SimulationEngine.prepare`, so the layout
+        is paid outside the timed region and before process-pool fan-out.
         """
-        spec = self.core.spec
-        for height in (*spec.cluster_heights, spec.icn2_height):
-            shape = compile_tree_routes(spec.m, height)
-            if shape.lazy:
-                shape.ensure_complete()
+        self.flat()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompiledSystemRoutes({self.core!r})"
@@ -529,42 +484,32 @@ class CompiledZooRoutes:
     """Zoo route tables presented through the system-routes surface.
 
     A zoo topology compiles as a single degenerate cluster, so only the
-    intra tables carry routes; the external machinery (ascend/descend
-    legs, ICN2 crossing, relay slots) is empty and — with every message
-    intra-cluster by construction — never indexed by any kernel.
+    intra table carries routes; with every message intra-cluster by
+    construction, no kernel ever builds an external journey.
     """
 
-    __slots__ = (
-        "core",
-        "intra",
-        "intra_has_switch",
-        "ascend",
-        "descend",
-        "icn2",
-        "concentrator",
-        "dispatcher",
-    )
+    __slots__ = ("core", "graph")
 
     def __init__(self, core) -> None:
         self.core = core
-        shape = compile_graph_routes(core.spec)
-        if shape.lazy:
-            self.intra = [LazyRebasedTable(shape, shape.full, 0)]
-            self.intra_has_switch = [LazyFlagTable(shape)]
-        else:
-            self.intra = [shape.full]
-            self.intra_has_switch = [shape.full_has_switch]
-        self.ascend = ((),)
-        self.descend = ((),)
-        self.icn2 = ()
-        self.concentrator = ()
-        self.dispatcher = ()
+        self.graph = compile_graph_routes(core.spec)
+
+    def intra_route(self, cluster: int, source: int, dest: int) -> Tuple[IdTuple, bool]:
+        """The journey from ``source`` to ``dest`` and its has-switch flag."""
+        return self.graph.route(source, dest)
+
+    def flat(self, senders: Iterable[int] = ()) -> FlatRoutes:
+        """The filled rows as :class:`FlatRoutes`, after filling ``senders``'."""
+        self.graph.ensure_rows(senders)
+        table, flags = self.graph.table()
+        zero = np.zeros(1, dtype=np.int64)
+        return FlatRoutes(
+            table.offsets, table.ids, flags.view(np.uint8), zero, zero, zero, zero, zero, 0, 0
+        )
 
     def warm(self) -> None:
-        """Fill the lazy route table completely (setup-time hook)."""
-        shape = compile_graph_routes(self.core.spec)
-        if shape.lazy:
-            shape.ensure_complete()
+        """Fill every route row (setup-time hook)."""
+        self.graph.ensure_complete()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompiledZooRoutes({self.core!r})"
@@ -573,14 +518,13 @@ class CompiledZooRoutes:
 _SYSTEM_ROUTES: Dict[MultiClusterSpec, CompiledSystemRoutes] = {}
 _ZOO_SYSTEM_ROUTES: Dict[Tuple, CompiledZooRoutes] = {}
 
-#: Rebased system tables are the largest compiled artifact (O(sum N_i^2)
-#: tuples per spec); bound the cache so sweeps over many organisations
-#: cannot pin unbounded memory for the process lifetime.
+#: Bound the per-spec cache so sweeps over many organisations cannot pin
+#: unbounded memory for the process lifetime.
 _SYSTEM_ROUTE_CACHE_LIMIT = 64
 
 
 def compile_system_routes(spec) -> "CompiledSystemRoutes | CompiledZooRoutes":
-    """The (cached) global-id route tables of ``spec``.
+    """The (cached) route tables of ``spec``.
 
     Cached per frozen spec alongside :func:`compile_system`, so repeated
     sweep points, engines and pool workers pay the compilation once per

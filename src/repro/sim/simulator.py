@@ -15,25 +15,24 @@ and reproducible from their seed.
 Since the compiled-core refactor the simulator executes on the flat-array
 hot path: the constructor pulls the (module-cached) compiled channel-id
 space of the organisation (:func:`repro.topology.compile.compile_system`)
-and its precompiled route tables
+and its CSR route tables
 (:func:`repro.routing.compile.compile_system_routes`), and every message
 moves over dense integer channel ids.  Two kernels realise the message life
 cycle, selectable per constructor or via ``REPRO_SIM_KERNEL``:
 
-* ``kernel="vectorized"`` (default) — the fast flat-state core of
-  :mod:`repro.sim.vector`: one ``heapq`` of ``(time, seq, payload)``
-  entries, the run's messages pre-drawn before the loop and flat-list
-  channel state;
+* ``kernel="vectorized"`` (default) — :mod:`repro.sim.vector`: the run's
+  messages pre-drawn before the loop, then one call into a native C event
+  loop over flat route and message arrays (built on the first simulation
+  by :mod:`repro.sim.native`; it needs a C compiler);
 * ``kernel="generator"`` — the executable specification: one
   :func:`~repro.sim.wormhole.compiled_transfer` coroutine per message on
-  the generic :class:`~repro.des.Environment` heap.
+  the generic :class:`~repro.des.Environment` heap, reading the same route
+  tables.  It is the only pure-Python path.
 
 Per-run random streams are restored from the pooled PCG64 snapshots of
 :mod:`repro.utils.rng` in both kernels.  The event sequence is identical
-across kernels and identical to the object-path realisation
-(``ChannelPool`` + ``wormhole_transfer``), which remains in
-:mod:`repro.sim.wormhole` as the readable specification; a golden-seed
-regression test pins the statistics of all representations to each other.
+across the two kernels; the golden-seed regression pins their statistics
+to the committed fixtures and to each other.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from repro.routing.compile import compile_system_routes
 from repro.sim.config import SimulationConfig
 from repro.sim.message import Message
 from repro.sim.network import FlatChannels
-from repro.sim.statistics import SimulationResult, StatisticsCollector
+from repro.sim.statistics import SimulationResult, StatisticsCollector, channel_utilisation
 from repro.sim.vector import VectorizedRunState
 from repro.sim.wormhole import compiled_transfer, draw_peer
 from repro.topology.compile import compile_system
@@ -60,7 +59,7 @@ from repro.workloads.poisson import PoissonArrivals
 from repro.workloads.uniform import UniformTraffic
 
 #: Recognised message-kernel realisations: the generator-coroutine
-#: specification (:mod:`repro.sim.wormhole`) and the flat-state core
+#: specification (:mod:`repro.sim.wormhole`) and the native event core
 #: (:mod:`repro.sim.vector`).
 KERNEL_MODES = ("generator", "vectorized")
 
@@ -100,7 +99,7 @@ class MultiClusterSimulator:
         into the variance ablation discussed in DESIGN.md.
     kernel:
         Message-lifecycle realisation: ``"vectorized"`` (default) runs the
-        flat-state core of :class:`~repro.sim.vector.VectorizedRunState`;
+        native event core of :class:`~repro.sim.vector.VectorizedRunState`;
         ``"generator"`` keeps the coroutine specification path
         (:func:`~repro.sim.wormhole.compiled_transfer`) on the generic
         event loop.  Both replay the identical event sequence — the choice
@@ -205,10 +204,10 @@ class MultiClusterSimulator:
     def prepare(self, config: Optional[SimulationConfig] = None) -> None:
         """Pay every remaining setup cost now, outside any timed region.
 
-        Covers the stream pool (:meth:`warm_streams`) and the lazy route
-        rows of tall shapes — a uniform pattern touches every source row
-        eventually, so filling them here keeps row compilation out of the
-        first timed run and out of every process-pool worker.
+        Covers the stream pool (:meth:`warm_streams`) and the route layout
+        the kernels read — for a zoo topology, every route row, since a
+        uniform pattern touches every source row eventually — so neither
+        lands in the first timed run or in every process-pool worker.
         """
         self.warm_streams(config)
         self.routes.warm()
@@ -234,11 +233,11 @@ class _RunState:
         self.env = Environment()
         self.streams = RandomStreams(config.seed, pooled=True)
         self.arrivals = simulator.arrivals_factory(lambda_g)
+        self.pattern = simulator.pattern.for_run(self.streams, simulator.system)
         core = simulator.core
         self.channels = FlatChannels(self.env, core.total_slots)
         #: which slots appeared on any built journey, and in which order per
-        #: pool — mirrors the lazy-creation order of the object path's
-        #: ChannelPool dicts so utilisation aggregation sums identically
+        #: pool — the order utilisation aggregation sums in, on both kernels
         self._touched = bytearray(core.total_slots)
         self._pool_touch_order: List[List[int]] = [[] for _ in range(core.num_pools)]
         self.collector = StatisticsCollector(num_clusters=core.spec.num_clusters)
@@ -273,53 +272,14 @@ class _RunState:
 
     # ----------------------------------------------------------- utilisation
     def channel_utilisation(self) -> Dict[str, tuple]:
-        """Per-network (mean, max) channel utilisation over the whole run.
-
-        ICN1 and ECN1 pools are aggregated over clusters (the max picks out
-        the busiest cluster's busiest channel); the concentrator/dispatcher
-        buffers are reported as their own "network" because they are the
-        physical bottleneck of the Table 1 organisations.
-        """
-        elapsed = self.env.now
-        if elapsed <= 0:
-            return {}
-        core = self.simulator.core
-        busy = self.channels.busy_time
-        num_clusters = core.spec.num_clusters
-        labels = core.utilisation_labels
-        report: Dict[str, tuple] = {}
-        for label, start in ((labels[0], 0), (labels[1], num_clusters)):
-            values = []
-            for pool in range(start, start + num_clusters):
-                order = self._pool_touch_order[pool]
-                if not order:
-                    continue
-                fractions = [min(busy[slot] / elapsed, 1.0) for slot in order]
-                values.append((sum(fractions) / len(fractions), max(fractions)))
-            if values:
-                report[label] = (
-                    sum(mean for mean, _ in values) / len(values),
-                    max(peak for _, peak in values),
-                )
-        icn2_order = self._pool_touch_order[2 * num_clusters]
-        if icn2_order:
-            fractions = [min(busy[slot] / elapsed, 1.0) for slot in icn2_order]
-            report[labels[2]] = (sum(fractions) / len(fractions), max(fractions))
-        grants = self.channels.total_grants
-        relay_fractions = [
-            min(busy[slot] / elapsed, 1.0)
-            for slot in (
-                *range(core.concentrator_base, core.concentrator_base + num_clusters),
-                *range(core.dispatcher_base, core.dispatcher_base + num_clusters),
-            )
-            if grants[slot]
-        ]
-        if relay_fractions:
-            report[labels[3]] = (
-                sum(relay_fractions) / len(relay_fractions),
-                max(relay_fractions),
-            )
-        return report
+        """Per-network (mean, max) channel utilisation over the whole run."""
+        return channel_utilisation(
+            self.simulator.core,
+            self.channels.busy_time,
+            self.channels.total_grants,
+            self._pool_touch_order,
+            self.env.now,
+        )
 
     # ------------------------------------------------------------- processes
     def _source_process(self, cluster_index: int, node_index: int):
@@ -329,7 +289,7 @@ class _RunState:
         peer_rng = self.streams.get("peers", cluster_index, node_index)
         simulator = self.simulator
         system = simulator.system
-        pattern = simulator.pattern
+        pattern = self.pattern
         env = self.env
         config = self.config
         length_flits = simulator.message.length_flits
@@ -385,33 +345,25 @@ class _RunState:
         dest_cluster = message.dest_cluster
         tail_flits = message.length_flits - 1
         if source_cluster == dest_cluster:
-            nodes = simulator._cluster_nodes[source_cluster]
-            pair = message.source_node * nodes + message.dest_node
-            slots = routes.intra[source_cluster][pair]
-            self._touch(slots)
-            slowest = (
-                simulator._max_header
-                if routes.intra_has_switch[source_cluster][pair]
-                else simulator._t_cn
+            slots, has_switch = routes.intra_route(
+                source_cluster, message.source_node, message.dest_node
             )
+            self._touch(slots)
+            slowest = simulator._max_header if has_switch else simulator._t_cn
             return slots, tail_flits * slowest
-        source_nodes = simulator._cluster_nodes[source_cluster]
-        dest_nodes = simulator._cluster_nodes[dest_cluster]
-        exit_peer = draw_peer(peer_rng, source_nodes, message.source_node)
-        entry_peer = draw_peer(peer_rng, dest_nodes, message.dest_node)
-        ascent = routes.ascend[source_cluster][message.source_node * source_nodes + exit_peer]
-        crossing = routes.icn2[source_cluster * len(routes.concentrator) + dest_cluster]
-        descent = routes.descend[dest_cluster][entry_peer * dest_nodes + message.dest_node]
-        self._touch(ascent)
-        self._touch(crossing)
-        self._touch(descent)
-        slots = (
-            ascent
-            + (routes.concentrator[source_cluster],)
-            + crossing
-            + (routes.dispatcher[dest_cluster],)
-            + descent
+        exit_peer = draw_peer(
+            peer_rng, simulator._cluster_nodes[source_cluster], message.source_node
         )
+        entry_peer = draw_peer(peer_rng, simulator._cluster_nodes[dest_cluster], message.dest_node)
+        slots = routes.external_route(
+            source_cluster,
+            message.source_node,
+            exit_peer,
+            dest_cluster,
+            entry_peer,
+            message.dest_node,
+        )
+        self._touch(slots)
         # Inter-cluster journeys always cross both channel classes (injection
         # plus relay/switch hops), so the slowest hop is the slower class.
         return slots, tail_flits * simulator._max_header

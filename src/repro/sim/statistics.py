@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.des import Tally
 from repro.sim.message import Message
@@ -115,36 +117,39 @@ class StatisticsCollector:
             self.first_measured_at = message.delivered_at
         self.last_measured_at = message.delivered_at
 
-    def record_delivery(
+    def record_deliveries(
         self,
-        source_cluster: int,
-        is_external: bool,
-        created_at: float,
-        injected_at: float,
-        delivered_at: float,
+        source_clusters: np.ndarray,
+        external: np.ndarray,
+        created: np.ndarray,
+        injected: np.ndarray,
+        delivered: np.ndarray,
     ) -> None:
-        """Record one delivery from flat timing fields (no Message object).
+        """Record a batch of deliveries, given in delivery order, as arrays.
 
-        The vectorized kernel keeps message timing in parallel arrays and
+        The vectorized kernel returns its deliveries as flat arrays and
         never builds :class:`~repro.sim.message.Message` instances.  This
         performs the *identical* float arithmetic in the identical order as
-        :meth:`record` reading the message properties — tallies accumulate
-        running sums, so even a reordering of two subtractions would break
-        golden-seed bit-identity.
+        calling :meth:`record` on each message in turn: element-wise
+        differences, then :meth:`Tally.extend`'s sequential folds — tallies
+        accumulate running sums, so even a reordering of two additions
+        would break golden-seed bit-identity.
         """
-        latency = delivered_at - created_at
-        self.latency.record(latency)
-        self.queueing.record(injected_at - created_at)
-        self.network.record(delivered_at - injected_at)
-        if is_external:
-            self.external_count += 1
-        cluster_tally = self._per_cluster.setdefault(
-            source_cluster, Tally(f"cluster{source_cluster}", keep_samples=False)
-        )
-        cluster_tally.record(latency)
+        if not len(delivered):
+            return
+        latency = delivered - created
+        self.latency.extend(latency)
+        self.queueing.extend(injected - created)
+        self.network.extend(delivered - injected)
+        self.external_count += int(np.count_nonzero(external))
+        for cluster in np.unique(source_clusters).tolist():
+            cluster_tally = self._per_cluster.setdefault(
+                cluster, Tally(f"cluster{cluster}", keep_samples=False)
+            )
+            cluster_tally.extend(latency[source_clusters == cluster])
         if self.first_measured_at is None:
-            self.first_measured_at = delivered_at
-        self.last_measured_at = delivered_at
+            self.first_measured_at = float(delivered[0])
+        self.last_measured_at = float(delivered[-1])
 
     @property
     def recorded(self) -> int:
@@ -212,3 +217,55 @@ class StatisticsCollector:
             seed=seed,
             events_processed=events_processed,
         )
+
+
+def channel_utilisation(
+    core, busy: Sequence[float], grants: Sequence[int], pool_touch_order, elapsed: float
+) -> Dict[str, Tuple[float, float]]:
+    """Per-network (mean, max) channel utilisation over a run.
+
+    ``busy`` and ``grants`` are per-slot busy time and grant counts,
+    ``pool_touch_order[pool]`` the slots of each pool in the order journeys
+    first touched them (the summation order), ``elapsed`` the run's final
+    clock.  ICN1 and ECN1 pools are aggregated over clusters (the max picks
+    out the busiest cluster's busiest channel); the concentrator/dispatcher
+    units are reported as their own "network", from the relay slots that
+    were ever granted, because they are the physical bottleneck of the
+    Table 1 organisations.
+    """
+    if elapsed <= 0:
+        return {}
+    num_clusters = core.spec.num_clusters
+    labels = core.utilisation_labels
+    report: Dict[str, Tuple[float, float]] = {}
+    for label, start in ((labels[0], 0), (labels[1], num_clusters)):
+        values = []
+        for pool in range(start, start + num_clusters):
+            order = pool_touch_order[pool]
+            if not order:
+                continue
+            fractions = [min(busy[slot] / elapsed, 1.0) for slot in order]
+            values.append((sum(fractions) / len(fractions), max(fractions)))
+        if values:
+            report[label] = (
+                float(sum(mean for mean, _ in values) / len(values)),
+                float(max(peak for _, peak in values)),
+            )
+    icn2_order = pool_touch_order[2 * num_clusters]
+    if icn2_order:
+        fractions = [min(busy[slot] / elapsed, 1.0) for slot in icn2_order]
+        report[labels[2]] = (float(sum(fractions) / len(fractions)), float(max(fractions)))
+    relay_fractions = [
+        min(busy[slot] / elapsed, 1.0)
+        for slot in (
+            *range(core.concentrator_base, core.concentrator_base + num_clusters),
+            *range(core.dispatcher_base, core.dispatcher_base + num_clusters),
+        )
+        if grants[slot]
+    ]
+    if relay_fractions:
+        report[labels[3]] = (
+            float(sum(relay_fractions) / len(relay_fractions)),
+            float(max(relay_fractions)),
+        )
+    return report

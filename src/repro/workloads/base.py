@@ -76,6 +76,15 @@ class TrafficPattern(abc.ABC):
                 nodes.append(sample.node)
         return np.asarray(clusters, dtype=np.int64), np.asarray(nodes, dtype=np.int64)
 
+    def for_run(self, streams, system: MultiClusterSystem) -> "TrafficPattern":
+        """The pattern one run draws with, given the run's named streams.
+
+        Both kernels call this once per run, before any source draws, so a
+        pattern with per-run state (a drawn permutation, say) can draw it
+        from a stream of its own.  Stateless patterns return themselves.
+        """
+        return self
+
     def describe(self) -> str:
         """Human-readable name used in experiment reports."""
         return type(self).__name__

@@ -12,7 +12,9 @@ each source's own arrivals stream, so the time ``T*`` of the run's
 ``n_s`` messages, the number of its arrival times ``<= T*``, and reads at
 most ``n_s + 1`` arrival times.  Each source makes one sized NumPy call
 per stream, plus one more arrivals call per round for the rare source that
-outruns the first draw.
+outruns the first draw.  The result is a handful of flat arrays with
+per-source offsets (:class:`PreDrawn`), which the native event loop reads
+as they are.
 
 **Every element is bit-identical to the sequential resume** because a sized
 NumPy draw consumes the underlying BitGenerator stream exactly like the same
@@ -31,8 +33,7 @@ gaps past ``T*`` — and the one extra message of a source whose arrival ties
 
 from __future__ import annotations
 
-from itertools import accumulate
-from typing import List, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,21 +46,28 @@ __all__ = ["PreDrawn", "draw_peers", "predraw"]
 
 
 class PreDrawn(NamedTuple):
-    """One run's messages as per-source lists, sources in system order.
+    """One run's messages as flat arrays, sources in system order.
 
-    Source ``s`` is node ``nodes[s]`` of cluster ``clusters[s]``;
-    ``times[s]`` holds its ``n_s + 1`` arrival times and the other lists its
-    ``n_s`` messages: destination, and the distributed-concentrator peer
-    draws (``-1`` for intra-cluster messages, which draw none).
+    Source ``s`` is node ``nodes[s]`` of cluster ``clusters[s]``.  Its
+    ``n_s`` messages are entries ``offsets[s]:offsets[s + 1]`` of the
+    message arrays — destination, and the distributed-concentrator peer
+    draws (``-1`` for intra-cluster messages, which draw none) — and its
+    ``n_s + 1`` arrival times are entries
+    ``offsets[s] + s:offsets[s + 1] + s + 1`` of ``times``.
     """
 
-    clusters: List[int]
-    nodes: List[int]
-    times: List[List[float]]
-    dest_clusters: List[List[int]]
-    dest_nodes: List[List[int]]
-    exit_peers: List[List[int]]
-    entry_peers: List[List[int]]
+    clusters: np.ndarray  # int64 (S,)
+    nodes: np.ndarray  # int64 (S,)
+    offsets: np.ndarray  # int64 (S + 1,)
+    times: np.ndarray  # float64 (M + S,)
+    dest_clusters: np.ndarray  # int64 (M,)
+    dest_nodes: np.ndarray  # int64 (M,)
+    exit_peers: np.ndarray  # int64 (M,)
+    entry_peers: np.ndarray  # int64 (M,)
+
+    def counts(self) -> np.ndarray:
+        """Messages drawn per source."""
+        return np.diff(self.offsets)
 
 
 def predraw(
@@ -131,13 +139,14 @@ def predraw(
         count_list,
     )
     return PreDrawn(
-        clusters,
-        nodes,
-        _split(times[heads].tolist(), (counts + 1).tolist()),
-        _split(dest_clusters.tolist(), count_list),
-        _split(dest_nodes.tolist(), count_list),
-        _split(exit_peers.tolist(), count_list),
-        _split(entry_peers.tolist(), count_list),
+        source_clusters,
+        source_nodes,
+        np.concatenate(((0,), np.cumsum(counts))),
+        times[heads],
+        dest_clusters,
+        dest_nodes,
+        exit_peers,
+        entry_peers,
     )
 
 
@@ -186,8 +195,3 @@ def draw_peers(
     entry_peers[external] = draws[:, 1]
     return exit_peers, entry_peers
 
-
-def _split(values: list, lengths: Sequence[int]) -> List[list]:
-    """Cut ``values`` into consecutive slices of the given lengths."""
-    ends = list(accumulate(lengths))
-    return [values[start:end] for start, end in zip([0, *ends], ends)]

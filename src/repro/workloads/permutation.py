@@ -3,8 +3,10 @@
 A random permutation is the classic adversarial pattern for interconnection
 networks: it removes the statistical multiplexing that uniform traffic
 enjoys, so deterministic routings show their worst-case contention.  The
-permutation is drawn once (derangement-style, no fixed points) from the seed
-the simulator provides, so runs are reproducible.
+permutation is drawn derangement-style (no fixed points) from the pattern's
+own seed, or — with ``seed=None`` — once per run from the run's
+``"permutation"`` stream, so a run depends on its seed alone, never on the
+runs before it or on which source happens to draw first.
 """
 
 from __future__ import annotations
@@ -41,6 +43,19 @@ class PermutationTraffic(TrafficPattern):
             self._system_size = system.total_nodes
         return self._permutation[source_global]
 
+    def for_run(self, streams, system: MultiClusterSystem) -> "PermutationTraffic":
+        """Unseeded patterns draw one permutation per run from its own stream.
+
+        Streams are keyed by a hash of their name, so drawing from
+        ``"permutation"`` moves no other stream of the run.
+        """
+        if self.seed is not None:
+            return self
+        bound = PermutationTraffic()
+        bound._permutation = self._build(streams.get("permutation"), system)
+        bound._system_size = system.total_nodes
+        return bound
+
     def sample_destination(
         self,
         rng: np.random.Generator,
@@ -49,7 +64,7 @@ class PermutationTraffic(TrafficPattern):
         source_node: int,
     ) -> DestinationSample:
         if self._permutation is None or self._system_size != system.total_nodes:
-            self._permutation = self._build(rng, system)
+            self._permutation = self._build(np.random.default_rng(self.seed), system)
             self._system_size = system.total_nodes
         source_global = system.global_index(source_cluster, source_node)
         dest_cluster, dest_node = system.locate(self._permutation[source_global])

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.des import Counter, Environment, SimulationError, Tally, TimeWeightedValue
 
@@ -110,6 +110,41 @@ class TestTally:
         assert tally.variance == pytest.approx(direct_var, rel=1e-6, abs=1e-3)
         assert tally.minimum == min(values)
         assert tally.maximum == max(values)
+
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(min_value=-1e-6, max_value=1e-6),
+                st.floats(min_value=-1e3, max_value=1e3),
+                st.floats(min_value=-1e15, max_value=1e15),
+            ),
+            max_size=2000,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_extend_equals_sequential_record_bit_for_bit(self, values, data):
+        """The NumPy batch path folds left to right, exactly like record()."""
+        split = data.draw(st.integers(0, len(values)))
+        sequential = Tally()
+        for value in values:
+            sequential.record(value)
+        batched = Tally()
+        for value in values[:split]:
+            batched.record(value)
+        batched.extend(values[split:])
+
+        def bits(tally):
+            return (
+                tally.count,
+                tally.total.hex(),
+                tally._sum_sq.hex(),
+                tally._min.hex(),
+                tally._max.hex(),
+                [sample.hex() for sample in tally.samples],
+            )
+
+        assert bits(batched) == bits(sequential)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1, max_size=50))
     def test_variance_is_never_negative(self, values):

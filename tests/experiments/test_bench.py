@@ -266,23 +266,28 @@ class TestDiffBenchScript:
             "scenarios": {"fig3": {}},
             "kernels": [
                 {"scenario": "fig3", "kernel": "generator", "speedup": 1.0},
-                {"scenario": "fig3", "kernel": "vectorized", "speedup": 2.6},
+                {
+                    "scenario": "fig3",
+                    "kernel": "vectorized",
+                    "speedup": diff_bench.KERNEL_GATE_MIN + 0.1,
+                },
             ],
         }
         assert diff_bench.check_kernel_gate(fresh) == []
 
     def test_kernel_gate_fails_below_minimum(self):
         diff_bench = self._diff()
+        below = diff_bench.KERNEL_GATE_MIN - 0.1
         fresh = {
             "scenarios": {"fig3": {}},
             "kernels": [
                 {"scenario": "fig3", "kernel": "generator", "speedup": 1.0},
-                {"scenario": "fig3", "kernel": "vectorized", "speedup": 2.4},
+                {"scenario": "fig3", "kernel": "vectorized", "speedup": below},
             ],
         }
         failures = diff_bench.check_kernel_gate(fresh)
-        assert len(failures) == 1 and "2.40x" in failures[0]
-        assert "generator kernel (gate 2.5x" in failures[0]
+        assert len(failures) == 1 and f"{below:.2f}x" in failures[0]
+        assert f"generator kernel (gate {diff_bench.KERNEL_GATE_MIN:.1f}x" in failures[0]
 
     def test_kernel_gate_fails_when_rung_is_missing(self):
         diff_bench = self._diff()
@@ -303,7 +308,11 @@ class TestDiffBenchScript:
         fresh = tmp_path / "fresh.json"
         kernels = [
             {"scenario": "fig3", "kernel": "generator", "speedup": 1.0},
-            {"scenario": "fig3", "kernel": "vectorized", "speedup": 3.0},
+            {
+                "scenario": "fig3",
+                "kernel": "vectorized",
+                "speedup": diff_bench.KERNEL_GATE_MIN + 0.5,
+            },
         ]
         committed.write_text(
             json.dumps({"scenarios": {"fig3": {"messages_per_second": 100.0}}})

@@ -3,13 +3,15 @@
 Every compiled route must decompile to the *exact* Channel sequence the
 ``UpDownRouter`` produces — the compiler is a representation change, never a
 routing change — including for asymmetric heterogeneous organisations.  The
-tables come from a closed-form array kernel, so they are also compared
+CSR tables come from a closed-form array kernel, so they are also compared
 whole against a reference built the slow way: one router walk per pair,
-ids looked up by ``Channel``.
+ids looked up by ``Channel``.  The flat layout the native event core reads
+is checked against the same walk.
 """
 
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,10 +44,10 @@ def walk_row(m, n, source):
     full, has_switch, ascending, descending = [], [], [], []
     for other in range(tree.num_nodes):
         if other == source:
-            full.append(None)
+            full.append(())
             has_switch.append(False)
-            ascending.append(None)
-            descending.append(None)
+            ascending.append(())
+            descending.append(())
             continue
         route = router.route(source, other)
         full.append(tuple(ids[channel] for channel in route))
@@ -66,7 +68,22 @@ def walk_tables(m, n):
 
 
 def shifted(table, offset):
-    return [None if ids is None else tuple(cid + offset for cid in ids) for ids in table]
+    return [tuple(cid + offset for cid in ids) for ids in table]
+
+
+def rows(table, offset=0, pairs=None):
+    """Every route of a CSR table as id tuples, shifted by ``offset``."""
+    return [table.route(pair, offset) for pair in range(pairs or table.num_pairs)]
+
+
+def flat_rows(flat, first, pairs, shift):
+    """``pairs`` routes of a :class:`FlatRoutes` table starting at ``first``."""
+    offsets = flat.offsets.tolist()
+    ids = flat.ids.tolist()
+    return [
+        tuple(cid + shift for cid in ids[offsets[first + pair] : offsets[first + pair + 1]])
+        for pair in range(pairs)
+    ]
 
 
 class TestKernelMatchesRouterWalk:
@@ -76,30 +93,48 @@ class TestKernelMatchesRouterWalk:
     def test_shape_tables_equal_the_walk(self, m, n):
         full, has_switch, ascending, descending = walk_tables(m, n)
         table = CompiledTreeRoutes(m, n)
-        assert table.full == full
-        assert table.full_has_switch == has_switch
-        assert table.ascending == ascending
-        assert table.descending == descending
-        # Plain Python ints and bools, not NumPy scalars (equality alone
-        # would not tell): the tables feed the simulator's hot path.
-        assert {type(cid) for ids in table.full if ids for cid in ids} == {int}
-        assert {type(flag) for flag in table.full_has_switch} == {bool}
-        for route, up, down in zip(table.full, table.ascending, table.descending):
-            assert route == (None if up is None else up + down)
+        assert rows(table.full) == full
+        assert table.has_switch.tolist() == has_switch
+        assert rows(table.ascending) == ascending
+        assert rows(table.descending) == descending
+        # int32 CSR arrays: the layout the native event core reads.
+        for csr in (table.full, table.ascending, table.descending):
+            assert csr.offsets.dtype == csr.ids.dtype == np.int32
+            assert csr.offsets[0] == 0 and csr.offsets[-1] == len(csr.ids)
+        for route, up, down in zip(full, ascending, descending):
+            assert route == up + down
 
     @pytest.mark.parametrize("total_nodes", [1120, 544])
     def test_table1_system_routes_equal_the_walk(self, total_nodes):
         spec = table1_system(total_nodes)
         core = compile_system(spec)
         routes = compile_system_routes(spec)
+        flat = routes.flat()
         for index, height in enumerate(spec.cluster_heights):
             full, has_switch, ascending, descending = walk_tables(spec.m, height)
-            assert routes.intra[index] == shifted(full, core.icn1_offsets[index])
-            assert routes.intra_has_switch[index] == has_switch
-            assert routes.ascend[index] == shifted(ascending, core.ecn1_offsets[index])
-            assert routes.descend[index] == shifted(descending, core.ecn1_offsets[index])
+            pairs = len(full)
+            intra = flat.intra[index]
+            assert flat.icn1_shift[index] == core.icn1_offsets[index]
+            assert flat.ecn1_shift[index] == core.ecn1_offsets[index]
+            assert flat_rows(flat, intra, pairs, core.icn1_offsets[index]) == shifted(
+                full, core.icn1_offsets[index]
+            )
+            assert flat.has_switch[intra : intra + pairs].tolist() == has_switch
+            assert flat_rows(flat, flat.ascend[index], pairs, core.ecn1_offsets[index]) == (
+                shifted(ascending, core.ecn1_offsets[index])
+            )
+            assert flat_rows(flat, flat.descend[index], pairs, core.ecn1_offsets[index]) == (
+                shifted(descending, core.ecn1_offsets[index])
+            )
         icn2_full = walk_tables(spec.m, spec.icn2_height)[0]
-        assert routes.icn2 == shifted(icn2_full, core.icn2_offset)
+        assert flat_rows(flat, flat.icn2, len(icn2_full), core.icn2_offset) == shifted(
+            icn2_full, core.icn2_offset
+        )
+        assert flat.icn2_shift == core.icn2_offset
+        # Same-shape clusters share one copy of each table.
+        heights = spec.cluster_heights
+        for a, b in zip(range(len(heights)), range(1, len(heights))):
+            assert (flat.intra[a] == flat.intra[b]) == (heights[a] == heights[b])
         assert routes.concentrator == tuple(
             core.concentrator_slot(c) for c in range(spec.num_clusters)
         )
@@ -113,18 +148,16 @@ class TestKernelMatchesRouterWalk:
         data=st.data(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_lazy_row_equals_the_walk(self, m, n, data):
-        table = CompiledTreeRoutes(m, n, lazy=True)
+    def test_any_row_equals_the_walk(self, m, n, data):
+        table = compile_tree_routes(m, n)
         num_nodes = table.num_nodes
         source = data.draw(st.integers(min_value=0, max_value=num_nodes - 1))
-        table.ensure_pair(source, (source + 1) % num_nodes)
-        assert table.compiled_rows == {source}
-        row = slice(source * num_nodes, (source + 1) * num_nodes)
+        row = range(source * num_nodes, (source + 1) * num_nodes)
         full, has_switch, ascending, descending = walk_row(m, n, source)
-        assert table.full[row] == full
-        assert table.full_has_switch[row] == has_switch
-        assert table.ascending[row] == ascending
-        assert table.descending[row] == descending
+        assert [table.full.route(pair) for pair in row] == full
+        assert table.has_switch[row.start : row.stop].tolist() == has_switch
+        assert [table.ascending.route(pair) for pair in row] == ascending
+        assert [table.descending.route(pair) for pair in row] == descending
 
     @pytest.mark.parametrize("m,n", SHAPES + FIGURE_SHAPES)
     def test_id_formula_equals_the_channel_enumeration(self, m, n):
@@ -162,9 +195,9 @@ class TestTreeRouteRoundTrip:
         for source in range(tree.num_nodes):
             for dest in range(tree.num_nodes):
                 if source == dest:
-                    assert table.full[source * tree.num_nodes + dest] is None
+                    assert table.full.route(source * tree.num_nodes + dest) == ()
                     continue
-                compiled = table.full[source * tree.num_nodes + dest]
+                compiled = table.full.route(source * tree.num_nodes + dest)
                 assert decompile(m, n, compiled) == router.route(source, dest).channels
                 pairs += 1
         assert pairs == route_table_size(m, n)
@@ -180,11 +213,11 @@ class TestTreeRouteRoundTrip:
                     continue
                 index = source * tree.num_nodes + other
                 assert (
-                    decompile(m, n, table.ascending[index])
+                    decompile(m, n, table.ascending.route(index))
                     == router.ascending_leg(source, other).channels
                 )
                 assert (
-                    decompile(m, n, table.descending[index])
+                    decompile(m, n, table.descending.route(index))
                     == router.descending_leg(source, other).channels
                 )
 
@@ -199,7 +232,7 @@ class TestTreeRouteRoundTrip:
                     continue
                 route = router.route(source, dest)
                 expected = route.switch_channels > 0
-                assert table.full_has_switch[source * tree.num_nodes + dest] == expected
+                assert table.has_switch[source * tree.num_nodes + dest] == expected
 
     def test_tables_are_cached_per_shape(self):
         assert compile_tree_routes(4, 2) is compile_tree_routes(4, 2)
@@ -218,8 +251,9 @@ class TestSystemRouteRoundTrip:
                 for dest in range(nodes):
                     if source == dest:
                         continue
-                    compiled = routes.intra[index][source * nodes + dest]
+                    compiled, has_switch = routes.intra_route(index, source, dest)
                     local = tuple(cid - offset for cid in compiled)
+                    assert has_switch == (router.route(source, dest).switch_channels > 0)
                     assert (
                         decompile(spec.m, cluster.height, local)
                         == router.route(source, dest).channels
@@ -229,24 +263,29 @@ class TestSystemRouteRoundTrip:
     def test_ecn1_legs_round_trip_in_every_cluster(self, spec):
         core = compile_system(spec)
         routes = compile_system_routes(spec)
-        for index, cluster in enumerate(core.system.clusters):
+        clusters = core.system.clusters
+        for index, cluster in enumerate(clusters):
             router = UpDownRouter(cluster.ecn1)
             offset = core.ecn1_offsets[index]
             nodes = cluster.num_nodes
+            # Leave through ``exit`` towards another cluster, and arrive in
+            # this one through ``entry``: the journeys' first and last legs.
+            other_index = (index + 1) % len(clusters)
             for source in range(nodes):
-                for other in range(nodes):
-                    if source == other:
+                for peer in range(nodes):
+                    if source == peer:
                         continue
-                    pair = source * nodes + other
-                    ascent = tuple(cid - offset for cid in routes.ascend[index][pair])
-                    descent = tuple(cid - offset for cid in routes.descend[index][pair])
+                    leaving = routes.external_route(index, source, peer, other_index, 1, 0)
+                    arriving = routes.external_route(other_index, 0, 1, index, peer, source)
+                    ascent = leaving[: leaving.index(routes.concentrator[index])]
+                    descent = arriving[arriving.index(routes.dispatcher[index]) + 1 :]
                     assert (
-                        decompile(spec.m, cluster.height, ascent)
-                        == router.ascending_leg(source, other).channels
+                        decompile(spec.m, cluster.height, tuple(cid - offset for cid in ascent))
+                        == router.ascending_leg(source, peer).channels
                     )
                     assert (
-                        decompile(spec.m, cluster.height, descent)
-                        == router.descending_leg(source, other).channels
+                        decompile(spec.m, cluster.height, tuple(cid - offset for cid in descent))
+                        == router.descending_leg(peer, source).channels
                     )
 
     @pytest.mark.parametrize("spec", HETERO_SPECS, ids=lambda spec: spec.name)
@@ -259,8 +298,10 @@ class TestSystemRouteRoundTrip:
             for dest in range(C):
                 if source == dest:
                     continue
-                compiled = routes.icn2[source * C + dest]
-                local = tuple(cid - core.icn2_offset for cid in compiled)
+                journey = routes.external_route(source, 0, 1, dest, 1, 0)
+                start = journey.index(routes.concentrator[source]) + 1
+                crossing = journey[start : journey.index(routes.dispatcher[dest])]
+                local = tuple(cid - core.icn2_offset for cid in crossing)
                 assert (
                     decompile(spec.m, spec.icn2_height, local)
                     == router.route(source, dest).channels
@@ -277,65 +318,3 @@ class TestSystemRouteRoundTrip:
     def test_system_tables_are_cached_per_spec(self):
         spec = HETERO_SPECS[0]
         assert compile_system_routes(spec) is compile_system_routes(spec)
-
-
-class TestLazyRouteTables:
-    """Tall shapes compile per source row on demand (O(pairs used))."""
-
-    def test_threshold_selects_lazy_mode(self):
-        from repro.routing.compile import LAZY_NODE_THRESHOLD
-
-        eager = CompiledTreeRoutes(4, 2)  # 8 nodes
-        assert not eager.lazy
-        assert shared_tree(8, 4).num_nodes >= LAZY_NODE_THRESHOLD
-        lazy = CompiledTreeRoutes(8, 4)
-        assert lazy.lazy
-        assert lazy.compiled_rows == set()
-
-    def test_single_pair_query_compiles_only_its_row(self):
-        table = CompiledTreeRoutes(8, 4)
-        num_nodes = table.num_nodes
-        table.ensure_pair(3, 100)
-        assert table.compiled_rows == {3}
-        # The whole source row exists; every other row is untouched.
-        for other in range(num_nodes):
-            entry = table.full[3 * num_nodes + other]
-            assert (entry is None) == (other == 3)
-        assert table.full[5 * num_nodes + 100] is None
-        # A second query on the same row compiles nothing new.
-        table.ensure_pair(3, 7)
-        assert table.compiled_rows == {3}
-
-    def test_lazy_tables_match_eager_tables(self):
-        eager = CompiledTreeRoutes(4, 2, lazy=False)
-        lazy = CompiledTreeRoutes(4, 2, lazy=True)
-        num_nodes = eager.num_nodes
-        for source in range(num_nodes):
-            for other in range(num_nodes):
-                if source == other:
-                    continue
-                pair = source * num_nodes + other
-                lazy.ensure_pair(source, other)
-                assert lazy.full[pair] == eager.full[pair]
-                assert lazy.full_has_switch[pair] == eager.full_has_switch[pair]
-                assert lazy.ascending[pair] == eager.ascending[pair]
-                assert lazy.descending[pair] == eager.descending[pair]
-
-    def test_lazy_views_rebase_like_eager_system_tables(self):
-        from repro.routing.compile import LazyFlagTable, LazyRebasedTable
-
-        eager = CompiledTreeRoutes(4, 2, lazy=False)
-        lazy_shape = CompiledTreeRoutes(4, 2, lazy=True)
-        offset = 1000
-        view = LazyRebasedTable(lazy_shape, lazy_shape.full, offset)
-        flags = LazyFlagTable(lazy_shape)
-        reference = eager.rebased("full", offset)
-        assert reference == shifted(eager.full, offset)
-        assert eager.rebased("full", 0) is eager.full
-        num_nodes = eager.num_nodes
-        assert len(view) == len(reference)
-        for pair in range(num_nodes * num_nodes):
-            assert view[pair] == reference[pair]
-            assert flags[pair] == eager.full_has_switch[pair]
-        # Lazy fill happened row by row as the scan touched sources.
-        assert lazy_shape.compiled_rows == set(range(num_nodes))

@@ -42,7 +42,7 @@ class TestRoutingTable:
         table = RoutingTable(tree)
         compiled = compile_tree_routes(4, 3)
         for source, dest in ((0, 1), (0, 7), (3, 12), (15, 0)):
-            ids = compiled.full[source * tree.num_nodes + dest]
+            ids = compiled.full.route(source * tree.num_nodes + dest)
             assert decompile(4, 3, ids) == table.route(source, dest).channels
 
     def test_self_route_rejected(self):

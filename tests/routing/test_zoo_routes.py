@@ -157,26 +157,41 @@ def test_compiled_tables_match_router_route_for_route(spec):
     router = GraphUpDownRouter(topology)
     tables = compile_graph_routes(spec)
     tables.ensure_complete()
+    table, has_switch = tables.table()
     num_nodes = topology.num_nodes
     for source in range(num_nodes):
         for dest in range(num_nodes):
             pair = source * num_nodes + dest
             if source == dest:
-                assert tables.full[pair] is None
+                assert table.route(pair) == ()
                 continue
             route = router.route(source, dest)
             expected = tuple(graph.channel_ids[channel] for channel in route)
-            assert tables.full[pair] == expected
-            assert tables.full_has_switch[pair] == any(
+            assert table.route(pair) == expected
+            assert tables.route(source, dest) == (expected, bool(has_switch[pair]))
+            assert has_switch[pair] == any(
                 not channel.kind.is_node_channel for channel in route
             )
 
 
 @pytest.mark.parametrize("spec", ZOO_SPECS[:2], ids=lambda spec: spec.token)
 def test_lazy_and_eager_tables_agree(spec):
-    eager = CompiledGraphRoutes(spec, lazy=False)
-    lazy = CompiledGraphRoutes(spec, lazy=True)
+    """Rows filled one at a time, in any order, lay out like a complete fill."""
+    eager = CompiledGraphRoutes(spec)
+    eager.ensure_complete()
+    lazy = CompiledGraphRoutes(spec)
     assert lazy.compiled_rows == set()
-    lazy.ensure_complete()
-    assert lazy.full == eager.full
-    assert lazy.full_has_switch == eager.full_has_switch
+    rows = list(range(lazy.num_nodes))
+    lazy.ensure_rows(rows[1::2])
+    assert lazy.compiled_rows == set(rows[1::2])
+    partial, _ = lazy.table()
+    for source in rows[::2]:
+        # Unfilled rows are empty.
+        start = source * lazy.num_nodes
+        assert partial.offsets[start] == partial.offsets[start + lazy.num_nodes]
+    for source in reversed(rows[::2]):
+        lazy.ensure_rows((source,))
+    for lazy_array, eager_array in zip(
+        (*lazy.table()[0], lazy.table()[1]), (*eager.table()[0], eager.table()[1])
+    ):
+        assert lazy_array.tolist() == eager_array.tolist()

@@ -21,6 +21,7 @@ from repro.sim.simulator import MultiClusterSimulator
 from repro.sim.vector import VectorizedRunState
 from repro.topology.multicluster import MultiClusterSpec
 from repro.topology.zoo import TopologySpec
+from repro.workloads.permutation import PermutationTraffic
 from repro.workloads.poisson import DeterministicArrivals, PoissonArrivals
 
 SPEC = MultiClusterSpec(m=4, cluster_heights=(1, 2, 2, 1), name="vector-test")
@@ -39,6 +40,7 @@ def _run(
     lambda_g=LAMBDA,
     spec=SPEC,
     message=MESSAGE,
+    pattern=None,
 ):
     simulator = MultiClusterSimulator(
         spec,
@@ -46,6 +48,7 @@ def _run(
         config=config,
         kernel=kernel,
         arrivals_factory=arrivals_factory,
+        pattern=pattern,
     )
     return simulator.run(lambda_g, seed=seed)
 
@@ -127,6 +130,28 @@ class TestMatchesGenerator:
         )
         state = VectorizedRunState(simulator, LAMBDA, CONFIG)
         assert not state._elide_grants
+
+
+class TestUnseededPermutation:
+    """``PermutationTraffic(seed=None)`` draws its permutation per run."""
+
+    CONFIG = SimulationConfig(
+        measured_messages=600, warmup_messages=60, drain_messages=60, seed=3
+    )
+
+    def test_kernels_agree(self):
+        _assert_kernels_agree(config=self.CONFIG, seed=3, pattern=PermutationTraffic())
+
+    @pytest.mark.parametrize("kernel", ["generator", "vectorized"])
+    def test_results_do_not_depend_on_run_order(self, kernel):
+        simulator = MultiClusterSimulator(
+            SPEC, MESSAGE, config=self.CONFIG, kernel=kernel, pattern=PermutationTraffic()
+        )
+        alone = _run(kernel, config=self.CONFIG, seed=3, pattern=PermutationTraffic())
+        simulator.run(LAMBDA, seed=1)
+        after = simulator.run(LAMBDA, seed=3)
+        assert _statistics_tuple(after) == _statistics_tuple(alone)
+        assert _statistics_tuple(simulator.run(LAMBDA, seed=1)) != _statistics_tuple(alone)
 
 
 #: Zoo shapes whose two-flit schedules put a tail delta ``1 * h`` on top of

@@ -141,25 +141,26 @@ def _assert_matches_scalar(system, pattern, arrivals, seed, total):
     """Pre-draw a run, check every source against the scalar path, return it."""
     clear_stream_pool()
     drawn = predraw(system, pattern, arrivals, RandomStreams(seed, pooled=True), total)
-    assert list(zip(drawn.clusters, drawn.nodes)) == [
+    assert list(zip(drawn.clusters.tolist(), drawn.nodes.tolist())) == [
         (cluster, node.index) for cluster, node in system.nodes()
     ]
+    offsets = drawn.offsets.tolist()
     # A fresh pooled family restores every stream to its snapshot, so the
     # scalar reference replays the identical bit streams.
     streams = RandomStreams(seed, pooled=True)
     for source, (cluster, node) in enumerate(zip(drawn.clusters, drawn.nodes)):
-        count = len(drawn.dest_clusters[source])
+        start, end = offsets[source], offsets[source + 1]
         times, records = _scalar_reference(
-            system, pattern, arrivals, streams, cluster, node, count
+            system, pattern, arrivals, streams, int(cluster), int(node), end - start
         )
-        assert drawn.times[source] == times
+        assert drawn.times[start + source : end + source + 1].tolist() == times
         assert (
             list(
                 zip(
-                    drawn.dest_clusters[source],
-                    drawn.dest_nodes[source],
-                    drawn.exit_peers[source],
-                    drawn.entry_peers[source],
+                    drawn.dest_clusters[start:end].tolist(),
+                    drawn.dest_nodes[start:end].tolist(),
+                    drawn.exit_peers[start:end].tolist(),
+                    drawn.entry_peers[start:end].tolist(),
                 )
             )
             == records
@@ -168,7 +169,7 @@ def _assert_matches_scalar(system, pattern, arrivals, seed, total):
 
 
 def _counts(drawn):
-    return [len(messages) for messages in drawn.dest_clusters]
+    return drawn.counts().tolist()
 
 
 class TestBatchedDrawsMatchSequentialResumes:
@@ -317,11 +318,12 @@ class TestKernelReadsOnlyPreDrawnMessages:
         clear_stream_pool()
         state = VectorizedRunState(self._simulator(), 8e-4, self.CONFIG)
         state.execute()
-        counts = [len(messages) for messages in state._dest_clusters]
-        assert sum(counts) == self.CONFIG.total_messages
-        assert all(len(times) == count + 1 for times, count in zip(state._times, counts))
-        assert all(cursor <= count for cursor, count in zip(state._cursors, counts))
-        assert 0 < sum(state._cursors) <= self.CONFIG.total_messages
+        counts = state.workload.counts()
+        assert counts.sum() == self.CONFIG.total_messages
+        assert len(state.workload.times) == counts.sum() + len(counts)
+        consumed = state.outcome.consumed
+        assert np.all(consumed <= counts)
+        assert 0 < consumed.sum() <= self.CONFIG.total_messages
 
     def test_event_loop_makes_no_draws(self, monkeypatch):
         clear_stream_pool()
