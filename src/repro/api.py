@@ -481,9 +481,12 @@ class SimulationEngine:
     pattern:
         Optional concrete :class:`TrafficPattern` overriding the scenario's
         declarative :class:`PatternSpec` (for programmatic patterns that have
-        no JSON form).
+        no JSON form).  The default vectorized kernel draws only the
+        built-in pattern classes; a custom one runs on the generator kernel.
     arrivals_factory:
-        Optional arrival-process override forwarded to the simulator.
+        Optional arrival-process override forwarded to the simulator (the
+        vectorized kernel draws :class:`~repro.workloads.PoissonArrivals`
+        and :class:`~repro.workloads.DeterministicArrivals` only).
     name:
         Record label; defaults to ``"sim"``.
     """
@@ -520,12 +523,13 @@ class SimulationEngine:
     def prepare(self, scenario: Scenario) -> None:
         """Compile the scenario's network core ahead of evaluation/fan-out.
 
-        Besides the channel-id space and route tables this warms the
-        per-(seed, node) random-stream pool — every stream's initial PCG64
-        state is snapshotted once here, so each sweep point (and, under a
-        fork start, every pool worker) restores states instead of re-seeding
-        — and lays out the route tables the kernels read (every route row of
-        a zoo topology), so neither cost lands inside a timed run.
+        Besides the channel-id space and route tables this derives, on the
+        vectorized kernel, the run seed's flat block of initial PCG64 stream
+        states once (building and loading the native library), so each
+        sweep point (and, under a fork start, every pool worker) finds it
+        with one lookup instead of re-seeding — and lays out the route
+        tables the kernels read (every route row of a zoo topology), so
+        none of it lands inside a timed run.
         """
         self.simulator_for(scenario).prepare()
 

@@ -319,7 +319,7 @@ def _measure_kernels(
     machine conditions, and each rung reports its minimum wall clock: on a
     noisy box the minimum is the least-contended observation of the same
     deterministic computation.  The first warm run per kernel (compile
-    caches, stream-pool snapshots, allocator) is untimed.
+    caches, stream pools, allocator) is untimed.
 
     Results are bit-identical between the rung pair by the golden-seed
     gate, so the ratio isolates kernel mechanics.
@@ -457,11 +457,11 @@ def run_bench(
             "wall_clock_seconds": round(wall, 6),
             "messages_per_second": round(measured / wall, 1),
             "events_per_second": round(events / wall, 1),
-            # The per-layer timing split: setup (compile + stream snapshots,
+            # The per-layer timing split: setup (compile + stream states,
             # before any run), run (the event loop itself — the sum of the
             # per-point wall clocks, which time `execute()` only), collect
             # (everything else inside the sweep: per-run state construction,
-            # RNG restores, pre-draws, statistics assembly).
+            # pre-draws, statistics assembly).
             "setup_seconds": round(setup_seconds, 4),
             "run_seconds": round(wall, 6),
             "collect_seconds": round(max(elapsed - wall, 0.0), 4),

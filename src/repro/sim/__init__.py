@@ -18,9 +18,10 @@ built on the :mod:`repro.des` kernel:
 Two kernels run that life cycle, bit-identical to each other: the
 generator specification (:func:`~repro.sim.wormhole.compiled_transfer` on
 :class:`~repro.des.Environment`, the only pure-Python path) and the default
-vectorized kernel of :mod:`repro.sim.vector`, whose event loop is a C
-function over flat route and message arrays (``event_core.c``, compiled on
-the first simulation and cached by :mod:`repro.sim.native`);
+vectorized kernel of :mod:`repro.sim.vector`, whose message pre-draw and
+event loop are C functions over flat stream-state, route and message
+arrays (``event_core.c``, compiled on the first simulation against numpy's
+``libnpyrandom.a`` and cached by :mod:`repro.sim.native`);
 ``REPRO_SIM_KERNEL`` selects between them.
 
 See DESIGN.md for the two documented deviations from a fully physical

@@ -1,20 +1,28 @@
 /*
  * Native event core of the vectorized simulation kernel.
  *
- * One run of the wormhole message life cycle over flat arrays: the run's
- * pre-drawn messages and the system's CSR route tables in, the deliveries
- * and per-channel accounting out.  repro/sim/native.py builds this file
- * with "cc -O2 -ffp-contract=off" (no fast-math: every float operation
- * must round exactly as the Python specification's does) and calls
- * core_run through ctypes; repro/sim/vector.py documents the event order
- * this loop replays.  The code touches no Python object.
+ * Two halves over flat arrays, neither touching a Python object.  The
+ * pre-draw (draw_times, draw_messages) draws a run's arrival times,
+ * destinations and concentrator peers from flat PCG64 states through
+ * numpy's own distribution code (libnpyrandom.a), so every value equals
+ * what numpy.random.Generator draws from the same state.  The loop
+ * (core_run) runs the wormhole message life cycle over those messages and
+ * the system's CSR route tables, and returns the deliveries and the
+ * per-channel accounting.  repro/sim/native.py builds this file with
+ * "cc -O2 -ffp-contract=off" (no fast-math: every float operation must
+ * round exactly as the Python specification's does), links numpy's
+ * libnpyrandom.a and calls it through ctypes; repro/sim/vector.py
+ * documents the event order the loop replays.
  *
  * An event is (time, seq, payload) with payload = (ident << 3) | kind;
  * the heap pops in (time, seq) order and seq counts pushes.
  */
 
+#include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
+
+#include "numpy/random/bitgen.h"
 
 enum { EV_ARRIVAL, EV_HEADER, EV_TAIL, EV_GUARD, EV_GRANT, EV_DONE, EV_STOP };
 
@@ -24,7 +32,10 @@ enum {
     CORE_CURSOR_OVERRUN = 2,
     CORE_DELIVERY_OVERRUN = 3,
     CORE_JOURNEY_OVERRUN = 4,
-    CORE_HEAP_DRAINED = 5
+    CORE_HEAP_DRAINED = 5,
+    DRAW_EMPTY_DESTINATION = 6,
+    DRAW_EMPTY_PEER = 7,
+    DRAW_OUTSIDE_SYSTEM = 8
 };
 
 typedef struct {
@@ -430,4 +441,233 @@ done:
     free(h.items);
     rows_free(&r);
     return status;
+}
+
+/* ------------------------------------------------------------------ pre-draw
+ *
+ * numpy's PCG64: a 128-bit LCG with the XSL-RR output function, plus the
+ * spare half word next_uint32 keeps between calls.  A stream is stored as
+ * four words (state high, state low, increment high, increment low); its
+ * half-word buffer starts empty, as in a freshly seeded or restored
+ * numpy.random.PCG64.
+ */
+
+typedef unsigned __int128 u128;
+
+typedef struct {
+    u128 state, inc;
+    int has_uint32;
+    uint32_t uinteger;
+} pcg64;
+
+#define PCG64_MULTIPLIER (((u128)0x2360ed051fc65da4ULL << 64) | 0x4385df649fccf645ULL)
+
+static void pcg64_step(pcg64 *rng)
+{
+    rng->state = rng->state * PCG64_MULTIPLIER + rng->inc;
+}
+
+static uint64_t pcg64_next64(void *opaque)
+{
+    pcg64 *rng = opaque;
+    pcg64_step(rng);
+    uint64_t folded = (uint64_t)(rng->state >> 64) ^ (uint64_t)rng->state;
+    unsigned rot = (unsigned)(rng->state >> 122);
+    return (folded >> rot) | (folded << ((-rot) & 63));
+}
+
+static uint32_t pcg64_next32(void *opaque)
+{
+    pcg64 *rng = opaque;
+    if (rng->has_uint32) {
+        rng->has_uint32 = 0;
+        return rng->uinteger;
+    }
+    uint64_t next = pcg64_next64(rng);
+    rng->has_uint32 = 1;
+    rng->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+static double pcg64_next_double(void *opaque)
+{
+    return (double)(pcg64_next64(opaque) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+static pcg64 pcg64_load(const uint64_t *words)
+{
+    pcg64 rng = {((u128)words[0] << 64) | words[1], ((u128)words[2] << 64) | words[3], 0, 0};
+    return rng;
+}
+
+static void pcg64_store(const pcg64 *rng, uint64_t *words)
+{
+    words[0] = (uint64_t)(rng->state >> 64);
+    words[1] = (uint64_t)rng->state;
+    words[2] = (uint64_t)(rng->inc >> 64);
+    words[3] = (uint64_t)rng->inc;
+}
+
+#define BITGEN(rng) {&(rng), pcg64_next64, pcg64_next32, pcg64_next_double, pcg64_next64}
+
+/* numpy/random/distributions.h declares these but includes Python.h. */
+extern double random_standard_uniform(bitgen_t *bitgen_state);
+extern double random_exponential(bitgen_t *bitgen_state, double scale);
+extern void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off, uint64_t rng,
+                                       intptr_t cnt, bool use_masked, uint64_t *out);
+
+/* numpy's pcg64_set_seed, applied to SeedSequence.generate_state(4, uint64)
+ * words: the initial state of numpy.random.PCG64(seed_sequence). */
+void rng_seed(int64_t count, const uint64_t *words, uint64_t *states)
+{
+    for (int64_t i = 0; i < count; i++) {
+        const uint64_t *seed = words + 4 * i;
+        pcg64 rng = {0, ((((u128)seed[2] << 64) | seed[3]) << 1) | 1, 0, 0};
+        pcg64_step(&rng);
+        rng.state += ((u128)seed[0] << 64) | seed[1];
+        pcg64_step(&rng);
+        pcg64_store(&rng, states + 4 * i);
+    }
+}
+
+enum { ARRIVALS_POISSON, ARRIVALS_DETERMINISTIC };
+
+/*
+ * Row i of times continues start[i] by width arrival times of source
+ * rows[i], each the previous one plus a gap: Generator.exponential(gap)
+ * draws for Poisson arrivals, the constant gap for deterministic ones.
+ * The source's stream advances in place.  Exponential draws never touch
+ * the half-word buffer, so four words carry a stream between calls.
+ */
+void draw_times(int64_t count, const int64_t *rows, uint64_t *states, int64_t kind,
+                double gap, int64_t width, const double *start, double *times)
+{
+    for (int64_t i = 0; i < count; i++) {
+        double *out = times + i * width;
+        double now = start[i];
+        if (kind == ARRIVALS_DETERMINISTIC) {
+            for (int64_t j = 0; j < width; j++)
+                out[j] = now = now + gap;
+            continue;
+        }
+        pcg64 rng = pcg64_load(states + 4 * rows[i]);
+        bitgen_t bitgen = BITGEN(rng);
+        for (int64_t j = 0; j < width; j++)
+            out[j] = now = now + random_exponential(&bitgen, gap);
+        pcg64_store(&rng, states + 4 * rows[i]);
+    }
+}
+
+/* Generator.integers(0, high), or -1 for an empty range. */
+static int64_t below(bitgen_t *bitgen, int64_t high)
+{
+    uint64_t draw;
+    if (high < 1)
+        return -1;
+    random_bounded_uint64_fill(bitgen, 0, (uint64_t)(high - 1), 1, false, &draw);
+    return (int64_t)draw;
+}
+
+/* A uniform index below high other than excluded: a draw below high - 1
+ * that steps over it, or -1 for an empty range. */
+static int64_t skipping(bitgen_t *bitgen, int64_t high, int64_t excluded)
+{
+    int64_t draw = below(bitgen, high - 1);
+    return draw < 0 ? -1 : draw + (draw >= excluded);
+}
+
+enum { PATTERN_UNIFORM, PATTERN_HOTSPOT, PATTERN_LOCAL, PATTERN_PERMUTATION };
+
+typedef struct {
+    int64_t kind, hot_cluster, hot_node; /* hot_node -1: the whole hot cluster */
+    double fraction;                     /* hot or local share */
+    const int64_t *table;                /* permutation partners */
+    const int64_t *cluster_nodes, *node_offsets;
+    int64_t total;
+} pattern;
+
+/*
+ * The global index of one message's destination from node `node` of
+ * cluster `cluster`, or -1 for an empty range: the draws, in the same
+ * order, of each pattern's sample_destination in repro/workloads/.
+ */
+static int64_t destination(bitgen_t *bitgen, const pattern *p, int64_t cluster, int64_t node)
+{
+    int64_t source = p->node_offsets[cluster] + node, draw;
+    if (p->kind == PATTERN_HOTSPOT) {
+        /* random() comes first, even for the hot node, which then falls
+         * back to uniform. */
+        if (random_standard_uniform(bitgen) < p->fraction
+            && !(cluster == p->hot_cluster && node == p->hot_node)) {
+            int64_t base = p->node_offsets[p->hot_cluster];
+            int64_t size = p->cluster_nodes[p->hot_cluster];
+            if (p->hot_node >= 0)
+                return base + p->hot_node;
+            draw = cluster == p->hot_cluster ? skipping(bitgen, size, node) : below(bitgen, size);
+            return draw < 0 ? -1 : base + draw;
+        }
+    } else if (p->kind == PATTERN_LOCAL) {
+        int64_t base = p->node_offsets[cluster], size = p->cluster_nodes[cluster];
+        int go_local = random_standard_uniform(bitgen) < p->fraction;
+        if ((go_local && size > 1) || p->total == size) {
+            draw = skipping(bitgen, size, node);
+            return draw < 0 ? -1 : base + draw;
+        }
+        /* uniform over the nodes outside the source cluster */
+        draw = below(bitgen, p->total - size);
+        return draw < 0 ? -1 : draw + (draw >= base ? size : 0);
+    } else if (p->kind == PATTERN_PERMUTATION) {
+        return p->table[source];
+    }
+    return skipping(bitgen, p->total, source);
+}
+
+/*
+ * Every source's destinations, then, for each message leaving its
+ * cluster, the exit peer in the source cluster and the entry peer in the
+ * destination cluster (draw_peer in repro/sim/wormhole.py); intra-cluster
+ * messages get -1 and draw no peer.  The sources are the system's nodes
+ * in order, so source_clusters doubles as the node-to-cluster map.  The
+ * block holds (arrivals, destinations, peers) states per source and is
+ * only read.
+ */
+int draw_messages(int64_t num_clusters, const int64_t *cluster_nodes,
+                  const int64_t *node_offsets, int64_t num_sources,
+                  const int64_t *source_clusters, const int64_t *source_nodes,
+                  const int64_t *offsets, const uint64_t *block, int64_t kind, double fraction,
+                  int64_t hot_cluster, int64_t hot_node, const int64_t *table,
+                  int64_t *dest_clusters, int64_t *dest_nodes, int64_t *exit_peers,
+                  int64_t *entry_peers)
+{
+    pattern p = {kind,  hot_cluster,   hot_node,     fraction,
+                 table, cluster_nodes, node_offsets, node_offsets[num_clusters]};
+    for (int64_t source = 0; source < num_sources; source++) {
+        pcg64 dest_rng = pcg64_load(block + 12 * source + 4);
+        pcg64 peer_rng = pcg64_load(block + 12 * source + 8);
+        bitgen_t dests = BITGEN(dest_rng), peers = BITGEN(peer_rng);
+        int64_t cluster = source_clusters[source], node = source_nodes[source];
+        for (int64_t message = offsets[source]; message < offsets[source + 1]; message++) {
+            int64_t target = destination(&dests, &p, cluster, node);
+            if (target < 0)
+                return DRAW_EMPTY_DESTINATION;
+            if (target >= p.total)
+                return DRAW_OUTSIDE_SYSTEM;
+            int64_t dest_cluster = source_clusters[target];
+            int64_t dest_node = target - node_offsets[dest_cluster];
+            int64_t exit_peer = -1, entry_peer = -1;
+            if (dest_cluster != cluster) {
+                exit_peer = skipping(&peers, cluster_nodes[cluster], node);
+                if (exit_peer < 0)
+                    return DRAW_EMPTY_PEER;
+                entry_peer = skipping(&peers, cluster_nodes[dest_cluster], dest_node);
+                if (entry_peer < 0)
+                    return DRAW_EMPTY_PEER;
+            }
+            dest_clusters[message] = dest_cluster;
+            dest_nodes[message] = dest_node;
+            exit_peers[message] = exit_peer;
+            entry_peers[message] = entry_peer;
+        }
+    }
+    return CORE_OK;
 }

@@ -1,21 +1,25 @@
 """Build, cache and call the native event core (``event_core.c``).
 
-The vectorized kernel's event loop is a C function over flat arrays.  It is
-compiled on the first simulation that needs it — never at import — with
-``cc -O2 -ffp-contract=off`` (no fast-math flag: the loop's float
-arithmetic must round exactly as the Python specification's does) and
-cached under ``${XDG_CACHE_HOME:-~/.cache}/repro-native/``.  The cache key
-hashes the source bytes, the compiler's version banner, the flags and the
-platform, so a library built from other source bytes, by another compiler
-or for another machine is never loaded; a build lands under a temporary
-name and is moved into place with :func:`os.replace`, so processes
-building at once never see a partial file.  Delete the directory to force
-a rebuild.
+The vectorized kernel's pre-draw and event loop are C functions over flat
+arrays.  They are compiled on the first simulation that needs them —
+never at import — with ``cc -O2 -ffp-contract=off`` (no fast-math flag:
+the loop's float arithmetic must round exactly as the Python
+specification's does) against numpy's ``bitgen.h``, linked with the
+``libnpyrandom.a`` numpy ships (its own distribution code, so every draw
+equals :class:`numpy.random.Generator`'s), and cached under
+``${XDG_CACHE_HOME:-~/.cache}/repro-native/``.  The cache key hashes the
+source bytes, the bytes of that library, the compiler's version banner,
+the flags and the platform, so a library built from other source bytes,
+against another numpy, by another compiler or for another machine is
+never loaded; a build lands under a temporary name and is moved into
+place with :func:`os.replace`, so processes building at once never see a
+partial file.  Delete the directory to force a rebuild.
 
-:func:`run_core` is the whole boundary: it checks every index the loop
-will follow, calls ``core_run`` through :mod:`ctypes` with
-:func:`numpy.ctypeslib.ndpointer` argument types, and turns the loop's
-error codes into exceptions.
+The wrappers here are the whole boundary: :func:`seed_states`,
+:func:`draw_times`, :func:`draw_messages` and :func:`run_core` check every
+index and bound the C code will follow, call it through :mod:`ctypes`
+with :func:`numpy.ctypeslib.ndpointer` argument types, and turn its error
+codes into exceptions.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 from numpy.ctypeslib import ndpointer
@@ -36,13 +40,27 @@ from numpy.ctypeslib import ndpointer
 from repro.des.exceptions import SimulationError
 from repro.routing.compile import FlatRoutes
 from repro.utils.validation import ValidationError
-from repro.workloads.batch import PreDrawn
 
-__all__ = ["CoreOutcome", "NativeCoreUnavailable", "cache_dir", "load", "run_core"]
+if TYPE_CHECKING:
+    from repro.workloads.batch import PreDrawn
+
+__all__ = [
+    "CoreOutcome",
+    "NativeCoreUnavailable",
+    "cache_dir",
+    "draw_messages",
+    "draw_times",
+    "load",
+    "run_core",
+    "seed_states",
+    "source_layout",
+]
 
 SOURCE = Path(__file__).with_name("event_core.c")
 COMPILER = "cc"
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+#: numpy's distribution code as a static library, shipped in its wheels
+NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 
 _library: Optional[ctypes.CDLL] = None
 
@@ -52,7 +70,14 @@ _ERRORS = {
     3: "more measured messages were delivered than the run measures",
     4: "a journey is empty or longer than its row",
     5: "the event heap drained before the stop event",
+    6: "a destination draw has no node to choose from",
+    7: "drawing a peer needs at least two nodes",
+    8: "a drawn destination lies outside the system",
 }
+
+#: the arrival processes and traffic patterns ``event_core.c`` draws
+ARRIVALS = ("poisson", "deterministic")
+PATTERNS = ("uniform", "hotspot", "local", "permutation")
 
 
 class NativeCoreUnavailable(SimulationError):
@@ -76,13 +101,28 @@ def _compiler() -> str:
     return compiler
 
 
+def _npyrandom() -> Path:
+    if not NPYRANDOM.is_file():
+        raise NativeCoreUnavailable(
+            f"the vectorized kernel links numpy's {NPYRANDOM}, which this numpy "
+            f"does not ship; run the generator kernel with REPRO_SIM_KERNEL=generator"
+        )
+    return NPYRANDOM
+
+
 def library_path(source: bytes) -> Path:
     """The cache entry for ``source`` built by this machine's compiler."""
     banner = subprocess.run(
         [_compiler(), "--version"], capture_output=True, check=True
     ).stdout
     key = hashlib.sha256()
-    for part in (source, banner, " ".join(FLAGS).encode(), platform.platform().encode()):
+    for part in (
+        source,
+        _npyrandom().read_bytes(),
+        banner,
+        " ".join(FLAGS).encode(),
+        platform.platform().encode(),
+    ):
         key.update(hashlib.sha256(part).digest())
     return cache_dir() / f"event_core-{key.hexdigest()[:32]}.so"
 
@@ -99,9 +139,11 @@ def build(source: bytes) -> Path:
         with open(source_file, "wb") as handle:
             handle.write(source)
         built = os.path.join(staging, path.name)
-        done = subprocess.run(
-            [_compiler(), *FLAGS, "-o", built, source_file], capture_output=True, text=True
-        )
+        command = [
+            _compiler(), *FLAGS, "-I", np.get_include(), "-o", built, source_file,
+            str(_npyrandom()), "-lm",
+        ]
+        done = subprocess.run(command, capture_output=True, text=True)
         if done.returncode != 0:
             raise NativeCoreUnavailable(
                 f"{COMPILER} failed to build the event core:\n{done.stderr}"
@@ -123,7 +165,18 @@ def load() -> ctypes.CDLL:
     if _library is None:
         library = ctypes.CDLL(str(build(SOURCE.read_bytes())))
         i64, f64 = ctypes.c_int64, ctypes.c_double
-        i32s, i64s, f64s = np.int32, np.int64, np.float64
+        i32s, i64s, u64s, f64s = np.int32, np.int64, np.uint64, np.float64
+        library.rng_seed.restype = None
+        library.rng_seed.argtypes = [i64, *_arrays(u64s, u64s)]
+        library.draw_times.restype = None
+        library.draw_times.argtypes = [
+            i64, *_arrays(i64s, u64s), i64, f64, i64, *_arrays(f64s, f64s)
+        ]
+        library.draw_messages.restype = ctypes.c_int
+        library.draw_messages.argtypes = [
+            i64, *_arrays(i64s, i64s), i64, *_arrays(i64s, i64s, i64s, u64s),
+            i64, f64, i64, i64, *_arrays(i64s, i64s, i64s, i64s, i64s),
+        ]
         library.core_run.restype = ctypes.c_int
         library.core_run.argtypes = [
             # system
@@ -139,6 +192,149 @@ def load() -> ctypes.CDLL:
         ]
         _library = library
     return _library
+
+
+def _raise_for(status: int) -> None:
+    if status == 1:
+        raise MemoryError(_ERRORS[1])
+    if 6 <= status <= 8:
+        raise ValidationError(_ERRORS[status])
+    if status:
+        raise SimulationError(_ERRORS.get(status, f"native event core failed ({status})"))
+
+
+def seed_states(words: np.ndarray) -> np.ndarray:
+    """Seeded PCG64 states, one row of four words per stream.
+
+    ``words`` holds each stream's ``SeedSequence.generate_state(4,
+    np.uint64)``; row ``i`` of the result is the state numpy's
+    ``PCG64(seed_sequence)`` starts from, as (state high, state low,
+    increment high, increment low).
+    """
+    words = np.ascontiguousarray(words, dtype=np.uint64)
+    if words.ndim != 2 or words.shape[1] != 4:
+        raise ValidationError("seed words must be rows of four uint64 words")
+    states = np.empty_like(words)
+    load().rng_seed(len(words), words, states)
+    return states
+
+
+def draw_times(
+    states: np.ndarray, rows: np.ndarray, arrivals: str, gap: float, width: int,
+    start: np.ndarray,
+) -> np.ndarray:
+    """``width`` arrival times per source in ``rows``, continuing ``start``.
+
+    Row ``i`` of the result is ``start[i]`` plus the running sum of source
+    ``rows[i]``'s next ``width`` gaps — exponential with mean ``gap`` for
+    ``"poisson"`` arrivals, ``gap`` itself for ``"deterministic"`` ones.
+    ``states`` holds each source's arrivals stream and advances in place.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    start = np.ascontiguousarray(start, dtype=np.float64)
+    if (
+        states.dtype != np.uint64
+        or states.ndim != 2
+        or states.shape[1] != 4
+        or not states.flags.c_contiguous
+        or not states.flags.writeable
+    ):
+        raise ValidationError("arrival states must be a writable (sources, 4) uint64 array")
+    if (
+        rows.ndim != 1
+        or start.shape != rows.shape
+        or (rows.size and not 0 <= rows.min() <= rows.max() < len(states))
+    ):
+        raise ValidationError("arrival rows do not index the arrival states")
+    if arrivals not in ARRIVALS or width < 1:
+        raise ValidationError(f"cannot draw {width} {arrivals!r} arrival times")
+    times = np.empty((len(rows), width), dtype=np.float64)
+    load().draw_times(
+        len(rows), rows, states, ARRIVALS.index(arrivals), gap, width, start, times
+    )
+    return times
+
+
+def source_layout(cluster_nodes) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """``(node_offsets, clusters, nodes)`` of the system's nodes in order.
+
+    Cluster ``c`` holds ``cluster_nodes[c]`` nodes starting at global index
+    ``node_offsets[c]``; node ``s`` is local node ``nodes[s]`` of cluster
+    ``clusters[s]``.  The pre-draw's sources are these nodes.
+    """
+    cluster_nodes = np.asarray(cluster_nodes, dtype=np.int64)
+    node_offsets = np.concatenate(((0,), np.cumsum(cluster_nodes)))
+    clusters = np.repeat(np.arange(len(cluster_nodes), dtype=np.int64), cluster_nodes)
+    return node_offsets, clusters, np.arange(len(clusters), dtype=np.int64) - node_offsets[clusters]
+
+
+def draw_messages(
+    cluster_nodes: np.ndarray,
+    counts: np.ndarray,
+    block: np.ndarray,
+    pattern: str,
+    fraction: float = 0.0,
+    hot_cluster: int = 0,
+    hot_node: int = -1,
+    table: Optional[np.ndarray] = None,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+    """Destinations and concentrator peers of ``counts[s]`` messages per source.
+
+    The sources are the system's nodes in order, cluster ``c`` holding
+    ``cluster_nodes[c]`` of them; ``block[s]`` holds source ``s``'s
+    (arrivals, destinations, peers) stream states, which are only read.
+    ``pattern`` selects the destination draws — ``fraction`` is the hot
+    share of ``"hotspot"`` (with ``hot_cluster`` and ``hot_node``, ``-1``
+    for the whole cluster) or the local share of ``"local"``; ``table``
+    holds the global partner of every node for ``"permutation"``.
+    Returns ``(dest_clusters, dest_nodes, exit_peers, entry_peers)``,
+    source after source; intra-cluster messages have ``-1`` peers.
+    """
+    cluster_nodes = np.ascontiguousarray(cluster_nodes, dtype=np.int64)
+    counts = np.ascontiguousarray(counts, dtype=np.int64)
+    block = np.ascontiguousarray(block, dtype=np.uint64)
+    num_clusters = len(cluster_nodes)
+    if cluster_nodes.ndim != 1 or num_clusters < 1 or cluster_nodes.min() < 1:
+        raise ValidationError("every cluster needs at least one node")
+    node_offsets, source_clusters, source_nodes = source_layout(cluster_nodes)
+    total = int(node_offsets[-1])
+    if counts.shape != (total,) or counts.min() < 0:
+        raise ValidationError(f"expected a non-negative message count for each of {total} sources")
+    if block.shape != (total, 3, 4):
+        raise ValidationError(f"expected three stream states for each of {total} sources")
+    if pattern not in PATTERNS:
+        raise ValidationError(f"unknown traffic pattern {pattern!r}")
+    if pattern == "hotspot" and not (
+        0 <= hot_cluster < num_clusters and -1 <= hot_node < cluster_nodes[hot_cluster]
+    ):
+        raise ValidationError(f"hot cluster {hot_cluster}, node {hot_node} is outside the system")
+    if pattern == "permutation":
+        table = np.ascontiguousarray(() if table is None else table, dtype=np.int64)
+        if table.shape != (total,) or not 0 <= table.min() <= table.max() < total:
+            raise ValidationError(f"a permutation table must map each of {total} nodes into them")
+    else:
+        table = np.zeros(1, dtype=np.int64)
+    offsets = np.concatenate(((0,), np.cumsum(counts)))
+    messages = int(offsets[-1])
+    columns = [np.empty(messages, dtype=np.int64) for _ in range(4)]
+    status = load().draw_messages(
+        num_clusters,
+        cluster_nodes,
+        node_offsets,
+        total,
+        source_clusters,
+        source_nodes,
+        offsets,
+        block,
+        PATTERNS.index(pattern),
+        fraction,
+        hot_cluster,
+        hot_node,
+        table,
+        *columns,
+    )
+    _raise_for(status)
+    return tuple(columns)
 
 
 class CoreOutcome(NamedTuple):
@@ -256,11 +452,9 @@ def run_core(
     header_times = np.asarray(simulator._header_times, dtype=np.float64)
     if len(header_times) != core.total_slots:
         raise ValidationError("header times do not cover the channel slots")
-    workload = PreDrawn(
-        *(
-            np.ascontiguousarray(column, dtype=np.float64 if field == "times" else np.int64)
-            for field, column in zip(PreDrawn._fields, workload)
-        )
+    workload = workload._make(
+        np.ascontiguousarray(column, dtype=np.float64 if field == "times" else np.int64)
+        for field, column in zip(workload._fields, workload)
     )
     _check_routes(routes, core, cluster_nodes)
     _check_messages(workload, routes, cluster_nodes)
@@ -329,10 +523,7 @@ def run_core(
         clock,
         counts,
     )
-    if status == 1:
-        raise MemoryError(_ERRORS[1])
-    if status:
-        raise SimulationError(_ERRORS.get(status, f"native event core failed ({status})"))
+    _raise_for(status)
     events, count, touched, done = counts.tolist()
     return CoreOutcome(
         clusters[:count],

@@ -29,10 +29,12 @@ cycle, selectable per constructor or via ``REPRO_SIM_KERNEL``:
   the generic :class:`~repro.des.Environment` heap, reading the same route
   tables.  It is the only pure-Python path.
 
-Per-run random streams are restored from the pooled PCG64 snapshots of
-:mod:`repro.utils.rng` in both kernels.  The event sequence is identical
-across the two kernels; the golden-seed regression pins their statistics
-to the committed fixtures and to each other.
+Per-run random streams start from pooled PCG64 states of
+:mod:`repro.utils.rng` in both kernels: restored
+:class:`~numpy.random.Generator` snapshots in the generator kernel, one
+flat block of states per (seed, system) in the vectorized one.  The event
+sequence is identical across the two kernels; the golden-seed regression
+pins their statistics to the committed fixtures and to each other.
 """
 
 from __future__ import annotations
@@ -42,9 +44,12 @@ import os
 import time as _time
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.des import Environment
 from repro.model.parameters import MessageSpec, PAPER_TIMING, TimingParameters
 from repro.routing.compile import compile_system_routes
+from repro.sim import native
 from repro.sim.config import SimulationConfig
 from repro.sim.message import Message
 from repro.sim.network import FlatChannels
@@ -52,7 +57,7 @@ from repro.sim.statistics import SimulationResult, StatisticsCollector, channel_
 from repro.sim.vector import VectorizedRunState
 from repro.sim.wormhole import compiled_transfer, draw_peer
 from repro.topology.compile import compile_system
-from repro.utils.rng import RandomStreams
+from repro.utils.rng import RandomStreams, stream_states
 from repro.utils.validation import ValidationError, check_positive
 from repro.workloads.base import TrafficPattern
 from repro.workloads.poisson import PoissonArrivals
@@ -69,7 +74,8 @@ KERNEL_MODES = ("generator", "vectorized")
 DEFAULT_KERNEL = "vectorized"
 
 #: Per-node stream kinds a run draws from (arrival gaps, destinations,
-#: distributed-concentrator peers).
+#: distributed-concentrator peers), in the order each node's states sit in
+#: the flat block the native pre-draw reads.
 STREAM_KINDS = ("arrivals", "destinations", "peers")
 
 
@@ -96,7 +102,9 @@ class MultiClusterSimulator:
         :class:`~repro.workloads.base.ArrivalProcess`; defaults to Poisson
         generation (assumption 1).  Passing
         :class:`~repro.workloads.DeterministicArrivals` turns the generator
-        into the variance ablation discussed in DESIGN.md.
+        into the variance ablation discussed in DESIGN.md.  The vectorized
+        kernel draws the built-in arrival processes and patterns only; any
+        other class needs ``kernel="generator"``.
     kernel:
         Message-lifecycle realisation: ``"vectorized"`` (default) runs the
         native event core of :class:`~repro.sim.vector.VectorizedRunState`;
@@ -145,6 +153,8 @@ class MultiClusterSimulator:
         #: per-slot flit transfer times (relay slots carry the switch time,
         #: matching the relay_time of the object-path realisation)
         self._header_times = self.core.header_times(self._t_cn, self._t_cs)
+        self._distinct_header_times = frozenset(map(float, self._header_times))
+        self._pool_index = np.asarray(self.core.pool_index_list)
         self._cluster_nodes = [cluster.num_nodes for cluster in self.system.clusters]
 
     # ------------------------------------------------------------------ runs
@@ -185,29 +195,43 @@ class MultiClusterSimulator:
         """One simulation run per offered-traffic value."""
         return [self.run(value, config=config) for value in lambdas]
 
-    def warm_streams(self, config: Optional[SimulationConfig] = None) -> None:
-        """Build every per-node random stream once for the run seed.
+    def stream_states(self, streams: RandomStreams) -> np.ndarray:
+        """The (arrivals, destinations, peers) PCG64 states of every node.
 
-        Constructing a stream seeds a PCG64 generator through SeedSequence
-        entropy mixing — the dominant per-run setup cost on 1000+-node
-        systems.  Each construction snapshots its initial state into the
-        module-level pool of :mod:`repro.utils.rng`, so every later run of
-        the same seed (each sweep point, and — under a fork start — every
-        pool worker) restores states instead of re-mixing.
+        One read-only block per (seed, system), derived once and pooled by
+        :func:`repro.utils.rng.stream_states`, with numpy's seeding step
+        run in C (:func:`repro.sim.native.seed_states`).
         """
+        return stream_states(streams, STREAM_KINDS, self._cluster_nodes, native.seed_states)
+
+    def warm_streams(self, config: Optional[SimulationConfig] = None) -> None:
+        """Derive every per-node stream's initial state once for the run seed.
+
+        Seeding a stream mixes its key through SeedSequence — the dominant
+        per-run setup cost on 1000+-node systems.  On the vectorized kernel
+        this derives the run seed's flat block of initial PCG64 states
+        (:meth:`stream_states`) into the module-level pool of
+        :mod:`repro.utils.rng`, building and loading the native library on
+        the way, and builds no :class:`~numpy.random.Generator`: every later
+        run of the same seed (each sweep point, and — under a fork start —
+        every pool worker) finds the block with one lookup.  The generator
+        kernel snapshots its generators on first use instead, so this does
+        nothing there.
+        """
+        if self.kernel != "vectorized":
+            return
         run_config = config if config is not None else self.config
-        streams = RandomStreams(run_config.seed, pooled=True)
-        for cluster_index, node in self.system.nodes():
-            for kind in STREAM_KINDS:
-                streams.get(kind, cluster_index, node.index)
+        self.stream_states(RandomStreams(run_config.seed))
 
     def prepare(self, config: Optional[SimulationConfig] = None) -> None:
         """Pay every remaining setup cost now, outside any timed region.
 
-        Covers the stream pool (:meth:`warm_streams`) and the route layout
-        the kernels read — for a zoo topology, every route row, since a
-        uniform pattern touches every source row eventually — so neither
-        lands in the first timed run or in every process-pool worker.
+        Covers the stream states (:meth:`warm_streams`; on the vectorized
+        kernel that also builds and loads the native library) and the
+        route layout the kernels read — for a zoo topology, every route
+        row, since a uniform pattern touches every source row eventually —
+        so none of it lands in the first timed run or in every process-pool
+        worker.
         """
         self.warm_streams(config)
         self.routes.warm()

@@ -219,6 +219,16 @@ class StatisticsCollector:
         )
 
 
+def _fold_mean(values: np.ndarray) -> float:
+    """The mean as a left-to-right loop computes it.
+
+    ``np.add.accumulate`` adds in array order, as a Python ``for`` loop
+    does; ``np.sum`` adds pairwise, and the builtin ``sum`` compensates
+    its rounding since Python 3.12, so either would change the last bits.
+    """
+    return float(np.add.accumulate(values)[-1]) / len(values)
+
+
 def channel_utilisation(
     core, busy: Sequence[float], grants: Sequence[int], pool_touch_order, elapsed: float
 ) -> Dict[str, Tuple[float, float]]:
@@ -231,41 +241,37 @@ def channel_utilisation(
     out the busiest cluster's busiest channel); the concentrator/dispatcher
     units are reported as their own "network", from the relay slots that
     were ever granted, because they are the physical bottleneck of the
-    Table 1 organisations.
+    Table 1 organisations.  Every mean is a left-to-right fold, so the
+    report is the same on every Python version.
     """
     if elapsed <= 0:
         return {}
+    fractions = np.minimum(np.asarray(busy, dtype=np.float64) / elapsed, 1.0)
     num_clusters = core.spec.num_clusters
     labels = core.utilisation_labels
     report: Dict[str, Tuple[float, float]] = {}
     for label, start in ((labels[0], 0), (labels[1], num_clusters)):
-        values = []
+        means, peaks = [], []
         for pool in range(start, start + num_clusters):
             order = pool_touch_order[pool]
-            if not order:
-                continue
-            fractions = [min(busy[slot] / elapsed, 1.0) for slot in order]
-            values.append((sum(fractions) / len(fractions), max(fractions)))
-        if values:
-            report[label] = (
-                float(sum(mean for mean, _ in values) / len(values)),
-                float(max(peak for _, peak in values)),
-            )
+            if len(order):
+                values = fractions[order]
+                means.append(_fold_mean(values))
+                peaks.append(float(values.max()))
+        if means:
+            report[label] = (_fold_mean(np.asarray(means)), max(peaks))
     icn2_order = pool_touch_order[2 * num_clusters]
-    if icn2_order:
-        fractions = [min(busy[slot] / elapsed, 1.0) for slot in icn2_order]
-        report[labels[2]] = (float(sum(fractions) / len(fractions)), float(max(fractions)))
-    relay_fractions = [
-        min(busy[slot] / elapsed, 1.0)
-        for slot in (
-            *range(core.concentrator_base, core.concentrator_base + num_clusters),
-            *range(core.dispatcher_base, core.dispatcher_base + num_clusters),
+    if len(icn2_order):
+        values = fractions[icn2_order]
+        report[labels[2]] = (_fold_mean(values), float(values.max()))
+    relays = np.concatenate(
+        (
+            np.arange(core.concentrator_base, core.concentrator_base + num_clusters),
+            np.arange(core.dispatcher_base, core.dispatcher_base + num_clusters),
         )
-        if grants[slot]
-    ]
-    if relay_fractions:
-        report[labels[3]] = (
-            float(sum(relay_fractions) / len(relay_fractions)),
-            float(max(relay_fractions)),
-        )
+    )
+    relays = relays[np.asarray(grants)[relays] != 0]
+    if relays.size:
+        values = fractions[relays]
+        report[labels[3]] = (_fold_mean(values), float(values.max()))
     return report

@@ -7,12 +7,15 @@ is one call into a C event loop (``event_core.c``, built and loaded by
 Three things make it fast:
 
 * **arrivals** — :func:`~repro.workloads.batch.predraw` draws, before the
-  loop and with sized NumPy calls, exactly the messages the run can
-  generate, replacing one generator resume plus three scalar RNG round
-  trips per message (bit-identical by the property pinned in
-  ``tests/workloads/test_batch.py``); this is what the kernel's name refers
-  to.  The loop reads them from flat arrays by a per-source cursor, which
-  it bounds-checks, and never draws.
+  loop and in C, exactly the messages the run can generate, from the
+  run's flat block of initial PCG64 states and through numpy's own
+  distribution code, replacing one generator resume plus three scalar RNG
+  round trips per message (bit-identical by the property pinned in
+  ``tests/workloads/test_batch.py``); this is what the kernel's name
+  refers to.  It draws the built-in arrival processes and patterns only;
+  any other class needs the generator kernel.  The loop reads the
+  messages from flat arrays by a per-source cursor, which it
+  bounds-checks, and never draws.
 * **a native loop on one plain heap** — an event is a ``(time, seq,
   payload)`` triple, where ``payload`` packs ``(ident << 3) | kind`` and
   ``seq`` counts pushes; channel state, transfer rows and per-channel FIFO
@@ -81,7 +84,7 @@ from repro.sim.config import SimulationConfig
 from repro.sim.statistics import StatisticsCollector, channel_utilisation
 from repro.utils.rng import RandomStreams
 from repro.workloads.batch import predraw
-from repro.workloads.poisson import DeterministicArrivals, PoissonArrivals
+from repro.workloads.poisson import DeterministicArrivals
 
 __all__ = ["VectorizedRunState"]
 
@@ -116,14 +119,12 @@ class VectorizedRunState:
             system,
             simulator.pattern.for_run(self.streams, system),
             self.arrivals,
-            self.streams,
+            simulator.stream_states(self.streams),
             config.total_messages,
         )
         senders = self.workload.nodes[self.workload.counts() > 0]
         self._routes = simulator.routes.flat(senders)
         self._elide_grants = self._grant_elision_safe()
-        # Build or load the event core here, outside the timed loop.
-        native.load()
 
     def _grant_elision_safe(self) -> bool:
         """Whether the delay-0 grant hop may be collapsed into its acquire.
@@ -155,18 +156,11 @@ class VectorizedRunState:
         may coincide among themselves.  Poisson gaps are continuous draws —
         a half-ulp coincidence with a header delta has the same measure-zero
         status as a zero gap, and the golden fixtures pin the actual seeds.
-        Unknown arrival processes disable elision outright.
+        The pre-draw admits no other arrival process (exact types only).
         """
-        headers = {float(h) for h in self.simulator._header_times}
-        # Exact types only: a subclass may override the gap distribution,
-        # which would void the separation argument below.
+        headers = self.simulator._distinct_header_times
         arrivals = self.arrivals
-        if type(arrivals) is DeterministicArrivals:
-            gaps = (1.0 / arrivals.rate,)
-        elif type(arrivals) is PoissonArrivals:
-            gaps = ()
-        else:
-            return False
+        gaps = (1.0 / arrivals.rate,) if type(arrivals) is DeterministicArrivals else ()
         tail_flits = self.simulator.message.length_flits - 1
         others = {0.0, *(tail_flits * h for h in headers), *gaps}
         margin = self.config.max_time * _ULP_MARGIN
@@ -194,12 +188,11 @@ class VectorizedRunState:
         """Identical aggregation to ``_RunState.channel_utilisation``."""
         core = self.simulator.core
         order = self.outcome.touch_order
-        pools = np.asarray(core.pool_index_list)[order]
-        pool_touch_order = [order[pools == pool].tolist() for pool in range(core.num_pools)]
+        pools = self.simulator._pool_index[order]
         return channel_utilisation(
             core,
-            self.outcome.busy_time.tolist(),
-            self.outcome.total_grants.tolist(),
-            pool_touch_order,
+            self.outcome.busy_time,
+            self.outcome.total_grants,
+            [order[pools == pool] for pool in range(core.num_pools)],
             self.now,
         )

@@ -8,12 +8,20 @@ seed via ``SeedSequence.spawn`` so that
 
 * the same experiment seed always reproduces the same results, and
 * adding one more stream never perturbs the existing ones.
+
+Two pools skip re-seeding across runs.  The generator kernel draws from
+:class:`~numpy.random.Generator` objects, which a pooled
+:class:`RandomStreams` snapshots on first use and restores every later
+run.  The vectorized kernel draws in C from flat PCG64 states:
+:func:`stream_states` derives every node's initial states once per (seed,
+system) into one read-only ``uint64`` block, which each run finds with one
+lookup and draws from without writing it.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Hashable
+from typing import Callable, Dict, Hashable, Sequence
 
 import numpy as np
 
@@ -42,6 +50,20 @@ def _stable_key_hash(part: Hashable) -> int:
 _SEED_SEQUENCES: Dict[tuple, np.random.SeedSequence] = {}
 _SEED_SEQUENCE_CACHE_LIMIT = 262_144
 
+
+def _seed_sequence(entropy: int, key: tuple, memoise: bool = True) -> np.random.SeedSequence:
+    """The SeedSequence of stream ``key`` under root ``entropy`` (memoised)."""
+    cache_key = (entropy, key)
+    sequence = _SEED_SEQUENCES.get(cache_key)
+    if sequence is None:
+        sequence = np.random.SeedSequence([entropy, *map(_stable_key_hash, key)])
+        if memoise:
+            if len(_SEED_SEQUENCES) >= _SEED_SEQUENCE_CACHE_LIMIT:
+                _SEED_SEQUENCES.clear()
+            _SEED_SEQUENCES[cache_key] = sequence
+    return sequence
+
+
 #: Module-level stream pool: (entropy, key) -> (Generator, initial PCG64
 #: state snapshot).  Seeding a generator pays SeedSequence entropy mixing
 #: (~7 microseconds); restoring a snapshot into an existing generator is a
@@ -54,6 +76,12 @@ _SEED_SEQUENCE_CACHE_LIMIT = 262_144
 #: sweeps use separate worker processes), which is why pooling is opt-in.
 _STREAM_POOL: Dict[tuple, tuple] = {}
 _STREAM_POOL_LIMIT = 262_144
+
+#: Module-level pool of flat state blocks: (entropy, kinds, cluster sizes)
+#: -> read-only (nodes, kinds, 4) uint64 block (see :func:`stream_states`),
+#: cleared wholesale once it would hold more than ``_STREAM_POOL_LIMIT``
+#: streams.
+_STATE_BLOCKS: Dict[tuple, np.ndarray] = {}
 
 
 def spawn_rng(seed: int | None, index: int = 0) -> np.random.Generator:
@@ -104,6 +132,11 @@ class RandomStreams:
     def pooled(self) -> bool:
         return self._pooled
 
+    @property
+    def entropy(self) -> int:
+        """The root seed material every stream key is mixed with."""
+        return self._root.entropy if self._root.entropy is not None else 0
+
     def get(self, *key: Hashable) -> np.random.Generator:
         """Return (and memoise) the generator identified by ``key``.
 
@@ -114,7 +147,7 @@ class RandomStreams:
             raise ValidationError("at least one key component is required")
         generator = self._cache.get(key)
         if generator is None:
-            entropy = self._root.entropy if self._root.entropy is not None else 0
+            entropy = self.entropy
             cache_key = (entropy, key)
             if self._pooled:
                 pooled = _STREAM_POOL.get(cache_key)
@@ -123,15 +156,7 @@ class RandomStreams:
                     generator.bit_generator.state = snapshot
                     self._cache[key] = generator
                     return generator
-            sequence = _SEED_SEQUENCES.get(cache_key)
-            if sequence is None:
-                material = [entropy]
-                for part in key:
-                    material.append(_stable_key_hash(part))
-                if len(_SEED_SEQUENCES) >= _SEED_SEQUENCE_CACHE_LIMIT:
-                    _SEED_SEQUENCES.clear()
-                sequence = _SEED_SEQUENCES[cache_key] = np.random.SeedSequence(material)
-            generator = self._cache[key] = np.random.default_rng(sequence)
+            generator = self._cache[key] = np.random.default_rng(_seed_sequence(entropy, key))
             if self._pooled:
                 if len(_STREAM_POOL) >= _STREAM_POOL_LIMIT:
                     _STREAM_POOL.clear()
@@ -147,6 +172,50 @@ class RandomStreams:
         return f"RandomStreams(seed={self._seed!r}, streams={len(self._cache)})"
 
 
+def stream_states(
+    streams: RandomStreams,
+    kinds: Sequence[str],
+    cluster_nodes: Sequence[int],
+    seed: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Every node's initial PCG64 state for each of ``kinds``, as one block.
+
+    Entry ``[s, k]`` of the read-only ``(nodes, len(kinds), 4)`` uint64
+    block is the state ``streams.get(kinds[k], cluster, node)`` starts
+    from, node ``s`` being node ``node`` of cluster ``cluster`` in system
+    order: ``seed`` turns each stream's ``SeedSequence.generate_state(4,
+    np.uint64)`` words into numpy's seeded ``PCG64`` state (the simulator
+    passes :func:`repro.sim.native.seed_states`).  Blocks of seeded
+    families are memoised per (seed, kinds, cluster sizes), so later runs
+    find theirs with one lookup; ``seed=None`` families are derived afresh
+    and store nothing, not even their SeedSequences.
+    """
+    entropy = streams.entropy
+    seeded = streams.seed is not None
+    sizes = tuple(int(size) for size in cluster_nodes)
+    key = (entropy, tuple(kinds), sizes)
+    block = _STATE_BLOCKS.get(key) if seeded else None
+    if block is not None:
+        return block
+    words = np.empty((sum(sizes), len(kinds), 4), dtype=np.uint64)
+    row = 0
+    for cluster, size in enumerate(sizes):
+        for node in range(size):
+            for column, kind in enumerate(kinds):
+                sequence = _seed_sequence(entropy, (kind, cluster, node), seeded)
+                words[row, column] = sequence.generate_state(4, np.uint64)
+            row += 1
+    block = seed(words.reshape(-1, 4)).reshape(words.shape)
+    block.setflags(write=False)
+    if seeded:
+        pooled = sum(each.shape[0] * each.shape[1] for each in _STATE_BLOCKS.values())
+        if pooled + block.shape[0] * block.shape[1] > _STREAM_POOL_LIMIT:
+            _STATE_BLOCKS.clear()
+        _STATE_BLOCKS[key] = block
+    return block
+
+
 def clear_stream_pool() -> None:
-    """Drop all pooled generators and snapshots (test isolation hook)."""
+    """Drop all pooled generators, snapshots and state blocks (test isolation hook)."""
     _STREAM_POOL.clear()
+    _STATE_BLOCKS.clear()

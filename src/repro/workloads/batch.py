@@ -10,39 +10,80 @@ exactly the messages the run can generate.  Arrival times depend only on
 each source's own arrivals stream, so the time ``T*`` of the run's
 ``total_messages``-th arrival is known up front: a source generates at most
 ``n_s`` messages, the number of its arrival times ``<= T*``, and reads at
-most ``n_s + 1`` arrival times.  Each source makes one sized NumPy call
-per stream, plus one more arrivals call per round for the rare source that
-outruns the first draw.  The result is a handful of flat arrays with
-per-source offsets (:class:`PreDrawn`), which the native event loop reads
-as they are.
+most ``n_s + 1`` arrival times.  The draws themselves run in C
+(:func:`repro.sim.native.draw_times` and
+:func:`repro.sim.native.draw_messages`), from the run's flat block of
+initial stream states (:func:`repro.utils.rng.stream_states`) and through
+numpy's own distribution code; only the cut-off ``T*`` is found here, in
+NumPy, between the gap draws.  The result is a handful of flat arrays
+with per-source offsets (:class:`PreDrawn`), which the native event loop
+reads as they are.
 
-**Every element is bit-identical to the sequential resume** because a sized
-NumPy draw consumes the underlying BitGenerator stream exactly like the same
-number of scalar draws, arrival times accumulate by the same left fold
-(``cumsum`` along each row, matching the simulator's ``now + gap`` chain),
-and per-stream draw *order* is preserved — gaps in message order,
-destinations in message order, peers interleaved exit-then-entry over
-external messages only.  ``tests/workloads/test_batch.py`` pins the
-equivalence against the scalar path across pooled stream snapshots.
+**Every element is bit-identical to the sequential resume** because the C
+draws start from the states the generator kernel's streams start from,
+call the functions :class:`numpy.random.Generator` calls, in the same
+per-stream order — gaps in message order, destinations in message order,
+peers interleaved exit-then-entry over external messages only — and
+arrival times accumulate by the same left fold (``t = t + gap``, matching
+the simulator's ``now + gap`` chain).  ``tests/workloads/test_batch.py``
+pins the equivalence against the scalar path of every pattern.
 
-Over-drawing is harmless: streams are single-consumer and re-restored from
-the pooled snapshots (:mod:`repro.utils.rng`) at the start of every run, so
-gaps past ``T*`` — and the one extra message of a source whose arrival ties
-``T*`` but loses the tie — leave no trace in any other draw.
+So the C code draws only what it implements: the exact classes
+:class:`~repro.workloads.poisson.PoissonArrivals`,
+:class:`~repro.workloads.poisson.DeterministicArrivals` and the four
+patterns.  Any other class, a subclass included, is rejected here; the
+generator kernel runs it from its scalar methods.
+
+Over-drawing is harmless: each run draws from its own copy of the pooled
+states, so gaps past ``T*`` — and the one extra message of a source whose
+arrival ties ``T*`` but loses the tie — leave no trace in any other draw.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.topology.multicluster import MultiClusterSystem
-from repro.utils.rng import RandomStreams
 from repro.utils.validation import ValidationError
 from repro.workloads.base import ArrivalProcess, TrafficPattern
+from repro.workloads.hotspot import HotspotTraffic
+from repro.workloads.local import ClusterLocalTraffic
+from repro.workloads.permutation import PermutationTraffic
+from repro.workloads.poisson import DeterministicArrivals, PoissonArrivals
+from repro.workloads.uniform import UniformTraffic
 
-__all__ = ["PreDrawn", "draw_peers", "predraw"]
+__all__ = ["PreDrawn", "predraw"]
+
+_ARRIVALS = {PoissonArrivals: "poisson", DeterministicArrivals: "deterministic"}
+
+
+def _needs_generator(unknown: object) -> ValidationError:
+    return ValidationError(
+        f"the vectorized kernel draws only the built-in arrival processes and "
+        f"traffic patterns, not {type(unknown).__name__}; run it with "
+        f'kernel="generator" (or REPRO_SIM_KERNEL=generator)'
+    )
+
+
+def _pattern_args(pattern: TrafficPattern, system: MultiClusterSystem) -> dict:
+    """The native draw arguments of a built-in pattern (exact types only)."""
+    kind = type(pattern)
+    if kind is UniformTraffic:
+        return {"pattern": "uniform"}
+    if kind is HotspotTraffic:
+        return {
+            "pattern": "hotspot",
+            "fraction": pattern.fraction,
+            "hot_cluster": pattern.hot_cluster,
+            "hot_node": -1 if pattern.hot_node is None else pattern.hot_node,
+        }
+    if kind is ClusterLocalTraffic:
+        return {"pattern": "local", "fraction": pattern.local_fraction}
+    if kind is PermutationTraffic:
+        return {"pattern": "permutation", "table": pattern.partners(system)}
+    raise _needs_generator(pattern)
 
 
 class PreDrawn(NamedTuple):
@@ -74,29 +115,35 @@ def predraw(
     system: MultiClusterSystem,
     pattern: TrafficPattern,
     arrivals: ArrivalProcess,
-    streams: RandomStreams,
+    states: np.ndarray,
     total_messages: int,
 ) -> PreDrawn:
-    """Draw every message a run of ``total_messages`` can generate."""
-    cluster_nodes = np.asarray(
-        [cluster.num_nodes for cluster in system.clusters], dtype=np.int64
-    )
-    source_clusters = np.repeat(np.arange(len(cluster_nodes)), cluster_nodes)
-    source_nodes = np.arange(len(source_clusters)) - system.node_offsets[source_clusters]
-    clusters = source_clusters.tolist()
-    nodes = source_nodes.tolist()
-    sources = list(zip(clusters, nodes))
-    num_sources = len(sources)
+    """Draw every message a run of ``total_messages`` can generate.
+
+    ``states`` is the run's block of initial (arrivals, destinations,
+    peers) stream states per node (:func:`repro.utils.rng.stream_states`);
+    it is only read.
+    """
+    # repro.sim imports this module, so the native boundary is imported late.
+    from repro.sim import native
+
+    arrival_kind = _ARRIVALS.get(type(arrivals))
+    if arrival_kind is None:
+        raise _needs_generator(arrivals)
+    pattern_args = _pattern_args(pattern, system)
+    cluster_nodes = [cluster.num_nodes for cluster in system.clusters]
+    _, source_clusters, source_nodes = native.source_layout(cluster_nodes)
+    num_sources = len(source_clusters)
 
     # -- arrival times: a (sources x width) fold per row, extended until
     # every row ends after the cut-off T*.  The cut-off can only fall as
     # rows grow, so a row that once ends after it always does.
-    arrival_rngs = [streams.get("arrivals", *source) for source in sources]
+    arrival_states = np.array(states[:, 0])
+    gap = 1.0 / arrivals.rate
     width = 2 * -(-total_messages // num_sources) + 2
-    gaps = np.empty((num_sources, width))
-    for row, rng in enumerate(arrival_rngs):
-        gaps[row] = arrivals.next_interarrivals(rng, width)
-    times = np.cumsum(gaps, axis=1)
+    times = native.draw_times(
+        arrival_states, np.arange(num_sources), arrival_kind, gap, width, np.zeros(num_sources)
+    )
     k = total_messages - 1
     while True:
         cutoff = np.partition(times, k, axis=None)[k]
@@ -105,11 +152,11 @@ def predraw(
         if not short.size:
             break
         more = np.full((num_sources, width), np.inf)
-        for row in short.tolist():
-            gaps = arrivals.next_interarrivals(arrival_rngs[row], width)
-            # Seeding the fold with the row's last time continues the
-            # sequential chain t[i] = t[i-1] + gap[i] bit for bit.
-            more[row] = np.cumsum(np.concatenate(((last[row],), gaps)))[1:]
+        # Starting the fold from the row's last time continues the
+        # sequential chain t[i] = t[i-1] + gap[i] bit for bit.
+        more[short] = native.draw_times(
+            arrival_states, short, arrival_kind, gap, width, last[short]
+        )
         if np.any(more[short, -1] <= last[short]):
             raise ValidationError(
                 f"{arrivals.describe()} drew {width} inter-arrival gaps that "
@@ -119,24 +166,10 @@ def predraw(
     # Ties at T* may count one message too many per tied source; harmless.
     counts = np.count_nonzero(times <= cutoff, axis=1)
     heads = np.arange(times.shape[1]) <= counts[:, None]
-    count_list = counts.tolist()
 
-    # -- destinations and peers, source after source
-    dest_clusters, dest_nodes = pattern.sample_destinations(
-        [streams.get("destinations", *source) for source in sources],
-        system,
-        clusters,
-        nodes,
-        count_list,
-    )
-    exit_peers, entry_peers = draw_peers(
-        [streams.get("peers", *source) for source in sources],
-        cluster_nodes,
-        np.repeat(source_clusters, counts),
-        np.repeat(source_nodes, counts),
-        dest_clusters,
-        dest_nodes,
-        count_list,
+    # -- destinations and peers, every source in one call
+    dest_clusters, dest_nodes, exit_peers, entry_peers = native.draw_messages(
+        cluster_nodes, counts, states, **pattern_args
     )
     return PreDrawn(
         source_clusters,
@@ -148,50 +181,3 @@ def predraw(
         exit_peers,
         entry_peers,
     )
-
-
-def draw_peers(
-    rngs: Sequence[np.random.Generator],
-    cluster_nodes: np.ndarray,
-    source_clusters: np.ndarray,
-    source_nodes: np.ndarray,
-    dest_clusters: np.ndarray,
-    dest_nodes: np.ndarray,
-    counts: Sequence[int],
-) -> "tuple[np.ndarray, np.ndarray]":
-    """The (exit, entry) concentrator peers of every message.
-
-    Messages are given source after source, ``counts[s]`` of them for
-    source ``s``, which draws from ``rngs[s]``.  The sequential path draws,
-    per external message, an exit peer in the source cluster then an entry
-    peer in the destination cluster — two bounded draws from the same
-    stream.  One ``integers`` call per source over its slice of the
-    interleaved bounds array consumes the stream identically.  Intra-cluster
-    messages draw nothing and get ``-1``.
-    """
-    external = dest_clusters != source_clusters
-    bounds = np.empty((int(np.count_nonzero(external)), 2), dtype=np.int64)
-    bounds[:, 0] = cluster_nodes[source_clusters[external]] - 1
-    bounds[:, 1] = cluster_nodes[dest_clusters[external]] - 1
-    if bounds.size and bounds.min() < 1:
-        raise ValidationError("drawing a peer needs at least two nodes")
-    draws = np.empty_like(bounds)
-    flat_bounds = bounds.reshape(-1)
-    flat_draws = draws.reshape(-1)
-    # Where each source's external messages end, in draws (two each).
-    externals_before = np.concatenate(((0,), np.cumsum(external)))
-    ends = (2 * externals_before[np.cumsum(counts)]).tolist()
-    start = 0
-    for rng, end in zip(rngs, ends):
-        if end > start:
-            flat_draws[start:end] = rng.integers(0, flat_bounds[start:end])
-        start = end
-    # draw_peer's skip-the-excluded-slot adjustment, vectorized.
-    draws[:, 0] += draws[:, 0] >= source_nodes[external]
-    draws[:, 1] += draws[:, 1] >= dest_nodes[external]
-    exit_peers = np.full(len(external), -1, dtype=np.int64)
-    entry_peers = np.full(len(external), -1, dtype=np.int64)
-    exit_peers[external] = draws[:, 0]
-    entry_peers[external] = draws[:, 1]
-    return exit_peers, entry_peers
-

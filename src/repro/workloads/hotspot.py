@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.topology.multicluster import MultiClusterSystem
@@ -74,49 +72,6 @@ class HotspotTraffic(TrafficPattern):
         else:
             draw = int(rng.integers(0, hot_nodes))
         return DestinationSample(self.hot_cluster, draw)
-
-    def sample_destinations(
-        self,
-        rngs: Sequence[np.random.Generator],
-        system: MultiClusterSystem,
-        source_clusters: Sequence[int],
-        source_nodes: Sequence[int],
-        counts: Sequence[int],
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        # The draws interleave random() and bounded integers() on one
-        # stream, so they stay scalar: the same calls in the same order as
-        # sample_destination, with the lookups hoisted and each destination
-        # kept as a global index.
-        hot_nodes = self._hot_cluster_nodes(system)
-        offsets = system.node_offsets
-        hot_base = int(offsets[self.hot_cluster])
-        uniform_bound = system.total_nodes - 1
-        hot_node = self.hot_node
-        fraction = self.fraction
-        draws = []
-        append = draws.append
-        for rng, cluster, node, count in zip(rngs, source_clusters, source_nodes, counts):
-            random = rng.random
-            integers = rng.integers
-            source = int(offsets[cluster]) + node
-            in_hot = cluster == self.hot_cluster
-            is_hot_node = in_hot and node == hot_node
-            for _ in range(count):
-                # random() comes first even for the hot node, which falls
-                # back to uniform after drawing it, as in the scalar path.
-                if random() >= fraction or is_hot_node:
-                    draw = int(integers(0, uniform_bound))
-                    append(draw + (draw >= source))
-                elif hot_node is not None:
-                    append(hot_base + hot_node)
-                elif in_hot:
-                    draw = int(integers(0, hot_nodes - 1))
-                    append(hot_base + draw + (draw >= node))
-                else:
-                    append(hot_base + int(integers(0, hot_nodes)))
-        targets = np.asarray(draws, dtype=np.int64)
-        clusters = np.searchsorted(offsets, targets, side="right") - 1
-        return clusters, targets - offsets[clusters]
 
     def describe(self) -> str:
         target = f"cluster {self.hot_cluster}"

@@ -11,7 +11,7 @@ runs before it or on which source happens to draw first.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -24,24 +24,32 @@ class PermutationTraffic(TrafficPattern):
 
     def __init__(self, seed: int | None = None) -> None:
         self.seed = seed
-        self._permutation: Optional[Dict[int, int]] = None
+        #: every node's partner, by global index
+        self._permutation: Optional[List[int]] = None
         self._system_size: Optional[int] = None
 
-    def _build(self, rng: np.random.Generator, system: MultiClusterSystem) -> Dict[int, int]:
+    def _build(self, rng: np.random.Generator, system: MultiClusterSystem) -> List[int]:
         generator = np.random.default_rng(self.seed) if self.seed is not None else rng
         size = system.total_nodes
         while True:
             permutation = generator.permutation(size)
             if not np.any(permutation == np.arange(size)):
                 break
-        return {source: int(dest) for source, dest in enumerate(permutation)}
+        return permutation.tolist()
 
-    def partner_of(self, system: MultiClusterSystem, source_global: int) -> int:
-        """Global index of the fixed partner of ``source_global``."""
+    def _partner_list(self, system: MultiClusterSystem) -> List[int]:
         if self._permutation is None or self._system_size != system.total_nodes:
             self._permutation = self._build(np.random.default_rng(self.seed), system)
             self._system_size = system.total_nodes
-        return self._permutation[source_global]
+        return self._permutation
+
+    def partner_of(self, system: MultiClusterSystem, source_global: int) -> int:
+        """Global index of the fixed partner of ``source_global``."""
+        return self._partner_list(system)[source_global]
+
+    def partners(self, system: MultiClusterSystem) -> np.ndarray:
+        """Every node's partner as an int64 array indexed by global node index."""
+        return np.asarray(self._partner_list(system), dtype=np.int64)
 
     def for_run(self, streams, system: MultiClusterSystem) -> "PermutationTraffic":
         """Unseeded patterns draw one permutation per run from its own stream.
@@ -63,19 +71,13 @@ class PermutationTraffic(TrafficPattern):
         source_cluster: int,
         source_node: int,
     ) -> DestinationSample:
-        if self._permutation is None or self._system_size != system.total_nodes:
-            self._permutation = self._build(np.random.default_rng(self.seed), system)
-            self._system_size = system.total_nodes
         source_global = system.global_index(source_cluster, source_node)
-        dest_cluster, dest_node = system.locate(self._permutation[source_global])
+        dest_cluster, dest_node = system.locate(self.partner_of(system, source_global))
         return DestinationSample(dest_cluster, dest_node)
 
     def mapping(self, system: MultiClusterSystem) -> Tuple[Tuple[int, int], ...]:
         """The full (source, destination) mapping in global indices."""
-        if self._permutation is None or self._system_size != system.total_nodes:
-            self._permutation = self._build(np.random.default_rng(self.seed), system)
-            self._system_size = system.total_nodes
-        return tuple(sorted(self._permutation.items()))
+        return tuple(enumerate(self._partner_list(system)))
 
     def describe(self) -> str:
         return f"permutation(seed={self.seed})"

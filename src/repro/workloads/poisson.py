@@ -22,12 +22,6 @@ class PoissonArrivals(ArrivalProcess):
     def next_interarrival(self, rng: np.random.Generator) -> float:
         return float(rng.exponential(1.0 / self._rate))
 
-    def next_interarrivals(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        # One sized draw consumes the PCG64 stream exactly like `count`
-        # scalar draws, so the batch is bit-identical to sequential resumes
-        # (pinned by tests/workloads/test_batch.py).
-        return rng.exponential(1.0 / self._rate, size=count)
-
 
 class DeterministicArrivals(ArrivalProcess):
     """Fixed inter-arrival times.
@@ -46,6 +40,3 @@ class DeterministicArrivals(ArrivalProcess):
 
     def next_interarrival(self, rng: np.random.Generator) -> float:  # noqa: ARG002
         return 1.0 / self._rate
-
-    def next_interarrivals(self, rng: np.random.Generator, count: int) -> np.ndarray:  # noqa: ARG002
-        return np.full(count, 1.0 / self._rate)

@@ -140,6 +140,7 @@ class TestDaemonExecution:
         assert not topology_compile._COMPILED_SYSTEMS
         assert not route_compile._SYSTEM_ROUTES
         assert not rng._STREAM_POOL
+        assert not rng._STATE_BLOCKS
 
     def test_dispatch_counter_counts_submissions(self, daemon):
         before = daemon.tasks_dispatched

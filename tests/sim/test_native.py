@@ -1,13 +1,16 @@
-"""The native event core's boundary: checks, errors, build cache and fallback.
+"""The native event core's boundary: draws, checks, errors, build cache and fallback.
 
-The C loop trusts its inputs, so :func:`repro.sim.native.run_core` must
-refuse every index it would follow out of bounds *before* the call; the
-loop itself bounds-checks its message cursors and reports overruns as an
-error code.  The build cache is keyed by the source bytes, compiled at the
-first simulation (never at import) and safe under concurrent builds.
+The C draws must equal numpy's ``PCG64``/``Generator`` draw for draw.  The
+C loop trusts its inputs, so :func:`repro.sim.native.run_core` must refuse
+every index it would follow out of bounds *before* the call; the loop
+itself bounds-checks its message cursors and reports overruns as an error
+code.  The build cache is keyed by the source bytes and numpy's
+``libnpyrandom.a``, compiled at the first simulation (never at import) and
+safe under concurrent builds.
 """
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +24,7 @@ from repro.sim import native
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import MultiClusterSimulator
 from repro.sim.vector import VectorizedRunState
-from repro.topology.multicluster import MultiClusterSpec
+from repro.topology.multicluster import MultiClusterSpec, MultiClusterSystem
 from repro.utils.validation import ValidationError
 
 SPEC = MultiClusterSpec(m=4, cluster_heights=(1, 2, 2, 1), name="native-test")
@@ -37,11 +40,10 @@ def _state():
 
 
 class _Untouchable:
-    """A library whose event loop must not be reached."""
+    """A library none of whose functions may be reached."""
 
-    @property
-    def core_run(self):
-        raise AssertionError("the C loop was called")
+    def __getattr__(self, name):
+        raise AssertionError(f"{name} was called")
 
 
 def _run_checked(monkeypatch, state, workload=None, routes=None):
@@ -53,6 +55,187 @@ def _run_checked(monkeypatch, state, workload=None, routes=None):
         CONFIG,
         state._elide_grants,
     )
+
+
+def _random_sequences(seed, count):
+    """``count`` SeedSequences of random entropy, one to four words long."""
+    rng = np.random.default_rng(seed)
+    return [
+        np.random.SeedSequence(rng.integers(0, 2**63, size=rng.integers(1, 5)).tolist())
+        for _ in range(count)
+    ]
+
+
+def _seeded(sequences):
+    words = np.stack([sequence.generate_state(4, np.uint64) for sequence in sequences])
+    return native.seed_states(words)
+
+
+def _words(state):
+    """numpy's PCG64 state dict as the four words the C code keeps."""
+    mask = 2**64 - 1
+    value, increment = state["state"]["state"], state["state"]["inc"]
+    return [value >> 64, value & mask, increment >> 64, increment & mask]
+
+
+class TestDrawsEqualNumpy:
+    def test_seeding_equals_pcg64(self):
+        sequences = _random_sequences(0, 500)
+        states = _seeded(sequences)
+        assert states.tolist() == [
+            _words(np.random.PCG64(sequence).state) for sequence in sequences
+        ]
+
+    def test_arrival_gaps_equal_exponential_draws(self):
+        sequences = _random_sequences(1, 60)
+        states = _seeded(sequences)
+        start = np.linspace(0.0, 50.0, 60)
+        times = native.draw_times(states, np.arange(60), "poisson", 2.5, 40, start)
+        for row, sequence in enumerate(sequences):
+            generator = np.random.default_rng(sequence)
+            expected = np.cumsum(np.concatenate(((start[row],), generator.exponential(2.5, 40))))
+            assert times[row].tolist() == expected[1:].tolist()
+            # The stream advanced in place, exactly as far as numpy's did.
+            assert states[row].tolist() == _words(generator.bit_generator.state)
+
+    def test_interleaved_uniform_and_bounded_draws_cross_the_half_word_buffer(self):
+        """Hot-spot destinations interleave ``random()`` with 32-bit bounded
+        draws on one stream: a bounded draw leaves half a word buffered,
+        ``random()`` takes a whole new word and leaves it, and the next
+        bounded draw uses it."""
+        sizes = [4, 8, 8, 4]
+        sequences = _random_sequences(2, 24)
+        block = np.repeat(_seeded(sequences)[:, None], 3, axis=1)
+        counts = np.full(24, 30)
+        clusters, nodes, _, _ = native.draw_messages(
+            sizes, counts, block, "hotspot", fraction=0.5, hot_cluster=1
+        )
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        expected = []
+        for source, sequence in enumerate(sequences):
+            generator = np.random.default_rng(sequence)
+            for _ in range(30):
+                if generator.random() >= 0.5:
+                    draw = int(generator.integers(0, 23))
+                    expected.append(draw + (draw >= source))
+                elif 4 <= source < 12:
+                    draw = int(generator.integers(0, 7))
+                    expected.append(4 + draw + (draw >= source - 4))
+                else:
+                    expected.append(4 + int(generator.integers(0, 8)))
+        assert (offsets[clusters] + nodes).tolist() == expected
+
+    def test_deterministic_gaps_are_the_constant_and_leave_the_stream_alone(self):
+        states = _seeded(_random_sequences(3, 8))
+        before = states.copy()
+        start = np.linspace(0.0, 7.0, 8)
+        times = native.draw_times(states, np.arange(8), "deterministic", 3.7e-4, 30, start)
+        for row in range(8):
+            expected = np.cumsum(np.concatenate(((start[row],), np.full(30, 3.7e-4))))
+            assert times[row].tolist() == expected[1:].tolist()
+        assert states.tolist() == before.tolist()
+
+
+class TestSourceLayout:
+    def test_sources_are_the_systems_nodes_in_order(self):
+        system = MultiClusterSystem(SPEC)
+        offsets, clusters, nodes = native.source_layout(system.cluster_sizes)
+        assert offsets.tolist() == [0, 4, 12, 20, 24]
+        assert list(zip(clusters.tolist(), nodes.tolist())) == [
+            system.locate(index) for index in range(system.total_nodes)
+        ]
+
+
+class TestDrawInputsAreCheckedBeforeTheCall:
+    """Every shape, row, count and bound the C draws follow is refused in
+    Python; the library is never reached."""
+
+    @pytest.fixture(autouse=True)
+    def _untouchable(self, monkeypatch):
+        monkeypatch.setattr(native, "_library", _Untouchable())
+
+    def test_seed_words_must_be_rows_of_four_words(self):
+        for words in (np.zeros(4), np.zeros((2, 3)), np.zeros((2, 4, 1))):
+            with pytest.raises(ValidationError, match="rows of four"):
+                native.seed_states(words)
+
+    def test_arrival_states_must_be_writable_uint64_rows(self):
+        read_only = np.zeros((2, 4), dtype=np.uint64)
+        read_only.setflags(write=False)
+        for states in (
+            np.zeros((2, 4), dtype=np.int64),
+            np.zeros((2, 3), dtype=np.uint64),
+            np.zeros((2, 8), dtype=np.uint64)[:, ::2],
+            read_only,
+        ):
+            with pytest.raises(ValidationError, match="arrival states"):
+                native.draw_times(states, [0, 1], "poisson", 1.0, 4, [0.0, 0.0])
+
+    def test_arrival_rows_must_index_the_states(self):
+        states = np.zeros((2, 4), dtype=np.uint64)
+        for rows, start in (([2], [0.0]), ([-1], [0.0]), ([0, 1], [0.0]), ([[0]], [[0.0]])):
+            with pytest.raises(ValidationError, match="arrival rows"):
+                native.draw_times(states, rows, "poisson", 1.0, 4, start)
+
+    def test_unknown_arrivals_and_empty_widths_are_rejected(self):
+        states = np.zeros((2, 4), dtype=np.uint64)
+        for arrivals, width in (("erlang", 4), ("poisson", 0), ("deterministic", -1)):
+            with pytest.raises(ValidationError, match="cannot draw"):
+                native.draw_times(states, [0, 1], arrivals, 1.0, width, [0.0, 0.0])
+
+    def test_every_cluster_needs_a_node(self):
+        block = np.zeros((4, 3, 4), dtype=np.uint64)
+        for sizes in ([], [4, 0], [4, -1], [[2, 2]]):
+            with pytest.raises(ValidationError, match="at least one node"):
+                native.draw_messages(sizes, [1] * 4, block, "uniform")
+
+    def test_counts_and_stream_states_must_cover_every_source(self):
+        block = np.zeros((6, 3, 4), dtype=np.uint64)
+        for counts in ([1] * 5, [1] * 7, [1, 1, 1, 1, 1, -1]):
+            with pytest.raises(ValidationError, match="message count"):
+                native.draw_messages([2, 4], counts, block, "uniform")
+        for states in (block[:5], block[:, :2], np.zeros((6, 3, 3), dtype=np.uint64)):
+            with pytest.raises(ValidationError, match="three stream states"):
+                native.draw_messages([2, 4], [1] * 6, states, "uniform")
+
+    def test_unknown_patterns_are_rejected(self):
+        block = np.zeros((6, 3, 4), dtype=np.uint64)
+        with pytest.raises(ValidationError, match="unknown traffic pattern"):
+            native.draw_messages([2, 4], [1] * 6, block, "tornado")
+
+
+class TestDrawErrorCodes:
+    def test_a_one_node_system_has_no_destination_to_draw(self):
+        # The C draw reports the empty range; the wrapper raises.
+        block = np.zeros((1, 3, 4), dtype=np.uint64)
+        for pattern, fraction in (("uniform", 0.0), ("hotspot", 1.0), ("local", 1.0), ("local", 0.0)):
+            with pytest.raises(ValidationError, match="no node to choose from"):
+                native.draw_messages([1], [1], block, pattern, fraction)
+
+    def test_a_destination_outside_the_system_is_an_error_code(self, monkeypatch):
+        """The C draw stops at a target past the last node, which only a table
+        the wrapper refuses could produce, and writes nothing for it."""
+        sizes = np.array([2, 2], dtype=np.int64)
+        node_offsets, clusters, nodes = native.source_layout(sizes)
+        columns = [np.full(4, -2, dtype=np.int64) for _ in range(4)]
+        status = native.load().draw_messages(
+            2, sizes, node_offsets, 4, clusters, nodes, np.arange(5, dtype=np.int64),
+            np.zeros((4, 3, 4), dtype=np.uint64), native.PATTERNS.index("permutation"),
+            0.0, 0, -1, np.array([1, 0, 3, 4], dtype=np.int64), *columns,
+        )
+        assert status == 8
+        assert columns[0].tolist() == [0, 0, 1, -2]
+
+        class OutsideTheSystem:
+            def draw_messages(self, *args):
+                return 8
+
+        monkeypatch.setattr(native, "_library", OutsideTheSystem())
+        with pytest.raises(ValidationError, match="a drawn destination lies outside the system"):
+            native.draw_messages(
+                [2, 2], [1] * 4, np.zeros((4, 3, 4), dtype=np.uint64), "permutation",
+                table=[1, 0, 3, 2],
+            )
 
 
 class TestInputsAreCheckedBeforeTheCall:
@@ -154,6 +337,38 @@ class TestBuildCache:
         library = native.load()
         assert Path(library._name) == native.library_path(source)
         assert not hasattr(library, "core_marker")
+
+    def test_a_library_built_against_other_npyrandom_bytes_is_never_loaded(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        source = native.SOURCE.read_bytes()
+        original = native.build(source)
+        # The same archive plus one more member: other bytes, still linkable.
+        archive = tmp_path / "libnpyrandom.a"
+        shutil.copy(native.NPYRANDOM, archive)
+        marker = tmp_path / "marker.c"
+        marker.write_text("int npyrandom_marker(void) { return 1; }\n")
+        member = str(tmp_path / "marker.o")
+        subprocess.run(["cc", "-fPIC", "-c", "-o", member, str(marker)], check=True)
+        subprocess.run(["ar", "r", str(archive), member], check=True, capture_output=True)
+        monkeypatch.setattr(native, "NPYRANDOM", archive)
+        assert native.library_path(source) != original
+        monkeypatch.setattr(native, "_library", None)
+        library = native.load()
+        assert Path(library._name) == native.library_path(source)
+        assert Path(library._name) != original
+
+    def test_a_missing_npyrandom_names_the_file_and_the_fallback(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        missing = tmp_path / "numpy" / "random" / "lib" / "libnpyrandom.a"
+        monkeypatch.setattr(native, "NPYRANDOM", missing)
+        monkeypatch.setattr(native, "_library", None)
+        with pytest.raises(native.NativeCoreUnavailable) as raised:
+            native.load()
+        assert str(missing) in str(raised.value)
+        assert "REPRO_SIM_KERNEL=generator" in str(raised.value)
+        assert not (tmp_path / "repro-native").exists()
 
     def test_importing_the_api_neither_builds_nor_loads(self, tmp_path):
         code = "import repro.api\nfrom repro.sim import native\nassert native._library is None\n"

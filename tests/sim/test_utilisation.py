@@ -1,10 +1,15 @@
 """Tests of channel-utilisation accounting (resources, pools, simulator)."""
 
+import json
+import math
+from pathlib import Path
+
 import pytest
 
+from repro import api
 from repro.des import Environment, Resource
 from repro.model import MessageSpec
-from repro.sim import MultiClusterSimulator, SimulationConfig
+from repro.sim import MultiClusterSimulator, SimulationConfig, statistics
 from repro.sim.network import ChannelPool
 from repro.topology import MPortNTree, MultiClusterSpec
 from repro.utils.units import LinkTiming
@@ -100,3 +105,56 @@ class TestSimulatorUtilisation:
         collector = StatisticsCollector(num_clusters=1)
         empty = collector.result(lambda_g=1e-4, saturated=False)
         assert empty.bottleneck() is None
+
+
+def _compensated_sum(values, start=0):
+    """The builtin ``sum`` of Python 3.12+ over floats (gh-100425).
+
+    Integers add exactly until the first float; from there each float is
+    added with Neumaier's compensation, and the compensation is added once
+    at the end when it is finite and non-zero.
+    """
+    values = iter(values)
+    total = start
+    for value in values:
+        total = total + value
+        if isinstance(total, float):
+            break
+    compensation = 0.0
+    for value in values:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+GOLDEN_SIM = SimulationConfig(
+    measured_messages=600, warmup_messages=60, drain_messages=60, seed=11
+)
+
+
+class TestUtilisationDoesNotDependOnThePythonVersion:
+    def test_the_emulation_compensates_like_python_312(self):
+        assert _compensated_sum([0.1] * 10 + [1e16, 1.0, -1e16]) == 2.0
+        assert _compensated_sum([1, 2, 3]) == 6
+
+    @pytest.mark.parametrize("fixture", ["golden_seed.json", "golden_seed_zoo.json"])
+    def test_golden_utilisation_survives_a_compensated_sum(self, fixture, monkeypatch):
+        """Every pinned utilisation value, with 3.12's ``sum`` shadowed in."""
+        monkeypatch.setattr(statistics, "sum", _compensated_sum, raising=False)
+        golden = json.loads(Path(__file__).with_name(fixture).read_text())
+        for name, entries in sorted(golden.items()):
+            scenario = api.scenario(name, points=4, sim=GOLDEN_SIM)
+            for expected, index in zip(entries, (0, 2)):
+                lambda_g = scenario.offered_traffic[index]
+                result = api.SimulationEngine().evaluate(scenario, lambda_g).simulation
+                utilisation = {
+                    key: [mean.hex(), peak.hex()]
+                    for key, (mean, peak) in result.channel_utilisation.items()
+                }
+                assert utilisation == expected["channel_utilisation"], (name, index)

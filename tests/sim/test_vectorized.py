@@ -19,10 +19,15 @@ from repro.model.parameters import MessageSpec
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import MultiClusterSimulator
 from repro.sim.vector import VectorizedRunState
+from repro.topology.compile import compile_system
 from repro.topology.multicluster import MultiClusterSpec
 from repro.topology.zoo import TopologySpec
+from repro.utils.validation import ValidationError
+from repro.workloads.hotspot import HotspotTraffic
+from repro.workloads.local import ClusterLocalTraffic
 from repro.workloads.permutation import PermutationTraffic
 from repro.workloads.poisson import DeterministicArrivals, PoissonArrivals
+from repro.workloads.uniform import UniformTraffic
 
 SPEC = MultiClusterSpec(m=4, cluster_heights=(1, 2, 2, 1), name="vector-test")
 MESSAGE = MessageSpec(length_flits=16, flit_bytes=128)
@@ -119,7 +124,10 @@ class TestMatchesGenerator:
         explicit = _run("vectorized")
         assert _statistics_tuple(elided) == _statistics_tuple(explicit)
 
-    def test_unknown_arrival_process_disables_elision(self):
+    def test_subclassed_arrivals_need_the_generator_kernel(self):
+        """A subclass may change the gap distribution, which the native
+        pre-draw (and the elision proof) cannot know: it is rejected."""
+
         class Erlang2(DeterministicArrivals):
             def next_interarrival(self, rng):
                 return float(rng.exponential(0.5) + rng.exponential(0.5))
@@ -128,8 +136,9 @@ class TestMatchesGenerator:
             SPEC, MESSAGE, config=CONFIG, kernel="vectorized",
             arrivals_factory=Erlang2,
         )
-        state = VectorizedRunState(simulator, LAMBDA, CONFIG)
-        assert not state._elide_grants
+        with pytest.raises(ValidationError, match='kernel="generator"'):
+            VectorizedRunState(simulator, LAMBDA, CONFIG)
+        assert _run("generator", arrivals_factory=Erlang2).measured_messages == 400
 
 
 class TestUnseededPermutation:
@@ -214,8 +223,33 @@ def _random_shapes(draw):
     )
 
 
+@st.composite
+def _random_patterns(draw, spec):
+    """Every pattern the native pre-draw implements, sized to ``spec``."""
+    kind = draw(
+        st.sampled_from(
+            ["uniform", "hotspot", "hot-node", "local", "permutation", "unseeded-permutation"]
+        )
+    )
+    if kind == "uniform":
+        return UniformTraffic()
+    if kind == "local":
+        return ClusterLocalTraffic(draw(st.floats(0.0, 1.0)))
+    if kind == "permutation":
+        return PermutationTraffic(seed=draw(st.integers(0, 2**31 - 1)))
+    if kind == "unseeded-permutation":
+        return PermutationTraffic()
+    sizes = compile_system(spec).system.cluster_sizes
+    hot_cluster = draw(st.integers(0, len(sizes) - 1))
+    fraction = draw(st.floats(0.0, 1.0))
+    if kind == "hotspot":
+        return HotspotTraffic(hot_cluster, fraction)
+    return HotspotTraffic(hot_cluster, fraction, draw(st.integers(0, sizes[hot_cluster] - 1)))
+
+
 class TestRandomShapes:
     @given(
+        data=st.data(),
         spec=_random_shapes(),
         length_flits=st.sampled_from([1, 2, 8, 32]),
         flit_bytes=st.sampled_from([64, 256]),
@@ -225,7 +259,7 @@ class TestRandomShapes:
     )
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     def test_vectorized_equals_generator(
-        self, spec, length_flits, flit_bytes, arrivals, seed, lambda_g
+        self, data, spec, length_flits, flit_bytes, arrivals, seed, lambda_g
     ):
         measured, warmup, drain = RANDOM_BUDGET
         config = SimulationConfig(
@@ -241,4 +275,5 @@ class TestRandomShapes:
             arrivals_factory=arrivals,
             lambda_g=lambda_g,
             seed=seed,
+            pattern=data.draw(_random_patterns(spec)),
         )

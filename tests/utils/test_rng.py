@@ -120,3 +120,63 @@ class TestPooledStreams:
         a = RandomStreams(seed=1, pooled=True).get("x").random(8)
         b = RandomStreams(seed=2, pooled=True).get("x").random(8)
         assert not np.array_equal(a, b)
+
+
+class TestStreamStates:
+    """The flat block of initial PCG64 states the vectorized kernel draws from."""
+
+    KINDS = ("arrivals", "destinations", "peers")
+
+    @staticmethod
+    def _identity(words):
+        return words.copy()
+
+    def test_block_holds_every_streams_initial_pcg64_state(self):
+        from repro.sim.native import seed_states
+        from repro.utils.rng import clear_stream_pool, stream_states
+
+        clear_stream_pool()
+        block = stream_states(RandomStreams(seed=13), self.KINDS, (2, 3), seed_states)
+        assert block.shape == (5, 3, 4) and not block.flags.writeable
+        nodes = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]
+        mask = 2**64 - 1
+        for row, (cluster, node) in enumerate(nodes):
+            for column, kind in enumerate(self.KINDS):
+                state = RandomStreams(seed=13).get(kind, cluster, node).bit_generator.state
+                value, increment = state["state"]["state"], state["state"]["inc"]
+                assert block[row, column].tolist() == [
+                    value >> 64, value & mask, increment >> 64, increment & mask
+                ]
+
+    def test_seeded_blocks_are_pooled_per_seed_and_shape(self):
+        from repro.utils.rng import clear_stream_pool, stream_states
+
+        clear_stream_pool()
+        first = stream_states(RandomStreams(seed=3), self.KINDS, (2, 2), self._identity)
+        assert stream_states(RandomStreams(seed=3), self.KINDS, (2, 2), self._identity) is first
+        other_seed = stream_states(RandomStreams(seed=4), self.KINDS, (2, 2), self._identity)
+        other_shape = stream_states(RandomStreams(seed=3), self.KINDS, (4,), self._identity)
+        assert not np.array_equal(first, other_seed)
+        assert not np.array_equal(first, other_shape)
+        clear_stream_pool()
+        assert stream_states(RandomStreams(seed=3), self.KINDS, (2, 2), self._identity) is not first
+
+    def test_unseeded_blocks_are_never_stored(self):
+        from repro.utils import rng
+
+        rng.clear_stream_pool()
+        sequences = dict(rng._SEED_SEQUENCES)
+        streams = RandomStreams(seed=None)
+        block = rng.stream_states(streams, self.KINDS, (2, 2), self._identity)
+        assert block.shape == (4, 3, 4)
+        assert not rng._STATE_BLOCKS
+        assert rng._SEED_SEQUENCES == sequences
+
+    def test_pool_is_bounded_by_streams(self, monkeypatch):
+        from repro.utils import rng
+
+        rng.clear_stream_pool()
+        monkeypatch.setattr(rng, "_STREAM_POOL_LIMIT", 20)
+        rng.stream_states(RandomStreams(seed=1), self.KINDS, (2, 2), self._identity)
+        rng.stream_states(RandomStreams(seed=2), self.KINDS, (2, 2), self._identity)
+        assert len(rng._STATE_BLOCKS) == 1

@@ -1,17 +1,16 @@
-"""The exact pre-draw is bit-identical to sequential generator resumes.
+"""The native pre-draw is bit-identical to sequential generator resumes.
 
-:func:`~repro.workloads.batch.predraw` feeds the vectorized kernel from the
-same pooled PCG64 snapshots the sequential simulator uses.  The property
-pinned here is the whole foundation of that kernel's golden-seed
+:func:`~repro.workloads.batch.predraw` draws in C, from the flat block of
+initial PCG64 states the vectorized kernel pools per (seed, system).  The
+property pinned here is the whole foundation of that kernel's golden-seed
 bit-identity: for any seed, rate, shape and pattern, every source's
 pre-drawn arrival times, destinations and concentrator peer draws equal —
 bit for bit — what the scalar draw sequence of ``_source_process`` /
-``_build_journey`` produces from the same stream snapshots.  The other
-half of the contract is the count: a source never generates more messages
-than were drawn for it, so the event loop draws nothing.
+``_build_journey`` produces from the same streams.  The other half of the
+contract is the count: a source never generates more messages than were
+drawn for it, so the event loop draws nothing.
 """
 
-from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 
@@ -20,16 +19,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.model.parameters import MessageSpec
+from repro.sim import native
 from repro.sim.config import SimulationConfig
-from repro.sim.simulator import MultiClusterSimulator
+from repro.sim.simulator import STREAM_KINDS, MultiClusterSimulator
 from repro.sim.vector import VectorizedRunState
 from repro.sim.wormhole import draw_peer
 from repro.topology.multicluster import MultiClusterSpec, MultiClusterSystem
-from repro.utils.rng import RandomStreams, clear_stream_pool
+from repro.utils import rng as rng_module
+from repro.utils.rng import RandomStreams, clear_stream_pool, stream_states
 from repro.utils.validation import ValidationError
 from repro.workloads.base import ArrivalProcess, DestinationSample, TrafficPattern
-from repro.workloads.batch import draw_peers, predraw
+from repro.workloads.batch import predraw
 from repro.workloads.hotspot import HotspotTraffic
+from repro.workloads.local import ClusterLocalTraffic
+from repro.workloads.permutation import PermutationTraffic
 from repro.workloads.poisson import DeterministicArrivals, PoissonArrivals
 from repro.workloads.uniform import UniformTraffic
 
@@ -39,7 +42,7 @@ SYSTEM = MultiClusterSystem(SPEC)
 
 
 class EveryOtherNode(TrafficPattern):
-    """A custom pattern with no all-sources override."""
+    """A custom pattern: only the generator kernel can draw it."""
 
     def sample_destination(self, rng, system, source_cluster, source_node):
         draw = int(rng.integers(0, system.total_nodes - 1))
@@ -49,7 +52,7 @@ class EveryOtherNode(TrafficPattern):
 
 
 class Erlang2(ArrivalProcess):
-    """A custom arrival process with no sized override."""
+    """A custom arrival process: only the generator kernel can draw it."""
 
     def next_interarrival(self, rng):
         return float(rng.exponential(0.5) + rng.exponential(0.5))
@@ -59,32 +62,26 @@ class Erlang2(ArrivalProcess):
         return 1.0
 
 
-class CountingPoisson(PoissonArrivals):
-    """Poisson arrivals that count the sized draws made from each stream."""
-
-    def __init__(self, rate):
-        super().__init__(rate)
-        self.batches = Counter()
-
-    def next_interarrivals(self, rng, count):
-        self.batches[id(rng)] += 1
-        return super().next_interarrivals(rng, count)
-
-
-class Stalled(ArrivalProcess):
-    """Gaps that never advance the clock."""
+class SlowerPoisson(PoissonArrivals):
+    """A subclass of a built-in class, with another gap distribution."""
 
     def next_interarrival(self, rng):
-        return 0.0
+        return 2 * super().next_interarrival(rng)
 
-    @property
-    def rate(self):
-        return 1.0
+
+class NearbyUniform(UniformTraffic):
+    """A subclass of a built-in pattern."""
 
 
 @lru_cache(maxsize=None)
 def _system(m, heights):
     return MultiClusterSystem(MultiClusterSpec(m=m, cluster_heights=heights, name="random"))
+
+
+def _states(system, seed):
+    """The block a vectorized run of ``seed`` draws from."""
+    cluster_nodes = [cluster.num_nodes for cluster in system.clusters]
+    return stream_states(RandomStreams(seed), STREAM_KINDS, cluster_nodes, native.seed_states)
 
 
 @st.composite
@@ -96,11 +93,23 @@ def _systems(draw):
 
 @st.composite
 def _patterns(draw, system):
-    kind = draw(st.sampled_from(["uniform", "hotspot", "hot-node", "custom"]))
+    """Every pattern the native pre-draw implements, with random parameters."""
+    kind = draw(
+        st.sampled_from(
+            ["uniform", "hotspot", "hot-node", "local", "permutation", "unseeded-permutation"]
+        )
+    )
     if kind == "uniform":
         return UniformTraffic()
-    if kind == "custom":
-        return EveryOtherNode()
+    if kind == "local":
+        return ClusterLocalTraffic(draw(st.floats(0.0, 1.0)))
+    if kind == "permutation":
+        return PermutationTraffic(seed=draw(st.integers(0, 2**31)))
+    if kind == "unseeded-permutation":
+        # Bound to a run the way both kernels bind it: from its own stream.
+        return PermutationTraffic().for_run(
+            RandomStreams(draw(st.integers(0, 2**31))), system
+        )
     hot_cluster = draw(st.integers(0, system.num_clusters - 1))
     fraction = draw(st.floats(0.0, 1.0))
     if kind == "hotspot":
@@ -140,14 +149,13 @@ def _scalar_reference(system, pattern, arrivals, streams, cluster, node, count):
 def _assert_matches_scalar(system, pattern, arrivals, seed, total):
     """Pre-draw a run, check every source against the scalar path, return it."""
     clear_stream_pool()
-    drawn = predraw(system, pattern, arrivals, RandomStreams(seed, pooled=True), total)
+    drawn = predraw(system, pattern, arrivals, _states(system, seed), total)
     assert list(zip(drawn.clusters.tolist(), drawn.nodes.tolist())) == [
         (cluster, node.index) for cluster, node in system.nodes()
     ]
     offsets = drawn.offsets.tolist()
-    # A fresh pooled family restores every stream to its snapshot, so the
-    # scalar reference replays the identical bit streams.
-    streams = RandomStreams(seed, pooled=True)
+    # Fresh generators start from the states the block holds.
+    streams = RandomStreams(seed)
     for source, (cluster, node) in enumerate(zip(drawn.clusters, drawn.nodes)):
         start, end = offsets[source], offsets[source + 1]
         times, records = _scalar_reference(
@@ -170,6 +178,13 @@ def _assert_matches_scalar(system, pattern, arrivals, seed, total):
 
 def _counts(drawn):
     return drawn.counts().tolist()
+
+
+class _Untouchable:
+    """A library none of whose draws may be reached."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"{name} was called")
 
 
 class TestBatchedDrawsMatchSequentialResumes:
@@ -203,24 +218,60 @@ class TestBatchedDrawsMatchSequentialResumes:
         assert sum(counts) >= total
         assert set(counts) == {-(-total // system.total_nodes)}
 
-    def test_default_batch_hooks_cover_custom_subclasses(self):
-        """Patterns/processes without array overrides pre-draw via scalar loops."""
-        for pattern in (EveryOtherNode(), HotspotTraffic(1, 0.5, 3)):
-            _assert_matches_scalar(SYSTEM, pattern, Erlang2(), 7, 70)
-
-    def test_short_rows_are_extended(self):
+    def test_short_rows_are_extended(self, monkeypatch):
         """Sources whose first draw ends before the cut-off draw more gaps."""
+        calls = []
+        draw_times = native.draw_times
+
+        def spy(states, rows, *args):
+            calls.append(np.asarray(rows).tolist())
+            return draw_times(states, rows, *args)
+
+        monkeypatch.setattr(native, "draw_times", spy)
         # Seed 1 at one message per source: two sources send more than the
         # first draw's width before the cut-off.
-        arrivals = CountingPoisson(1.0)
-        drawn = _assert_matches_scalar(SYSTEM, UniformTraffic(), arrivals, 1, 24)
-        assert sorted(arrivals.batches.values())[-2:] == [2, 2]
+        drawn = _assert_matches_scalar(SYSTEM, UniformTraffic(), PoissonArrivals(1.0), 1, 24)
+        assert len(calls) == 2 and len(calls[1]) == 2
         assert sum(_counts(drawn)) == 24
 
-    def test_zero_gaps_are_rejected(self):
+    def test_zero_gaps_are_rejected(self, monkeypatch):
+        """The guard against gaps that stall the clock, through the draw seam."""
+
+        def stalled(states, rows, arrivals, gap, width, start):
+            return np.repeat(np.asarray(start, dtype=np.float64)[:, None], width, axis=1)
+
+        monkeypatch.setattr(native, "draw_times", stalled)
         clear_stream_pool()
         with pytest.raises(ValidationError, match="do not advance the clock"):
-            predraw(SYSTEM, UniformTraffic(), Stalled(), RandomStreams(0, pooled=True), 10)
+            predraw(SYSTEM, UniformTraffic(), PoissonArrivals(1.0), _states(SYSTEM, 0), 10)
+
+    def test_custom_classes_rejected(self):
+        """Only the built-in classes are drawn natively; the rest run on the
+        generator kernel, which draws through their scalar methods."""
+        config = SimulationConfig(
+            measured_messages=60, warmup_messages=6, drain_messages=6, seed=4
+        )
+        cases = [
+            (EveryOtherNode(), PoissonArrivals),
+            (NearbyUniform(), PoissonArrivals),
+            (UniformTraffic(), lambda rate: Erlang2()),
+            (UniformTraffic(), SlowerPoisson),
+        ]
+        for pattern, arrivals in cases:
+            simulators = {
+                kernel: MultiClusterSimulator(
+                    SPEC,
+                    MessageSpec(length_flits=8, flit_bytes=128),
+                    config=config,
+                    pattern=pattern,
+                    arrivals_factory=arrivals,
+                    kernel=kernel,
+                )
+                for kernel in ("generator", "vectorized")
+            }
+            with pytest.raises(ValidationError, match='kernel="generator"'):
+                simulators["vectorized"].run(8e-4)
+            assert simulators["generator"].run(8e-4).measured_messages == 60
 
 
 class TestAllSourcesDestinations:
@@ -237,17 +288,22 @@ class TestAllSourcesDestinations:
         # the hot cluster — and the hot node itself — all draw.
         pattern = HotspotTraffic(hot_cluster, fraction, hot_node)
         sources = [(cluster, node.index) for cluster, node in SYSTEM.nodes()]
-        clusters, nodes = pattern.sample_destinations(
-            [np.random.default_rng([seed, index]) for index in range(len(sources))],
-            SYSTEM,
-            [cluster for cluster, _ in sources],
-            [node for _, node in sources],
+        sequences = [np.random.SeedSequence([seed, index]) for index in range(len(sources))]
+        words = np.stack([sequence.generate_state(4, np.uint64) for sequence in sequences])
+        block = np.repeat(native.seed_states(words)[:, None], 3, axis=1)
+        clusters, nodes, _, _ = native.draw_messages(
+            [4, 8, 8, 4],
             counts,
+            block,
+            "hotspot",
+            fraction=fraction,
+            hot_cluster=hot_cluster,
+            hot_node=-1 if hot_node is None else hot_node,
         )
         expected = [
             pattern.sample_destination(rng, SYSTEM, cluster, node)
-            for index, ((cluster, node), count) in enumerate(zip(sources, counts))
-            for rng in [np.random.default_rng([seed, index])]
+            for (cluster, node), count, sequence in zip(sources, counts, sequences)
+            for rng in [np.random.default_rng(sequence)]
             for _ in range(count)
         ]
         assert clusters.tolist() == [sample.cluster for sample in expected]
@@ -255,50 +311,75 @@ class TestAllSourcesDestinations:
 
     def test_hot_node_falls_back_to_uniform(self):
         pattern = HotspotTraffic(hot_cluster=1, fraction=1.0, hot_node=2)
-        clusters, nodes = pattern.sample_destinations(
-            [np.random.default_rng(5)], SYSTEM, [1], [2], [40]
+        source = SYSTEM.global_index(1, 2)
+        counts = np.zeros(SYSTEM.total_nodes, dtype=np.int64)
+        counts[source] = 40
+        clear_stream_pool()
+        states = _states(SYSTEM, 5)
+        clusters, nodes, _, _ = native.draw_messages(
+            [4, 8, 8, 4], counts, states, "hotspot", fraction=1.0, hot_cluster=1, hot_node=2
         )
-        rng = np.random.default_rng(5)
+        rng = RandomStreams(5).get("destinations", 1, 2)
         expected = [pattern.sample_destination(rng, SYSTEM, 1, 2) for _ in range(40)]
         assert list(zip(clusters.tolist(), nodes.tolist())) == [
             (sample.cluster, sample.node) for sample in expected
         ]
         assert (1, 2) not in set(zip(clusters.tolist(), nodes.tolist()))
 
-    def test_hot_node_out_of_range_is_rejected(self):
+    def test_hot_node_out_of_range_is_rejected(self, monkeypatch):
+        clear_stream_pool()
+        states = _states(SYSTEM, 0)
         pattern = HotspotTraffic(hot_cluster=0, fraction=0.5, hot_node=4)
-        with pytest.raises(ValidationError):
-            pattern.sample_destinations([np.random.default_rng(0)], SYSTEM, [1], [0], [3])
+        with pytest.raises(ValidationError, match="outside the system"):
+            predraw(SYSTEM, pattern, PoissonArrivals(1.0), states, 10)
+        # Hot clusters and nodes are checked before the C draws are reached.
+        monkeypatch.setattr(native, "_library", _Untouchable())
+        counts = np.ones(SYSTEM.total_nodes, dtype=np.int64)
+        for hot_cluster, hot_node in ((0, 4), (0, -2), (4, -1), (-1, -1)):
+            with pytest.raises(ValidationError, match="outside the system"):
+                native.draw_messages(
+                    [4, 8, 8, 4], counts, states, "hotspot", 0.5, hot_cluster, hot_node
+                )
+
+    def test_permutation_tables_out_of_range_are_rejected(self, monkeypatch):
+        clear_stream_pool()
+        states = _states(SYSTEM, 0)
+        monkeypatch.setattr(native, "_library", _Untouchable())
+        counts = np.ones(SYSTEM.total_nodes, dtype=np.int64)
+        partners = PermutationTraffic(seed=3).partners(SYSTEM)
+        for table in (partners[:-1], partners - 1, partners + 1, None):
+            with pytest.raises(ValidationError, match="permutation table"):
+                native.draw_messages([4, 8, 8, 4], counts, states, "permutation", table=table)
 
 
 class TestPeerDraws:
     def test_single_node_peer_cluster_is_rejected(self):
         # Cluster 0 has one node: a message leaving it has no exit peer.
+        # The C draw reports the empty range; the wrapper raises.
+        block = np.zeros((5, 3, 4), dtype=np.uint64)
         with pytest.raises(ValidationError, match="at least two nodes"):
-            draw_peers(
-                [np.random.default_rng(0)],
-                np.asarray([1, 4]),
-                np.asarray([0]),
-                np.asarray([0]),
-                np.asarray([1]),
-                np.asarray([3]),
-                [1],
-            )
+            native.draw_messages([1, 4], [1, 0, 0, 0, 0], block, "uniform")
 
     def test_intra_cluster_messages_draw_nothing(self):
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
-        exit_peers, entry_peers = draw_peers(
-            [rng],
-            np.asarray([4, 8]),
-            np.asarray([1, 1]),
-            np.asarray([0, 5]),
-            np.asarray([1, 1]),
-            np.asarray([3, 2]),
-            [2],
+        """Peers of the external messages are the stream's first draws."""
+        clear_stream_pool()
+        states = _states(SYSTEM, 9)
+        counts = np.zeros(SYSTEM.total_nodes, dtype=np.int64)
+        source = SYSTEM.global_index(1, 5)
+        counts[source] = 60
+        clusters, nodes, exits, entries = native.draw_messages(
+            [4, 8, 8, 4], counts, states, "local", fraction=0.5
         )
-        assert exit_peers.tolist() == entry_peers.tolist() == [-1, -1]
-        assert rng.bit_generator.state == state
+        external = clusters != 1
+        assert 0 < external.sum() < 60
+        assert exits[~external].tolist() == entries[~external].tolist() == [-1] * int(
+            (~external).sum()
+        )
+        peers = RandomStreams(9).get("peers", 1, 5)
+        expected = []
+        for cluster, node in zip(clusters[external].tolist(), nodes[external].tolist()):
+            expected.append((draw_peer(peers, 8, 5), draw_peer(peers, [4, 8, 8, 4][cluster], node)))
+        assert list(zip(exits[external].tolist(), entries[external].tolist())) == expected
 
 
 class TestKernelReadsOnlyPreDrawnMessages:
@@ -359,3 +440,26 @@ class TestKernelReadsOnlyPreDrawnMessages:
         assert replace(guarded, wall_clock_seconds=0.0) == replace(
             reference, wall_clock_seconds=0.0
         )
+
+    def test_runs_draw_from_a_copy_of_the_pooled_block(self):
+        clear_stream_pool()
+        simulator = self._simulator()
+        simulator.warm_streams()
+        (block,) = rng_module._STATE_BLOCKS.values()
+        before = block.copy()
+        first = simulator.run(8e-4)
+        assert list(rng_module._STATE_BLOCKS.values()) == [block]
+        assert np.array_equal(block, before) and not block.flags.writeable
+        assert replace(simulator.run(8e-4), wall_clock_seconds=0.0) == replace(
+            first, wall_clock_seconds=0.0
+        )
+
+    def test_unseeded_runs_memoise_nothing(self):
+        clear_stream_pool()
+        sequences = dict(rng_module._SEED_SEQUENCES)
+        simulator = self._simulator()
+        result = simulator.run(8e-4, config=replace(self.CONFIG, seed=None))
+        assert result.measured_messages == self.CONFIG.measured_messages
+        assert result.seed is None
+        assert not rng_module._STATE_BLOCKS and not rng_module._STREAM_POOL
+        assert rng_module._SEED_SEQUENCES == sequences
