@@ -105,7 +105,7 @@ from repro.api import (
     resolve_engines,
 )
 from repro.store import ResultStore, kernel_switches, task_key
-from repro.utils.serialization import dump_json, load_json
+from repro.utils.serialization import dump_json, from_jsonable, load_json
 from repro.utils.validation import ValidationError
 
 __all__ = [
@@ -251,48 +251,57 @@ class Campaign:
         An entry's ``scenario`` may be a full scenario object or a registered
         scenario *name*; named entries accept ``points``, ``budget`` and
         ``seed`` fields, and full-scenario entries accept ``budget``/``seed``
-        as statistics-budget overrides.
+        as statistics-budget overrides.  Any malformed part of the plan
+        raises :class:`ValidationError`.
         """
         if not isinstance(data, dict) or "entries" not in data:
             raise ValidationError("a campaign plan must be an object with 'entries'")
-        entries = []
-        for item in data["entries"]:
-            if not isinstance(item, dict) or "scenario" not in item:
-                raise ValidationError("each campaign entry must be an object with 'scenario'")
-            target = item["scenario"]
-            budget = item.get("budget")
-            seed = item.get("seed")
-            if isinstance(target, str):
-                scenario = api.scenario(
-                    target,
-                    points=int(item.get("points", 8)),
-                    budget=budget if budget is not None else "quick",
-                    seed=seed if seed is not None else 0,
-                )
-            elif isinstance(target, dict):
-                scenario = Scenario.from_dict(target)
-                if "points" in item:
-                    scenario = scenario.with_points(int(item["points"]))
-                if budget is not None:
-                    scenario = scenario.with_sim(
-                        api.simulation_budget(
-                            budget, seed if seed is not None else scenario.sim.seed
-                        )
-                    )
-                elif seed is not None:
-                    scenario = scenario.with_seed(seed)
-            else:
-                raise ValidationError(
-                    "entry 'scenario' must be a registered name or a scenario object"
-                )
-            entries.append(
-                CampaignEntry(
-                    scenario=scenario,
-                    engines=tuple(item.get("engines", ("model", "sim"))),
-                    label=str(item.get("label", "")),
-                )
+        try:
+            entries = tuple(cls._entry(item) for item in data["entries"])
+            name = from_jsonable(str, data.get("name", ""))
+        except ValidationError:
+            raise
+        except (TypeError, ValueError, KeyError) as error:
+            raise ValidationError(f"malformed campaign plan: {error}") from error
+        return cls(entries=entries, name=name)
+
+    @staticmethod
+    def _entry(item: Any) -> CampaignEntry:
+        """One plan entry of :meth:`from_dict`."""
+        if not isinstance(item, dict) or "scenario" not in item:
+            raise ValidationError("each campaign entry must be an object with 'scenario'")
+        target = item["scenario"]
+        budget = from_jsonable(Optional[str], item.get("budget"))
+        seed = from_jsonable(Optional[int], item.get("seed"))
+        points = from_jsonable(int, item.get("points", 8))
+        if isinstance(target, str):
+            scenario = api.scenario(
+                target,
+                points=points,
+                budget=budget if budget is not None else "quick",
+                seed=seed if seed is not None else 0,
             )
-        return cls(entries=tuple(entries), name=str(data.get("name", "")))
+        elif isinstance(target, dict):
+            scenario = Scenario.from_dict(target)
+            if "points" in item:
+                scenario = scenario.with_points(points)
+            if budget is not None:
+                scenario = scenario.with_sim(
+                    api.simulation_budget(
+                        budget, seed if seed is not None else scenario.sim.seed
+                    )
+                )
+            elif seed is not None:
+                scenario = scenario.with_seed(seed)
+        else:
+            raise ValidationError(
+                "entry 'scenario' must be a registered name or a scenario object"
+            )
+        return CampaignEntry(
+            scenario=scenario,
+            engines=tuple(item.get("engines", ("model", "sim"))),
+            label=from_jsonable(str, item.get("label", "")),
+        )
 
     def to_json(self, path: str | Path) -> Path:
         """Write the plan to ``path`` as JSON and return the path."""

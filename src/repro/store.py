@@ -775,10 +775,10 @@ class ResultStore:
     def get(self, key: str) -> Optional[RunRecord]:
         """The cached record for ``key``, or ``None`` on a miss.
 
-        Unreadable, truncated or schema-mismatched payloads read as misses
-        (and will be overwritten by the next :meth:`put`), so a corrupted or
-        stale store degrades to re-simulation, never to a crash or a wrong
-        record.
+        Unreadable, truncated or schema-mismatched payloads, and payloads
+        filed under another key, read as misses (and will be overwritten by
+        the next :meth:`put`), so a corrupted or stale store degrades to
+        re-simulation, never to a crash or a wrong record.
         """
         record = self._get_validated(key)
         if record is None:
@@ -791,18 +791,7 @@ class ResultStore:
         """The validation path shared by :meth:`get` and :meth:`__contains__`
         — factored out so membership checks don't skew the hit/miss split."""
         text = self.backend.read_text(key)
-        if text is None:
-            return None
-        try:
-            payload = json.loads(text)
-        except ValueError:
-            return None
-        if not isinstance(payload, dict) or payload.get("schema") != STORE_SCHEMA:
-            return None
-        try:
-            return from_jsonable(RunRecord, payload["record"])
-        except (TypeError, ValueError, KeyError):
-            return None
+        return None if text is None else _decode_payload(key, text)
 
     def put(self, key: str, record: RunRecord) -> Path:
         """Persist ``record`` under ``key`` (atomic write) and return the path."""
@@ -1009,7 +998,7 @@ def merge_stores(
         text = source.backend.read_text(key)
         if text is None:
             continue  # lost a race with a concurrent eviction
-        if not _valid_payload(key, text):
+        if _decode_payload(key, text) is None:
             corrupt += 1
             warnings.warn(
                 f"skipping corrupt record {key} in {source.root}",
@@ -1036,21 +1025,23 @@ def merge_stores(
     return MergeReport(copied=copied, existing=existing, corrupt=corrupt, moved=move)
 
 
-def _valid_payload(key: str, text: str) -> bool:
-    """Is ``text`` a well-formed record payload filed under its own key?"""
+def _decode_payload(key: str, text: str) -> Optional[RunRecord]:
+    """The record ``text`` holds if it is a well-formed, current-schema record
+    payload filed under its own ``key``; ``None`` otherwise."""
     try:
         payload = json.loads(text)
     except ValueError:
-        return False
-    if not isinstance(payload, dict) or payload.get("schema") != STORE_SCHEMA:
-        return False
-    if payload.get("key") != key:
-        return False
+        return None
+    if (
+        not isinstance(payload, dict)
+        or payload.get("schema") != STORE_SCHEMA
+        or payload.get("key") != key
+    ):
+        return None
     try:
-        from_jsonable(RunRecord, payload["record"])
+        return from_jsonable(RunRecord, payload["record"])
     except (TypeError, ValueError, KeyError):
-        return False
-    return True
+        return None
 
 
 def jsonable_record(record: RunRecord) -> Dict[str, Any]:

@@ -163,6 +163,31 @@ class TestCampaignJson:
             Campaign.from_dict({"entries": [{"engines": ["model"]}]})
         with pytest.raises(ValidationError):
             Campaign.from_dict({"entries": [{"scenario": 17}]})
+        with pytest.raises(ValidationError):
+            Campaign.from_dict({"name": 5, "entries": [{"scenario": "heterogeneous"}]})
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            5,
+            [{"scenario": "heterogeneous", "engines": 5}],
+            [{"scenario": {"message": "x"}}],
+            [{"scenario": {"system": {"m": 4, "cluster_heights": "ab"}}}],
+            [{"scenario": "heterogeneous", "seed": 1.5}],
+            [{"scenario": "heterogeneous", "points": "3"}],
+            [{"scenario": "heterogeneous", "budget": 5}],
+            [{"scenario": "heterogeneous", "label": None}],
+        ],
+    )
+    def test_malformed_entry_shapes_raise_validation_error(self, entries):
+        with pytest.raises(ValidationError, match="malformed campaign plan"):
+            Campaign.from_dict({"entries": entries})
+
+    def test_inline_fractional_seed_is_refused_not_truncated(self):
+        inline = api.scenario("heterogeneous", points=2).to_dict()
+        inline["sim"]["seed"] = 1.5
+        with pytest.raises(ValidationError, match="1.5"):
+            Campaign.from_dict({"entries": [{"scenario": inline}]})
 
     def test_from_scenarios_builder(self):
         campaign = Campaign.from_scenarios(

@@ -176,6 +176,18 @@ class TestStoreRoundTrip:
         store.put(key, record)
         assert key in store and store.get(key) is not None
 
+    def test_record_filed_under_another_key_is_a_miss(self, store):
+        """A valid payload of key A copied under key B is never served as B's
+        record: get and membership run the key check merge_stores runs."""
+        record = self._record()
+        key = task_key(tiny_scenario(offered_traffic=(4e-4,)), "sim", 4e-4)
+        other = task_key(tiny_scenario(offered_traffic=(8e-4,)), "sim", 8e-4)
+        store.put(key, record)
+        store.backend.write_text(other, store.backend.read_text(key))
+        assert store.get(other) is None
+        assert other not in store
+        assert store.get(key) is not None
+
     def test_contains_and_len(self, store):
         key = task_key(tiny_scenario(offered_traffic=(4e-4,)), "sim", 4e-4)
         assert key not in store
@@ -592,14 +604,16 @@ class TestLiveMigration:
                 # A concurrent campaign lands a record *after* the initial
                 # snapshot was taken — the re-snapshot pass must catch it.
                 late["key"] = task_key(tiny_scenario(), "model", 9e-4)
-                source.write_text(late["key"], text)
+                payload = dict(json.loads(text), key=late["key"])
+                late["text"] = json.dumps(payload, sort_keys=True)
+                source.write_text(late["key"], late["text"])
 
         monkeypatch.setattr(source, "delete", delete_then_write_late)
         moved = migrate_store(store, "sqlite")
         assert moved == 3
         assert store.backend.name == "sqlite"
         assert late["key"] in store
-        assert store.backend.read_text(late["key"]) == text
+        assert store.backend.read_text(late["key"]) == late["text"]
         assert list(DirectoryBackend(tmp_path).keys()) == []
 
     def test_migration_terminates_under_constant_write_load(

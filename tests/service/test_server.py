@@ -182,6 +182,23 @@ class TestHttpSurface:
         assert status == 400
         assert "entries" in json.loads(body)["error"]
 
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            {"entries": 5},
+            {"entries": [{"scenario": "heterogeneous", "engines": 5}]},
+            {"entries": [{"scenario": {"message": "x"}}]},
+            {"entries": [{"scenario": {"system": {"m": 4, "cluster_heights": "ab"}}}]},
+        ],
+        ids=["entries-not-a-list", "engines-not-a-list", "message-not-an-object",
+             "heights-not-an-array"],
+    )
+    def test_malformed_plan_shape_is_400_not_a_dropped_connection(self, handle, plan):
+        status, _, body = handle.request("POST", "/campaigns", json.dumps(plan))
+        assert status == 400
+        assert json.loads(body)["error"]
+        assert handle.request("GET", "/health")[0] == 200
+
     def test_rejected_plan_does_not_count_as_served(self, handle):
         handle.request("POST", "/campaigns", "{not json")
         assert json.loads(handle.request("GET", "/health")[2])["campaigns_served"] == 0

@@ -1,9 +1,12 @@
 """Tests of JSON serialisation helpers."""
 
 import dataclasses
+import sys
+import threading
+import typing
 from enum import Enum
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -27,6 +30,12 @@ class _Nested:
 
 class _Color(Enum):
     RED = "red"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Tree:
+    label: str
+    children: Tuple["_Tree", ...] = ()
 
 
 class TestToJsonable:
@@ -124,6 +133,101 @@ class TestFromJsonable:
     def test_unsupported_annotation_raises(self):
         with pytest.raises(TypeError):
             from_jsonable(frozenset, [1, 2])  # no origin handler registered
+
+    def test_recursive_dataclass_round_trip(self):
+        tree = _Tree("root", (_Tree("leaf"), _Tree("inner", (_Tree("deep"),))))
+        assert from_jsonable(_Tree, to_jsonable(tree)) == tree
+
+    def test_type_hints_are_evaluated_once_per_dataclass(self, monkeypatch):
+        @dataclasses.dataclass
+        class Fresh:
+            x: float
+            y: Optional[int] = None
+
+        calls = []
+        real = typing.get_type_hints
+        monkeypatch.setattr(
+            typing, "get_type_hints", lambda cls: calls.append(cls) or real(cls)
+        )
+        for _ in range(3):
+            assert from_jsonable(Fresh, {"x": 1, "y": 2}) == Fresh(1.0, 2)
+        assert calls == [Fresh]
+
+    def test_threads_racing_on_cold_plans_all_decode_correctly(self):
+        @dataclasses.dataclass(frozen=True)
+        class Leaf:
+            value: float
+            tags: Tuple[str, ...] = ()
+
+        @dataclasses.dataclass(frozen=True)
+        class Branch:
+            leaves: Tuple[Leaf, ...]
+            weight: Optional[int] = None
+
+        original = Branch((Leaf(1.0, ("a",)), Leaf(2.5)), weight=3)
+        data = to_jsonable(original)
+        barrier = threading.Barrier(8)
+        results = []
+
+        def decode():
+            barrier.wait(timeout=30)
+            results.append([from_jsonable(Branch, data) for _ in range(50)])
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=decode) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[original] * 50] * 8
+
+
+class TestFromJsonableIsStrict:
+    @pytest.mark.parametrize(
+        "annotation,data",
+        [
+            (Tuple[float, float], [1.0]),
+            (Tuple[float, float], [1, 2, 3]),
+            (int, 1.7),
+            (int, True),
+            (int, "3"),
+            (int, None),
+            (int, float("inf")),
+            (float, True),
+            (float, "1.5"),
+            (bool, "false"),
+            (bool, 1),
+            (str, 5),
+            (Tuple[int, ...], "ab"),
+            (List[int], {"a": 1}),
+            (Dict[str, int], [1]),
+            (Optional[int], 1.5),
+            (_Point, {"x": True, "y": 1.0}),
+        ],
+    )
+    def test_mismatched_data_raises_type_error(self, annotation, data):
+        with pytest.raises(TypeError):
+            from_jsonable(annotation, data)
+
+    @pytest.mark.parametrize(
+        "annotation,data,expected",
+        [
+            (float, 2, 2.0),
+            (int, 3.0, 3),
+            (Tuple[float, float], [1, 2], (1.0, 2.0)),
+            (Optional[int], None, None),
+            (bool, False, False),
+            (Dict[str, Any], {"k": None}, {"k": None}),
+        ],
+    )
+    def test_accepted_data_rebuilds_the_exact_type(self, annotation, data, expected):
+        rebuilt = from_jsonable(annotation, data)
+        assert rebuilt == expected and type(rebuilt) is type(expected)
 
 
 class TestDumpLoad:
