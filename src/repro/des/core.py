@@ -16,7 +16,7 @@ from repro.des.events import (
     Process,
     Timeout,
 )
-from repro.des.exceptions import QueueEmpty, SimulationError, StopSimulation
+from repro.des.exceptions import SimulationError, StopSimulation
 
 
 class Environment:
@@ -98,33 +98,6 @@ class Environment:
         return AnyOf(self, events)
 
     # -- run loop -------------------------------------------------------------
-    def step(self) -> None:
-        """Process the next scheduled event.
-
-        Raises
-        ------
-        QueueEmpty
-            If the queue is empty (a :class:`SimulationError` subclass).
-        """
-        try:
-            self._now, _, _, event = heappop(self._queue)
-        except IndexError:
-            raise QueueEmpty("cannot step an empty event queue") from None
-
-        self.events_processed += 1
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks is None:
-            # Event was already processed (can happen for shared condition
-            # members); nothing to do.
-            return
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            # A failed event nobody waited on: surface the error.
-            exc = event._value
-            raise exc
-
     def run(self, until: float | Event | None = None) -> Any:
         """Run the simulation.
 
@@ -176,11 +149,10 @@ class Environment:
     def _run_loop(self) -> None:
         """Drain the queue (the body of :meth:`run`).
 
-        This is :meth:`step` unrolled into one loop: a simulation run
-        processes hundreds of thousands of events, and the per-event method
-        call and exception frame of calling ``step()`` from Python are
-        measurable.  Any semantic change here must be mirrored in
-        :meth:`step` (and vice versa) — the test suite drives both.
+        Each popped event advances the clock to its time and runs its
+        callbacks; an event popped a second time (a shared condition member)
+        has no callbacks left and is skipped.  A failed event that nobody
+        defused is re-raised out of the loop.
         """
         processed = 0
         queue = self._queue

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Iterable, List, Optional
 
-from repro.des.exceptions import Interrupt, SimulationError
+from repro.des.exceptions import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.des.core import Environment
@@ -178,19 +178,6 @@ class Process(Event):
     def is_alive(self) -> bool:
         """True while the underlying generator has not finished."""
         return self._value is PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current simulation time."""
-        if not self.is_alive:
-            raise SimulationError("cannot interrupt a finished process")
-        if self._target is None:
-            raise SimulationError("cannot interrupt a process before it starts")
-        interrupt_event = Event(self.env)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event._defused = True
-        interrupt_event.callbacks.append(self._resume)
-        self.env.schedule(interrupt_event, priority=Environment_URGENT)
 
     # -- kernel machinery ---------------------------------------------------
     def _resume(self, event: Event) -> None:

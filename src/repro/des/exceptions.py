@@ -9,15 +9,6 @@ class SimulationError(RuntimeError):
     """Raised when the kernel is used incorrectly (e.g. yielding a non-event)."""
 
 
-class QueueEmpty(SimulationError):
-    """Raised by :meth:`Environment.step` when no event is scheduled.
-
-    A subclass of :class:`SimulationError` so existing callers keep working;
-    the run loop catches it precisely to tell "queue drained" apart from
-    errors raised by user code.
-    """
-
-
 class StopSimulation(Exception):
     """Raised internally to stop :meth:`Environment.run` at an ``until`` event."""
 
@@ -25,18 +16,3 @@ class StopSimulation(Exception):
         super().__init__(value)
         self.value = value
 
-
-class Interrupt(Exception):
-    """Thrown into a process when :meth:`Process.interrupt` is called.
-
-    The ``cause`` attribute carries the value passed to ``interrupt`` so the
-    interrupted process can decide how to react (the wormhole simulator uses
-    interrupts to model message drops during the drain phase).
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0]

@@ -1,22 +1,17 @@
-"""Statistics collectors for simulation output.
+"""Statistics collector for simulation output.
 
-Three collectors cover the needs of the wormhole simulator:
-
-* :class:`Tally` — sample statistics of observations (message latencies);
-* :class:`TimeWeightedValue` — time-weighted statistics of a piecewise
-  constant signal (queue lengths, channel occupancy);
-* :class:`Counter` — a plain event counter with rate helpers.
-
-Recording one observation costs a handful of float operations (simple
-running sums); :meth:`Tally.extend` folds a whole NumPy batch with the same
-arithmetic in the same order.  Summary statistics (mean, variance,
-percentiles, confidence intervals) are computed on demand.
+:class:`Tally` keeps the sample statistics of a stream of observations (the
+simulator's message latencies and their parts).  Recording one observation
+costs a handful of float operations (simple running sums); :meth:`Tally.extend`
+folds a whole NumPy batch with the same arithmetic in the same order.
+Summary statistics (mean, variance, percentiles, confidence intervals) are
+computed on demand.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -191,114 +186,6 @@ class Tally:
         if self._count == 0:
             return f"<Tally {self.name!r} empty>"
         return f"<Tally {self.name!r} n={self._count} mean={self.mean:.4g}>"
-
-
-class TimeWeightedValue:
-    """Time-weighted statistics of a piecewise-constant signal.
-
-    Typical uses: number of busy channels, queue length at a concentrator.
-    The collector integrates the signal over time so that, e.g., the mean is
-    the *time*-average rather than the per-change average.
-    """
-
-    def __init__(self, env, initial: float = 0.0, name: str = "signal") -> None:
-        self.env = env
-        self.name = name
-        self._value = float(initial)
-        self._last_change = env.now
-        self._start_time = env.now
-        self._area = 0.0
-        self._max = float(initial)
-        self._min = float(initial)
-
-    @property
-    def value(self) -> float:
-        """Current value of the signal."""
-        return self._value
-
-    def set(self, value: float) -> None:
-        """Change the signal to ``value`` at the current simulation time."""
-        now = self.env.now
-        self._area += self._value * (now - self._last_change)
-        self._last_change = now
-        self._value = float(value)
-        self._max = max(self._max, self._value)
-        self._min = min(self._min, self._value)
-
-    def increment(self, amount: float = 1.0) -> None:
-        self.set(self._value + amount)
-
-    def decrement(self, amount: float = 1.0) -> None:
-        self.set(self._value - amount)
-
-    def reset(self, value: float | None = None) -> None:
-        """Restart integration at the current time (end of warm-up)."""
-        if value is not None:
-            self._value = float(value)
-        self._last_change = self.env.now
-        self._start_time = self.env.now
-        self._area = 0.0
-        self._max = self._value
-        self._min = self._value
-
-    @property
-    def elapsed(self) -> float:
-        return self.env.now - self._start_time
-
-    @property
-    def time_average(self) -> float:
-        """Time-weighted mean of the signal since the last reset."""
-        elapsed = self.env.now - self._start_time
-        if elapsed <= 0:
-            return self._value
-        area = self._area + self._value * (self.env.now - self._last_change)
-        return area / elapsed
-
-    @property
-    def maximum(self) -> float:
-        return self._max
-
-    @property
-    def minimum(self) -> float:
-        return self._min
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<TimeWeightedValue {self.name!r} value={self._value:.4g}>"
-
-
-class Counter:
-    """A named event counter with throughput helpers."""
-
-    def __init__(self, env, name: str = "counter") -> None:
-        self.env = env
-        self.name = name
-        self._count = 0
-        self._start_time = env.now
-
-    def increment(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise SimulationError(f"cannot increment by a negative amount ({amount})")
-        self._count += amount
-
-    def reset(self) -> None:
-        """Zero the counter and restart the rate clock (end of warm-up)."""
-        self._count = 0
-        self._start_time = self.env.now
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def rate(self) -> float:
-        """Events per time unit since the last reset (0 if no time elapsed)."""
-        elapsed = self.env.now - self._start_time
-        if elapsed <= 0:
-            return 0.0
-        return self._count / elapsed
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Counter {self.name!r} count={self._count}>"
 
 
 def _normal_ppf(p: float) -> float:

@@ -7,7 +7,8 @@ source queues, deterministic NCA routing, 100 000 measured messages with a
 10 000-message warm-up and a drain phase.  This subpackage is that simulator,
 built on the :mod:`repro.des` kernel:
 
-* every directed channel of every ICN1/ECN1/ICN2 is a capacity-1 resource;
+* every directed channel of every ICN1/ECN1/ICN2 is a capacity-1 FIFO
+  contention point;
 * a message is a process that acquires the channels of its deterministic
   route hop by hop (wormhole: everything it holds stays held until its tail
   is delivered), with the concentrator and dispatcher appearing as additional
@@ -31,7 +32,7 @@ realisation of the ECN1 exit points).
 
 from repro.sim.config import SimulationConfig
 from repro.sim.message import Message, MessagePhase
-from repro.sim.network import ChannelGrant, ChannelPool, FlatChannels
+from repro.sim.network import ChannelGrant, FlatChannels
 from repro.sim.statistics import ClusterStatistics, SimulationResult, StatisticsCollector
 from repro.sim.simulator import MultiClusterSimulator
 
@@ -40,7 +41,6 @@ __all__ = [
     "Message",
     "MessagePhase",
     "ChannelGrant",
-    "ChannelPool",
     "FlatChannels",
     "ClusterStatistics",
     "SimulationResult",

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.utils.validation import check_non_negative, check_positive_int
+from repro.utils.validation import (
+    check_non_negative,
+    check_non_negative_int,
+    check_positive_int,
+)
 
 
 @dataclass(frozen=True)
@@ -28,7 +32,8 @@ class SimulationConfig:
         network stays loaded while the last measured messages drain.
     seed:
         Root seed of all random streams (arrivals, destinations, routing
-        peers); the same seed reproduces the same run bit for bit.
+        peers); the same seed reproduces the same run bit for bit.  ``None``
+        or a non-negative integer (Python or NumPy).
     max_time:
         Safety cap on simulated time; a run that exceeds it is reported as
         saturated rather than looping forever.
@@ -42,8 +47,10 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         check_positive_int(self.measured_messages, "measured_messages")
-        check_non_negative(self.warmup_messages, "warmup_messages")
-        check_non_negative(self.drain_messages, "drain_messages")
+        check_non_negative_int(self.warmup_messages, "warmup_messages")
+        check_non_negative_int(self.drain_messages, "drain_messages")
+        if self.seed is not None:
+            check_non_negative_int(self.seed, "seed")
         check_non_negative(self.max_time, "max_time")
 
     @classmethod

@@ -150,8 +150,7 @@ class MultiClusterSimulator:
         self._t_cn = link_timing.t_cn
         self._t_cs = link_timing.t_cs
         self._max_header = max(self._t_cn, self._t_cs)
-        #: per-slot flit transfer times (relay slots carry the switch time,
-        #: matching the relay_time of the object-path realisation)
+        #: per-slot flit transfer times (relay slots carry the switch time)
         self._header_times = self.core.header_times(self._t_cn, self._t_cs)
         self._distinct_header_times = frozenset(map(float, self._header_times))
         self._pool_index = np.asarray(self.core.pool_index_list)

@@ -1,4 +1,4 @@
-"""Wormhole message transfer: journey construction and the transfer process.
+"""Wormhole message transfer: the transfer process of one message.
 
 A wormhole message advances header-first: at every hop it must acquire the
 hop's channel before the header can cross it, and with single-flit buffers
@@ -6,7 +6,7 @@ hop's channel before the header can cross it, and with single-flit buffers
 body flits until the tail has drained.  The simulator realises this as a
 process that
 
-1. acquires the hop resources strictly in route order (waiting in FIFO order
+1. acquires the hop channels strictly in route order (waiting in FIFO order
    whenever a channel is busy — this is where all contention arises),
 2. spends the per-flit header time on each hop,
 3. after the header reaches the destination, spends the serialisation time of
@@ -21,79 +21,22 @@ the validation study measures.
 Inter-cluster journeys chain three networks: the ascending leg in the source
 cluster's ECN1, the ICN2 crossing between the two concentrators, and the
 descending leg in the destination cluster's ECN1, with the concentrator and
-dispatcher units appearing as single-server hops between the legs.
+dispatcher units appearing as single-server hops between the legs.  The
+route tables of :mod:`repro.routing.compile` lay each journey out as one
+tuple of global channel ids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.des import Environment, Resource
+from repro.des import Environment
 from repro.des.events import Timeout
-from repro.routing.updown import UpDownRouter
 from repro.sim.message import Message
-from repro.sim.network import ChannelPool, FlatChannels
+from repro.sim.network import FlatChannels
 from repro.utils.validation import ValidationError
-
-
-@dataclass(frozen=True)
-class Hop:
-    """One contention point of a journey and its per-flit header time."""
-
-    resource: Resource
-    header_time: float
-
-
-def intra_cluster_hops(
-    pool: ChannelPool,
-    router: UpDownRouter,
-    source_node: int,
-    dest_node: int,
-) -> List[Hop]:
-    """The hop sequence of an intra-cluster (ICN1) journey."""
-    route = router.route(source_node, dest_node)
-    return [Hop(resource, time) for resource, time in pool.hops_for(route)]
-
-
-def inter_cluster_hops(
-    *,
-    source_pool: ChannelPool,
-    source_router: UpDownRouter,
-    dest_pool: ChannelPool,
-    dest_router: UpDownRouter,
-    icn2_pool: ChannelPool,
-    icn2_router: UpDownRouter,
-    concentrator: Resource,
-    dispatcher: Resource,
-    source_node: int,
-    exit_peer: int,
-    dest_node: int,
-    entry_peer: int,
-    source_concentrator_node: int,
-    dest_concentrator_node: int,
-    relay_time: float,
-) -> List[Hop]:
-    """The hop sequence of an inter-cluster (ECN1 + ICN2 + ECN1) journey.
-
-    ``exit_peer`` and ``entry_peer`` are the uniformly drawn peers that fix
-    where the message leaves the source ECN1 and enters the destination ECN1
-    (the distributed-concentrator realisation described in DESIGN.md); they
-    reproduce exactly the ``P_{j,n}`` leg-length distributions the analytical
-    model assumes.
-    """
-    hops: List[Hop] = []
-    ascent = source_router.ascending_leg(source_node, exit_peer)
-    hops.extend(Hop(resource, time) for resource, time in source_pool.hops_for(ascent))
-    hops.append(Hop(concentrator, relay_time))
-    icn2_route = icn2_router.route(source_concentrator_node, dest_concentrator_node)
-    hops.extend(Hop(resource, time) for resource, time in icn2_pool.hops_for(icn2_route))
-    hops.append(Hop(dispatcher, relay_time))
-    descent = dest_router.descending_leg(entry_peer, dest_node)
-    hops.extend(Hop(resource, time) for resource, time in dest_pool.hops_for(descent))
-    return hops
 
 
 def draw_peer(rng: np.random.Generator, num_nodes: int, excluded: int) -> int:
@@ -106,48 +49,6 @@ def draw_peer(rng: np.random.Generator, num_nodes: int, excluded: int) -> int:
     return draw
 
 
-def wormhole_transfer(
-    env: Environment,
-    message: Message,
-    hops: Sequence[Hop],
-    *,
-    on_delivered: Callable[[Message], None] | None = None,
-):
-    """The DES process moving one message along its hops (generator).
-
-    The first hop is the injection channel, so the wait for it *is* the
-    source-queue delay of the analytical model; ``message.mark_injected`` is
-    called the moment that first channel is granted.
-    """
-    if not hops:
-        raise ValidationError("a journey needs at least one hop")
-    held = []
-    try:
-        for position, hop in enumerate(hops):
-            request = hop.resource.request()
-            yield request
-            held.append((hop.resource, request))
-            if position == 0:
-                message.mark_injected(env.now)
-            yield env.timeout(hop.header_time)
-        # Header is at the destination; the body pipelines behind it at the
-        # pace of the slowest hop on the path.
-        serialisation = (message.length_flits - 1) * max(hop.header_time for hop in hops)
-        if serialisation > 0:
-            yield env.timeout(serialisation)
-        message.mark_delivered(env.now)
-        if on_delivered is not None:
-            on_delivered(message)
-    finally:
-        for resource, request in held:
-            request.cancel()
-
-
-def journey_hop_count(hops: Iterable[Hop]) -> int:
-    """Number of contention points of a journey (diagnostic helper)."""
-    return sum(1 for _ in hops)
-
-
 def compiled_transfer(
     env: Environment,
     message: Message,
@@ -157,17 +58,16 @@ def compiled_transfer(
     tail_time: float,
     on_delivered: Callable[[Message], None] | None = None,
 ):
-    """The flat-array twin of :func:`wormhole_transfer` (generator).
+    """The DES process moving one message along its journey (generator).
 
     ``slots`` is the precompiled global channel-id tuple of the journey
     (route tables of :mod:`repro.routing.compile`), ``header_times`` the
     per-slot flit time table of the compiled system and ``tail_time`` the
     precomputed body serialisation ``(M - 1) * max(header times)``.
 
-    The yielded event sequence — one grant and one header timeout per hop,
-    one tail timeout, releases in acquisition order on exit — is exactly the
-    sequence :func:`wormhole_transfer` produces over ``Resource`` objects,
-    so a compiled run replays an object-path run event for event.
+    The yielded event sequence is one grant and one header timeout per
+    hop, then one tail timeout (none for a one-flit message), with the
+    releases in acquisition order on exit.
     """
     if not slots:
         raise ValidationError("a journey needs at least one hop")

@@ -13,8 +13,6 @@ constant-bisection-bandwidth topology made of fixed-arity m-port switches:
 * :mod:`repro.topology.properties` — derived metrics (bisection width,
   diameter, link counts, distance distributions) used both by tests and by
   the design-space exploration example;
-* :mod:`repro.topology.graph` — exports to :mod:`networkx` for visualisation
-  and for graph-theoretic cross-checks;
 * :mod:`repro.topology.compile` — the compilation pass lowering a system's
   object graph to dense integer channel ids and flat metadata arrays (the
   representation the wormhole simulator's hot path runs on).
@@ -44,7 +42,6 @@ from repro.topology.properties import (
     link_count,
     mean_internode_distance,
 )
-from repro.topology.graph import multicluster_to_networkx, tree_to_networkx
 from repro.topology.compile import (
     CompiledSystem,
     CompiledTree,
@@ -77,6 +74,4 @@ __all__ = [
     "distance_histogram",
     "link_count",
     "mean_internode_distance",
-    "multicluster_to_networkx",
-    "tree_to_networkx",
 ]

@@ -229,9 +229,7 @@ class CompiledSystem:
         [concentrator slots (C)][dispatcher slots (C)]
 
     The concentrator/dispatcher units are *pseudo-channels*: they contend
-    like a capacity-1 channel with a switch-channel service time, exactly as
-    the object-path simulator modelled them with dedicated ``Resource``
-    objects.
+    like a capacity-1 channel with a switch-channel service time.
 
     Besides the block offsets, the compiled system exposes flat metadata
     over the whole slot space (``is_node_channel_list``, ``pool_index_list``)
@@ -240,10 +238,10 @@ class CompiledSystem:
     NumPy array (the per-tree NumPy metadata arrays live on
     :class:`CompiledTree`).
 
-    Pool indexing (used by utilisation reporting, mirroring the object
-    path's per-network ``ChannelPool`` split): pool ``c`` is cluster ``c``'s
-    ICN1, pool ``C + c`` its ECN1, pool ``2C`` the ICN2, and pool ``2C + 1``
-    the relay pseudo-pool (reported separately, via per-slot grant counts).
+    Pool indexing (one pool per network, used by utilisation reporting):
+    pool ``c`` is cluster ``c``'s ICN1, pool ``C + c`` its ECN1, pool ``2C``
+    the ICN2, and pool ``2C + 1`` the relay pseudo-pool (reported
+    separately, via per-slot grant counts).
     """
 
     #: report keys the kernels use for channel-utilisation aggregation, in
@@ -342,8 +340,7 @@ class CompiledSystem:
         """Per-slot header (per-flit) times for one link timing.
 
         Node channels transfer a flit in ``t_cn`` (Eq. 14), switch channels
-        and the relay pseudo-channels in ``t_cs`` (Eq. 15) — the relay time
-        the object path passed for concentrator/dispatcher hops.
+        and the relay pseudo-channels in ``t_cs`` (Eq. 15).
         """
         return [t_cn if is_node else t_cs for is_node in self.is_node_channel_list]
 

@@ -158,7 +158,7 @@ class MPortNTree:
         the smallest clusters of Table 1 are built.
     name:
         Optional label (e.g. ``"cluster3/ICN1"``) carried into channel
-        diagnostics and networkx exports.
+        diagnostics.
     """
 
     def __init__(self, m: int, n: int, name: str | None = None) -> None:
@@ -171,8 +171,7 @@ class MPortNTree:
         self.k = self.m // 2
         self.name = name or f"{m}-port {n}-tree"
         # Per-instance memo of node index -> digit tuple.  Address arithmetic
-        # is the inner loop of the router (which the object-path simulator
-        # calls for every message), and an instance cache (unlike
+        # is the inner loop of the router, and an instance cache (unlike
         # ``functools.lru_cache`` on a method) dies with the tree instead of
         # pinning it for the process lifetime.
         self._address_cache: Dict[int, Tuple[int, ...]] = {}

@@ -10,6 +10,7 @@ and raises :class:`ValidationError` with a precise message instead.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Any, Iterable, Sequence
 
 
@@ -51,6 +52,19 @@ def check_positive_int(value: Any, name: str | None = None) -> int:
     if ivalue <= 0:
         raise ValidationError(f"{_name(name)} must be a positive integer, got {value!r}")
     return ivalue
+
+
+def check_non_negative_int(value: Any, name: str | None = None) -> int:
+    """Return ``value`` as an ``int`` if it is a non-negative integer.
+
+    Python and NumPy integers pass; bools, floats (integral ones too) and
+    strings do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValidationError(
+            f"{_name(name)} must be a non-negative integer, got {value!r}"
+        )
+    return int(value)
 
 
 def check_even(value: Any, name: str | None = None) -> int:

@@ -62,6 +62,17 @@ class TestScenarioValidation:
         assert scenario.sim.seed == 99
         assert scenario.sim.measured_messages == FAST.measured_messages
 
+    @pytest.mark.parametrize(
+        "seed", [1.5, 3.0, -1, "3", True], ids=["1.5", "3.0", "-1", "'3'", "True"]
+    )
+    def test_bad_seed_refused_when_the_scenario_is_built(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            api.scenario("heterogeneous", points=2, seed=seed)
+
+    def test_with_seed_refuses_a_bad_seed(self):
+        with pytest.raises(ValidationError, match="seed"):
+            tiny_scenario().with_seed(1.5)
+
 
 class TestScenarioJsonRoundTrip:
     def test_dict_round_trip_is_identity(self):

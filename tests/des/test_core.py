@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Environment, QueueEmpty, SimulationError
+from repro.des import Environment, SimulationError
 
 
 def test_initial_time_defaults_to_zero():
@@ -61,15 +61,6 @@ def test_run_until_beyond_queue_exhaustion_advances_clock():
     env.process(_wait(env, 1.0))
     env.run(until=10.0)
     assert env.now == 10.0
-
-
-def test_step_on_empty_queue_raises():
-    env = Environment()
-    with pytest.raises(QueueEmpty):
-        env.step()
-    # QueueEmpty is a SimulationError, so old handlers still catch it.
-    with pytest.raises(SimulationError):
-        env.step()
 
 
 def test_peek_empty_queue_is_infinite():

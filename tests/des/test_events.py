@@ -1,4 +1,4 @@
-"""Tests of events, processes, interrupts and composite conditions."""
+"""Tests of events, processes and composite conditions."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.des import (
     ConditionValue,
     Environment,
     Event,
-    Interrupt,
     SimulationError,
 )
 
@@ -149,60 +148,6 @@ class TestProcess:
         env.run(until=0.0)
         # After the init event the process waits on `event`.
         assert process.target is event
-
-
-class TestInterrupt:
-    def test_interrupt_raises_inside_process(self):
-        env = Environment()
-        outcomes = []
-
-        def victim(env):
-            try:
-                yield env.timeout(100.0)
-                outcomes.append("finished")
-            except Interrupt as interrupt:
-                outcomes.append(("interrupted", interrupt.cause, env.now))
-
-        def attacker(env, victim_process):
-            yield env.timeout(3.0)
-            victim_process.interrupt(cause="drain")
-
-        victim_process = env.process(victim(env))
-        env.process(attacker(env, victim_process))
-        env.run()
-        assert outcomes == [("interrupted", "drain", 3.0)]
-
-    def test_interrupting_finished_process_raises(self):
-        env = Environment()
-
-        def quick(env):
-            yield env.timeout(1.0)
-
-        process = env.process(quick(env))
-        env.run()
-        with pytest.raises(SimulationError):
-            process.interrupt()
-
-    def test_interrupted_process_can_continue(self):
-        env = Environment()
-        trace = []
-
-        def victim(env):
-            try:
-                yield env.timeout(10.0)
-            except Interrupt:
-                trace.append(("interrupted", env.now))
-            yield env.timeout(2.0)
-            trace.append(("done", env.now))
-
-        def attacker(env, victim_process):
-            yield env.timeout(1.0)
-            victim_process.interrupt()
-
-        victim_process = env.process(victim(env))
-        env.process(attacker(env, victim_process))
-        env.run()
-        assert trace == [("interrupted", 1.0), ("done", 3.0)]
 
 
 class TestConditions:

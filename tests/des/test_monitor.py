@@ -1,11 +1,11 @@
-"""Tests of the statistics collectors (Tally, TimeWeightedValue, Counter)."""
+"""Tests of the Tally statistics collector."""
 
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.des import Counter, Environment, SimulationError, Tally, TimeWeightedValue
+from repro.des import Environment, SimulationError, Tally
 
 
 class TestTally:
@@ -153,139 +153,8 @@ class TestTally:
         assert tally.variance >= 0.0
 
 
-class TestTimeWeightedValue:
-    def test_time_average_of_constant_signal(self):
-        env = Environment()
-        signal = TimeWeightedValue(env, initial=3.0)
-        env.process(_advance(env, 10.0))
-        env.run()
-        assert signal.time_average == pytest.approx(3.0)
-
-    def test_time_average_weights_by_duration(self):
-        env = Environment()
-        signal = TimeWeightedValue(env, initial=0.0)
-
-        def proc(env):
-            yield env.timeout(4.0)   # value 0 for 4 time units
-            signal.set(10.0)
-            yield env.timeout(1.0)   # value 10 for 1 time unit
-            signal.set(0.0)
-            yield env.timeout(5.0)   # value 0 for 5 time units
-
-        env.process(proc(env))
-        env.run()
-        assert signal.time_average == pytest.approx(1.0)  # 10*1 / 10
-
-    def test_increment_decrement_track_value(self):
-        env = Environment()
-        signal = TimeWeightedValue(env)
-        signal.increment()
-        signal.increment(2.0)
-        signal.decrement()
-        assert signal.value == 2.0
-        assert signal.maximum == 3.0
-        assert signal.minimum == 0.0
-
-    def test_reset_restarts_integration(self):
-        env = Environment()
-        signal = TimeWeightedValue(env, initial=100.0)
-
-        def proc(env):
-            yield env.timeout(5.0)
-            signal.reset(0.0)
-            yield env.timeout(5.0)
-
-        env.process(proc(env))
-        env.run()
-        assert signal.time_average == pytest.approx(0.0)
-        assert signal.elapsed == pytest.approx(5.0)
-
-    def test_time_average_with_no_elapsed_time_is_current_value(self):
-        env = Environment()
-        signal = TimeWeightedValue(env, initial=7.0)
-        assert signal.time_average == 7.0
-
-
-class TestCounter:
-    def test_counting_and_rate(self):
-        env = Environment()
-        counter = Counter(env, "messages")
-
-        def proc(env):
-            for _ in range(5):
-                counter.increment()
-                yield env.timeout(2.0)
-
-        env.process(proc(env))
-        env.run()
-        assert counter.count == 5
-        assert counter.rate == pytest.approx(0.5)
-
-    def test_rate_with_no_elapsed_time_is_zero(self):
-        env = Environment()
-        counter = Counter(env)
-        counter.increment(3)
-        assert counter.rate == 0.0
-
-    def test_negative_increment_rejected(self):
-        env = Environment()
-        counter = Counter(env)
-        with pytest.raises(SimulationError):
-            counter.increment(-1)
-
-    def test_reset_zeroes_count_and_rate_clock(self):
-        env = Environment()
-        counter = Counter(env)
-
-        def proc(env):
-            counter.increment(10)
-            yield env.timeout(5.0)
-            counter.reset()
-            counter.increment(1)
-            yield env.timeout(1.0)
-
-        env.process(proc(env))
-        env.run()
-        assert counter.count == 1
-        assert counter.rate == pytest.approx(1.0)
-
-
-def _advance(env, delay):
-    yield env.timeout(delay)
-
-
 class TestCollectorsDrivenBySimulation:
-    """The collectors read ``env.now`` only, as the run loop advances it."""
-
-    def test_time_weighted_value_integrates(self):
-        env = Environment()
-        signal = TimeWeightedValue(env, initial=1.0)
-
-        def proc(env):
-            yield env.timeout(2.0)
-            signal.set(3.0)
-            yield env.timeout(2.0)
-            signal.set(0.0)
-            yield env.timeout(4.0)
-
-        env.process(proc(env))
-        env.run()
-        assert env.now == 8.0
-        assert signal.time_average == pytest.approx((1.0 * 2 + 3.0 * 2 + 0.0 * 4) / 8.0)
-        assert (signal.maximum, signal.minimum) == (3.0, 0.0)
-
-    def test_counter_rate_over_the_run(self):
-        env = Environment()
-        counter = Counter(env)
-
-        def proc(env):
-            for _ in range(5):
-                yield env.timeout(2.0)
-                counter.increment()
-
-        env.process(proc(env))
-        env.run()
-        assert (counter.count, counter.rate) == (5, 0.5)
+    """A tally fed by processes as the run loop advances the clock."""
 
     def test_tally_of_simulated_delays(self):
         env = Environment()
@@ -303,17 +172,3 @@ class TestCollectorsDrivenBySimulation:
         assert tally.mean == pytest.approx(2.5)
         assert tally.minimum == 1.0
         assert tally.maximum == 4.0
-
-    def test_time_weighted_reset_mid_run(self):
-        env = Environment()
-        signal = TimeWeightedValue(env, initial=2.0)
-
-        def proc(env):
-            yield env.timeout(4.0)
-            signal.reset(value=1.0)
-            yield env.timeout(2.0)
-
-        env.process(proc(env))
-        env.run()
-        assert signal.elapsed == pytest.approx(2.0)
-        assert signal.time_average == pytest.approx(1.0)

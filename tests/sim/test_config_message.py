@@ -1,5 +1,6 @@
 """Tests of the simulation configuration and message records."""
 
+import numpy as np
 import pytest
 
 from repro.sim import Message, MessagePhase, SimulationConfig
@@ -36,11 +37,35 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             config.scaled(0.0)
 
-    def test_invalid_budgets_rejected(self):
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"measured_messages": 0},
+            {"warmup_messages": -1},
+            {"warmup_messages": 10.5},
+            {"warmup_messages": 10.0},
+            {"drain_messages": -1},
+            {"drain_messages": 10.5},
+            {"seed": 1.5},
+            {"seed": 3.0},
+            {"seed": -1},
+            {"seed": "3"},
+            {"seed": True},
+            pytest.param({"seed": np.int64(-1)}, id="seed=int64(-1)"),
+        ],
+        ids=lambda fields: ",".join(f"{key}={value!r}" for key, value in fields.items()),
+    )
+    def test_invalid_budgets_rejected(self, fields):
         with pytest.raises(ValidationError):
-            SimulationConfig(measured_messages=0)
-        with pytest.raises(ValidationError):
-            SimulationConfig(warmup_messages=-1)
+            SimulationConfig(**fields)
+
+    @pytest.mark.parametrize(
+        "seed",
+        [None, 0, 3, 2**70, np.int64(3), np.uint32(3)],
+        ids=["None", "0", "3", "2**70", "int64(3)", "uint32(3)"],
+    )
+    def test_seed_accepts_none_and_non_negative_integers(self, seed):
+        assert SimulationConfig(seed=seed).seed is seed
 
 
 class TestMessage:

@@ -1,14 +1,14 @@
-"""Golden-seed regression: the compiled core reproduces the object path.
+"""Golden-seed regression: both kernels reproduce the pinned statistics.
 
-The compiled-``NetworkCore`` refactor (integer channel ids, precompiled
-route tables, flat-array channel state, slotted events) changes the
-*representation* of a simulation run, not its behaviour.  The fixture
-``golden_seed.json`` was captured with the pre-refactor object-graph
-simulator (``ChannelPool`` + per-message ``Route`` construction) at fixed
-seeds; this test replays the same scenarios through the public
-:class:`repro.api.SimulationEngine` and asserts every statistic —
-including per-cluster tallies and channel-utilisation aggregates — is
-**bit-identical** (floats are stored as ``float.hex`` strings).
+The fixture ``golden_seed.json`` holds every statistic of a few fixed-seed
+runs, including per-cluster tallies and channel-utilisation aggregates
+(floats stored as ``float.hex`` strings).  This test replays the same
+scenarios through the public :class:`repro.api.SimulationEngine` under
+each kernel and asserts they are **bit-identical**.  History: the fixture
+was captured with an earlier object-graph simulator (a lazily created
+resource per channel, routes built per message), since deleted; the
+compiled route tables, the flat channel state and both current kernels
+were each pinned to it when they replaced that code.
 
 If a future change to the DES kernel, routing compiler or simulator alters
 any of these numbers, it changed simulation semantics and must either be a

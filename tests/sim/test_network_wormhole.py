@@ -1,114 +1,181 @@
-"""Tests of channel pools, journey construction and the wormhole process."""
+"""Tests of the flat channel state, the peer draw, compiled journeys and the wormhole process."""
 
 import numpy as np
 import pytest
 
-from repro.des import Environment, Resource
-from repro.routing import UpDownRouter
+from repro.des import Environment
+from repro.routing import UpDownRouter, compile_system_routes
 from repro.sim.message import Message
-from repro.sim.network import ChannelPool
-from repro.sim.wormhole import (
-    Hop,
-    draw_peer,
-    inter_cluster_hops,
-    intra_cluster_hops,
-    wormhole_transfer,
-)
-from repro.topology import ChannelKind, MPortNTree, MultiClusterSpec, MultiClusterSystem
+from repro.sim.network import FlatChannels
+from repro.sim.wormhole import compiled_transfer, draw_peer
+from repro.topology import MultiClusterSpec, compile_system
 from repro.utils import ValidationError
-from repro.utils.units import LinkTiming
 
-TIMING = LinkTiming(alpha_net=0.02, alpha_sw=0.01, beta_net=0.002, flit_bytes=256)
+HETERO = MultiClusterSpec(m=4, cluster_heights=(1, 2, 2, 1))
 
 
-class TestChannelPool:
-    def test_resources_are_created_lazily_and_cached(self):
+def _message(length=4):
+    return Message(
+        index=0,
+        source_cluster=0,
+        source_node=0,
+        dest_cluster=0,
+        dest_node=1,
+        length_flits=length,
+        created_at=0.0,
+    )
+
+
+def _transfer(env, channels, message, slots, header_times, on_delivered=None):
+    """Start one transfer with the tail time the simulator precomputes."""
+    tail_time = (message.length_flits - 1) * max(header_times[slot] for slot in slots)
+    return env.process(
+        compiled_transfer(
+            env, message, slots, channels, header_times, tail_time, on_delivered
+        )
+    )
+
+
+def _hold(env, channels, slot, hold):
+    """A process holding ``slot`` for ``hold`` time units once granted."""
+    grant = channels.acquire(slot)
+    yield grant
+    yield env.timeout(hold)
+    channels.release(slot, grant)
+
+
+class TestFlatChannels:
+    def test_free_slot_is_granted_at_once(self):
         env = Environment()
-        tree = MPortNTree(4, 2)
-        pool = ChannelPool(env, "ICN1", TIMING)
-        channel = next(iter(tree.channels()))
-        assert pool.touched_channels == 0
-        first = pool.resource(channel)
-        second = pool.resource(channel)
-        assert first is second
-        assert pool.touched_channels == 1
+        channels = FlatChannels(env, 2)
+        grant = channels.acquire(1)
+        assert grant.triggered
+        assert channels.holder[1] is grant
+        assert channels.total_grants == [0, 1]
 
-    def test_header_time_by_channel_kind(self):
+    def test_waiters_are_granted_in_fifo_order(self):
         env = Environment()
-        tree = MPortNTree(4, 2)
-        pool = ChannelPool(env, "ICN1", TIMING)
-        for channel in tree.channels():
-            expected = TIMING.t_cn if channel.kind.is_node_channel else TIMING.t_cs
-            assert pool.header_time(channel) == pytest.approx(expected)
+        channels = FlatChannels(env, 1)
+        granted = []
 
-    def test_hops_for_route(self):
+        def user(label, hold):
+            grant = channels.acquire(0)
+            yield grant
+            granted.append((label, env.now))
+            yield env.timeout(hold)
+            channels.release(0, grant)
+
+        for label in "abc":
+            env.process(user(label, 2.0))
+        env.run()
+        assert granted == [("a", 0.0), ("b", 2.0), ("c", 4.0)]
+        assert channels.total_grants == [3]
+
+    def test_busy_time_accumulates_on_release(self):
         env = Environment()
-        tree = MPortNTree(4, 2)
-        pool = ChannelPool(env, "ICN1", TIMING)
-        route = UpDownRouter(tree).route(0, 7)
-        hops = list(pool.hops_for(route))
-        assert len(hops) == route.num_links
-        assert all(isinstance(resource, Resource) for resource, _ in hops)
+        channels = FlatChannels(env, 1)
+        env.process(_hold(env, channels, 0, 3.0))
+        env.process(_hold(env, channels, 0, 2.0))
+        env.run()
+        assert channels.busy_time == [5.0]
+
+    def test_unreleased_holder_not_counted_yet(self):
+        env = Environment()
+        channels = FlatChannels(env, 1)
+        channels.acquire(0)
+        env.timeout(4.0)
+        env.run()
+        assert env.now == 4.0
+        assert channels.busy_time == [0.0]
 
     def test_busy_and_queued_counters(self):
         env = Environment()
-        tree = MPortNTree(4, 2)
-        pool = ChannelPool(env, "ICN1", TIMING)
-        channel = next(iter(tree.channels()))
-        resource = pool.resource(channel)
-        resource.request()
-        resource.request()
-        assert pool.busy_channels() == 1
-        assert pool.queued_requests() == 1
+        channels = FlatChannels(env, 3)
+        channels.acquire(0)
+        channels.acquire(0)
+        channels.acquire(2)
+        assert channels.busy_slots() == 2
+        assert channels.queued_requests() == 1
+
+    def test_withdrawing_a_queued_grant_twice_is_a_noop(self):
+        env = Environment()
+        channels = FlatChannels(env, 1)
+        holder = channels.acquire(0)
+        waiter = channels.acquire(0)
+        channels.release(0, waiter)
+        channels.release(0, waiter)
+        assert channels.holder == [holder]
+        assert channels.queued_requests() == 0
+        channels.release(0, holder)
+        env.run()
+        assert channels.holder == [None]
+        assert not waiter.triggered
+        assert channels.total_grants == [1]
+
+    def test_withdrawn_waiter_is_skipped(self):
+        env = Environment()
+        channels = FlatChannels(env, 1)
+        holder = channels.acquire(0)
+        first = channels.acquire(0)
+        withdrawn = channels.acquire(0)
+        last = channels.acquire(0)
+        channels.release(0, withdrawn)
+
+        def hand_over():
+            yield env.timeout(3.0)
+            channels.release(0, holder)
+            yield env.timeout(1.0)
+            channels.release(0, first)
+
+        env.process(hand_over())
+        env.run()
+        assert channels.holder == [last]
+        assert first.triggered
+        assert last.triggered
+        assert not withdrawn.triggered
+        assert channels.granted_at == [4.0]
+        assert channels.total_grants == [3]
+        assert channels.queued_requests() == 0
+
+    def test_idle_gap_between_holders_is_not_busy_time(self):
+        env = Environment()
+        channels = FlatChannels(env, 1)
+        granted = []
+
+        def user(start, hold):
+            yield env.timeout(start)
+            grant = channels.acquire(0)
+            assert grant.triggered
+            yield grant
+            granted.append(env.now)
+            yield env.timeout(hold)
+            channels.release(0, grant)
+
+        env.process(user(0.0, 2.0))
+        env.process(user(5.0, 1.0))
+        env.run()
+        assert granted == [0.0, 5.0]
+        assert channels.holder == [None]
+        assert channels.granted_at == [5.0]
+        assert channels.busy_time == [3.0]
+
+    def test_releasing_with_a_grant_that_holds_nothing_is_a_noop(self):
+        env = Environment()
+        channels = FlatChannels(env, 2)
+        holder = channels.acquire(0)
+        waiter = channels.acquire(0)
+        other = channels.acquire(1)
+        # Neither grant holds or waits for the slot it is released from.
+        channels.release(0, other)
+        channels.release(1, waiter)
+        assert channels.holder == [holder, other]
+        assert channels.queued_requests() == 1
+        env.run()
+        assert channels.busy_time == [0.0, 0.0]
+        assert not waiter.triggered
 
 
 class TestJourneyConstruction:
-    def setup_method(self):
-        self.env = Environment()
-        self.tree = MPortNTree(4, 2)
-        self.pool = ChannelPool(self.env, "net", TIMING)
-        self.router = UpDownRouter(self.tree)
-
-    def test_intra_hops_match_route_length(self):
-        hops = intra_cluster_hops(self.pool, self.router, 0, 7)
-        assert len(hops) == self.tree.distance(0, 7)
-
-    def test_inter_hops_structure(self):
-        system = MultiClusterSystem(MultiClusterSpec(m=4, cluster_heights=(1, 2, 2, 1)))
-        icn2_pool = ChannelPool(self.env, "ICN2", TIMING)
-        source_pool = ChannelPool(self.env, "ECN1-0", TIMING)
-        dest_pool = ChannelPool(self.env, "ECN1-2", TIMING)
-        source_router = UpDownRouter(system.cluster(0).ecn1)
-        dest_router = UpDownRouter(system.cluster(2).ecn1)
-        icn2_router = UpDownRouter(system.icn2)
-        concentrator = Resource(self.env, name="conc0")
-        dispatcher = Resource(self.env, name="disp2")
-        hops = inter_cluster_hops(
-            source_pool=source_pool,
-            source_router=source_router,
-            dest_pool=dest_pool,
-            dest_router=dest_router,
-            icn2_pool=icn2_pool,
-            icn2_router=icn2_router,
-            concentrator=concentrator,
-            dispatcher=dispatcher,
-            source_node=0,
-            exit_peer=3,
-            dest_node=5,
-            entry_peer=0,
-            source_concentrator_node=0,
-            dest_concentrator_node=2,
-            relay_time=TIMING.t_cs,
-        )
-        resources = [hop.resource for hop in hops]
-        assert concentrator in resources
-        assert dispatcher in resources
-        # Ascending leg + concentrator + ICN2 route + dispatcher + descent.
-        ascent = source_router.ascending_leg(0, 3).num_links
-        descent = dest_router.descending_leg(0, 5).num_links
-        icn2 = icn2_router.route(0, 2).num_links
-        assert len(hops) == ascent + 1 + icn2 + 1 + descent
-
     def test_draw_peer_never_returns_excluded(self):
         rng = np.random.default_rng(0)
         draws = {draw_peer(rng, 8, 3) for _ in range(200)}
@@ -119,27 +186,42 @@ class TestJourneyConstruction:
         with pytest.raises(ValidationError):
             draw_peer(np.random.default_rng(0), 1, 0)
 
+    def test_intra_hops_match_route_length(self):
+        routes = compile_system_routes(HETERO)
+        icn1 = compile_system(HETERO).system.cluster(1).icn1
+        for source in range(icn1.num_nodes):
+            for dest in range(icn1.num_nodes):
+                if source != dest:
+                    journey, _ = routes.intra_route(1, source, dest)
+                    assert len(journey) == icn1.distance(source, dest)
+
+    def test_inter_hops_structure(self):
+        core = compile_system(HETERO)
+        system = core.system
+        journey = compile_system_routes(HETERO).external_route(0, 0, 3, 2, 0, 5)
+        ascent = UpDownRouter(system.cluster(0).ecn1).ascending_leg(0, 3).num_links
+        icn2 = UpDownRouter(system.icn2).route(0, 2).num_links
+        descent = UpDownRouter(system.cluster(2).ecn1).descending_leg(0, 5).num_links
+        # Ascending leg + concentrator + ICN2 route + dispatcher + descent.
+        assert len(journey) == ascent + 1 + icn2 + 1 + descent
+        assert journey[ascent] == core.concentrator_slot(0)
+        assert journey[ascent + 1 + icn2] == core.dispatcher_slot(2)
+        # Each leg stays inside its own network's block of slot ids.
+        source_block = range(core.ecn1_offsets[0], core.ecn1_offsets[1])
+        icn2_block = range(core.icn2_offset, core.concentrator_base)
+        dest_block = range(core.ecn1_offsets[2], core.ecn1_offsets[3])
+        assert all(cid in source_block for cid in journey[:ascent])
+        assert all(cid in icn2_block for cid in journey[ascent + 1 : ascent + 1 + icn2])
+        assert all(cid in dest_block for cid in journey[-descent:])
+
 
 class TestWormholeTransfer:
-    def _message(self, length=4):
-        return Message(
-            index=0,
-            source_cluster=0,
-            source_node=0,
-            dest_cluster=0,
-            dest_node=1,
-            length_flits=length,
-            created_at=0.0,
-        )
-
     def test_unloaded_transfer_time(self):
         env = Environment()
-        hops = [Hop(Resource(env), 1.0), Hop(Resource(env), 2.0), Hop(Resource(env), 0.5)]
-        message = self._message(length=4)
+        channels = FlatChannels(env, 3)
+        message = _message(length=4)
         delivered = []
-        env.process(
-            wormhole_transfer(env, message, hops, on_delivered=delivered.append)
-        )
+        _transfer(env, channels, message, (0, 1, 2), [1.0, 2.0, 0.5], delivered.append)
         env.run()
         # Header: 1 + 2 + 0.5; body: (4-1) * max(2.0) = 6.
         assert message.delivered_at == pytest.approx(9.5)
@@ -148,27 +230,31 @@ class TestWormholeTransfer:
 
     def test_single_flit_message_has_no_serialisation(self):
         env = Environment()
-        hops = [Hop(Resource(env), 1.0), Hop(Resource(env), 1.0)]
-        message = self._message(length=1)
-        env.process(wormhole_transfer(env, message, hops))
+        channels = FlatChannels(env, 2)
+        message = _message(length=1)
+        _transfer(env, channels, message, (0, 1), [1.0, 1.0])
         env.run()
         assert message.delivered_at == pytest.approx(2.0)
+        # Start, two grants, two header timeouts, the process end: no tail.
+        assert env.events_processed == 6
 
-    def test_resources_released_after_delivery(self):
+    def test_every_slot_is_free_after_delivery(self):
         env = Environment()
-        resources = [Resource(env), Resource(env)]
-        hops = [Hop(resource, 1.0) for resource in resources]
-        env.process(wormhole_transfer(env, self._message(), hops))
+        channels = FlatChannels(env, 3)
+        _transfer(env, channels, _message(), (2, 0), [1.0, 1.0, 1.0])
         env.run()
-        assert all(resource.count == 0 for resource in resources)
+        assert channels.holder == [None, None, None]
+        assert channels.busy_slots() == 0
+        assert channels.queued_requests() == 0
+        assert channels.busy_time == [4.0, 0.0, 5.0]
 
     def test_blocking_on_a_busy_channel(self):
         env = Environment()
-        shared = Resource(env)
-        first = self._message()
-        second = self._message()
-        env.process(wormhole_transfer(env, first, [Hop(shared, 1.0)]))
-        env.process(wormhole_transfer(env, second, [Hop(shared, 1.0)]))
+        channels = FlatChannels(env, 1)
+        first = _message()
+        second = _message()
+        _transfer(env, channels, first, (0,), [1.0])
+        _transfer(env, channels, second, (0,), [1.0])
         env.run()
         # Second message cannot even inject until the first releases: the
         # first holds the channel for header (1) + serialisation (3) = 4.
@@ -176,9 +262,58 @@ class TestWormholeTransfer:
         assert second.injected_at == pytest.approx(4.0)
         assert second.delivered_at == pytest.approx(8.0)
         assert second.queueing_delay == pytest.approx(4.0)
+        assert channels.busy_time == [8.0]
 
-    def test_empty_hop_list_rejected(self):
+    def test_blocked_header_keeps_the_channels_it_crossed(self):
         env = Environment()
-        with pytest.raises(ValidationError):
-            env.process(wormhole_transfer(env, self._message(), []))
-            env.run()
+        channels = FlatChannels(env, 2)
+        env.process(_hold(env, channels, 1, 5.0))
+        blocked = _message(length=1)
+        follower = _message(length=1)
+        _transfer(env, channels, blocked, (0, 1), [1.0, 1.0])
+        _transfer(env, channels, follower, (0,), [1.0, 1.0])
+        env.run()
+        # The blocked header waits on slot 1 until 5 while still holding
+        # slot 0, so the follower cannot inject until the worm is delivered.
+        assert blocked.injected_at == 0.0
+        assert blocked.delivered_at == pytest.approx(6.0)
+        assert follower.injected_at == pytest.approx(6.0)
+        assert follower.delivered_at == pytest.approx(7.0)
+        assert follower.queueing_delay == pytest.approx(6.0)
+        assert channels.busy_time == [7.0, 6.0]
+
+    def test_delivery_is_reported_before_the_release(self):
+        env = Environment()
+        channels = FlatChannels(env, 3)
+        seen = []
+        _transfer(
+            env,
+            channels,
+            _message(length=4),
+            (0, 2),
+            [1.0, 1.0, 1.0],
+            lambda message: seen.append((message.delivered_at, channels.busy_slots())),
+        )
+        env.run()
+        # Header 1 + 1, tail (4 - 1) * 1: both slots are still held at 5.
+        assert seen == [(5.0, 2)]
+        assert channels.busy_slots() == 0
+
+    def test_releases_follow_the_acquisition_order(self):
+        env = Environment()
+        channels = FlatChannels(env, 2)
+        woken = []
+
+        def waiter(slot):
+            yield env.timeout(1.5)
+            grant = channels.acquire(slot)
+            yield grant
+            woken.append((slot, env.now))
+            channels.release(slot, grant)
+
+        # The journey takes slot 1 at 0 and slot 0 at 1, and frees both at 2.
+        _transfer(env, channels, _message(length=1), (1, 0), [1.0, 1.0])
+        env.process(waiter(0))
+        env.process(waiter(1))
+        env.run()
+        assert woken == [(1, 2.0), (0, 2.0)]

@@ -1,4 +1,4 @@
-"""Tests of channel-utilisation accounting (resources, pools, simulator)."""
+"""Tests of channel-utilisation accounting (flat channel state, simulator)."""
 
 import json
 import math
@@ -7,66 +7,48 @@ from pathlib import Path
 import pytest
 
 from repro import api
-from repro.des import Environment, Resource
+from repro.des import Environment
 from repro.model import MessageSpec
 from repro.sim import MultiClusterSimulator, SimulationConfig, statistics
-from repro.sim.network import ChannelPool
-from repro.topology import MPortNTree, MultiClusterSpec
-from repro.utils.units import LinkTiming
+from repro.sim.network import FlatChannels
+from repro.sim.statistics import channel_utilisation
+from repro.topology import MultiClusterSpec
+from repro.topology.compile import compile_system
 
 TINY = MultiClusterSpec(m=4, cluster_heights=(1, 2, 2, 1), name="tiny")
 FAST = SimulationConfig(measured_messages=600, warmup_messages=60, drain_messages=60, seed=1)
-TIMING = LinkTiming(alpha_net=0.02, alpha_sw=0.01, beta_net=0.002, flit_bytes=256)
 
 
-class TestResourceBusyTime:
-    def test_busy_time_accumulates_on_release(self):
+class TestChannelUtilisationReport:
+    """``channel_utilisation`` over one compiled system's flat slot state."""
+
+    def _report(self, hold, elapsed):
+        core = compile_system(TINY)
         env = Environment()
-        resource = Resource(env)
+        channels = FlatChannels(env, core.total_slots)
+        touch_order = [[] for _ in range(core.num_pools)]
+        if hold:
+            slot = core.icn1_offsets[0]
+            touch_order[core.pool_index_list[slot]].append(slot)
 
-        def user(env, hold):
-            with resource.request() as request:
-                yield request
+            def user():
+                grant = channels.acquire(slot)
+                yield grant
                 yield env.timeout(hold)
+                channels.release(slot, grant)
 
-        env.process(user(env, 3.0))
-        env.process(user(env, 2.0))
-        env.run()
-        assert resource.busy_time == pytest.approx(5.0)
+            env.process(user())
+            env.run()
+        return channel_utilisation(
+            core, channels.busy_time, channels.total_grants, touch_order, elapsed
+        )
 
-    def test_unreleased_holder_not_counted_yet(self):
-        env = Environment()
-        resource = Resource(env)
-        resource.request()
-        env.run()
-        assert resource.busy_time == 0.0
-
-
-class TestPoolUtilisation:
-    def test_idle_pool_reports_zero(self):
-        env = Environment()
-        pool = ChannelPool(env, "net", TIMING)
-        assert pool.utilisation(10.0) == (0.0, 0.0)
-        assert pool.utilisation(0.0) == (0.0, 0.0)
+    def test_idle_run_reports_nothing(self):
+        assert self._report(0.0, 10.0) == {}
+        assert self._report(4.0, 0.0) == {}
 
     def test_single_busy_channel(self):
-        env = Environment()
-        tree = MPortNTree(4, 2)
-        pool = ChannelPool(env, "net", TIMING)
-        channel = next(iter(tree.channels()))
-        resource = pool.resource(channel)
-
-        def user(env):
-            with resource.request() as request:
-                yield request
-                yield env.timeout(4.0)
-            yield env.timeout(6.0)
-
-        env.process(user(env))
-        env.run()
-        mean, peak = pool.utilisation(10.0)
-        assert mean == pytest.approx(0.4)
-        assert peak == pytest.approx(0.4)
+        assert self._report(4.0, 10.0) == {"ICN1": (0.4, 0.4)}
 
 
 class TestSimulatorUtilisation:

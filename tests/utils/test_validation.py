@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +11,7 @@ from repro.utils.validation import (
     check_even,
     check_in_range,
     check_non_negative,
+    check_non_negative_int,
     check_positive,
     check_positive_int,
     check_power_of,
@@ -68,6 +70,30 @@ class TestCheckPositiveInt:
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValidationError):
             check_positive_int(bad)
+
+
+class TestCheckNonNegativeInt:
+    @pytest.mark.parametrize(
+        "value", [0, 7, np.int64(3), np.uint8(3)], ids=["0", "7", "int64(3)", "uint8(3)"]
+    )
+    def test_accepts_python_and_numpy_integers(self, value):
+        result = check_non_negative_int(value, "seed")
+        assert result == value
+        assert type(result) is int
+
+    # Unlike check_positive_int, an integral float is refused too.
+    @pytest.mark.parametrize(
+        "bad",
+        [-1, 2.5, 3.0, "4", True, None, np.int64(-1), np.float64(3.0)],
+        ids=["-1", "2.5", "3.0", "'4'", "True", "None", "int64(-1)", "float64(3.0)"],
+    )
+    def test_rejects_negatives_and_non_integers(self, bad):
+        with pytest.raises(ValidationError):
+            check_non_negative_int(bad)
+
+    def test_error_message_contains_name(self):
+        with pytest.raises(ValidationError, match="warmup_messages"):
+            check_non_negative_int(-1, "warmup_messages")
 
 
 class TestCheckEven:
