@@ -62,7 +62,7 @@ from repro.experiments.compare import (
     compare_runset,
     model_applicability,
 )
-from repro.experiments.configs import FIGURE_SPECS, table1_specs, table1_system
+from repro.experiments.configs import table1_specs, table1_system
 from repro.experiments.figures import run_figure
 from repro.experiments.report import (
     ablation_to_table,

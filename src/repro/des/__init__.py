@@ -8,14 +8,13 @@ simulator's generator specification (:mod:`repro.sim.wormhole`) uses:
 * :class:`~repro.des.core.Environment` drives simulated time and the event
   queue;
 * processes are plain Python generators that ``yield`` events
-  (:class:`~repro.des.events.Timeout`, other processes, and
-  :class:`~repro.des.events.AnyOf` / :class:`~repro.des.events.AllOf`
-  conditions; a simulation run waits on ``done | guard``);
-* :class:`~repro.des.monitor.Tally` keeps the sample statistics of the
-  measured latencies.
+  (:class:`~repro.des.events.Timeout`, other processes, and the
+  :class:`~repro.des.events.AnyOf` that ``a | b`` builds; a simulation run
+  waits on ``done | guard``).
 
-Channel contention lives with the simulator
-(:class:`~repro.sim.network.FlatChannels`), not here.
+Channel contention (:class:`~repro.sim.network.FlatChannels`) and the
+run's statistics (:mod:`repro.sim.statistics`) live with the simulator,
+not here.
 
 The event queue is a plain binary heap keyed on ``(time, priority, eid)``.
 The kernel is deliberately deterministic: events scheduled for the same time
@@ -24,19 +23,16 @@ results reproducible for a fixed seed.
 """
 
 from repro.des.exceptions import SimulationError, StopSimulation
-from repro.des.events import Event, Timeout, Process, AllOf, AnyOf, ConditionValue
+from repro.des.events import Event, Timeout, Process, AnyOf, ConditionValue
 from repro.des.core import Environment
-from repro.des.monitor import Tally
 
 __all__ = [
     "Environment",
     "Event",
     "Timeout",
     "Process",
-    "AllOf",
     "AnyOf",
     "ConditionValue",
     "SimulationError",
     "StopSimulation",
-    "Tally",
 ]

@@ -4,12 +4,9 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import count
-from math import inf
 from typing import Any, Generator, List, Optional, Tuple
 
 from repro.des.events import (
-    AllOf,
-    AnyOf,
     Environment_NORMAL,
     Environment_URGENT,
     Event,
@@ -43,7 +40,6 @@ class Environment:
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._eid = count()
-        self._active_process: Optional[Process] = None
         self._queue: List[Tuple[float, int, int, Event]] = []
         #: Events popped and dispatched over the environment's lifetime.
         #: Fuels the benchmark's events-per-second figure; costs one local
@@ -56,25 +52,11 @@ class Environment:
         """Current simulation time."""
         return self._now
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed (None outside process code)."""
-        return self._active_process
-
     def schedule(self, event: Event, priority: int = Environment_NORMAL, delay: float = 0.0) -> None:
         """Insert a triggered event into the queue ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
         heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if the queue is empty."""
-        return self._queue[0][0] if self._queue else inf
-
-    @property
-    def queue_size(self) -> int:
-        """Number of events currently scheduled (diagnostic aid)."""
-        return len(self._queue)
 
     # -- event factories ------------------------------------------------------
     def event(self) -> Event:
@@ -88,14 +70,6 @@ class Environment:
     def process(self, generator: Generator[Event, Any, Any]) -> Process:
         """Start ``generator`` as a new process."""
         return Process(self, generator)
-
-    def all_of(self, events) -> AllOf:
-        """Composite event succeeding once all ``events`` succeed."""
-        return AllOf(self, events)
-
-    def any_of(self, events) -> AnyOf:
-        """Composite event succeeding once any of ``events`` succeeds."""
-        return AnyOf(self, events)
 
     # -- run loop -------------------------------------------------------------
     def run(self, until: float | Event | None = None) -> Any:

@@ -8,7 +8,7 @@ must be an event, and the process resumes when that event is processed.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, List, Optional
 
 from repro.des.exceptions import SimulationError
 
@@ -91,22 +91,11 @@ class Event:
         self.env.schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another event (callback helper)."""
-        if self.triggered:
-            return
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self)
-
     def defused(self) -> None:
         """Mark a failed event as handled so the kernel does not re-raise it."""
         self._defused = True
 
     # -- composition ------------------------------------------------------
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
-
     def __or__(self, other: "Event") -> "AnyOf":
         return AnyOf(self.env, [self, other])
 
@@ -159,74 +148,52 @@ class Process(Event):
     each other simply by yielding them.
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Environment", generator: Generator[Event, Any, Any]) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise SimulationError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = None
         Initialize(env, self)
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process currently waits for (None when finished)."""
-        return self._target
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return self._value is PENDING
 
     # -- kernel machinery ---------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
-        self.env._active_process = self
         while True:
             try:
                 if event._ok:
                     next_event = self._generator.send(event._value)
                 else:
                     event._defused = True
-                    exc = event._value
-                    next_event = self._generator.throw(exc)
+                    next_event = self._generator.throw(event._value)
             except StopIteration as stop:
-                self._target = None
                 self._ok = True
                 self._value = stop.value
                 self.env.schedule(self)
-                break
+                return
             except BaseException as exc:  # noqa: BLE001 - propagate via event
-                self._target = None
                 self._ok = False
                 self._value = exc
                 self.env.schedule(self)
-                break
+                return
 
             if not isinstance(next_event, Event):
-                error = SimulationError(
-                    f"process yielded a non-event: {next_event!r}"
-                )
-                self._target = None
                 self._ok = False
-                self._value = error
+                self._value = SimulationError(f"process yielded a non-event: {next_event!r}")
                 self.env.schedule(self)
-                break
+                return
 
             if next_event.callbacks is not None:
                 # Event not yet processed: register ourselves and wait.
                 next_event.callbacks.append(self._resume)
-                self._target = next_event
-                break
+                return
             # Event already processed: continue immediately with its value.
             event = next_event
 
-        self.env._active_process = None
-
 
 class ConditionValue:
-    """Ordered mapping of the events that triggered a condition to their values."""
+    """Ordered mapping of the events that triggered an :class:`AnyOf` to their values."""
 
     __slots__ = ("events",)
 
@@ -244,38 +211,20 @@ class ConditionValue:
     def __len__(self) -> int:
         return len(self.events)
 
-    def keys(self) -> List[Event]:
-        return list(self.events)
 
-    def values(self) -> List[Any]:
-        return [event._value for event in self.events]
+class AnyOf(Event):
+    """Succeeds as soon as *any* component event has succeeded.
 
-    def items(self) -> List[tuple]:
-        return [(event, event._value) for event in self.events]
+    If a component fails before any succeeds, it fails with that
+    component's exception; an empty ``AnyOf`` succeeds at once.  ``a | b``
+    builds one, and a simulation run waits on ``done | guard``.
+    """
 
-    def todict(self) -> Dict[Event, Any]:
-        return dict(self.items())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ConditionValue({self.todict()!r})"
-
-
-class Condition(Event):
-    """Base class for composite events (:class:`AllOf` / :class:`AnyOf`)."""
-
-    __slots__ = ("_events", "_count")
+    __slots__ = ("_events",)
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
         self._events = list(events)
-        self._count = 0
         for event in self._events:
             if event.env is not env:
                 raise SimulationError("cannot mix events from different environments")
@@ -288,33 +237,11 @@ class Condition(Event):
             else:
                 event.callbacks.append(self._check)
 
-    def _evaluate(self, count: int) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def _check(self, event: Event) -> None:
         if self.triggered:
             return
-        self._count += 1
         if not event._ok:
             event._defused = True
             self.fail(event._value)
-        elif self._evaluate(self._count):
+        else:
             self.succeed(ConditionValue([e for e in self._events if e.triggered]))
-
-
-class AllOf(Condition):
-    """Succeeds once *all* component events have succeeded."""
-
-    __slots__ = ()
-
-    def _evaluate(self, count: int) -> bool:
-        return count == len(self._events)
-
-
-class AnyOf(Condition):
-    """Succeeds as soon as *any* component event has succeeded."""
-
-    __slots__ = ()
-
-    def _evaluate(self, count: int) -> bool:
-        return count >= 1

@@ -31,19 +31,17 @@ realisation of the ECN1 exit points).
 """
 
 from repro.sim.config import SimulationConfig
-from repro.sim.message import Message, MessagePhase
+from repro.sim.message import Message
 from repro.sim.network import ChannelGrant, FlatChannels
-from repro.sim.statistics import ClusterStatistics, SimulationResult, StatisticsCollector
+from repro.sim.statistics import ClusterStatistics, SimulationResult
 from repro.sim.simulator import MultiClusterSimulator
 
 __all__ = [
     "SimulationConfig",
     "Message",
-    "MessagePhase",
     "ChannelGrant",
     "FlatChannels",
     "ClusterStatistics",
     "SimulationResult",
-    "StatisticsCollector",
     "MultiClusterSimulator",
 ]

@@ -2,19 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.utils.validation import ValidationError
-
-
-class MessagePhase(str, Enum):
-    """Where a message currently is in its life cycle."""
-
-    QUEUED = "queued"          # generated, waiting for its injection channel
-    IN_NETWORK = "in-network"  # header traveling / worm advancing
-    DELIVERED = "delivered"    # tail flit reached the destination node
 
 
 @dataclass(slots=True)
@@ -38,7 +29,6 @@ class Message:
     measured: bool = True
     injected_at: Optional[float] = None
     delivered_at: Optional[float] = None
-    phase: MessagePhase = field(default=MessagePhase.QUEUED)
 
     @property
     def is_external(self) -> bool:
@@ -66,16 +56,8 @@ class Message:
             raise ValidationError(f"message {self.index} has not been delivered")
         return self.delivered_at - self.injected_at
 
-    def mark_injected(self, now: float) -> None:
-        self.injected_at = now
-        self.phase = MessagePhase.IN_NETWORK
-
-    def mark_delivered(self, now: float) -> None:
-        self.delivered_at = now
-        self.phase = MessagePhase.DELIVERED
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Message({self.index}, c{self.source_cluster}n{self.source_node} -> "
-            f"c{self.dest_cluster}n{self.dest_node}, {self.phase.value})"
+            f"c{self.dest_cluster}n{self.dest_node})"
         )

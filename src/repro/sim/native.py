@@ -32,20 +32,20 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
 from repro.des.exceptions import SimulationError
 from repro.routing.compile import FlatRoutes
+from repro.sim.statistics import RunOutcome
 from repro.utils.validation import ValidationError
 
 if TYPE_CHECKING:
     from repro.workloads.batch import PreDrawn
 
 __all__ = [
-    "CoreOutcome",
     "NativeCoreUnavailable",
     "cache_dir",
     "draw_messages",
@@ -337,27 +337,6 @@ def draw_messages(
     return tuple(columns)
 
 
-class CoreOutcome(NamedTuple):
-    """What one run of the event core returns, all flat."""
-
-    #: measured deliveries in delivery order
-    clusters: np.ndarray
-    external: np.ndarray
-    created: np.ndarray
-    injected: np.ndarray
-    delivered: np.ndarray
-    #: per-slot busy time and grant counts
-    busy_time: np.ndarray
-    total_grants: np.ndarray
-    #: slots in the order journeys first touched them
-    touch_order: np.ndarray
-    #: messages each source consumed from its pre-drawn ones
-    consumed: np.ndarray
-    now: float
-    events: int
-    done: bool
-
-
 def _check_routes(routes: FlatRoutes, core, cluster_nodes: np.ndarray) -> None:
     """Every route id the loop can copy lands inside the slot space."""
     offsets, ids = routes.offsets, routes.ids
@@ -444,8 +423,12 @@ def _check_messages(
 
 def run_core(
     simulator, workload: PreDrawn, routes: FlatRoutes, config, elide: bool
-) -> CoreOutcome:
-    """Run one simulation on the native event core."""
+) -> Tuple[RunOutcome, np.ndarray]:
+    """Run one simulation on the native event core.
+
+    Returns the run's record and the number of messages each source
+    consumed from its pre-drawn ones.
+    """
     library = load()
     core = simulator.core
     cluster_nodes = np.asarray(simulator._cluster_nodes, dtype=np.int64)
@@ -525,7 +508,7 @@ def run_core(
     )
     _raise_for(status)
     events, count, touched, done = counts.tolist()
-    return CoreOutcome(
+    return RunOutcome(
         clusters[:count],
         external[:count].view(bool),
         created[:count],
@@ -534,8 +517,7 @@ def run_core(
         busy_time,
         total_grants,
         touch_order[:touched],
-        consumed,
         float(clock[0]),
         events,
         bool(done),
-    )
+    ), consumed

@@ -33,8 +33,11 @@ Per-run random streams start from pooled PCG64 states of
 :mod:`repro.utils.rng` in both kernels: restored
 :class:`~numpy.random.Generator` snapshots in the generator kernel, one
 flat block of states per (seed, system) in the vectorized one.  The event
-sequence is identical across the two kernels; the golden-seed regression
-pins their statistics to the committed fixtures and to each other.
+sequence is identical across the two kernels, and both end a run with the
+same :class:`~repro.sim.statistics.RunOutcome`, which
+:func:`~repro.sim.statistics.summarise` folds into the run's
+:class:`SimulationResult`; the golden-seed regression pins their
+statistics to the committed fixtures and to each other.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from __future__ import annotations
 import gc
 import os
 import time as _time
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -53,7 +56,7 @@ from repro.sim import native
 from repro.sim.config import SimulationConfig
 from repro.sim.message import Message
 from repro.sim.network import FlatChannels
-from repro.sim.statistics import SimulationResult, StatisticsCollector, channel_utilisation
+from repro.sim.statistics import RunOutcome, SimulationResult, summarise
 from repro.sim.vector import VectorizedRunState
 from repro.sim.wormhole import compiled_transfer, draw_peer
 from repro.topology.compile import compile_system
@@ -174,15 +177,15 @@ class MultiClusterSimulator:
         else:
             state = _RunState(self, lambda_g, run_config)
         started = _time.perf_counter()
-        state.execute()
+        record = state.execute()
         elapsed = _time.perf_counter() - started
-        return state.collector.result(
+        return summarise(
+            record,
+            self.core,
+            self._pool_index,
             lambda_g=lambda_g,
-            saturated=state.timed_out,
-            wall_clock_seconds=elapsed,
-            channel_utilisation=state.channel_utilisation(),
             seed=run_config.seed,
-            events_processed=state.events_processed,
+            wall_clock_seconds=elapsed,
         )
 
     def latency_curve(
@@ -257,21 +260,28 @@ class _RunState:
         self.streams = RandomStreams(config.seed, pooled=True)
         self.arrivals = simulator.arrivals_factory(lambda_g)
         self.pattern = simulator.pattern.for_run(self.streams, simulator.system)
-        core = simulator.core
-        self.channels = FlatChannels(self.env, core.total_slots)
-        #: which slots appeared on any built journey, and in which order per
-        #: pool — the order utilisation aggregation sums in, on both kernels
-        self._touched = bytearray(core.total_slots)
-        self._pool_touch_order: List[List[int]] = [[] for _ in range(core.num_pools)]
-        self.collector = StatisticsCollector(num_clusters=core.spec.num_clusters)
+        slots = simulator.core.total_slots
+        self.channels = FlatChannels(self.env, slots)
+        #: which slots appeared on any built journey, in first-touch order —
+        #: the order utilisation aggregation sums in, on both kernels
+        self._touched = bytearray(slots)
+        self._touch_order: List[int] = []
+        #: the measured deliveries in delivery order, preallocated as the
+        #: native core preallocates them
+        measured = config.measured_messages
+        self._clusters = np.zeros(measured, dtype=np.int32)
+        self._external = np.zeros(measured, dtype=bool)
+        self._created = np.zeros(measured, dtype=np.float64)
+        self._injected = np.zeros(measured, dtype=np.float64)
+        self._delivered = np.zeros(measured, dtype=np.float64)
         self.generated = 0
         self.delivered_measured = 0
         self.done = self.env.event()
-        self.timed_out = False
-        self.events_processed = 0
 
     # ------------------------------------------------------------- execution
-    def execute(self) -> None:
+    def execute(self) -> RunOutcome:
+        """Run the environment until the measured messages are in or the
+        guard fires, and return the run's record."""
         for cluster_index, node in self.simulator.system.nodes():
             self.env.process(self._source_process(cluster_index, node.index))
         guard = self.env.timeout(self.config.max_time)
@@ -289,19 +299,19 @@ class _RunState:
         finally:
             if gc_was_enabled:
                 gc.enable()
-        if not self.done.triggered:
-            self.timed_out = True
-        self.events_processed = self.env.events_processed
-
-    # ----------------------------------------------------------- utilisation
-    def channel_utilisation(self) -> Dict[str, tuple]:
-        """Per-network (mean, max) channel utilisation over the whole run."""
-        return channel_utilisation(
-            self.simulator.core,
-            self.channels.busy_time,
-            self.channels.total_grants,
-            self._pool_touch_order,
+        count = self.delivered_measured
+        return RunOutcome(
+            self._clusters[:count],
+            self._external[:count],
+            self._created[:count],
+            self._injected[:count],
+            self._delivered[:count],
+            np.array(self.channels.busy_time, dtype=np.float64),
+            np.array(self.channels.total_grants, dtype=np.int64),
+            np.array(self._touch_order, dtype=np.int32),
             self.env.now,
+            self.env.events_processed,
+            self.done.triggered,
         )
 
     # ------------------------------------------------------------- processes
@@ -351,14 +361,13 @@ class _RunState:
             )
 
     def _touch(self, slots) -> None:
-        """Record journey slots in pool-local first-touch order."""
+        """Record journey slots in first-touch order."""
         touched = self._touched
-        pool_index = self.simulator.core.pool_index_list
-        order = self._pool_touch_order
+        order = self._touch_order
         for slot in slots:
             if not touched[slot]:
                 touched[slot] = 1
-                order[pool_index[slot]].append(slot)
+                order.append(slot)
 
     def _build_journey(self, message: Message, peer_rng):
         """The journey's global slot-id tuple and its body serialisation time."""
@@ -392,9 +401,15 @@ class _RunState:
         return slots, tail_flits * simulator._max_header
 
     def _on_delivered(self, message: Message) -> None:
+        """Write a measured delivery into the record's next row."""
         if not message.measured:
             return
-        self.collector.record(message)
-        self.delivered_measured += 1
+        row = self.delivered_measured
+        self._clusters[row] = message.source_cluster
+        self._external[row] = message.is_external
+        self._created[row] = message.created_at
+        self._injected[row] = message.injected_at
+        self._delivered[row] = message.delivered_at
+        self.delivered_measured = row + 1
         if self.delivered_measured >= self.config.measured_messages and not self.done.triggered:
             self.done.succeed()

@@ -1,16 +1,53 @@
-"""Latency statistics gathering and the simulation result record."""
+"""The run record both kernels fill, the one fold over it, and the result.
+
+Both kernels end a run holding the same flat :class:`RunOutcome`: the
+measured deliveries in delivery order, per-slot channel accounting, the
+slots in first-touch order and the final clock.  :func:`summarise` turns
+that record into a :class:`SimulationResult`, so every statistic is
+computed once, with the same arithmetic, whichever kernel ran.
+
+Every sum is an explicit left fold (``np.add.accumulate``), the order a
+plain Python ``for`` loop adds in: ``np.sum`` adds pairwise, and the
+builtin ``sum`` compensates its rounding from Python 3.12 on, so either
+would change the last bits the golden-seed fixtures pin.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.des import Tally
-from repro.sim.message import Message
-from repro.utils.validation import ValidationError
+#: z of the two-sided 95% normal-approximation interval, with the bits the
+#: golden fixtures were computed with (a rational approximation of the
+#: normal quantile at 0.975; ``statistics.NormalDist().inv_cdf(0.975)``
+#: differs in its last bits)
+Z_95 = float.fromhex("0x1.f5c03325b95a6p+0")
+
+
+class RunOutcome(NamedTuple):
+    """What one run leaves behind, all flat and the same on both kernels."""
+
+    #: measured deliveries in delivery order: source cluster, whether the
+    #: message left its cluster, and its created, injected and delivered times
+    clusters: np.ndarray
+    external: np.ndarray
+    created: np.ndarray
+    injected: np.ndarray
+    delivered: np.ndarray
+    #: per-slot busy time and grant counts
+    busy_time: np.ndarray
+    total_grants: np.ndarray
+    #: slots in the order journeys first touched them
+    touch_order: np.ndarray
+    #: the final clock
+    now: float
+    #: events the kernel processed (each kernel counts its own events)
+    events: int
+    #: whether every measured message was delivered before the time guard
+    done: bool
 
 
 @dataclass(frozen=True)
@@ -46,21 +83,26 @@ class SimulationResult:
     measurement_time: float
     #: delivered-messages throughput over the measurement window
     throughput: float
-    #: True when the run hit its safety time limit before delivering the
-    #: measured messages — the operating point is beyond saturation
+    #: True when the clock reached ``SimulationConfig.max_time`` before every
+    #: measured message was delivered, or when nothing was measured.  It does
+    #: not say whether the operating point is past saturation: a run past
+    #: the knee can finish inside the cap, and a stable run of a small
+    #: system at low load can reach it (ROADMAP item 2)
     saturated: bool
-    #: wall-clock seconds the run took (useful for benchmark reporting)
+    #: wall-clock seconds the kernel's ``execute()`` took, statistics excluded
     wall_clock_seconds: float = 0.0
     #: per-network (mean, max) channel utilisation over the run, keyed by
     #: network name (ICN1/ECN1 pools, "ICN2", "concentrators"); empty when
-    #: utilisation accounting was not requested
+    #: the run's clock never advanced
     channel_utilisation: Dict[str, Tuple[float, float]] = field(default_factory=dict)
     #: root RNG seed the run was executed with (None when seeded from OS
     #: entropy); together with the configuration it makes the run reproducible
     #: from its serialised form
     seed: Optional[int] = None
-    #: discrete events the run's kernel processed (0 when the kernel predates
-    #: event accounting); feeds the benchmark's events-per-second figure
+    #: discrete events the run's kernel processed, counted per kernel (the
+    #: generator kernel also counts process start-up and completion events
+    #: and the grants the native core elides); feeds the benchmark's
+    #: events-per-second figure
     events_processed: int = 0
 
     def bottleneck(self) -> Optional[str]:
@@ -87,156 +129,115 @@ class SimulationResult:
         }
 
 
-@dataclass
-class StatisticsCollector:
-    """Accumulates message records during a run and produces the result."""
-
-    num_clusters: int
-    latency: Tally = field(default_factory=lambda: Tally("latency"))
-    queueing: Tally = field(default_factory=lambda: Tally("queueing", keep_samples=False))
-    network: Tally = field(default_factory=lambda: Tally("network", keep_samples=False))
-    external_count: int = 0
-    first_measured_at: Optional[float] = None
-    last_measured_at: Optional[float] = None
-    _per_cluster: Dict[int, Tally] = field(default_factory=dict)
-
-    def record(self, message: Message) -> None:
-        """Record one delivered, measured message."""
-        if not message.measured:
-            raise ValidationError("only measured messages should be recorded")
-        self.latency.record(message.latency)
-        self.queueing.record(message.queueing_delay)
-        self.network.record(message.network_latency)
-        if message.is_external:
-            self.external_count += 1
-        cluster_tally = self._per_cluster.setdefault(
-            message.source_cluster, Tally(f"cluster{message.source_cluster}", keep_samples=False)
-        )
-        cluster_tally.record(message.latency)
-        if self.first_measured_at is None:
-            self.first_measured_at = message.delivered_at
-        self.last_measured_at = message.delivered_at
-
-    def record_deliveries(
-        self,
-        source_clusters: np.ndarray,
-        external: np.ndarray,
-        created: np.ndarray,
-        injected: np.ndarray,
-        delivered: np.ndarray,
-    ) -> None:
-        """Record a batch of deliveries, given in delivery order, as arrays.
-
-        The vectorized kernel returns its deliveries as flat arrays and
-        never builds :class:`~repro.sim.message.Message` instances.  This
-        performs the *identical* float arithmetic in the identical order as
-        calling :meth:`record` on each message in turn: element-wise
-        differences, then :meth:`Tally.extend`'s sequential folds — tallies
-        accumulate running sums, so even a reordering of two additions
-        would break golden-seed bit-identity.
-        """
-        if not len(delivered):
-            return
-        latency = delivered - created
-        self.latency.extend(latency)
-        self.queueing.extend(injected - created)
-        self.network.extend(delivered - injected)
-        self.external_count += int(np.count_nonzero(external))
-        for cluster in np.unique(source_clusters).tolist():
-            cluster_tally = self._per_cluster.setdefault(
-                cluster, Tally(f"cluster{cluster}", keep_samples=False)
-            )
-            cluster_tally.extend(latency[source_clusters == cluster])
-        if self.first_measured_at is None:
-            self.first_measured_at = float(delivered[0])
-        self.last_measured_at = float(delivered[-1])
-
-    @property
-    def recorded(self) -> int:
-        return self.latency.count
-
-    def result(
-        self,
-        *,
-        lambda_g: float,
-        saturated: bool,
-        wall_clock_seconds: float = 0.0,
-        channel_utilisation: Optional[Dict[str, Tuple[float, float]]] = None,
-        seed: Optional[int] = None,
-        events_processed: int = 0,
-    ) -> SimulationResult:
-        """Finalise the statistics into a :class:`SimulationResult`."""
-        utilisation = channel_utilisation or {}
-        if self.recorded == 0:
-            return SimulationResult(
-                lambda_g=lambda_g,
-                measured_messages=0,
-                mean_latency=math.inf,
-                std_latency=math.nan,
-                confidence_interval=(math.inf, math.inf),
-                mean_queueing_delay=math.nan,
-                mean_network_latency=math.nan,
-                external_fraction=math.nan,
-                clusters=(),
-                measurement_time=0.0,
-                throughput=0.0,
-                saturated=True,
-                wall_clock_seconds=wall_clock_seconds,
-                channel_utilisation=utilisation,
-                seed=seed,
-                events_processed=events_processed,
-            )
-        clusters = tuple(
-            ClusterStatistics(
-                cluster=cluster,
-                count=tally.count,
-                mean_latency=tally.mean,
-                std_latency=tally.std,
-            )
-            for cluster, tally in sorted(self._per_cluster.items())
-        )
-        span = 0.0
-        if self.first_measured_at is not None and self.last_measured_at is not None:
-            span = self.last_measured_at - self.first_measured_at
-        throughput = self.recorded / span if span > 0 else 0.0
-        return SimulationResult(
-            lambda_g=lambda_g,
-            measured_messages=self.recorded,
-            mean_latency=self.latency.mean,
-            std_latency=self.latency.std,
-            confidence_interval=self.latency.confidence_interval(0.95),
-            mean_queueing_delay=self.queueing.mean,
-            mean_network_latency=self.network.mean,
-            external_fraction=self.external_count / self.recorded,
-            clusters=clusters,
-            measurement_time=span,
-            throughput=throughput,
-            saturated=saturated,
-            wall_clock_seconds=wall_clock_seconds,
-            channel_utilisation=utilisation,
-            seed=seed,
-            events_processed=events_processed,
-        )
+def _left_sum(values: np.ndarray) -> float:
+    """``(0.0 + values[0]) + values[1] + ...``, the sum a Python loop computes."""
+    return float(np.add.accumulate(np.concatenate(((0.0,), values)))[-1])
 
 
-def _fold_mean(values: np.ndarray) -> float:
-    """The mean as a left-to-right loop computes it.
+def _mean(values: np.ndarray) -> float:
+    return _left_sum(values) / len(values)
 
-    ``np.add.accumulate`` adds in array order, as a Python ``for`` loop
-    does; ``np.sum`` adds pairwise, and the builtin ``sum`` compensates
-    its rounding since Python 3.12, so either would change the last bits.
+
+def _moments(values: np.ndarray) -> Tuple[int, float, float]:
+    """Count, mean and sample standard deviation, from running sums."""
+    count = len(values)
+    mean = _mean(values)
+    if count < 2:
+        return count, mean, 0.0
+    variance = (_left_sum(values * values) - count * mean * mean) / (count - 1)
+    # Cancellation can leave a tiny negative variance; clamp it.
+    return count, mean, math.sqrt(max(variance, 0.0))
+
+
+def summarise(
+    record: RunOutcome,
+    core,
+    pool_index: np.ndarray,
+    *,
+    lambda_g: float,
+    seed: Optional[int] = None,
+    wall_clock_seconds: float = 0.0,
+) -> SimulationResult:
+    """The :class:`SimulationResult` of one run, folded from its record.
+
+    ``core`` is the run's compiled system and ``pool_index`` its
+    ``pool_index_list`` as an array (see :func:`channel_utilisation`).  A
+    record without measured deliveries reads as saturated, with an
+    infinite mean latency.
     """
-    return float(np.add.accumulate(values)[-1]) / len(values)
+    common = dict(
+        lambda_g=lambda_g,
+        wall_clock_seconds=wall_clock_seconds,
+        channel_utilisation=channel_utilisation(
+            core,
+            pool_index,
+            record.busy_time,
+            record.total_grants,
+            record.touch_order,
+            record.now,
+        ),
+        seed=seed,
+        events_processed=record.events,
+    )
+    created, injected, delivered = record.created, record.injected, record.delivered
+    count = len(delivered)
+    if not count:
+        return SimulationResult(
+            measured_messages=0,
+            mean_latency=math.inf,
+            std_latency=math.nan,
+            confidence_interval=(math.inf, math.inf),
+            mean_queueing_delay=math.nan,
+            mean_network_latency=math.nan,
+            external_fraction=math.nan,
+            clusters=(),
+            measurement_time=0.0,
+            throughput=0.0,
+            saturated=True,
+            **common,
+        )
+    latency = delivered - created
+    _, mean, std = _moments(latency)
+    if count == 1:
+        interval = (mean, mean)
+    else:
+        half_width = Z_95 * std / math.sqrt(count)
+        interval = (mean - half_width, mean + half_width)
+    sources = record.clusters
+    span = float(delivered[-1]) - float(delivered[0])
+    return SimulationResult(
+        measured_messages=count,
+        mean_latency=mean,
+        std_latency=std,
+        confidence_interval=interval,
+        mean_queueing_delay=_mean(injected - created),
+        mean_network_latency=_mean(delivered - injected),
+        external_fraction=int(np.count_nonzero(record.external)) / count,
+        clusters=tuple(
+            ClusterStatistics(cluster, *_moments(latency[sources == cluster]))
+            for cluster in np.unique(sources).tolist()
+        ),
+        measurement_time=span,
+        throughput=count / span if span > 0 else 0.0,
+        saturated=not record.done,
+        **common,
+    )
 
 
 def channel_utilisation(
-    core, busy: Sequence[float], grants: Sequence[int], pool_touch_order, elapsed: float
+    core,
+    pool_index: np.ndarray,
+    busy: Sequence[float],
+    grants: Sequence[int],
+    touch_order: np.ndarray,
+    elapsed: float,
 ) -> Dict[str, Tuple[float, float]]:
     """Per-network (mean, max) channel utilisation over a run.
 
-    ``busy`` and ``grants`` are per-slot busy time and grant counts,
-    ``pool_touch_order[pool]`` the slots of each pool in the order journeys
-    first touched them (the summation order), ``elapsed`` the run's final
+    ``pool_index[slot]`` is the pool of each slot (``core.pool_index_list``
+    as an array), ``busy`` and ``grants`` are per-slot busy time and grant
+    counts, ``touch_order`` the slots in the order journeys first touched
+    them (each pool sums in that order), ``elapsed`` the run's final
     clock.  ICN1 and ECN1 pools are aggregated over clusters (the max picks
     out the busiest cluster's busiest channel); the concentrator/dispatcher
     units are reported as their own "network", from the relay slots that
@@ -247,23 +248,26 @@ def channel_utilisation(
     if elapsed <= 0:
         return {}
     fractions = np.minimum(np.asarray(busy, dtype=np.float64) / elapsed, 1.0)
+    pools = pool_index[touch_order]
+
+    def touched(pool: int) -> np.ndarray:
+        return fractions[touch_order[pools == pool]]
+
     num_clusters = core.spec.num_clusters
     labels = core.utilisation_labels
     report: Dict[str, Tuple[float, float]] = {}
     for label, start in ((labels[0], 0), (labels[1], num_clusters)):
         means, peaks = [], []
         for pool in range(start, start + num_clusters):
-            order = pool_touch_order[pool]
-            if len(order):
-                values = fractions[order]
-                means.append(_fold_mean(values))
+            values = touched(pool)
+            if len(values):
+                means.append(_mean(values))
                 peaks.append(float(values.max()))
         if means:
-            report[label] = (_fold_mean(np.asarray(means)), max(peaks))
-    icn2_order = pool_touch_order[2 * num_clusters]
-    if len(icn2_order):
-        values = fractions[icn2_order]
-        report[labels[2]] = (_fold_mean(values), float(values.max()))
+            report[label] = (_mean(np.asarray(means)), max(peaks))
+    values = touched(2 * num_clusters)
+    if len(values):
+        report[labels[2]] = (_mean(values), float(values.max()))
     relays = np.concatenate(
         (
             np.arange(core.concentrator_base, core.concentrator_base + num_clusters),
@@ -273,5 +277,5 @@ def channel_utilisation(
     relays = relays[np.asarray(grants)[relays] != 0]
     if relays.size:
         values = fractions[relays]
-        report[labels[3]] = (_fold_mean(values), float(values.max()))
+        report[labels[3]] = (_mean(values), float(values.max()))
     return report

@@ -61,12 +61,11 @@ native loop replays its schedule exactly, by construction:
   followed by a stop marker reproduces the cutoff event for event; the
   guard timeout has one hop and pushes the stop directly;
 * float arithmetic is the specification's: the loop is compiled without
-  contraction or fast-math, channel accounting accumulates ``busy_time``
-  on release exactly like :class:`~repro.sim.network.FlatChannels`, and
-  :meth:`~repro.sim.statistics.StatisticsCollector.record_deliveries`
-  folds the returned deliveries in delivery order with the identical
-  operations per-message :meth:`~repro.sim.statistics.StatisticsCollector.record`
-  performs.
+  contraction or fast-math, and channel accounting accumulates
+  ``busy_time`` on release exactly like
+  :class:`~repro.sim.network.FlatChannels`.  The loop returns the same
+  :class:`~repro.sim.statistics.RunOutcome` the specification fills, and
+  :func:`~repro.sim.statistics.summarise` folds either one.
 
 The golden-seed regression pins every scenario to the fixture under this
 kernel, and ``tests/sim/test_vectorized.py`` pins it against the generator
@@ -75,13 +74,9 @@ path directly, including on random small topologies.
 
 from __future__ import annotations
 
-from typing import Dict
-
-import numpy as np
-
 from repro.sim import native
 from repro.sim.config import SimulationConfig
-from repro.sim.statistics import StatisticsCollector, channel_utilisation
+from repro.sim.statistics import RunOutcome
 from repro.utils.rng import RandomStreams
 from repro.workloads.batch import predraw
 from repro.workloads.poisson import DeterministicArrivals
@@ -107,12 +102,9 @@ class VectorizedRunState:
         self.config = config
         self.streams = RandomStreams(config.seed, pooled=True)
         self.arrivals = simulator.arrivals_factory(lambda_g)
-        self.collector = StatisticsCollector(num_clusters=simulator.core.spec.num_clusters)
-        self.timed_out = False
-        self.now = 0.0
-        self.events_processed = 0
-        #: the event core's flat outputs (:class:`~repro.sim.native.CoreOutcome`)
-        self.outcome = None
+        #: messages each source consumed from its pre-drawn ones (set by
+        #: :meth:`execute`)
+        self.consumed = None
         system = simulator.system
         #: the run's pre-drawn messages, read by the loop's per-source cursor
         self.workload = predraw(
@@ -167,32 +159,9 @@ class VectorizedRunState:
         return all(abs(h - d) > margin for h in headers for d in others)
 
     # ------------------------------------------------------------- execution
-    def execute(self) -> None:
-        """Run the event loop to the stop marker and record its deliveries."""
-        outcome = self.outcome = native.run_core(
+    def execute(self) -> RunOutcome:
+        """Run the event loop to the stop marker and return the run's record."""
+        record, self.consumed = native.run_core(
             self.simulator, self.workload, self._routes, self.config, self._elide_grants
         )
-        self.now = outcome.now
-        self.timed_out = not outcome.done
-        self.events_processed = outcome.events
-        self.collector.record_deliveries(
-            outcome.clusters,
-            outcome.external,
-            outcome.created,
-            outcome.injected,
-            outcome.delivered,
-        )
-
-    # ----------------------------------------------------------- utilisation
-    def channel_utilisation(self) -> Dict[str, tuple]:
-        """Identical aggregation to ``_RunState.channel_utilisation``."""
-        core = self.simulator.core
-        order = self.outcome.touch_order
-        pools = self.simulator._pool_index[order]
-        return channel_utilisation(
-            core,
-            self.outcome.busy_time,
-            self.outcome.total_grants,
-            [order[pools == pool] for pool in range(core.num_pools)],
-            self.now,
-        )
+        return record

@@ -83,12 +83,12 @@ def compiled_transfer(
             if first:
                 # The wait for the first (injection) slot is the source-queue
                 # delay of the analytical model.
-                message.mark_injected(env.now)
+                message.injected_at = env.now
                 first = False
             yield Timeout(env, header_times[slot])
         if tail_time > 0.0:
             yield Timeout(env, tail_time)
-        message.mark_delivered(env.now)
+        message.delivered_at = env.now
         if on_delivered is not None:
             on_delivered(message)
     finally:

@@ -49,11 +49,10 @@ def test_run_until_event_returns_event_value():
 
 def test_run_with_no_until_exhausts_queue():
     env = Environment()
-    env.process(_wait(env, 1.0))
-    env.process(_wait(env, 4.0))
+    processes = [env.process(_wait(env, 1.0)), env.process(_wait(env, 4.0))]
     env.run()
     assert env.now == 4.0
-    assert env.queue_size == 0
+    assert all(process.processed for process in processes)
 
 
 def test_run_until_beyond_queue_exhaustion_advances_clock():
@@ -61,17 +60,6 @@ def test_run_until_beyond_queue_exhaustion_advances_clock():
     env.process(_wait(env, 1.0))
     env.run(until=10.0)
     assert env.now == 10.0
-
-
-def test_peek_empty_queue_is_infinite():
-    env = Environment()
-    assert env.peek() == float("inf")
-
-
-def test_peek_returns_next_event_time():
-    env = Environment()
-    env.timeout(7.0)
-    assert env.peek() == 7.0
 
 
 def test_negative_delay_rejected():
@@ -106,20 +94,6 @@ def test_processes_interleave_by_time():
     env.process(proc(env, "fast", 1.0))
     env.run()
     assert order == [("fast", 1.0), ("slow", 5.0)]
-
-
-def test_active_process_visible_inside_process():
-    env = Environment()
-    seen = []
-
-    def proc(env):
-        seen.append(env.active_process)
-        yield env.timeout(1.0)
-
-    process = env.process(proc(env))
-    env.run()
-    assert seen == [process]
-    assert env.active_process is None
 
 
 def test_unhandled_process_failure_propagates_out_of_run():
@@ -174,7 +148,8 @@ class TestRunUntilBoundary:
         env.run(until=5.0)
         assert env.now == 5.0
         assert not timeout.processed
-        assert env.queue_size == 1
+        env.run()
+        assert timeout.processed and env.now == 5.0
 
     def test_event_beyond_until_is_never_processed(self):
         env = Environment()
@@ -224,7 +199,6 @@ class TestRunUntilBoundary:
         env.run(until=5.0)
         assert env.now == 5.0
         assert fired == ["first"]
-        assert env.queue_size == 1
         # Resuming past the boundary processes the leftover urgent event.
         env.run()
         assert fired == ["first", "second"]

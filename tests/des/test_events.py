@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.des import (
-    AllOf,
-    AnyOf,
-    ConditionValue,
-    Environment,
-    Event,
-    SimulationError,
-)
+from repro.des import AnyOf, ConditionValue, Environment, Event, SimulationError
 
 
 class TestEventLifecycle:
@@ -62,27 +55,8 @@ class TestEventLifecycle:
         event.defused()
         env.run()  # must not raise
 
-    def test_trigger_copies_state_of_other_event(self):
-        env = Environment()
-        source = env.event()
-        target = env.event()
-        source.succeed(5)
-        target.trigger(source)
-        assert target.triggered and target.value == 5
-
 
 class TestProcess:
-    def test_process_is_alive_until_generator_returns(self):
-        env = Environment()
-
-        def proc(env):
-            yield env.timeout(1.0)
-
-        process = env.process(proc(env))
-        assert process.is_alive
-        env.run()
-        assert not process.is_alive
-
     def test_process_value_is_generator_return_value(self):
         env = Environment()
 
@@ -137,76 +111,47 @@ class TestProcess:
         env.run()
         assert caught == ["bad news"]
 
-    def test_target_reports_waited_event(self):
-        env = Environment()
-        event = env.event()
-
-        def waiter(env):
-            yield event
-
-        process = env.process(waiter(env))
-        env.run(until=0.0)
-        # After the init event the process waits on `event`.
-        assert process.target is event
-
 
 class TestConditions:
-    def test_all_of_waits_for_every_event(self):
-        env = Environment()
-        done_at = []
-
-        def proc(env):
-            yield env.all_of([env.timeout(1.0), env.timeout(5.0), env.timeout(3.0)])
-            done_at.append(env.now)
-
-        env.process(proc(env))
-        env.run()
-        assert done_at == [5.0]
-
     def test_any_of_fires_at_first_event(self):
         env = Environment()
         done_at = []
 
         def proc(env):
-            yield env.any_of([env.timeout(4.0), env.timeout(2.0)])
+            yield env.timeout(4.0) | env.timeout(2.0)
             done_at.append(env.now)
 
         env.process(proc(env))
         env.run()
         assert done_at == [2.0]
 
-    def test_and_operator_builds_all_of(self):
-        env = Environment()
-        condition = env.timeout(1.0) & env.timeout(2.0)
-        assert isinstance(condition, AllOf)
-
     def test_or_operator_builds_any_of(self):
         env = Environment()
         condition = env.timeout(1.0) | env.timeout(2.0)
         assert isinstance(condition, AnyOf)
 
-    def test_empty_all_of_succeeds_immediately(self):
+    def test_empty_any_of_succeeds_immediately(self):
         env = Environment()
-        condition = env.all_of([])
+        condition = AnyOf(env, [])
         assert condition.triggered
 
     def test_condition_value_maps_events_to_values(self):
         env = Environment()
         t1 = env.timeout(1.0, value="a")
-        t2 = env.timeout(2.0, value="b")
+        never = env.event()
         results = []
 
         def proc(env):
-            value = yield env.all_of([t1, t2])
+            value = yield t1 | never
             results.append(value)
 
         env.process(proc(env))
         env.run()
         (value,) = results
         assert isinstance(value, ConditionValue)
-        assert value[t1] == "a" and value[t2] == "b"
-        assert value.todict() == {t1: "a", t2: "b"}
-        assert len(value) == 2
+        assert value[t1] == "a"
+        assert t1 in value and never not in value
+        assert len(value) == 1
 
     def test_condition_value_unknown_key_raises(self):
         env = Environment()
@@ -219,7 +164,7 @@ class TestConditions:
     def test_mixing_environments_rejected(self):
         env_a, env_b = Environment(), Environment()
         with pytest.raises(SimulationError):
-            AllOf(env_a, [env_a.timeout(1.0), env_b.timeout(1.0)])
+            env_a.timeout(1.0) | env_b.timeout(1.0)
 
     def test_failed_member_fails_the_condition(self):
         env = Environment()
@@ -228,7 +173,7 @@ class TestConditions:
 
         def proc(env):
             try:
-                yield env.all_of([event, env.timeout(10.0)])
+                yield event | env.timeout(10.0)
             except RuntimeError as exc:
                 caught.append(str(exc))
 

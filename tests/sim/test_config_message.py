@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim import Message, MessagePhase, SimulationConfig
+from repro.sim import Message, SimulationConfig
 from repro.utils import ValidationError
 
 
@@ -86,18 +86,8 @@ class TestMessage:
         assert self.make().is_external
         assert not self.make(dest_cluster=0).is_external
 
-    def test_phase_transitions(self):
-        message = self.make()
-        assert message.phase == MessagePhase.QUEUED
-        message.mark_injected(12.0)
-        assert message.phase == MessagePhase.IN_NETWORK
-        message.mark_delivered(30.0)
-        assert message.phase == MessagePhase.DELIVERED
-
     def test_latency_components(self):
-        message = self.make()
-        message.mark_injected(12.0)
-        message.mark_delivered(30.0)
+        message = self.make(injected_at=12.0, delivered_at=30.0)
         assert message.latency == pytest.approx(20.0)
         assert message.queueing_delay == pytest.approx(2.0)
         assert message.network_latency == pytest.approx(18.0)
@@ -108,6 +98,6 @@ class TestMessage:
             _ = message.latency
         with pytest.raises(ValidationError):
             _ = message.queueing_delay
-        message.mark_injected(11.0)
+        message.injected_at = 11.0
         with pytest.raises(ValidationError):
             _ = message.network_latency

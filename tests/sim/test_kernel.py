@@ -9,12 +9,14 @@ historical fixture; these tests pin them against each other directly, so a
 future edit to one path cannot drift.
 """
 
+import numpy as np
 import pytest
 
 from repro import api
 from repro.model.parameters import MessageSpec
 from repro.sim.config import SimulationConfig
-from repro.sim.simulator import KERNEL_MODES, MultiClusterSimulator
+from repro.sim.simulator import KERNEL_MODES, MultiClusterSimulator, _RunState
+from repro.sim.vector import VectorizedRunState
 from repro.topology.multicluster import MultiClusterSpec
 from repro.utils.validation import ValidationError
 
@@ -34,8 +36,10 @@ def _run(kernel, seed=23):
 
 def _statistics_tuple(result):
     return (
+        result.measured_messages,
         result.mean_latency,
         result.std_latency,
+        result.confidence_interval,
         result.mean_queueing_delay,
         result.mean_network_latency,
         result.external_fraction,
@@ -51,6 +55,38 @@ class TestKernelEquivalence:
         generator = _run("generator")
         vectorized = _run("vectorized")
         assert _statistics_tuple(generator) == _statistics_tuple(vectorized)
+
+
+class TestRunRecord:
+    """What the statistics fold relies on, on each kernel's record."""
+
+    def _record(self, kernel, config=CONFIG, lambda_g=LAMBDA):
+        simulator = MultiClusterSimulator(
+            SPEC, MessageSpec(length_flits=16, flit_bytes=128), config=config, kernel=kernel
+        )
+        state = (VectorizedRunState if kernel == "vectorized" else _RunState)(
+            simulator, lambda_g, config
+        )
+        return simulator, state.execute()
+
+    @pytest.mark.parametrize("kernel", KERNEL_MODES)
+    def test_deliveries_are_measured_rows_in_delivery_order(self, kernel):
+        simulator, record = self._record(kernel)
+        assert record.done
+        assert len(record.delivered) == CONFIG.measured_messages
+        assert np.all(np.diff(record.delivered) >= 0.0)
+        assert np.all(record.created <= record.injected)
+        assert np.all(record.injected < record.delivered)
+        assert set(record.clusters.tolist()) <= set(range(SPEC.num_clusters))
+        assert 0 < np.count_nonzero(record.external) < len(record.external)
+
+    @pytest.mark.parametrize("kernel", KERNEL_MODES)
+    def test_touch_order_names_every_granted_slot_once(self, kernel):
+        simulator, record = self._record(kernel)
+        order = record.touch_order.tolist()
+        assert len(order) == len(set(order))
+        assert set(np.flatnonzero(record.total_grants).tolist()) <= set(order)
+        assert len(record.busy_time) == len(record.total_grants) == simulator.core.total_slots
 
 
 class TestKernelSelection:

@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import api
@@ -11,7 +12,7 @@ from repro.des import Environment
 from repro.model import MessageSpec
 from repro.sim import MultiClusterSimulator, SimulationConfig, statistics
 from repro.sim.network import FlatChannels
-from repro.sim.statistics import channel_utilisation
+from repro.sim.statistics import channel_utilisation, summarise
 from repro.topology import MultiClusterSpec
 from repro.topology.compile import compile_system
 
@@ -26,10 +27,10 @@ class TestChannelUtilisationReport:
         core = compile_system(TINY)
         env = Environment()
         channels = FlatChannels(env, core.total_slots)
-        touch_order = [[] for _ in range(core.num_pools)]
+        touch_order = np.zeros(0, dtype=np.int32)
         if hold:
             slot = core.icn1_offsets[0]
-            touch_order[core.pool_index_list[slot]].append(slot)
+            touch_order = np.array([slot], dtype=np.int32)
 
             def user():
                 grant = channels.acquire(slot)
@@ -40,7 +41,12 @@ class TestChannelUtilisationReport:
             env.process(user())
             env.run()
         return channel_utilisation(
-            core, channels.busy_time, channels.total_grants, touch_order, elapsed
+            core,
+            np.asarray(core.pool_index_list),
+            channels.busy_time,
+            channels.total_grants,
+            touch_order,
+            elapsed,
         )
 
     def test_idle_run_reports_nothing(self):
@@ -82,10 +88,22 @@ class TestSimulatorUtilisation:
         )
 
     def test_bottleneck_without_data_is_none(self):
-        from repro.sim.statistics import StatisticsCollector
-
-        collector = StatisticsCollector(num_clusters=1)
-        empty = collector.result(lambda_g=1e-4, saturated=False)
+        core = compile_system(TINY)
+        slots = core.total_slots
+        empty = summarise(
+            statistics.RunOutcome(
+                *(np.zeros(0) for _ in range(5)),
+                np.zeros(slots),
+                np.zeros(slots, dtype=np.int64),
+                np.zeros(0, dtype=np.int32),
+                0.0,
+                0,
+                False,
+            ),
+            core,
+            np.asarray(core.pool_index_list),
+            lambda_g=1e-4,
+        )
         assert empty.bottleneck() is None
 
 

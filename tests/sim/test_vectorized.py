@@ -8,16 +8,22 @@ these tests pin it against the generator kernel directly, on the paths the
 fixture does not reach: lockstep deterministic arrivals, the guard-timeout
 stop, the explicit-grant fallback that runs when delay-0 grant elision
 cannot be proven safe, the schedules that proof must reject, and random
-small topologies.
+small topologies.  Beyond the folded statistics, they compare the two
+kernels' run records array for array.
 """
 
+import json
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import api
 from repro.model.parameters import MessageSpec
 from repro.sim.config import SimulationConfig
-from repro.sim.simulator import MultiClusterSimulator
+from repro.sim.simulator import MultiClusterSimulator, _RunState
+from repro.sim.statistics import RunOutcome, summarise
 from repro.sim.vector import VectorizedRunState
 from repro.topology.compile import compile_system
 from repro.topology.multicluster import MultiClusterSpec
@@ -37,17 +43,10 @@ CONFIG = SimulationConfig(
 LAMBDA = 6e-4
 
 
-def _run(
-    kernel,
-    seed=31,
-    config=CONFIG,
-    arrivals_factory=None,
-    lambda_g=LAMBDA,
-    spec=SPEC,
-    message=MESSAGE,
-    pattern=None,
+def _simulator(
+    kernel, config=CONFIG, arrivals_factory=None, spec=SPEC, message=MESSAGE, pattern=None
 ):
-    simulator = MultiClusterSimulator(
+    return MultiClusterSimulator(
         spec,
         message,
         config=config,
@@ -55,13 +54,18 @@ def _run(
         arrivals_factory=arrivals_factory,
         pattern=pattern,
     )
-    return simulator.run(lambda_g, seed=seed)
+
+
+def _run(kernel, seed=31, lambda_g=LAMBDA, **kwargs):
+    return _simulator(kernel, **kwargs).run(lambda_g, seed=seed)
 
 
 def _statistics_tuple(result):
     return (
+        result.measured_messages,
         result.mean_latency,
         result.std_latency,
+        result.confidence_interval,
         result.mean_queueing_delay,
         result.mean_network_latency,
         result.external_fraction,
@@ -76,10 +80,37 @@ def _statistics_tuple(result):
     )
 
 
+def _record(kernel, seed=31, lambda_g=LAMBDA, **kwargs):
+    """One run's record on ``kernel`` and its folded result, as ``run`` folds it."""
+    simulator = _simulator(kernel, **kwargs)
+    state = (VectorizedRunState if kernel == "vectorized" else _RunState)(
+        simulator, lambda_g, simulator.config.with_seed(seed)
+    )
+    record = state.execute()
+    return record, summarise(
+        record, simulator.core, simulator._pool_index, lambda_g=lambda_g, seed=seed
+    )
+
+
+def _assert_records_agree(generator: RunOutcome, vectorized: RunOutcome) -> None:
+    """Every field bit for bit, except the event count, which each kernel
+    counts over its own events."""
+    for name in RunOutcome._fields:
+        if name == "events":
+            continue
+        mine, theirs = getattr(generator, name), getattr(vectorized, name)
+        if isinstance(mine, np.ndarray):
+            assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape), name
+            assert mine.tobytes() == theirs.tobytes(), name
+        else:
+            assert type(mine) is type(theirs) and mine == theirs, name
+
+
 def _assert_kernels_agree(**kwargs):
-    generator = _run("generator", **kwargs)
-    vectorized = _run("vectorized", **kwargs)
-    assert _statistics_tuple(generator) == _statistics_tuple(vectorized)
+    generator, generator_result = _record("generator", **kwargs)
+    vectorized, vectorized_result = _record("vectorized", **kwargs)
+    _assert_records_agree(generator, vectorized)
+    assert _statistics_tuple(generator_result) == _statistics_tuple(vectorized_result)
 
 
 class TestMatchesGenerator:
@@ -100,10 +131,11 @@ class TestMatchesGenerator:
             seed=31,
             max_time=400.0,
         )
-        generator = _run("generator", config=config, lambda_g=2e-3)
-        vectorized = _run("vectorized", config=config, lambda_g=2e-3)
-        assert generator.saturated and vectorized.saturated
-        assert _statistics_tuple(generator) == _statistics_tuple(vectorized)
+        generator, generator_result = _record("generator", config=config, lambda_g=2e-3)
+        vectorized, vectorized_result = _record("vectorized", config=config, lambda_g=2e-3)
+        assert generator_result.saturated and vectorized_result.saturated
+        _assert_records_agree(generator, vectorized)
+        assert _statistics_tuple(generator_result) == _statistics_tuple(vectorized_result)
 
     def test_elision_fallback_matches_elided_run(self, monkeypatch):
         """The explicit-grant path and the elided path agree bit for bit.
@@ -196,6 +228,37 @@ class TestGrantElisionSafety:
         simulator = api.SimulationEngine().simulator_for(scenario)
         state = VectorizedRunState(simulator, scenario.offered_traffic[0], budget)
         assert state._elide_grants
+
+
+#: The golden-seed fixtures' budget and the grid points they pin (of 4).
+GOLDEN_SIM = SimulationConfig(
+    measured_messages=600, warmup_messages=60, drain_messages=60, seed=11
+)
+GOLDEN_POINTS = [
+    (name, index)
+    for fixture in ("golden_seed.json", "golden_seed_zoo.json")
+    for name in sorted(json.loads(Path(__file__).with_name(fixture).read_text()))
+    for index in (0, 2)
+]
+
+
+class TestRecordsAgreeAtTheGoldenPoints:
+    @pytest.mark.parametrize("name,index", GOLDEN_POINTS)
+    def test_records_agree(self, name, index):
+        scenario = api.scenario(name, points=4, sim=GOLDEN_SIM)
+        generator, vectorized = (
+            _record(
+                kernel,
+                seed=GOLDEN_SIM.seed,
+                config=GOLDEN_SIM,
+                lambda_g=scenario.offered_traffic[index],
+                spec=scenario.network,
+                message=scenario.message,
+                pattern=scenario.pattern.build(),
+            )[0]
+            for kernel in ("generator", "vectorized")
+        )
+        _assert_records_agree(generator, vectorized)
 
 
 #: Budget of the differential test: small enough for ~60 examples in tier-1.

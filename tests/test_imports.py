@@ -1,5 +1,7 @@
-"""numpy is the package's only third-party import."""
+"""numpy is the package's only third-party import, and no module imports
+a name it never uses."""
 
+import ast
 import json
 import os
 import subprocess
@@ -33,3 +35,69 @@ def test_entry_modules_import_only_numpy():
     third_party = json.loads(completed.stdout)
     assert "networkx" not in third_party
     assert set(third_party) <= {"numpy", "repro"}
+
+
+def _names_used(tree: ast.Module) -> set:
+    """Every name a module reads, counting names inside string constants.
+
+    A string that parses as an expression (a quoted annotation, an
+    ``__all__`` entry) contributes the names it mentions.
+    """
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value.strip(), mode="eval")
+            except SyntaxError:
+                continue
+            used.update(name.id for name in ast.walk(quoted) if isinstance(name, ast.Name))
+    return used
+
+
+def unused_imports(path: Path) -> list:
+    """``(line, name)`` of each name ``path`` imports and never uses."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.append((node.lineno, alias.asname or alias.name.partition(".")[0]))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported.append((node.lineno, alias.asname or alias.name))
+    used = _names_used(tree)
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Package ``__init__`` modules re-export, so only the others are checked."""
+    package = Path(repro.__file__).parent
+    found = {
+        f"{path.relative_to(package.parent)}:{line} {name}"
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in unused_imports(path)
+    }
+    assert not found, sorted(found)
+
+
+def test_the_check_finds_an_unused_import(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os, numpy as np\n"
+        "from typing import TYPE_CHECKING, Dict\n"
+        "if TYPE_CHECKING:\n"
+        "    from pathlib import Path\n"
+        "def f(x: 'Path') -> None:\n"
+        "    return os.sep\n"
+    )
+    assert unused_imports(module) == [(2, "np"), (3, "Dict")]
+
+
+def test_names_in_prose_are_not_uses(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text('"""Uses field from dataclasses."""\nfrom dataclasses import field\n')
+    assert unused_imports(module) == [(2, "field")]

@@ -402,7 +402,7 @@ class TestKernelReadsOnlyPreDrawnMessages:
         counts = state.workload.counts()
         assert counts.sum() == self.CONFIG.total_messages
         assert len(state.workload.times) == counts.sum() + len(counts)
-        consumed = state.outcome.consumed
+        consumed = state.consumed
         assert np.all(consumed <= counts)
         assert 0 < consumed.sum() <= self.CONFIG.total_messages
 
@@ -430,7 +430,7 @@ class TestKernelReadsOnlyPreDrawnMessages:
 
         def armed_execute(state):
             armed.append(True)
-            execute(state)
+            return execute(state)
 
         monkeypatch.setattr("repro.sim.vector.RandomStreams", GuardedStreams)
         monkeypatch.setattr(VectorizedRunState, "execute", armed_execute)
