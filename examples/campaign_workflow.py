@@ -6,8 +6,9 @@ events), the second is served entirely from the content-addressed store —
 bit-identical records, zero simulator invocations.  The cold run executes
 under a :class:`~repro.campaign.RetryPolicy`, the configuration for a real
 unattended campaign: a crashed or hung worker is re-queued (streaming
-``TaskRetried``) instead of sinking the run.  The store is then migrated to
-the single-file SQLite backend and re-read, record-identically.
+``TaskRetried``) instead of sinking the run.  The records are then synced
+into a second store — what ``campaign store --sync`` does when results come
+home from another machine — and the warm run reads them from there.
 
 Run from the repository root with::
 
@@ -17,11 +18,12 @@ Run from the repository root with::
 from __future__ import annotations
 
 import tempfile
+from pathlib import Path
 
 from repro import Campaign, CampaignExecutor, ResultStore, RetryPolicy
 from repro.campaign import TaskCompleted, TaskRetried
 from repro.experiments.compare import compare_campaign
-from repro.store import migrate_store
+from repro.store import merge_stores
 
 
 def main() -> None:
@@ -32,7 +34,7 @@ def main() -> None:
     print()
 
     with tempfile.TemporaryDirectory() as tmp:
-        store = ResultStore(tmp)
+        store = ResultStore(Path(tmp) / "worker")
 
         print("cold execution (streaming, crash-tolerant):")
         executor = CampaignExecutor(
@@ -58,13 +60,14 @@ def main() -> None:
                 )
         print()
 
-        print("packing the store into one SQLite file:")
-        moved = migrate_store(store, "sqlite")
-        print(f"  migrated {moved} records -> {store.describe()}")
+        print("syncing the records into a second store:")
+        home = ResultStore(Path(tmp) / "home")
+        report = merge_stores(home, store)
+        print(f"  {report.describe()} -> {home.describe()}")
         print()
 
-        print("warm execution (all records from the migrated store):")
-        result = CampaignExecutor(plan, parallel=True, store=store).collect()
+        print("warm execution (all records from the synced store):")
+        result = CampaignExecutor(plan, parallel=True, store=home).collect()
         print(f"  {result.describe()}")
         assert result.cache_misses == 0
         print()

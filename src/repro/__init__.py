@@ -20,8 +20,8 @@ The package provides, as importable building blocks:
   made fault-tolerant by a :class:`~repro.campaign.RetryPolicy` (crashed or
   hung workers are re-queued, exhausted tasks surface as structured
   failures) and backed by a content-addressed result store
-  (:mod:`repro.store`, pluggable directory / single-file SQLite backends)
-  so re-runs only simulate what changed,
+  (:mod:`repro.store`, one SQLite file) so re-runs only simulate what
+  changed,
 * the **campaign service** (:mod:`repro.service`): a persistent warm
   worker daemon (each worker keeps its compiled tables and engines) behind
   a stdlib asyncio HTTP front-end (``repro-multicluster serve``) that

@@ -63,7 +63,6 @@ Quick start::
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import secrets
 import shutil
@@ -105,7 +104,7 @@ from repro.api import (
     resolve_engines,
 )
 from repro.store import ResultStore, kernel_switches, task_key
-from repro.utils.serialization import dump_json, from_jsonable, load_json
+from repro.utils.serialization import dump_json, from_jsonable, load_json, to_jsonable
 from repro.utils.validation import ValidationError
 
 __all__ = [
@@ -123,6 +122,8 @@ __all__ = [
     "TaskFailed",
     "TaskRetried",
     "WorkerBackend",
+    "resolve_store",
+    "result_payload",
     "run_campaign",
 ]
 
@@ -332,10 +333,11 @@ class RetryPolicy:
         Per-task wall-clock budget, measured from the moment a worker picks
         the task up.  A pooled task over budget has its worker killed and is
         re-queued (the timeout is the only way a hung worker ever returns);
-        ``None`` disables the timeout.  Inline tasks honour the timeout too:
-        when one is set, each inline attempt runs in a disposable child
-        process (the kill harness) so a hung evaluation can be reclaimed —
-        without a timeout they run in the calling process as before.
+        ``None`` disables the timeout.  With a timeout set, every task runs
+        on the worker pool, cheap engines included, so every task can be
+        reclaimed; without ``parallel`` the pool has one worker, so the
+        campaign stays sequential.  Without a timeout, cheap engines (and
+        every engine of a sequential campaign) run in the calling process.
     backoff_seconds:
         Sleep before re-queuing a failed task (grows by
         ``backoff_multiplier`` per prior attempt).  ``0`` retries
@@ -527,6 +529,48 @@ class CampaignResult:
         return text
 
 
+def result_payload(
+    result: CampaignResult,
+    *,
+    parallel: bool,
+    store: Optional[ResultStore],
+    **execution: Any,
+) -> Dict[str, Any]:
+    """The JSON form of a collected campaign: every entry's run set plus
+    execution stats.
+
+    ``repro campaign run --json`` writes it and the campaign service sends
+    it as the terminal ``result`` event; each caller passes its own extra
+    ``execution`` keys (the CLI its runners, the server its workers and
+    dispatch count).
+    """
+    return {
+        "name": result.campaign.name,
+        "labels": list(result.labels),
+        "runsets": {label: to_jsonable(runset) for label, runset in result},
+        "execution": {
+            "tasks": result.total_tasks,
+            "cache_hits": result.cache_hits,
+            "cache_misses": result.cache_misses,
+            "elapsed_seconds": result.elapsed_seconds,
+            "parallel": parallel,
+            "store": str(store.root) if store is not None else None,
+            "store_backend": store.backend.name if store is not None else None,
+            **execution,
+            "task_retries": result.task_retries,
+            "failures": [
+                {
+                    "task": failure.task.task_id,
+                    "lambda_g": failure.task.lambda_g,
+                    "attempts": failure.attempts,
+                    "error": failure.error,
+                }
+                for failure in result.failures
+            ],
+        },
+    }
+
+
 # --------------------------------------------------------------------------- #
 # Worker-side entry point and fault injection
 # --------------------------------------------------------------------------- #
@@ -642,23 +686,6 @@ def _pool_evaluate_chunk(
         else:
             outcomes.append(("ok", record))
     return outcomes
-
-
-class _HarnessFailure(RuntimeError):
-    """An inline kill-harness failure carrying a pre-formatted reason string."""
-
-
-def _inline_task_main(conn, engine, scenario, lambda_g, task_id) -> None:
-    """Disposable-process entry for inline tasks running under a timeout.
-
-    Evaluation errors come back as an ``("error", repr)`` outcome; anything
-    that kills the process first reads as a crash on the parent's side.
-    """
-    try:
-        (outcome,) = _pool_evaluate_chunk(engine, scenario, ((lambda_g, task_id),))
-        conn.send(outcome)
-    finally:
-        conn.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -817,6 +844,19 @@ class EphemeralPoolBackend(WorkerBackend):
 # --------------------------------------------------------------------------- #
 # The executor
 # --------------------------------------------------------------------------- #
+def resolve_store(store: Union[ResultStore, None, str]) -> Optional[ResultStore]:
+    """The store an executor or server backs its campaigns with.
+
+    ``"default"`` opens ``REPRO_STORE`` / ``~/.cache/repro``, ``None``
+    disables caching, and a :class:`~repro.store.ResultStore` is used as is.
+    """
+    if store == "default":
+        return ResultStore()
+    if store is None or isinstance(store, ResultStore):
+        return store
+    raise ValidationError("store must be a ResultStore, None, or the string 'default'")
+
+
 class CampaignExecutor:
     """Flatten a campaign into one task queue and execute it, streaming results.
 
@@ -867,16 +907,7 @@ class CampaignExecutor:
         self.max_workers = max_workers
         self.retry = retry if retry is not None else NO_RETRY
         self.backend = backend if backend is not None else EphemeralPoolBackend()
-        if store == "default":
-            self.store: Optional[ResultStore] = ResultStore()
-        elif store is None:
-            self.store = None
-        elif isinstance(store, ResultStore):
-            self.store = store
-        else:
-            raise ValidationError(
-                "store must be a ResultStore, None, or the string 'default'"
-            )
+        self.store = resolve_store(store)
         self._labels = campaign.labels
         #: resolved engine instances, one tuple per entry (validates names,
         #: duplicates and emptiness up front)
@@ -998,15 +1029,18 @@ class CampaignExecutor:
                 elapsed_seconds=time.perf_counter() - started,
             )
 
+        # Only a pool worker can be killed, so under a timeout every miss
+        # goes to the pool (one worker unless parallel, see _pooled_round).
+        timed = policy.timeout_seconds is not None
         inline: List[CampaignTask] = []
         pooled: List[CampaignTask] = []
         for task in misses:
             engine = self._engines[task.entry_index][task.engine_index]
-            if self.parallel and getattr(engine, "expensive", True):
+            if timed or (self.parallel and getattr(engine, "expensive", True)):
                 pooled.append(task)
             else:
                 inline.append(task)
-        if len(pooled) == 1 and not self.backend.persistent:
+        if len(pooled) == 1 and not timed and not self.backend.persistent:
             # A pool of one buys no parallelism and pays process spawn plus
             # engine pickling — evaluate the lone task in this process.  A
             # persistent backend keeps warm workers either way, so lone
@@ -1019,14 +1053,9 @@ class CampaignExecutor:
             while True:
                 attempt += 1
                 try:
-                    record = self._evaluate_inline(task)
+                    record = self._evaluate(task)
                 except Exception as error:  # noqa: BLE001 - structured failure path
-                    reason = (
-                        str(error)
-                        if isinstance(error, _HarnessFailure)
-                        else repr(error)
-                    )
-                    event = _failure_event(task, attempt, reason)
+                    event = _failure_event(task, attempt, repr(error))
                     yield event
                     if isinstance(event, TaskFailed):
                         break
@@ -1111,9 +1140,12 @@ class CampaignExecutor:
         """
         policy = self.retry
         backend = self.backend
-        requested = (
-            self.max_workers if self.max_workers is not None else (os.cpu_count() or 1)
-        )
+        if not self.parallel:
+            requested = 1  # timed tasks of a sequential campaign
+        elif self.max_workers is not None:
+            requested = self.max_workers
+        else:
+            requested = os.cpu_count() or 1
         workers = backend.begin_round(max(1, min(requested, len(pending))))
         # Chunked submission amortises per-task IPC/pickling: ~4 chunks per
         # worker keeps the pool load-balanced while an uneven task mix
@@ -1352,51 +1384,6 @@ class CampaignExecutor:
         engine = self._engines[task.entry_index][task.engine_index]
         scenario = self.campaign.entries[task.entry_index].scenario
         return engine.evaluate(scenario, task.lambda_g)
-
-    def _evaluate_inline(self, task: CampaignTask) -> RunRecord:
-        """One inline attempt, under the policy timeout when one is set.
-
-        Without a timeout the task runs in this process — cheap engines,
-        zero overhead, memoised models reused.  With one, each attempt runs
-        in a disposable child process (the inline kill harness) so a hung
-        evaluation can actually be reclaimed, extending the pooled path's
-        timeout guarantee to inline tasks at the cost of a process spawn
-        per attempt.
-        """
-        timeout = self.retry.timeout_seconds
-        if timeout is None:
-            return self._evaluate(task)
-        engine = self._engines[task.entry_index][task.engine_index]
-        scenario = self.campaign.entries[task.entry_index].scenario
-        context = multiprocessing.get_context()
-        receiver, sender = context.Pipe(duplex=False)
-        process = context.Process(
-            target=_inline_task_main,
-            args=(sender, engine, scenario, task.lambda_g, task.task_id),
-            daemon=True,
-        )
-        process.start()
-        sender.close()
-        try:
-            if not receiver.poll(timeout):
-                raise _HarnessFailure(
-                    f"timed out after {timeout:g} s (inline worker killed)"
-                )
-            try:
-                status, payload = receiver.recv()
-            except EOFError:
-                raise _HarnessFailure(
-                    "worker crashed (inline harness process died before the "
-                    "task finished)"
-                ) from None
-            if status == "ok":
-                return payload
-            raise _HarnessFailure(payload)
-        finally:
-            if process.is_alive():
-                process.terminate()
-            process.join()
-            receiver.close()
 
     def _persist(self, task: CampaignTask, record: RunRecord) -> RunRecord:
         """Write a freshly computed record through to the store."""

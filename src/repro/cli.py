@@ -25,12 +25,11 @@ Sub-commands mirror the experiment harness:
   ``--retries``/``--task-timeout`` make unattended campaigns survive
   crashed or hung workers (``--allow-failures`` reports partial results
   instead of failing); ``campaign example`` writes a starter plan;
-  ``campaign store`` inspects (``--stats``) / prunes / clears /
-  ``--migrate``\\ s the store between its directory and SQLite backends and
-  merges stores from other machines (``--sync SRC`` copies, ``--merge SRC``
-  drains); ``campaign run --runners`` shards the plan's simulation tasks
-  over socket runners (``host:port`` list, or a count to auto-spawn
-  loopback runner subprocesses);
+  ``campaign store`` inspects (``--stats``) / prunes / clears the SQLite
+  result store and merges stores from other machines (``--sync SRC``
+  copies, ``--merge SRC`` drains); ``campaign run --runners`` shards the
+  plan's simulation tasks over socket runners (``host:port`` list, or a
+  count to auto-spawn loopback runner subprocesses);
 * ``runner``     — one remote runner for distributed campaigns
   (:mod:`repro.service.cluster`): serves campaign task chunks to a
   coordinator over a length-prefixed JSON TCP protocol, evaluating inline
@@ -292,13 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="result store directory (default: $REPRO_STORE or ~/.cache/repro)",
     )
     campaign_run.add_argument(
-        "--backend",
-        choices=("directory", "sqlite"),
-        default=None,
-        help="result store backend (default: $REPRO_STORE_BACKEND, else "
-        "auto-detected from the store directory)",
-    )
-    campaign_run.add_argument(
         "--retries",
         type=int,
         default=1,
@@ -311,8 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-task wall-clock budget for pooled tasks; a worker over "
-        "budget is killed and the task re-queued (requires --retries > 1 to "
+        help="per-task wall-clock budget; with it set every task runs on a "
+        "worker process (one, without --parallel), and a worker over budget "
+        "is killed and its task re-queued (requires --retries > 1 to "
         "actually retry)",
     )
     campaign_run.add_argument(
@@ -362,28 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     campaign_store = campaign_sub.add_parser(
-        "store", help="inspect, evict or migrate the content-addressed result store"
+        "store", help="inspect, evict or merge the content-addressed result store"
     )
     campaign_store.add_argument(
         "--store",
         type=Path,
         default=None,
         help="result store directory (default: $REPRO_STORE or ~/.cache/repro)",
-    )
-    campaign_store.add_argument(
-        "--backend",
-        choices=("directory", "sqlite"),
-        default=None,
-        help="result store backend (default: $REPRO_STORE_BACKEND, else "
-        "auto-detected from the store directory)",
-    )
-    campaign_store.add_argument(
-        "--migrate",
-        choices=("directory", "sqlite"),
-        default=None,
-        metavar="BACKEND",
-        help="convert the store to the given backend record-identically "
-        "(directory = one JSON file per record, sqlite = single indexed store.db)",
     )
     campaign_store.add_argument(
         "--clear", action="store_true", help="delete every cached record"
@@ -470,10 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--backend",
-        choices=("directory", "sqlite"),
+        choices=("sqlite",),
         default=None,
-        help="result store backend (default: $REPRO_STORE_BACKEND, else "
-        "auto-detected from the store directory)",
+        help="result store backend: SQLite is the only one",
     )
     serve_parser.add_argument(
         "--retries",
@@ -745,9 +722,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _campaign_store(args: argparse.Namespace) -> "ResultStore":
     from repro.store import ResultStore
 
-    backend = getattr(args, "backend", None)
-    root = args.store if args.store is not None else None
-    return ResultStore(root, backend=backend)
+    return ResultStore(args.store)
 
 
 class _ProgressBar:
@@ -817,9 +792,9 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         TaskCompleted,
         TaskFailed,
         TaskRetried,
+        result_payload,
     )
     from repro.experiments.compare import compare_campaign
-    from repro.utils.serialization import to_jsonable
 
     if not args.plan.exists():
         raise ValidationError(f"campaign plan not found: {args.plan}")
@@ -955,36 +930,13 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         summary += f", {len(result.failures)} FAILED"
     print(summary)
     if args.json is not None:
-        payload = {
-            "name": campaign.name,
-            "labels": list(result.labels),
-            "runsets": {
-                label: to_jsonable(runset) for label, runset in result
-            },
-            "execution": {
-                "tasks": result.total_tasks,
-                "cache_hits": result.cache_hits,
-                "cache_misses": result.cache_misses,
-                "elapsed_seconds": result.elapsed_seconds,
-                "parallel": bool(args.parallel),
-                "store": str(store.root) if store is not None else None,
-                "store_backend": store.backend.name if store is not None else None,
-                "runners": runner_addresses,
-                "lost_runners": (
-                    list(backend.dead_runners()) if backend is not None else []
-                ),
-                "task_retries": result.task_retries,
-                "failures": [
-                    {
-                        "task": failure.task.task_id,
-                        "lambda_g": failure.task.lambda_g,
-                        "attempts": failure.attempts,
-                        "error": failure.error,
-                    }
-                    for failure in result.failures
-                ],
-            },
-        }
+        payload = result_payload(
+            result,
+            parallel=bool(args.parallel),
+            store=store,
+            runners=runner_addresses,
+            lost_runners=list(backend.dead_runners()) if backend is not None else [],
+        )
         path = dump_json(payload, args.json)
         print(f"wrote: {path}")
     return 0
@@ -1018,17 +970,11 @@ def _cmd_campaign_example(args: argparse.Namespace) -> int:
 def _cmd_campaign_store(args: argparse.Namespace) -> int:
     import warnings
 
-    from repro.store import ResultStore, merge_stores, migrate_store
+    from repro.store import ResultStore, merge_stores
 
     store = _campaign_store(args)
     if args.sync is not None and args.merge is not None:
         raise ValidationError("--sync and --merge are mutually exclusive")
-    if args.migrate is not None:
-        moved = migrate_store(store, args.migrate)
-        if moved:
-            print(f"migrated {moved} records to the {args.migrate} backend")
-        else:
-            print(f"store already uses the {args.migrate} backend")
     source_root = args.merge if args.merge is not None else args.sync
     if source_root is not None:
         source = ResultStore(source_root)

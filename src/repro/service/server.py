@@ -14,8 +14,9 @@ multiplexes any number of concurrent clients onto one shared
   :class:`~repro.campaign.CampaignEvent` (``progress`` / ``completed`` /
   ``retried`` / ``failed``, each ``data:`` line the JSON form of the event)
   followed by a terminal ``result`` event carrying every entry's run set
-  plus execution stats — the same payload shape ``repro campaign run
-  --json`` writes.
+  plus execution stats — :func:`repro.campaign.result_payload`, the payload
+  ``repro campaign run --json`` writes, plus the daemon's ``workers`` and
+  ``tasks_dispatched``.
 
 Each campaign runs its ordinary :class:`~repro.campaign.CampaignExecutor`
 in a worker thread with a :class:`~repro.service.daemon.PersistentPoolBackend`;
@@ -49,6 +50,8 @@ from repro.campaign import (
     TaskCompleted,
     TaskFailed,
     TaskRetried,
+    resolve_store,
+    result_payload,
 )
 from repro.service.daemon import PersistentPoolBackend, WorkerDaemon
 from repro.store import ResultStore
@@ -111,14 +114,7 @@ class CampaignServer:
         self.daemon = daemon if daemon is not None else WorkerDaemon(max_workers)
         self.host = host
         self.port = port
-        if store == "default":
-            self.store: Optional[ResultStore] = ResultStore()
-        elif store is None or isinstance(store, ResultStore):
-            self.store = store
-        else:
-            raise ValidationError(
-                "store must be a ResultStore, None, or the string 'default'"
-            )
+        self.store = resolve_store(store)
         self.retry = retry
         self._server: Optional[asyncio.AbstractServer] = None
         self._lock = threading.Lock()
@@ -289,46 +285,18 @@ class CampaignServer:
             except Exception as error:  # noqa: BLE001 - surfaced to the client
                 await self._send_event(writer, "error", {"error": repr(error)})
                 return
-            await self._send_event(
-                writer, "result", self._result_payload(campaign, result)
+            payload = result_payload(
+                result,
+                parallel=True,
+                store=self.store,
+                workers=self.daemon.max_workers,
+                tasks_dispatched=self.daemon.tasks_dispatched,
             )
+            await self._send_event(writer, "result", payload)
         finally:
             with self._lock:
                 self.active_campaigns -= 1
                 self.campaigns_served += 1
-
-    def _result_payload(
-        self, campaign: Campaign, result: CampaignResult
-    ) -> Dict[str, Any]:
-        """The terminal ``result`` event: ``repro campaign run --json`` shape."""
-        return {
-            "name": campaign.name,
-            "labels": list(result.labels),
-            "runsets": {label: to_jsonable(runset) for label, runset in result},
-            "execution": {
-                "tasks": result.total_tasks,
-                "cache_hits": result.cache_hits,
-                "cache_misses": result.cache_misses,
-                "elapsed_seconds": result.elapsed_seconds,
-                "parallel": True,
-                "workers": self.daemon.max_workers,
-                "tasks_dispatched": self.daemon.tasks_dispatched,
-                "store": str(self.store.root) if self.store is not None else None,
-                "store_backend": (
-                    self.store.backend.name if self.store is not None else None
-                ),
-                "task_retries": result.task_retries,
-                "failures": [
-                    {
-                        "task": failure.task.task_id,
-                        "lambda_g": failure.task.lambda_g,
-                        "attempts": failure.attempts,
-                        "error": failure.error,
-                    }
-                    for failure in result.failures
-                ],
-            },
-        }
 
 
 async def _serve_async(server: CampaignServer) -> None:

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.utils.validation import ValidationError
-
 
 @dataclass(slots=True)
 class Message:
@@ -34,27 +32,6 @@ class Message:
     def is_external(self) -> bool:
         """True for inter-cluster messages (they cross ECN1 and ICN2)."""
         return self.source_cluster != self.dest_cluster
-
-    @property
-    def latency(self) -> float:
-        """Total latency: generation to tail delivery (includes source queueing)."""
-        if self.delivered_at is None:
-            raise ValidationError(f"message {self.index} has not been delivered")
-        return self.delivered_at - self.created_at
-
-    @property
-    def queueing_delay(self) -> float:
-        """Time spent waiting for the injection channel (the source queue)."""
-        if self.injected_at is None:
-            raise ValidationError(f"message {self.index} has not been injected")
-        return self.injected_at - self.created_at
-
-    @property
-    def network_latency(self) -> float:
-        """Latency excluding the source queue (header injection to delivery)."""
-        if self.delivered_at is None or self.injected_at is None:
-            raise ValidationError(f"message {self.index} has not been delivered")
-        return self.delivered_at - self.injected_at
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

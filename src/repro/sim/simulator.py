@@ -188,15 +188,6 @@ class MultiClusterSimulator:
             wall_clock_seconds=elapsed,
         )
 
-    def latency_curve(
-        self,
-        lambdas,
-        *,
-        config: Optional[SimulationConfig] = None,
-    ) -> List[SimulationResult]:
-        """One simulation run per offered-traffic value."""
-        return [self.run(value, config=config) for value in lambdas]
-
     def stream_states(self, streams: RandomStreams) -> np.ndarray:
         """The (arrivals, destinations, peers) PCG64 states of every node.
 

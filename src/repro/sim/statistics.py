@@ -111,23 +111,6 @@ class SimulationResult:
             return None
         return max(self.channel_utilisation, key=lambda name: self.channel_utilisation[name][1])
 
-    def summary(self) -> Dict[str, float]:
-        """JSON-friendly scalar summary (used by EXPERIMENTS.md generation)."""
-        return {
-            "lambda_g": self.lambda_g,
-            "measured_messages": self.measured_messages,
-            "mean_latency": self.mean_latency,
-            "std_latency": self.std_latency,
-            "ci_low": self.confidence_interval[0],
-            "ci_high": self.confidence_interval[1],
-            "mean_queueing_delay": self.mean_queueing_delay,
-            "external_fraction": self.external_fraction,
-            "throughput": self.throughput,
-            "saturated": self.saturated,
-            "seed": self.seed,
-            "wall_clock_seconds": self.wall_clock_seconds,
-        }
-
 
 def _left_sum(values: np.ndarray) -> float:
     """``(0.0 + values[0]) + values[1] + ...``, the sum a Python loop computes."""

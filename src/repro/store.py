@@ -9,37 +9,25 @@ the SHA-256 of the canonical task description is a complete identity for the
 record it produces, and the golden-seed discipline guarantees the cached
 record is bit-identical to a fresh run.
 
-:class:`ResultStore` validates and (de)serialises records; *where* the bytes
-live is a pluggable :class:`StoreBackend`:
-
-* :class:`DirectoryBackend` (the default) keeps one JSON file per record
-  under a two-level fan-out directory (``<root>/<key[:2]>/<key>.json``) —
-  simple, greppable, and trivially rsync-able.
-* :class:`SqliteBackend` packs every record into a single indexed
-  ``<root>/store.db`` (WAL journal, ``last_used`` index), which holds
-  paper-budget sweeps with thousands of points in one inode and makes LRU
-  eviction a single indexed query.
-
-The backend is chosen per instance (``ResultStore(root, backend="sqlite")``)
-or by the ``REPRO_STORE_BACKEND`` environment variable; with neither given, a
-root that already contains ``store.db`` is opened as SQLite and anything else
-as a directory store, so an existing store keeps working after a migration.
-:func:`migrate_store` converts a store between backends record-identically
-(the raw payload text is copied verbatim and the LRU stamps are preserved);
-the CLI exposes it as ``repro-multicluster campaign store --migrate``.
+:class:`ResultStore` validates and (de)serialises records; the bytes live in
+one indexed SQLite file, ``<root>/store.db`` (:class:`SqliteBackend`: WAL
+journal, ``last_used`` index), which holds paper-budget sweeps with thousands
+of points in one inode and makes LRU eviction a single indexed query.
+:func:`merge_stores` copies (``--sync``) or moves (``--merge``) the records
+of another store in, owner-wins on identical keys.
 
 The root defaults to ``~/.cache/repro`` and is overridden by the
 ``REPRO_STORE`` environment variable (or per instance).  Re-running a
 campaign therefore re-simulates only the tasks whose content changed, and an
-interrupted campaign resumes from the records already on disk.
+interrupted campaign resumes from the records already on disk.  A root that
+holds only the older one-JSON-file-per-record layout (``<root>/ab/<key>.json``)
+is not read: each of its points is a cache miss and re-simulates
+bit-identically.
 
 Eviction is explicit and size-based: :meth:`ResultStore.prune` keeps the
 most recently used ``max_records`` entries (store reads refresh the record's
 ``last_used`` stamp), :meth:`ResultStore.clear` drops everything.  Nothing is
-evicted automatically.  Both double as housekeeping for the directory layout:
-``*.tmp`` droppings leaked by writers that died mid-:meth:`ResultStore.put`
-are swept (``clear`` removes them immediately, ``prune`` once they are
-stale), and they count toward :meth:`ResultStore.size_bytes` until then.
+evicted automatically.
 """
 
 from __future__ import annotations
@@ -49,13 +37,12 @@ import hashlib
 import json
 import os
 import sqlite3
-import tempfile
 import threading
 import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Protocol, Union, runtime_checkable
+from typing import Any, Dict, Iterator, Optional
 
 from repro.api import RunRecord, Scenario
 from repro.sim.simulator import DEFAULT_KERNEL
@@ -64,15 +51,11 @@ from repro.utils.validation import ValidationError
 
 __all__ = [
     "DEFAULT_STORE_DIR",
-    "DirectoryBackend",
     "MergeReport",
     "ResultStore",
     "SqliteBackend",
-    "StoreBackend",
-    "STORE_BACKENDS",
     "kernel_switches",
     "merge_stores",
-    "migrate_store",
     "task_key",
 ]
 
@@ -83,18 +66,8 @@ STORE_SCHEMA = 1
 #: Where records live when neither ``REPRO_STORE`` nor ``root`` is given.
 DEFAULT_STORE_DIR = Path.home() / ".cache" / "repro"
 
-#: A ``*.tmp`` file this much older than "now" belongs to a writer that died
-#: mid-``put`` (a healthy write replaces its tmp file within milliseconds);
-#: :meth:`DirectoryBackend.prune` sweeps them past this age.
-STALE_TMP_SECONDS = 3600.0
-
 #: How long a SQLite operation waits on a writer lock before giving up.
 _SQLITE_BUSY_SECONDS = 30.0
-
-#: Upper bound on :func:`migrate_store` re-scan passes.  Each pass drains the
-#: records a live writer added to the source layout during the previous pass;
-#: a writer outrunning eight consecutive full drains is not converging anyway.
-_MIGRATE_MAX_PASSES = 8
 
 
 def kernel_switches() -> Dict[str, str]:
@@ -144,250 +117,8 @@ def task_key(
 
 
 # --------------------------------------------------------------------------- #
-# Storage backends
+# The SQLite backend
 # --------------------------------------------------------------------------- #
-@runtime_checkable
-class StoreBackend(Protocol):
-    """Where record payloads live; :class:`ResultStore` owns what they mean.
-
-    A backend stores opaque payload *text* under SHA-256 keys and keeps one
-    ``last_used`` stamp per record for LRU eviction.  It never parses
-    payloads — validation (schema, JSON, record shape) is the store's job, so
-    every backend inherits exactly the same corruption semantics.
-    """
-
-    #: registry name (``"directory"`` / ``"sqlite"``)
-    name: str
-    #: the store root this backend lives under
-    root: Path
-
-    def read_text(self, key: str) -> Optional[str]:
-        """The payload for ``key`` (refreshing ``last_used``), or ``None``."""
-        ...
-
-    def write_text(self, key: str, text: str) -> Path:
-        """Atomically persist ``text`` under ``key``; return the backing path."""
-        ...
-
-    def delete(self, key: str) -> bool:
-        """Drop one record; ``True`` if it existed."""
-        ...
-
-    def keys(self) -> Iterator[str]:
-        """Every stored key (no particular order)."""
-        ...
-
-    def count(self) -> int:
-        """Number of stored records."""
-        ...
-
-    def size_bytes(self) -> int:
-        """Total bytes the stored payloads occupy."""
-        ...
-
-    def clear(self) -> int:
-        """Delete every record; returns how many were removed."""
-        ...
-
-    def prune(self, max_records: int) -> int:
-        """Keep the ``max_records`` most recently used records (LRU)."""
-        ...
-
-    def get_last_used(self, key: str) -> Optional[float]:
-        """The record's LRU stamp (unix seconds), or ``None`` if missing."""
-        ...
-
-    def set_last_used(self, key: str, stamp: float) -> None:
-        """Overwrite the record's LRU stamp (migration, tests)."""
-        ...
-
-    def housekeep(self) -> int:
-        """Backend-specific cleanup; returns how many artifacts were removed."""
-        ...
-
-
-class DirectoryBackend:
-    """One JSON file per record under a two-level fan-out directory.
-
-    Writes are atomic (``mkstemp`` + ``os.replace`` in the destination
-    directory) and reads refresh the file mtime, which doubles as the
-    ``last_used`` stamp.  A writer killed between ``mkstemp`` and
-    ``os.replace`` leaks a ``*.tmp`` file; those are counted by
-    :meth:`size_bytes`, removed immediately by :meth:`clear` and swept by
-    :meth:`prune`/:meth:`housekeep` once older than
-    :data:`STALE_TMP_SECONDS` (a young tmp file may be a concurrent ``put``
-    in flight, so housekeeping never touches it).
-    """
-
-    name = "directory"
-
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root).expanduser()
-
-    # ------------------------------------------------------------------ paths
-    def path_for(self, key: str) -> Path:
-        """Where the record for ``key`` lives (two-level fan-out)."""
-        return self.root / key[:2] / f"{key}.json"
-
-    def _record_paths(self) -> Iterator[Path]:
-        if not self.root.is_dir():
-            return iter(())
-        return self.root.glob("*/*.json")
-
-    def _tmp_paths(self) -> Iterator[Path]:
-        if not self.root.is_dir():
-            return iter(())
-        return self.root.glob("*/*.tmp")
-
-    @staticmethod
-    def _stat_or_none(path: Path, attribute: str):
-        """A stat field, or ``None`` if another process removed the file."""
-        try:
-            return getattr(path.stat(), attribute)
-        except OSError:
-            return None
-
-    # ------------------------------------------------------------- payload I/O
-    def read_text(self, key: str) -> Optional[str]:
-        path = self.path_for(key)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError:
-            return None
-        now = time.time()
-        with contextlib.suppress(OSError):
-            # LRU bookkeeping for prune(): reads refresh the mtime.
-            os.utime(path, (now, now))
-        return text
-
-    def write_text(self, key: str, text: str) -> Path:
-        path = self.path_for(key)
-        # Concurrent housekeeping races every step here: clear() may sweep
-        # the in-flight tmp file before the replace lands, and
-        # _remove_empty_dirs() may drop the fan-out directory between mkdir
-        # and mkstemp.  Both leave the filesystem consistent, so the write
-        # simply starts over; a handful of rounds outlasts any real race.
-        last_error: Optional[OSError] = None
-        for _ in range(8):
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            except (FileNotFoundError, FileExistsError) as error:
-                last_error = error
-                continue
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(text)
-                os.replace(tmp_name, path)
-                return path
-            except FileNotFoundError as error:
-                # clear() swept our tmp file (or the fan-out directory)
-                # mid-write; retry on a fresh one.
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp_name)
-                last_error = error
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp_name)
-                raise
-        raise last_error if last_error is not None else OSError(
-            f"could not persist {path}"
-        )  # pragma: no cover - 8 consecutive lost races
-
-    def delete(self, key: str) -> bool:
-        path = self.path_for(key)
-        existed = path.is_file()
-        with contextlib.suppress(OSError):
-            path.unlink()
-        return existed
-
-    def keys(self) -> Iterator[str]:
-        for path in self._record_paths():
-            yield path.stem
-
-    def count(self) -> int:
-        return sum(1 for _ in self._record_paths())
-
-    def size_bytes(self) -> int:
-        """Record bytes plus any leaked ``*.tmp`` bytes still on disk."""
-        paths = list(self._record_paths()) + list(self._tmp_paths())
-        sizes = (self._stat_or_none(path, "st_size") for path in paths)
-        return sum(size for size in sizes if size is not None)
-
-    # -------------------------------------------------------------- eviction
-    def clear(self) -> int:
-        removed = 0
-        for path in list(self._record_paths()):
-            with contextlib.suppress(OSError):
-                path.unlink()
-                removed += 1
-        self.sweep_tmp(max_age_seconds=0.0)
-        self._remove_empty_dirs()
-        return removed
-
-    def prune(self, max_records: int) -> int:
-        # The store is shared multi-process state: a record may vanish
-        # between the glob and the stat (concurrent clear/prune), which
-        # must read as "already evicted", not crash.
-        stamped = [
-            (stamp, path)
-            for path in self._record_paths()
-            if (stamp := self._stat_or_none(path, "st_mtime")) is not None
-        ]
-        stamped.sort(key=lambda pair: pair[0], reverse=True)
-        removed = 0
-        for _, path in stamped[max_records:]:
-            with contextlib.suppress(OSError):
-                path.unlink()
-                removed += 1
-        self.sweep_tmp()
-        return removed
-
-    def sweep_tmp(self, max_age_seconds: float = STALE_TMP_SECONDS) -> int:
-        """Delete ``*.tmp`` files leaked by interrupted writes.
-
-        Only files older than ``max_age_seconds`` go (a fresh tmp file may be
-        a concurrent :meth:`write_text` about to ``os.replace`` it); returns
-        how many were removed.
-        """
-        horizon = time.time() - max_age_seconds
-        swept = 0
-        for path in list(self._tmp_paths()):
-            stamp = self._stat_or_none(path, "st_mtime")
-            if stamp is None or stamp > horizon:
-                continue
-            with contextlib.suppress(OSError):
-                path.unlink()
-                swept += 1
-        return swept
-
-    def housekeep(self) -> int:
-        """Sweep stale tmp files and drop empty fan-out directories."""
-        swept = self.sweep_tmp()
-        self._remove_empty_dirs()
-        return swept
-
-    def _remove_empty_dirs(self) -> None:
-        if not self.root.is_dir():
-            return
-        for child in self.root.iterdir():
-            if child.is_dir():
-                # rmdir refuses non-empty directories; racing writers win.
-                with contextlib.suppress(OSError):
-                    child.rmdir()
-
-    # ------------------------------------------------------------------- LRU
-    def get_last_used(self, key: str) -> Optional[float]:
-        return self._stat_or_none(self.path_for(key), "st_mtime")
-
-    def set_last_used(self, key: str, stamp: float) -> None:
-        with contextlib.suppress(OSError):
-            os.utime(self.path_for(key), (stamp, stamp))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DirectoryBackend({str(self.root)!r})"
-
-
 class _CachedConnection:
     """One thread's live handle to one database file (plus its identity)."""
 
@@ -571,8 +302,7 @@ class SqliteBackend:
                 conn.commit()
                 return row[0]
         except sqlite3.Error:
-            # A corrupt or locked-out database degrades to a miss, exactly
-            # like an unreadable file in the directory layout.
+            # A corrupt or locked-out database degrades to a miss.
             return None
 
     def write_text(self, key: str, text: str) -> Path:
@@ -665,7 +395,7 @@ class SqliteBackend:
         return 0
 
     def delete_database(self) -> None:
-        """Remove the database files entirely (post-migration cleanup)."""
+        """Remove the database files entirely (a drained merge source)."""
         self._evict_cached()
         for suffix in ("", "-wal", "-shm"):
             with contextlib.suppress(OSError):
@@ -698,78 +428,37 @@ class SqliteBackend:
         return f"SqliteBackend({str(self.root)!r})"
 
 
-#: Backend constructors by registry name.
-STORE_BACKENDS: Dict[str, Any] = {
-    "directory": DirectoryBackend,
-    "sqlite": SqliteBackend,
-}
-
-BackendLike = Union[str, StoreBackend, None]
-
-
-def _resolve_backend(root: Path, backend: BackendLike) -> StoreBackend:
-    if backend is None:
-        backend = os.environ.get("REPRO_STORE_BACKEND") or None
-    if backend is None:
-        # Auto-detect: a root already holding store.db keeps speaking SQLite,
-        # so a migrated store works without threading the choice everywhere.
-        backend = (
-            "sqlite" if (root / SqliteBackend.DB_FILENAME).is_file() else "directory"
-        )
-    if isinstance(backend, str):
-        if backend not in STORE_BACKENDS:
-            raise ValidationError(
-                f"unknown store backend {backend!r}; "
-                f"registered: {sorted(STORE_BACKENDS)}"
-            )
-        return STORE_BACKENDS[backend](root)
-    if isinstance(backend, StoreBackend):
-        return backend
-    raise ValidationError(
-        "backend must be a backend name, a StoreBackend instance, or None"
-    )
-
-
 class ResultStore:
     """A content-addressed on-disk cache of :class:`repro.api.RunRecord`\\ s.
 
     Parameters
     ----------
     root:
-        Directory holding the records.  Defaults to the ``REPRO_STORE``
-        environment variable, then ``~/.cache/repro``.  The directory is
-        created lazily on the first write.
+        Directory holding ``store.db``.  Defaults to the ``REPRO_STORE``
+        environment variable, then ``~/.cache/repro``.  The directory and
+        the database are created lazily on the first write.
     backend:
-        ``"directory"`` (one JSON file per record), ``"sqlite"`` (single
-        indexed ``store.db``) or a :class:`StoreBackend` instance.  Defaults
-        to the ``REPRO_STORE_BACKEND`` environment variable; with neither
-        given, a root already containing ``store.db`` opens as SQLite and
-        anything else as a directory store.
+        ``None`` or ``"sqlite"``: SQLite is the one backend.
     """
 
     def __init__(
-        self, root: str | Path | None = None, *, backend: BackendLike = None
+        self, root: str | Path | None = None, *, backend: Optional[str] = None
     ) -> None:
+        if backend not in (None, SqliteBackend.name):
+            raise ValidationError(
+                f"unknown store backend {backend!r}: SQLite ('sqlite') is the "
+                "only result-store backend"
+            )
         if root is None:
             root = os.environ.get("REPRO_STORE") or DEFAULT_STORE_DIR
         self.root = Path(root).expanduser()
-        self.backend = _resolve_backend(self.root, backend)
+        self.backend = SqliteBackend(self.root)
         #: process-local effectiveness counters (this instance's traffic, not
         #: the store's history): ``hits``/``misses`` split every :meth:`get`,
         #: ``puts`` counts records written through :meth:`put`.
         self.hits = 0
         self.misses = 0
         self.puts = 0
-
-    # ------------------------------------------------------------------ paths
-    def path_for(self, key: str) -> Path:
-        """Where the record for ``key`` lives (directory backend only)."""
-        path_for = getattr(self.backend, "path_for", None)
-        if path_for is None:
-            raise ValidationError(
-                f"the {self.backend.name!r} backend keeps no per-record paths"
-            )
-        return path_for(key)
 
     # ------------------------------------------------------------- record I/O
     def get(self, key: str) -> Optional[RunRecord]:
@@ -794,7 +483,8 @@ class ResultStore:
         return None if text is None else _decode_payload(key, text)
 
     def put(self, key: str, record: RunRecord) -> Path:
-        """Persist ``record`` under ``key`` (atomic write) and return the path."""
+        """Persist ``record`` under ``key`` (one transaction); return the
+        database path."""
         payload = {"schema": STORE_SCHEMA, "key": key, "record": to_jsonable(record)}
         self.puts += 1
         return self.backend.write_text(key, json.dumps(payload, sort_keys=True))
@@ -810,7 +500,7 @@ class ResultStore:
 
     # -------------------------------------------------------------- housekeeping
     def size_bytes(self) -> int:
-        """Total bytes the stored records (plus any leaked tmp files) occupy."""
+        """Total bytes the stored record payloads occupy."""
         return self.backend.size_bytes()
 
     def clear(self) -> int:
@@ -868,78 +558,6 @@ class ResultStore:
         return f"ResultStore({str(self.root)!r}, backend={self.backend.name!r})"
 
 
-def migrate_store(store: ResultStore, to: str) -> int:
-    """Convert ``store`` to the ``to`` backend record-identically, in place.
-
-    Each record's raw payload text is copied verbatim (byte-identical
-    content, same SHA-256 keys) and its ``last_used`` stamp is carried over,
-    so LRU ordering survives the move.  The source backend's artifacts are
-    removed as records migrate; a drained SQLite source additionally drops
-    its ``store.db`` so backend auto-detection flips back to the directory
-    layout.  Returns how many records moved.
-
-    Migration is **resumable**: when the store already speaks the target
-    backend, any records stranded in the *other* layout (an earlier
-    migration interrupted mid-way — backend auto-detection would otherwise
-    hide them forever) are drained into the target, so re-running the same
-    ``--migrate`` picks up exactly where the interrupt hit.  Keys the
-    target already holds are dropped from the source rather than copied
-    back, preserving the target's fresher record and LRU stamp.
-
-    Migration is also **live-traffic safe**: each pass works from a key
-    snapshot (cheap under WAL — readers and the migrating writer never block
-    each other), then re-snapshots and drains again, so records a still-
-    running campaign writes into the source layout *during* a pass are
-    picked up by the next one.  The loop ends when a snapshot comes back
-    empty (bounded by :data:`_MIGRATE_MAX_PASSES`); writers that attach
-    after the final pass see the migrated layout via backend auto-detection.
-    """
-    if to not in STORE_BACKENDS:
-        raise ValidationError(
-            f"unknown store backend {to!r}; registered: {sorted(STORE_BACKENDS)}"
-        )
-    if store.backend.name == to:
-        # Already converted (or never needed converting): drain leftovers
-        # from the complementary layout instead of declaring victory.
-        target = store.backend
-        (other,) = (name for name in STORE_BACKENDS if name != to)
-        source: StoreBackend = STORE_BACKENDS[other](store.root)
-    else:
-        source = store.backend
-        target = STORE_BACKENDS[to](store.root)
-    moved = 0
-    for _ in range(_MIGRATE_MAX_PASSES):
-        snapshot = list(source.keys())
-        if not snapshot:
-            break
-        progressed = False
-        for key in snapshot:
-            if target.get_last_used(key) is not None:
-                # The target's copy is the newer one (written after the
-                # source's was, by construction of the interrupt); just drop
-                # the stale source record.
-                source.delete(key)
-                progressed = True
-                continue
-            stamp = source.get_last_used(key)
-            text = source.read_text(key)
-            if text is None:
-                continue  # lost a race with a concurrent eviction
-            target.write_text(key, text)
-            if stamp is not None:
-                target.set_last_used(key, stamp)
-            source.delete(key)
-            moved += 1
-            progressed = True
-        if not progressed:
-            break  # nothing readable left; don't spin on unreachable keys
-    source.housekeep()
-    if isinstance(source, SqliteBackend) and source.count() == 0:
-        source.delete_database()
-    store.backend = target
-    return moved
-
-
 @dataclass(frozen=True)
 class MergeReport:
     """What one :func:`merge_stores` call did, for CLI reporting and tests."""
@@ -973,8 +591,7 @@ def merge_stores(
     computed the same task — and the destination's copy wins: its bytes are
     left untouched and the source copy contributes nothing.  New keys are
     copied as verbatim payload text (byte-identical records, same SHA-256
-    keys) with their ``last_used`` stamps carried over, exactly like
-    :func:`migrate_store`.
+    keys) with their ``last_used`` stamps carried over.
 
     A corrupt source record — unreadable, truncated, schema-mismatched, or
     filed under the wrong key — is **skipped with a warning** rather than
@@ -983,15 +600,18 @@ def merge_stores(
 
     With ``move=True`` (CLI ``--merge``) merged records are drained from the
     source as they land — the two-store union ends up wholly in ``dest`` —
-    and a fully drained SQLite source drops its ``store.db``.  With the
-    default ``move=False`` (CLI ``--sync``) the source is read-only.
+    and a fully drained source drops its ``store.db``.  With the default
+    ``move=False`` (CLI ``--sync``) the source is read-only.
+
+    A source root without a ``store.db`` (a mistyped path, or a store in the
+    older one-file-per-record layout) raises :class:`ValidationError`
+    instead of reporting an empty merge.
     """
-    if (
-        dest.root.expanduser().resolve() == source.root.expanduser().resolve()
-        and dest.backend.name == source.backend.name
-    ):
+    if dest.root.expanduser().resolve() == source.root.expanduser().resolve():
+        raise ValidationError(f"cannot merge a store into itself ({dest.root})")
+    if not source.backend.db_path.is_file():
         raise ValidationError(
-            f"cannot merge a store into itself ({dest.root} [{dest.backend.name}])"
+            f"no result store at {source.root} (no {SqliteBackend.DB_FILENAME})"
         )
     copied = existing = corrupt = 0
     for key in list(source.backend.keys()):
@@ -1020,7 +640,7 @@ def merge_stores(
         copied += 1
     if move:
         source.backend.housekeep()
-        if isinstance(source.backend, SqliteBackend) and source.backend.count() == 0:
+        if source.backend.count() == 0:
             source.backend.delete_database()
     return MergeReport(copied=copied, existing=existing, corrupt=corrupt, moved=move)
 

@@ -20,6 +20,7 @@ from repro.campaign import (
     CampaignExecutionError,
     CampaignExecutor,
     CampaignProgress,
+    EphemeralPoolBackend,
     RetryPolicy,
     TaskCompleted,
     TaskFailed,
@@ -316,10 +317,21 @@ class TestPooledCrashRecovery:
         assert len(completed) == 4  # every task still completed
 
 
-class TestInlineKillHarness:
-    """With a timeout set, inline attempts run in a disposable child process
-    so a hung evaluation can actually be reclaimed (``parallel=False`` used
-    to mean the timeout was silently unenforceable)."""
+class RecordingPoolBackend(EphemeralPoolBackend):
+    """The default pool backend, noting the worker count of every round."""
+
+    def __init__(self):
+        super().__init__()
+        self.rounds = []
+
+    def begin_round(self, workers):
+        self.rounds.append(workers)
+        return super().begin_round(workers)
+
+
+class TestTimedTasksOnThePool:
+    """With a timeout set, every task runs on the worker pool — one worker
+    without ``parallel`` — so a hung evaluation can actually be reclaimed."""
 
     def campaign(self):
         return Campaign(
@@ -330,16 +342,33 @@ class TestInlineKillHarness:
 
     def test_timeout_happy_path_is_bit_identical(self):
         reference = run_campaign(self.campaign(), store=None)
-        harnessed = run_campaign(
+        pooled = run_campaign(
             self.campaign(),
             store=None,
             retry=RetryPolicy(max_attempts=2, timeout_seconds=60.0),
         )
-        assert harnessed.task_retries == 0
-        # Records survive the pipe crossing unchanged.
-        assert canonical(harnessed) == canonical(reference)
+        assert pooled.task_retries == 0
+        # Records survive the crossing from the worker unchanged.
+        assert canonical(pooled) == canonical(reference)
 
-    def test_hung_inline_task_is_killed_and_retried(self, tmp_path, monkeypatch):
+    def test_sequential_timed_campaign_uses_one_worker(self):
+        campaign = Campaign(
+            entries=(
+                CampaignEntry(scenario=scenario_for(TINY), engines=("model", "sim")),
+                CampaignEntry(scenario=scenario_for(WIDE), engines=("sim",)),
+            )
+        )
+        backend = RecordingPoolBackend()
+        result = CampaignExecutor(
+            campaign,
+            store=None,
+            retry=RetryPolicy(max_attempts=2, timeout_seconds=60.0),
+            backend=backend,
+        ).collect()
+        assert backend.rounds == [1]  # all six misses, cheap ones included
+        assert canonical(result) == canonical(run_campaign(campaign, store=None))
+
+    def test_hung_sequential_task_is_killed_and_retried(self, tmp_path, monkeypatch):
         reference = run_campaign(self.campaign(), store=None)
         marker = inject_fault(monkeypatch, tmp_path, "hang", "tiny:sim:0")
         recovered = run_campaign(
@@ -352,7 +381,7 @@ class TestInlineKillHarness:
         assert not recovered.failures
         assert canonical(recovered) == canonical(reference)
 
-    def test_inline_timeout_exhaustion_is_a_structured_failure(
+    def test_sequential_timeout_exhaustion_is_a_structured_failure(
         self, tmp_path, monkeypatch
     ):
         inject_fault(monkeypatch, tmp_path, "hang", "tiny:sim:0")
@@ -364,9 +393,9 @@ class TestInlineKillHarness:
         )
         assert len(result.failures) == 1
         assert "timed out" in result.failures[0].error
-        assert "inline worker killed" in result.failures[0].error
+        assert "worker killed" in result.failures[0].error
 
-    def test_crashed_harness_child_reports_and_recovers(self, tmp_path, monkeypatch):
+    def test_crashed_sequential_worker_reports_and_recovers(self, tmp_path, monkeypatch):
         marker = inject_fault(monkeypatch, tmp_path, "crash", "tiny:sim:0")
         events = list(
             CampaignExecutor(
@@ -378,7 +407,7 @@ class TestInlineKillHarness:
         assert marker.exists()
         retried = [event for event in events if isinstance(event, TaskRetried)]
         assert len(retried) == 1
-        assert "inline harness process died" in retried[0].error
+        assert "process pool broke" in retried[0].error
         assert sum(isinstance(event, TaskCompleted) for event in events) == 1
 
     def test_no_timeout_keeps_inline_tasks_in_process(self):
@@ -403,6 +432,29 @@ class TestInlineKillHarness:
         )
         run_campaign(campaign, store=None, retry=RetryPolicy(max_attempts=2))
         assert engine.pid == os.getpid()  # no harness child without a timeout
+
+    def test_parallel_timeout_reclaims_a_hung_model_task(self, tmp_path, monkeypatch):
+        """The model engine is cheap (``expensive=False``) and runs in the
+        calling process without a timeout; under one it runs on the pool,
+        where a hang is killed and retried."""
+        campaign = Campaign(
+            entries=(
+                CampaignEntry(scenario=scenario_for(TINY), engines=("model", "sim")),
+            )
+        )
+        reference = run_campaign(campaign, store=None)
+        marker = inject_fault(monkeypatch, tmp_path, "hang", "tiny:model:0")
+        recovered = run_campaign(
+            campaign,
+            parallel=True,
+            max_workers=2,
+            store=None,
+            retry=RetryPolicy(max_attempts=2, timeout_seconds=1.5),
+        )
+        assert marker.exists()
+        assert recovered.task_retries == 1
+        assert not recovered.failures
+        assert canonical(recovered) == canonical(reference)
 
 
 class TestPooledTimeout:

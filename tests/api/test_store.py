@@ -1,10 +1,8 @@
 """Tests of the content-addressed result store: keys, round trips, eviction.
 
-Everything store-level runs against **both backends** (one JSON file per
-record, single SQLite file) through the parametrised ``store`` fixture —
-the backend must never change what a key means, what a miss is, or what
-eviction keeps.  Layout-specific behaviour (tmp-file sweeping, fan-out
-directories) and migration have their own backend-aware classes at the end.
+Store-level tests run through the ``store`` fixture, whose one parameter is
+the one backend (a single SQLite file per root); the SQLite connection cache
+has its own class at the end.
 """
 
 import dataclasses
@@ -18,12 +16,11 @@ from repro.sim.config import SimulationConfig
 from repro.sim.simulator import DEFAULT_KERNEL
 from repro.store import (
     DEFAULT_STORE_DIR,
-    DirectoryBackend,
+    STORE_SCHEMA,
     ResultStore,
     SqliteBackend,
     jsonable_record,
     kernel_switches,
-    migrate_store,
     task_key,
 )
 from repro.topology.multicluster import MultiClusterSpec
@@ -32,7 +29,7 @@ from repro.utils.validation import ValidationError
 TINY = MultiClusterSpec(m=4, cluster_heights=(1, 2, 2, 1), name="tiny")
 FAST = SimulationConfig(measured_messages=300, warmup_messages=30, drain_messages=30, seed=5)
 
-BACKENDS = ("directory", "sqlite")
+BACKENDS = ("sqlite",)
 
 
 @pytest.fixture(params=BACKENDS)
@@ -211,35 +208,50 @@ class TestStoreLocation:
         assert ResultStore().root == DEFAULT_STORE_DIR
 
 
+def _model_record():
+    return api.run(
+        tiny_scenario(offered_traffic=(4e-4,)), engines=("model",)
+    ).series("model")[0]
+
+
 class TestBackendSelection:
-    def test_default_backend_is_directory(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_STORE_BACKEND", raising=False)
-        assert ResultStore(tmp_path).backend.name == "directory"
+    def test_default_store_is_sqlite_and_writes_store_db(self, tmp_path):
+        store = ResultStore(tmp_path)
+        assert store.backend.name == "sqlite"
+        assert not (tmp_path / "store.db").exists()  # created lazily
+        store.put(task_key(tiny_scenario(), "model", 4e-4), _model_record())
+        assert (tmp_path / "store.db").is_file()
 
-    def test_env_selects_the_backend(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_BACKEND", "sqlite")
-        assert ResultStore(tmp_path).backend.name == "sqlite"
+    def test_backend_environment_variable_is_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE_BACKEND", "directory")
+        store = ResultStore(tmp_path)
+        assert store.backend.name == "sqlite"
+        store.put(task_key(tiny_scenario(), "model", 4e-4), _model_record())
+        assert (tmp_path / "store.db").is_file()
+        assert list(tmp_path.glob("*/*.json")) == []
 
-    def test_constructor_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_BACKEND", "sqlite")
-        assert ResultStore(tmp_path, backend="directory").backend.name == "directory"
+    def test_directory_backend_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="SQLite"):
+            ResultStore(tmp_path, backend="directory")
 
-    def test_backend_instance_accepted(self, tmp_path):
-        backend = SqliteBackend(tmp_path)
-        assert ResultStore(tmp_path, backend=backend).backend is backend
-
-    def test_existing_database_autodetects_sqlite(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_STORE_BACKEND", raising=False)
-        ResultStore(tmp_path, backend="sqlite").backend.write_text("ab" + "0" * 62, "{}")
-        assert ResultStore(tmp_path).backend.name == "sqlite"
+    def test_backend_instance_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="SQLite"):
+            ResultStore(tmp_path, backend=SqliteBackend(tmp_path))
 
     def test_unknown_backend_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             ResultStore(tmp_path, backend="papyrus")
 
-    def test_sqlite_has_no_per_record_paths(self, tmp_path):
-        with pytest.raises(ValidationError):
-            ResultStore(tmp_path, backend="sqlite").path_for("ab" + "0" * 62)
+    def test_directory_layout_root_reads_as_empty(self, tmp_path):
+        """A root holding only one-JSON-file-per-record payloads is not read:
+        its points miss and re-simulate."""
+        key = task_key(tiny_scenario(), "model", 4e-4)
+        payload = {"schema": STORE_SCHEMA, "key": key, "record": jsonable_record(_model_record())}
+        (tmp_path / key[:2]).mkdir()
+        (tmp_path / key[:2] / f"{key}.json").write_text(json.dumps(payload))
+        store = ResultStore(tmp_path)
+        assert len(store) == 0
+        assert store.get(key) is None
 
 
 class TestEviction:
@@ -298,175 +310,6 @@ class TestEviction:
         assert str(store.root) in text
         assert "2 records" in text
         assert store_backend in text
-
-
-class TestDirectoryHousekeeping:
-    """The per-file layout's failure mode: tmp droppings from dead writers."""
-
-    def _leak_tmp(self, store, *, age_seconds=0.0, payload=b"x" * 64):
-        import os
-        import time
-
-        fanout = store.root / "ab"
-        fanout.mkdir(parents=True, exist_ok=True)
-        leaked = fanout / "tmp_leaked_by_dead_writer.tmp"
-        leaked.write_bytes(payload)
-        if age_seconds:
-            stamp = time.time() - age_seconds
-            os.utime(leaked, (stamp, stamp))
-        return leaked
-
-    def test_size_bytes_counts_leaked_tmp_files(self, tmp_path):
-        store = ResultStore(tmp_path, backend="directory")
-        leaked = self._leak_tmp(store)
-        assert store.size_bytes() == leaked.stat().st_size
-        assert len(store) == 0  # but they are not records
-
-    def test_clear_leaves_an_empty_directory_tree(self, tmp_path):
-        store = ResultStore(tmp_path, backend="directory")
-        record = api.run(
-            tiny_scenario(offered_traffic=(4e-4,)), engines=("model",)
-        ).series("model")[0]
-        store.put(task_key(tiny_scenario(), "model", 4e-4), record)
-        self._leak_tmp(store)
-        removed = store.clear()
-        assert removed == 1  # records counted; tmp files swept besides
-        assert list(tmp_path.iterdir()) == []  # no files, no fan-out dirs
-        assert store.size_bytes() == 0
-
-    def test_prune_sweeps_stale_tmp_but_spares_fresh_ones(self, tmp_path):
-        store = ResultStore(tmp_path, backend="directory")
-        stale = self._leak_tmp(store, age_seconds=7200.0)
-        fresh = store.root / "ab" / "tmp_concurrent_writer.tmp"
-        fresh.write_bytes(b"y" * 16)
-        store.prune(10)
-        assert not stale.exists()  # dead writer's dropping is gone
-        assert fresh.exists()  # an in-flight put is never touched
-
-    def test_interrupted_put_leak_is_eventually_reclaimed(self, tmp_path, monkeypatch):
-        """An exception mid-write cleans up eagerly; a hard kill is swept later."""
-        import os
-
-        store = ResultStore(tmp_path, backend="directory")
-
-        # Simulated hard kill: fdopen succeeds but the replace never runs.
-        real_replace = os.replace
-
-        def _dying_replace(src, dst, **kwargs):
-            raise KeyboardInterrupt  # BaseException, like a signal
-
-        key = task_key(tiny_scenario(), "model", 4e-4)
-        record = api.run(
-            tiny_scenario(offered_traffic=(4e-4,)), engines=("model",)
-        ).series("model")[0]
-        monkeypatch.setattr(os, "replace", _dying_replace)
-        with pytest.raises(KeyboardInterrupt):
-            store.put(key, record)
-        monkeypatch.setattr(os, "replace", real_replace)
-        # The eager cleanup already removed the tmp file...
-        assert list(store.root.glob("*/*.tmp")) == []
-        # ...and even a leak that survives (crash between fdopen and the
-        # except clause) is reclaimed by clear().
-        self._leak_tmp(store)
-        store.clear()
-        assert list(tmp_path.iterdir()) == []
-
-
-class TestMigration:
-    def _fill(self, store, count=3):
-        record = api.run(
-            tiny_scenario(offered_traffic=(4e-4,)), engines=("model",)
-        ).series("model")[0]
-        keys = []
-        for index in range(count):
-            key = task_key(tiny_scenario(), "model", 4e-4 + index * 1e-6)
-            store.put(key, record)
-            keys.append(key)
-        return keys
-
-    def test_round_trip_is_record_identical(self, tmp_path):
-        store = ResultStore(tmp_path, backend="directory")
-        keys = self._fill(store)
-        originals = {key: store.backend.read_text(key) for key in keys}
-        assert migrate_store(store, "sqlite") == 3
-        assert store.backend.name == "sqlite"
-        for key, text in originals.items():
-            assert store.backend.read_text(key) == text  # byte-identical payloads
-        assert migrate_store(store, "directory") == 3
-        for key, text in originals.items():
-            assert store.backend.read_text(key) == text
-
-    def test_migration_preserves_lru_order(self, tmp_path):
-        store = ResultStore(tmp_path, backend="directory")
-        keys = self._fill(store)
-        for index, key in enumerate(keys):
-            store.backend.set_last_used(key, 1_000_000 + index)
-        migrate_store(store, "sqlite")
-        store.prune(1)
-        assert keys[2] in store  # newest stamp survives the move
-        assert keys[0] not in store
-
-    def test_migration_flips_autodetection_both_ways(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_STORE_BACKEND", raising=False)
-        store = ResultStore(tmp_path, backend="directory")
-        self._fill(store)
-        migrate_store(store, "sqlite")
-        assert ResultStore(tmp_path).backend.name == "sqlite"
-        assert len(ResultStore(tmp_path)) == 3
-        migrate_store(store, "directory")
-        assert not (tmp_path / SqliteBackend.DB_FILENAME).exists()
-        assert ResultStore(tmp_path).backend.name == "directory"
-        assert len(ResultStore(tmp_path)) == 3
-
-    def test_migrating_to_the_current_backend_is_a_noop(self, tmp_path):
-        store = ResultStore(tmp_path, backend="directory")
-        self._fill(store)
-        assert migrate_store(store, "directory") == 0
-        assert len(store) == 3
-
-    def test_interrupted_migration_is_resumable(self, tmp_path, monkeypatch):
-        """Regression: records stranded by a mid-migration crash stay reachable.
-
-        Auto-detection flips to SQLite as soon as store.db exists, so JSON
-        records an interrupted directory->sqlite migration left behind would
-        be invisible forever if re-running --migrate treated "already
-        sqlite" as done.  Draining the complementary layout makes the same
-        command resume instead.
-        """
-        monkeypatch.delenv("REPRO_STORE_BACKEND", raising=False)
-        store = ResultStore(tmp_path, backend="directory")
-        keys = self._fill(store)
-        # Simulate the interrupt: only the first record made it across.
-        partial = SqliteBackend(tmp_path)
-        partial.write_text(keys[0], store.backend.read_text(keys[0]))
-        store.backend.delete(keys[0])
-        # Auto-detection now opens the root as SQLite and sees one record;
-        # the two stranded JSON files are unreachable through the store.
-        resumed = ResultStore(tmp_path)
-        assert resumed.backend.name == "sqlite"
-        assert len(resumed) == 1
-        # Re-running the same migration drains the stranded records...
-        assert migrate_store(resumed, "sqlite") == 2
-        assert len(resumed) == 3
-        assert all(key in resumed for key in keys)
-        assert list(DirectoryBackend(tmp_path).keys()) == []
-        # ...and a duplicate key keeps the target's copy rather than a stale one.
-        DirectoryBackend(tmp_path).write_text(keys[0], "{stale leftover")
-        assert migrate_store(resumed, "sqlite") == 0
-        assert resumed.get(keys[0]) is not None  # target copy untouched
-        assert list(DirectoryBackend(tmp_path).keys()) == []  # stale copy dropped
-
-    def test_unknown_target_rejected(self, tmp_path):
-        with pytest.raises(ValidationError):
-            migrate_store(ResultStore(tmp_path), "papyrus")
-
-    def test_records_stay_loadable_after_migration(self, tmp_path):
-        store = ResultStore(tmp_path, backend="directory")
-        keys = self._fill(store)
-        migrate_store(store, "sqlite")
-        for key in keys:
-            assert store.get(key) is not None
-            assert key in store
 
 
 def _fork_read_text(backend, key, conn):
@@ -574,73 +417,3 @@ class TestSqliteConnectionCache:
         assert backend._connect(create=False) is conn  # survived the failure
         assert backend.read_text("alpha") == '{"v": 1}'
 
-
-class TestLiveMigration:
-    """``--migrate`` under concurrent writers: late records must cross too."""
-
-    def _fill(self, store, count=2):
-        record = api.run(
-            tiny_scenario(offered_traffic=(4e-4,)), engines=("model",)
-        ).series("model")[0]
-        text = None
-        keys = []
-        for index in range(count):
-            key = task_key(tiny_scenario(), "model", 4e-4 + index * 1e-6)
-            store.put(key, record)
-            keys.append(key)
-            text = store.backend.read_text(key)
-        return keys, text
-
-    def test_record_written_mid_migration_is_picked_up(self, tmp_path, monkeypatch):
-        store = ResultStore(tmp_path, backend="directory")
-        keys, text = self._fill(store)
-        source = store.backend
-        original_delete = source.delete
-        late = {}
-
-        def delete_then_write_late(key):
-            original_delete(key)
-            if not late:
-                # A concurrent campaign lands a record *after* the initial
-                # snapshot was taken — the re-snapshot pass must catch it.
-                late["key"] = task_key(tiny_scenario(), "model", 9e-4)
-                payload = dict(json.loads(text), key=late["key"])
-                late["text"] = json.dumps(payload, sort_keys=True)
-                source.write_text(late["key"], late["text"])
-
-        monkeypatch.setattr(source, "delete", delete_then_write_late)
-        moved = migrate_store(store, "sqlite")
-        assert moved == 3
-        assert store.backend.name == "sqlite"
-        assert late["key"] in store
-        assert store.backend.read_text(late["key"]) == late["text"]
-        assert list(DirectoryBackend(tmp_path).keys()) == []
-
-    def test_migration_terminates_under_constant_write_load(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.store import _MIGRATE_MAX_PASSES
-
-        store = ResultStore(tmp_path, backend="directory")
-        keys, text = self._fill(store)
-        source = store.backend
-        original_delete = source.delete
-        injected = []
-
-        def delete_and_always_write(key):
-            original_delete(key)
-            late = task_key(tiny_scenario(), "model", 1e-3 + len(injected) * 1e-6)
-            source.write_text(late, text)
-            injected.append(late)
-
-        monkeypatch.setattr(source, "delete", delete_and_always_write)
-        # A writer that never stops can starve a drain loop forever; the
-        # pass cap bounds the chase and leaves stragglers resumable.
-        moved = migrate_store(store, "sqlite")
-        assert moved == 2 * _MIGRATE_MAX_PASSES
-        stragglers = list(DirectoryBackend(tmp_path).keys())
-        assert len(stragglers) == 2
-        # Quiet store: re-running the same migration drains the stragglers.
-        assert migrate_store(store, "sqlite") == 2
-        assert list(DirectoryBackend(tmp_path).keys()) == []
-        assert len(store) == len(keys) + len(injected)

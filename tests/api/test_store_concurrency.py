@@ -1,10 +1,10 @@
 """Concurrency tests: housekeeping racing record I/O must never corrupt.
 
-Both backends are shared mutable state — campaign workers ``get``/``put``
-while an operator (or another campaign) runs ``prune``/``clear``.  The
-contract under that race: no call raises, and ``get`` returns either ``None``
-or a complete, validated record — never a partial one.  Directory writes are
-atomic (``os.replace``); SQLite serialises through WAL transactions.
+The store is shared mutable state — campaign workers ``get``/``put`` while
+an operator (or another campaign) runs ``prune``/``clear``.  The contract
+under that race: no call raises, and ``get`` returns either ``None`` or a
+complete, validated record — never a partial one.  SQLite serialises every
+operation through WAL transactions.
 """
 
 import json
@@ -24,11 +24,11 @@ TINY = MultiClusterSpec(m=4, cluster_heights=(1, 2, 2, 1), name="tiny")
 FAST = SimulationConfig(measured_messages=300, warmup_messages=30, drain_messages=30, seed=5)
 
 #: Iterations per worker thread — enough to interleave, small enough to stay
-#: well under a second per backend.
+#: well under a second.
 ROUNDS = 60
 
 
-@pytest.fixture(params=["directory", "sqlite"])
+@pytest.fixture(params=["sqlite"])
 def store(tmp_path, request):
     return ResultStore(tmp_path, backend=request.param)
 

@@ -26,7 +26,7 @@ from repro.utils.validation import ValidationError
 TINY = MultiClusterSpec(m=4, cluster_heights=(1, 2, 2, 1), name="tiny")
 FAST = SimulationConfig(measured_messages=300, warmup_messages=30, drain_messages=30, seed=5)
 
-BACKENDS = ("directory", "sqlite")
+BACKENDS = ("sqlite",)
 
 
 @pytest.fixture(params=BACKENDS)
@@ -120,8 +120,7 @@ class TestMergeStores:
         assert report == MergeReport(copied=1, existing=1, corrupt=0, moved=True)
         assert len(dest) == 2
         assert len(source) == 0
-        if store_backend == "sqlite":
-            assert not (source.root / "store.db").exists()  # fully drained
+        assert not (source.root / "store.db").exists()  # fully drained
 
     def test_last_used_stamp_carried(self, tmp_path, store_backend):
         dest = ResultStore(tmp_path / "dest", backend=store_backend)
@@ -134,8 +133,25 @@ class TestMergeStores:
     def test_merging_a_store_into_itself_rejected(self, tmp_path, store_backend):
         store = ResultStore(tmp_path, backend=store_backend)
         alias = ResultStore(tmp_path, backend=store_backend)
-        with pytest.raises(ValidationError):
+        # Neither root holds a store.db yet: the self-merge check runs first.
+        with pytest.raises(ValidationError, match="into itself"):
             merge_stores(store, alias)
+
+    @pytest.mark.parametrize("move", [False, True], ids=["sync", "merge"])
+    def test_source_without_a_store_is_refused(self, tmp_path, move):
+        """A mistyped source path, or a root in the old one-file-per-record
+        layout, is an error, not an empty merge."""
+        dest = ResultStore(tmp_path / "dest")
+        populate(dest, 4e-4)
+        with pytest.raises(ValidationError, match="no result store"):
+            merge_stores(dest, ResultStore(tmp_path / "typo"), move=move)
+        legacy = tmp_path / "legacy"
+        (legacy / "ab").mkdir(parents=True)
+        (legacy / "ab" / ("ab" + "0" * 62 + ".json")).write_text("{}")
+        with pytest.raises(ValidationError, match="no result store"):
+            merge_stores(dest, ResultStore(legacy), move=move)
+        assert len(dest) == 1
+        assert (legacy / "ab" / ("ab" + "0" * 62 + ".json")).exists()
 
     def test_describe_wording(self):
         sync = MergeReport(copied=3, existing=1, corrupt=0, moved=False)

@@ -233,6 +233,17 @@ class TestCampaignStreaming:
         )
         assert served == direct
 
+    def test_result_keys_are_pinned(self, handle):
+        result = dict(handle.post_plan(model_plan(TINY, traffic=(4e-4,))))["result"]
+        assert list(result) == ["name", "labels", "runsets", "execution"]
+        assert set(result["execution"]) == {
+            "tasks", "cache_hits", "cache_misses", "elapsed_seconds", "parallel",
+            "workers", "tasks_dispatched", "store", "store_backend",
+            "task_retries", "failures",
+        }
+        assert result["execution"]["store"] is None
+        assert result["execution"]["store_backend"] is None
+
     def test_campaign_counters_track_the_stream(self, handle):
         handle.post_plan(model_plan(TINY, traffic=(4e-4,)))
         health = json.loads(handle.request("GET", "/health")[2])

@@ -86,18 +86,3 @@ class TestMessage:
         assert self.make().is_external
         assert not self.make(dest_cluster=0).is_external
 
-    def test_latency_components(self):
-        message = self.make(injected_at=12.0, delivered_at=30.0)
-        assert message.latency == pytest.approx(20.0)
-        assert message.queueing_delay == pytest.approx(2.0)
-        assert message.network_latency == pytest.approx(18.0)
-
-    def test_latency_before_delivery_raises(self):
-        message = self.make()
-        with pytest.raises(ValidationError):
-            _ = message.latency
-        with pytest.raises(ValidationError):
-            _ = message.queueing_delay
-        message.injected_at = 11.0
-        with pytest.raises(ValidationError):
-            _ = message.network_latency

@@ -226,7 +226,7 @@ class TestWormholeTransfer:
         # Header: 1 + 2 + 0.5; body: (4-1) * max(2.0) = 6.
         assert message.delivered_at == pytest.approx(9.5)
         assert delivered == [message]
-        assert message.queueing_delay == 0.0
+        assert message.injected_at == message.created_at  # no source queueing
 
     def test_single_flit_message_has_no_serialisation(self):
         env = Environment()
@@ -261,7 +261,7 @@ class TestWormholeTransfer:
         assert first.delivered_at == pytest.approx(4.0)
         assert second.injected_at == pytest.approx(4.0)
         assert second.delivered_at == pytest.approx(8.0)
-        assert second.queueing_delay == pytest.approx(4.0)
+        assert second.injected_at - second.created_at == pytest.approx(4.0)
         assert channels.busy_time == [8.0]
 
     def test_blocked_header_keeps_the_channels_it_crossed(self):
@@ -279,7 +279,7 @@ class TestWormholeTransfer:
         assert blocked.delivered_at == pytest.approx(6.0)
         assert follower.injected_at == pytest.approx(6.0)
         assert follower.delivered_at == pytest.approx(7.0)
-        assert follower.queueing_delay == pytest.approx(6.0)
+        assert follower.injected_at - follower.created_at == pytest.approx(6.0)
         assert channels.busy_time == [7.0, 6.0]
 
     def test_delivery_is_reported_before_the_release(self):

@@ -80,11 +80,6 @@ class TestLoadBehaviour:
         long = MultiClusterSimulator(TINY, MessageSpec(32, 256), config=FAST).run(2e-4)
         assert long.mean_latency > short.mean_latency
 
-    def test_latency_curve_runs_each_point(self):
-        simulator = MultiClusterSimulator(TINY, MessageSpec(16, 256), config=FAST)
-        results = simulator.latency_curve([1e-4, 3e-4])
-        assert [result.lambda_g for result in results] == [1e-4, 3e-4]
-
     def test_invalid_traffic_rejected(self):
         simulator = MultiClusterSimulator(TINY, config=FAST)
         with pytest.raises(ValidationError):

@@ -102,12 +102,6 @@ class TestFold:
         low, high = result.confidence_interval
         assert low < result.mean_latency < high
 
-    def test_summary_is_json_friendly(self):
-        summary = fold(record([(0, 0, 0.0, 0.0, 10.0)]), lambda_g=2e-4).summary()
-        assert summary["lambda_g"] == 2e-4
-        assert summary["measured_messages"] == 1
-        assert isinstance(summary["saturated"], bool)
-
 
 class TestFoldArithmetic:
     def test_mean_and_std_match_known_values(self):

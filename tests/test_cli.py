@@ -397,32 +397,90 @@ class TestCampaignCommand:
         assert "reseeded 4/4" in out
         assert "8/8" in out  # campaign aggregate
 
-    def test_store_migrate_round_trip_keeps_cache_hits(
-        self, tmp_path, capsys, monkeypatch
+    @staticmethod
+    def _model_plan(path, *entries):
+        """A model-only plan with one entry per ``(points, seed)`` pair."""
+        import json
+
+        plan = {
+            "name": "cli-model",
+            "entries": [
+                {
+                    "scenario": "heterogeneous",
+                    "points": points,
+                    "seed": seed,
+                    "label": f"seed{seed}",
+                    "engines": ["model"],
+                }
+                for points, seed in entries
+            ],
+        }
+        path.write_text(json.dumps(plan))
+        return path
+
+    def test_store_sync_copies_and_merge_drains(self, tmp_path, capsys, monkeypatch):
+        home, fleet = tmp_path / "home", tmp_path / "fleet"
+        monkeypatch.setenv("REPRO_STORE", str(home))
+        plan = self._model_plan(tmp_path / "home.json", (2, 0))
+        assert main(["campaign", "run", str(plan)]) == 0
+        monkeypatch.setenv("REPRO_STORE", str(fleet))
+        plan = self._model_plan(tmp_path / "fleet.json", (2, 0), (3, 1))
+        assert main(["campaign", "run", str(plan)]) == 0
+        capsys.readouterr()
+
+        monkeypatch.setenv("REPRO_STORE", str(home))
+        assert main(["campaign", "store", "--sync", str(fleet)]) == 0
+        out = capsys.readouterr().out
+        assert f"copied 3 records (2 already present, 0 corrupt skipped) from {fleet}" in out
+        assert "5 records" in out
+        assert main(["campaign", "store", "--store", str(fleet)]) == 0
+        assert "5 records" in capsys.readouterr().out  # --sync left the source alone
+
+        assert main(["campaign", "store", "--merge", str(fleet)]) == 0
+        out = capsys.readouterr().out
+        assert "moved 0 records (5 already present, 0 corrupt skipped)" in out
+        assert "5 records" in out
+        assert not (fleet / "store.db").exists()  # drained source dropped
+
+    @pytest.mark.parametrize("flag", ["--sync", "--merge"])
+    def test_store_source_without_a_store_exits_2(
+        self, tmp_path, capsys, monkeypatch, flag
     ):
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
+        assert main(["campaign", "store", flag, str(tmp_path / "typo")]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "no result store" in captured.err
+        assert "records" not in captured.out
+
+    def test_store_has_no_migrate_or_backend_flag(self, capsys):
+        for argv in (
+            ["campaign", "store", "--migrate", "sqlite"],
+            ["campaign", "store", "--backend", "sqlite"],
+            ["campaign", "run", "plan.json", "--backend", "sqlite"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+        capsys.readouterr()
+
+    def test_run_json_execution_keys_are_pinned(self, tmp_path, capsys, monkeypatch):
         import json
 
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
-        monkeypatch.delenv("REPRO_STORE_BACKEND", raising=False)
-        plan = self._tiny_plan(tmp_path)
-        assert main(["campaign", "run", str(plan), "--json", str(tmp_path / "cold.json")]) == 0
-        capsys.readouterr()
-        assert main(["campaign", "store", "--migrate", "sqlite"]) == 0
-        out = capsys.readouterr().out
-        assert "migrated 8 records" in out and "[sqlite]" in out
-        assert (tmp_path / "store" / "store.db").exists()
-        assert main(["campaign", "run", str(plan), "--json", str(tmp_path / "warm.json")]) == 0
-        assert "8 cached, 0 computed" in capsys.readouterr().out
-        cold = json.loads((tmp_path / "cold.json").read_text())
-        warm = json.loads((tmp_path / "warm.json").read_text())
-        assert json.dumps(cold["runsets"], sort_keys=True) == json.dumps(
-            warm["runsets"], sort_keys=True
-        )
-        assert warm["execution"]["store_backend"] == "sqlite"
-        assert main(["campaign", "store", "--migrate", "directory"]) == 0
-        out = capsys.readouterr().out
-        assert "migrated 8 records" in out and "[directory]" in out
-        assert not (tmp_path / "store" / "store.db").exists()
+        out = tmp_path / "run.json"
+        plan = self._model_plan(tmp_path / "plan.json", (2, 0))
+        assert main(["campaign", "run", str(plan), "--json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert set(payload) == {"name", "labels", "runsets", "execution"}
+        assert set(payload["execution"]) == {
+            "tasks", "cache_hits", "cache_misses", "elapsed_seconds", "parallel",
+            "store", "store_backend", "runners", "lost_runners", "task_retries",
+            "failures",
+        }
+        execution = payload["execution"]
+        assert execution["store"] == str(tmp_path / "store")
+        assert execution["store_backend"] == "sqlite"
+        assert execution["runners"] is None and execution["lost_runners"] == []
+        assert (tmp_path / "store" / "store.db").is_file()
 
     def test_run_survives_injected_worker_crash(self, tmp_path, capsys, monkeypatch):
         import json
@@ -536,6 +594,12 @@ class TestServeCommand:
         assert args.port == 0 and args.workers == 4
         assert args.retries == 3
         assert args.no_store
+
+    def test_serve_backend_accepts_only_sqlite(self, capsys):
+        assert build_parser().parse_args(["serve", "--backend", "sqlite"]).backend == "sqlite"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--backend", "directory"])
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_serve_rejects_a_zero_retry_budget(self, capsys):
         assert main(["serve", "--retries", "0"]) == 2

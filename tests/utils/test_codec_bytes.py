@@ -41,7 +41,7 @@ def test_pinned_scenario_text_round_trips(name):
     assert json.dumps(rebuilt.to_dict(), sort_keys=True) == text
 
 
-@pytest.mark.parametrize("backend", ["directory", "sqlite"])
+@pytest.mark.parametrize("backend", ["sqlite"])
 @pytest.mark.parametrize("label", sorted(FIXTURE["payloads"]))
 def test_stored_payload_decodes_and_re_encodes_byte_for_byte(label, backend, tmp_path):
     text = FIXTURE["payloads"][label]
