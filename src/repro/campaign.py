@@ -28,8 +28,9 @@ experiment campaign as one schedulable unit:
   :class:`~repro.api.RunSet` per entry.
 * a :class:`RetryPolicy` makes unattended campaigns survive their workers:
   a pooled task whose worker **crashes** (the pool breaks) or **hangs**
-  (exceeds the per-task timeout; the worker is killed) is re-queued onto a
-  fresh pool up to ``max_attempts`` times — each re-queue streams a
+  (exceeds the per-task timeout; the worker is killed, and under a timeout
+  every task is pooled) is re-queued onto a fresh pool up to
+  ``max_attempts`` times — each re-queue streams a
   :class:`TaskRetried` event — and a task that exhausts its attempts streams
   a structured :class:`TaskFailed` event instead of taking down the whole
   campaign.  :meth:`~CampaignExecutor.collect` then either raises a
