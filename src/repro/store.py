@@ -285,7 +285,9 @@ class SqliteBackend:
             raise
 
     # ------------------------------------------------------------- payload I/O
-    def read_text(self, key: str) -> Optional[str]:
+    def read_text(self, key: str, *, touch: bool = True) -> Optional[str]:
+        """The payload filed under ``key``; a read refreshes its
+        ``last_used`` stamp unless ``touch`` is false."""
         try:
             with self._cursor(create=False) as conn:
                 if conn is None:
@@ -295,11 +297,12 @@ class SqliteBackend:
                 ).fetchone()
                 if row is None:
                     return None
-                conn.execute(
-                    "UPDATE records SET last_used = ? WHERE key = ?",
-                    (time.time(), key),
-                )
-                conn.commit()
+                if touch:
+                    conn.execute(
+                        "UPDATE records SET last_used = ? WHERE key = ?",
+                        (time.time(), key),
+                    )
+                    conn.commit()
                 return row[0]
         except sqlite3.Error:
             # A corrupt or locked-out database degrades to a miss.
@@ -615,7 +618,9 @@ def merge_stores(
         )
     copied = existing = corrupt = 0
     for key in list(source.backend.keys()):
-        text = source.backend.read_text(key)
+        # Untouched reads: the stamp carried below is the source's own, and
+        # a sync leaves the source's eviction order as it found it.
+        text = source.backend.read_text(key, touch=False)
         if text is None:
             continue  # lost a race with a concurrent eviction
         if _decode_payload(key, text) is None:

@@ -1,6 +1,7 @@
 """Tests of the Campaign API: plans, streaming execution, store-backed re-runs."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +13,15 @@ from repro.campaign import (
     CampaignExecutor,
     CampaignProgress,
     TaskCompleted,
+    resolve_store,
+    result_payload,
     run_campaign,
 )
 from repro.model.parameters import MessageSpec
 from repro.sim.config import SimulationConfig
 from repro.store import ResultStore, jsonable_record
 from repro.topology.multicluster import MultiClusterSpec
+from repro.utils.serialization import to_jsonable
 from repro.utils.validation import ValidationError
 
 TINY = MultiClusterSpec(m=4, cluster_heights=(1, 2, 2, 1), name="tiny")
@@ -391,6 +395,112 @@ class TestStoreBackedReruns:
         result = run_campaign(campaign, store=None)
         assert result.cache_hits == 0
         assert len(ResultStore()) == 0
+
+
+class TestStoreResolution:
+    """``resolve_store``: how an executor and the campaign server both turn
+    their ``store`` argument into a store."""
+
+    def test_default_opens_the_configured_store(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "configured"))
+        store = resolve_store("default")
+        assert isinstance(store, ResultStore)
+        assert store.root == tmp_path / "configured"
+
+    def test_none_disables_caching(self):
+        assert resolve_store(None) is None
+
+    def test_a_store_instance_is_used_as_is(self, tmp_path):
+        store = ResultStore(tmp_path)
+        assert resolve_store(store) is store
+        assert CampaignExecutor(two_scenario_campaign(), store=store).store is store
+
+    @pytest.mark.parametrize(
+        "value",
+        ["~/.cache/repro", Path("store"), "sqlite", ResultStore],
+        ids=["path-string", "path", "backend-name", "store-class"],
+    )
+    def test_anything_else_is_rejected(self, value):
+        """A path is not a store: callers open one with ``ResultStore(path)``."""
+        with pytest.raises(ValidationError, match="ResultStore, None, or the string 'default'"):
+            resolve_store(value)
+
+
+class FailingEngine:
+    """A cheap engine whose every evaluation raises."""
+
+    name = "failing"
+    expensive = False
+
+    def evaluate(self, scenario, lambda_g):
+        raise RuntimeError("no answer here")
+
+
+class TestResultPayload:
+    """``result_payload``: the one JSON form of a collected campaign, written
+    by ``campaign run --json`` and sent as the server's ``result`` event."""
+
+    CLI_KEYS = {"runners": None, "lost_runners": []}
+    SERVER_KEYS = {"workers": 2, "tasks_dispatched": 0}
+
+    def test_runsets_are_the_collected_runsets(self, tmp_path):
+        result = run_campaign(two_scenario_campaign(), store=ResultStore(tmp_path))
+        payload = result_payload(result, parallel=False, store=None)
+        assert list(payload) == ["name", "labels", "runsets", "execution"]
+        assert payload["name"] == "two"
+        assert payload["labels"] == ["tiny", "wide"]
+        assert list(payload["runsets"]) == payload["labels"]
+        for label, runset in result:
+            assert payload["runsets"][label] == to_jsonable(runset)
+
+    def test_execution_counts_mirror_the_result(self, tmp_path):
+        store = ResultStore(tmp_path)
+        run_campaign(two_scenario_campaign(), store=store)
+        warm = run_campaign(two_scenario_campaign(), store=store)
+        execution = result_payload(warm, parallel=False, store=store)["execution"]
+        assert execution["tasks"] == 8
+        assert (execution["cache_hits"], execution["cache_misses"]) == (8, 0)
+        assert execution["elapsed_seconds"] == warm.elapsed_seconds
+        assert execution["task_retries"] == 0 and execution["failures"] == []
+
+    @pytest.mark.parametrize("with_store", [False, True], ids=["no-store", "sqlite"])
+    def test_store_fields(self, tmp_path, with_store):
+        store = ResultStore(tmp_path) if with_store else None
+        result = run_campaign(two_scenario_campaign(), store=store)
+        execution = result_payload(result, parallel=True, store=store)["execution"]
+        assert execution["parallel"] is True
+        if with_store:
+            assert (execution["store"], execution["store_backend"]) == (str(tmp_path), "sqlite")
+        else:
+            assert (execution["store"], execution["store_backend"]) == (None, None)
+
+    @pytest.mark.parametrize("extra", [CLI_KEYS, SERVER_KEYS], ids=["cli", "server"])
+    def test_caller_keys_sit_before_the_retry_stats(self, extra):
+        result = run_campaign(two_scenario_campaign(), store=None)
+        execution = result_payload(result, parallel=False, store=None, **extra)["execution"]
+        assert list(execution) == [
+            "tasks", "cache_hits", "cache_misses", "elapsed_seconds", "parallel",
+            "store", "store_backend", *extra, "task_retries", "failures",
+        ]
+        assert {key: execution[key] for key in extra} == extra
+
+    def test_failures_are_listed_structurally(self):
+        campaign = Campaign(
+            entries=(
+                CampaignEntry(
+                    scenario=scenario_for(TINY, traffic=(4e-4,)),
+                    engines=("model", FailingEngine()),
+                ),
+            )
+        )
+        result = run_campaign(campaign, store=None, strict=False)
+        (failure,) = result_payload(result, parallel=False, store=None)["execution"][
+            "failures"
+        ]
+        assert failure["task"] == "tiny:failing:0"
+        assert failure["lambda_g"] == 4e-4
+        assert failure["attempts"] == 1
+        assert "no answer here" in failure["error"]
 
 
 class TestCampaignResult:

@@ -368,6 +368,47 @@ class TestTimedTasksOnThePool:
         assert backend.rounds == [1]  # all six misses, cheap ones included
         assert canonical(result) == canonical(run_campaign(campaign, store=None))
 
+    def test_a_lone_timed_task_stays_on_the_pool(self):
+        """Without a timeout a lone pooled task is evaluated in the calling
+        process; under one it keeps its worker, which a hang can be killed in."""
+        backend = RecordingPoolBackend()
+        result = CampaignExecutor(
+            self.campaign(),
+            store=None,
+            parallel=True,
+            retry=RetryPolicy(max_attempts=2, timeout_seconds=60.0),
+            backend=backend,
+        ).collect()
+        assert backend.rounds == [1]
+        assert canonical(result) == canonical(run_campaign(self.campaign(), store=None))
+
+    def test_parallel_timed_round_honours_max_workers(self):
+        backend = RecordingPoolBackend()
+        CampaignExecutor(
+            sim_campaign(),
+            store=None,
+            parallel=True,
+            max_workers=2,
+            retry=RetryPolicy(max_attempts=2, timeout_seconds=60.0),
+            backend=backend,
+        ).collect()
+        assert backend.rounds == [2]
+
+    def test_timed_warm_rerun_starts_no_pool(self, tmp_path):
+        """Timed records persist like any others, and a fully cached rerun
+        has no miss to put on the pool."""
+        store = ResultStore(tmp_path)
+        retry = RetryPolicy(max_attempts=2, timeout_seconds=60.0)
+        cold = run_campaign(sim_campaign(), store=store, retry=retry)
+        assert len(store) == 4
+        backend = RecordingPoolBackend()
+        warm = CampaignExecutor(
+            sim_campaign(), store=store, retry=retry, backend=backend
+        ).collect()
+        assert backend.rounds == []
+        assert (warm.cache_hits, warm.cache_misses) == (4, 0)
+        assert canonical(warm) == canonical(cold)
+
     def test_hung_sequential_task_is_killed_and_retried(self, tmp_path, monkeypatch):
         reference = run_campaign(self.campaign(), store=None)
         marker = inject_fault(monkeypatch, tmp_path, "hang", "tiny:sim:0")

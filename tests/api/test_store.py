@@ -193,6 +193,19 @@ class TestStoreRoundTrip:
         assert key in store
         assert len(store) == 1
 
+    def test_records_survive_reopening_the_root(self, store, store_backend):
+        """A second store object on the same root reads the first one's
+        records: everything lives in ``store.db``, nothing in the object."""
+        record = self._record()
+        key = task_key(tiny_scenario(offered_traffic=(4e-4,)), "sim", 4e-4)
+        store.put(key, record)
+        reopened = ResultStore(store.root, backend=store_backend)
+        assert len(reopened) == 1
+        assert reopened.backend.read_text(key) == store.backend.read_text(key)
+        assert json.dumps(jsonable_record(reopened.get(key)), sort_keys=True) == json.dumps(
+            jsonable_record(record), sort_keys=True
+        )
+
 
 class TestStoreLocation:
     def test_repro_store_env_overrides_default(self, tmp_path, monkeypatch):
@@ -242,6 +255,22 @@ class TestBackendSelection:
         with pytest.raises(ValidationError):
             ResultStore(tmp_path, backend="papyrus")
 
+    @pytest.mark.parametrize("backend", [None, "sqlite"], ids=["default", "sqlite"])
+    def test_accepted_backend_values_open_store_db(self, tmp_path, backend):
+        store = ResultStore(tmp_path, backend=backend)
+        assert isinstance(store.backend, SqliteBackend)
+        assert store.backend.db_path == tmp_path / "store.db"
+
+    @pytest.mark.parametrize(
+        "backend",
+        ["SQLite", "sqlite3", "", 1],
+        ids=["capitalised", "sqlite3", "empty", "number"],
+    )
+    def test_rejection_names_the_value_and_sqlite(self, tmp_path, backend):
+        with pytest.raises(ValidationError, match="SQLite") as caught:
+            ResultStore(tmp_path, backend=backend)
+        assert repr(backend) in str(caught.value)
+
     def test_directory_layout_root_reads_as_empty(self, tmp_path):
         """A root holding only one-JSON-file-per-record payloads is not read:
         its points miss and re-simulate."""
@@ -252,6 +281,19 @@ class TestBackendSelection:
         store = ResultStore(tmp_path)
         assert len(store) == 0
         assert store.get(key) is None
+
+    def test_directory_layout_files_are_left_in_place(self, tmp_path):
+        """Writing to an old-layout root adds ``store.db`` beside the old
+        files; nothing reads, moves or deletes them."""
+        key = task_key(tiny_scenario(), "model", 4e-4)
+        old = tmp_path / key[:2] / f"{key}.json"
+        old.parent.mkdir()
+        old.write_text("{}")
+        store = ResultStore(tmp_path)
+        store.put(key, _model_record())
+        assert (tmp_path / "store.db").is_file()
+        assert len(store) == 1 and store.get(key) is not None
+        assert old.read_text() == "{}"
 
 
 class TestEviction:
@@ -270,6 +312,27 @@ class TestEviction:
         self._fill(store, 3)
         assert store.clear() == 3
         assert len(store) == 0
+
+    def test_clear_keeps_the_database_usable(self, store):
+        keys = self._fill(store, 2)
+        store.clear()
+        assert store.backend.db_path.is_file()
+        assert store.size_bytes() == 0
+        record = _model_record()
+        store.put(keys[0], record)
+        assert len(store) == 1
+        assert store.get(keys[0]).latency == record.latency
+
+    def test_housekeeping_on_a_fresh_root_creates_nothing(self, tmp_path, store):
+        """Reads, counts and evictions of a root that was never written are
+        all empty answers, and none of them creates ``store.db``."""
+        root = tmp_path / "never-written"
+        fresh = ResultStore(root, backend=store.backend.name)
+        assert (len(fresh), fresh.size_bytes()) == (0, 0)
+        assert fresh.get("0" * 64) is None and "0" * 64 not in fresh
+        assert (fresh.clear(), fresh.prune(0)) == (0, 0)
+        assert "0 records" in fresh.describe()
+        assert not root.exists()
 
     def test_prune_keeps_most_recently_used(self, store):
         keys = self._fill(store, 4)

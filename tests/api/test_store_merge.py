@@ -153,6 +153,87 @@ class TestMergeStores:
         assert len(dest) == 1
         assert (legacy / "ab" / ("ab" + "0" * 62 + ".json")).exists()
 
+    @pytest.mark.parametrize(
+        "spelling", ["dotdot", "symlink"], ids=["dotdot", "symlink"]
+    )
+    def test_self_merge_check_sees_through_path_spellings(
+        self, tmp_path, store_backend, spelling
+    ):
+        """Two spellings of one root are one store: a move would otherwise
+        delete every record as "already present" in the destination."""
+        root = tmp_path / "store"
+        store = ResultStore(root, backend=store_backend)
+        populate(store, 4e-4)
+        if spelling == "dotdot":
+            alias_root = tmp_path / "elsewhere" / ".." / "store"
+        else:
+            alias_root = tmp_path / "link"
+            alias_root.symlink_to(root, target_is_directory=True)
+        alias = ResultStore(alias_root, backend=store_backend)
+        with pytest.raises(ValidationError, match="into itself"):
+            merge_stores(store, alias, move=True)
+        assert len(store) == 1
+
+    @pytest.mark.parametrize("move", [False, True], ids=["sync", "merge"])
+    def test_an_emptied_source_merges_nothing(self, tmp_path, store_backend, move):
+        """A source whose ``store.db`` exists but holds no records is a store:
+        the merge is empty, not refused."""
+        dest = ResultStore(tmp_path / "dest", backend=store_backend)
+        source = ResultStore(tmp_path / "source", backend=store_backend)
+        populate(source, 4e-4)
+        source.clear()
+        report = merge_stores(dest, source, move=move)
+        assert report == MergeReport(copied=0, existing=0, corrupt=0, moved=move)
+        assert len(dest) == 0
+        # A drained (here: already empty) source drops its database on --merge.
+        assert (source.root / "store.db").exists() is not move
+
+    @pytest.mark.parametrize("move", [False, True], ids=["sync", "merge"])
+    def test_merging_into_a_fresh_root_creates_its_store(
+        self, tmp_path, store_backend, move
+    ):
+        source = ResultStore(tmp_path / "source", backend=store_backend)
+        keys = populate(source, 4e-4, 8e-4)
+        texts = {key: source.backend.read_text(key) for key in keys}
+        dest = ResultStore(tmp_path / "new" / "dest", backend=store_backend)
+
+        report = merge_stores(dest, source, move=move)
+
+        assert report.copied == 2
+        assert (dest.root / "store.db").is_file()
+        assert {key: dest.backend.read_text(key) for key in keys} == texts
+        assert len(source) == (0 if move else 2)
+
+    def test_merged_records_keep_their_lru_order(self, tmp_path, store_backend):
+        """Carried ``last_used`` stamps keep eviction order: pruning the
+        destination keeps the record the source used last."""
+        dest = ResultStore(tmp_path / "dest", backend=store_backend)
+        source = ResultStore(tmp_path / "source", backend=store_backend)
+        keys = populate(source, 4e-4, 8e-4, 1.2e-3)
+        for stamp, key in zip((3_000_000, 1_000_000, 2_000_000), keys):
+            source.backend.set_last_used(key, stamp)
+        merge_stores(dest, source)
+        assert dest.prune(1) == 2
+        assert list(dest.backend.keys()) == [keys[0]]
+
+    def test_sync_leaves_the_source_stamps_alone(self, tmp_path, store_backend):
+        dest = ResultStore(tmp_path / "dest", backend=store_backend)
+        source = ResultStore(tmp_path / "source", backend=store_backend)
+        keys = populate(source, 4e-4, 8e-4)
+        for stamp, key in zip((1_000_000, 2_000_000), keys):
+            source.backend.set_last_used(key, stamp)
+        merge_stores(dest, source)
+        assert [source.backend.get_last_used(key) for key in keys] == [1e6, 2e6]
+
+    def test_a_second_sync_copies_nothing(self, tmp_path, store_backend):
+        dest = ResultStore(tmp_path / "dest", backend=store_backend)
+        source = ResultStore(tmp_path / "source", backend=store_backend)
+        populate(source, 4e-4, 8e-4)
+        assert merge_stores(dest, source).copied == 2
+        again = merge_stores(dest, source)
+        assert again == MergeReport(copied=0, existing=2, corrupt=0, moved=False)
+        assert (len(dest), len(source)) == (2, 2)
+
     def test_describe_wording(self):
         sync = MergeReport(copied=3, existing=1, corrupt=0, moved=False)
         move = MergeReport(copied=3, existing=1, corrupt=2, moved=True)

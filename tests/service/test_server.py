@@ -325,6 +325,35 @@ class TestServerConstruction:
         finally:
             daemon.shutdown()
 
+    def test_default_store_follows_repro_store(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "served"))
+        daemon = WorkerDaemon(1)
+        try:
+            server = CampaignServer(daemon)
+            assert server.store.root == tmp_path / "served"
+            assert server.store.backend.name == "sqlite"
+        finally:
+            daemon.shutdown()
+
+    def test_a_store_instance_is_shared_as_is(self, tmp_path):
+        store = ResultStore(tmp_path)
+        daemon = WorkerDaemon(1)
+        try:
+            assert CampaignServer(daemon, store=store).store is store
+        finally:
+            daemon.shutdown()
+
+    def test_result_names_the_served_store(self, tmp_path):
+        server = CampaignServer(WorkerDaemon(2), store=ResultStore(tmp_path / "store"))
+        with ServerHandle(server) as handle:
+            execution = dict(handle.post_plan(model_plan(TINY, traffic=(4e-4,))))[
+                "result"
+            ]["execution"]
+        assert execution["store"] == str(tmp_path / "store")
+        assert execution["store_backend"] == "sqlite"
+        assert execution["cache_misses"] == 1
+        assert (tmp_path / "store" / "store.db").is_file()
+
     def test_default_daemon_built_from_max_workers(self):
         server = CampaignServer(store=None, max_workers=3)
         try:

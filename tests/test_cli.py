@@ -452,6 +452,38 @@ class TestCampaignCommand:
         assert "error:" in captured.err and "no result store" in captured.err
         assert "records" not in captured.out
 
+    @pytest.mark.parametrize("flag", ["--sync", "--merge"])
+    def test_store_merge_into_itself_exits_2(self, tmp_path, capsys, monkeypatch, flag):
+        home = tmp_path / "home"
+        monkeypatch.setenv("REPRO_STORE", str(home))
+        assert main(["campaign", "run", str(self._model_plan(tmp_path / "p.json", (2, 0)))]) == 0
+        capsys.readouterr()
+        assert main(["campaign", "store", flag, str(home / ".." / "home")]) == 2
+        assert "into itself" in capsys.readouterr().err
+        assert main(["campaign", "store"]) == 0
+        assert "2 records" in capsys.readouterr().out  # nothing drained
+
+    def test_store_sync_round_trip_keeps_cache_hits(self, tmp_path, capsys, monkeypatch):
+        """Records synced into a second store serve a warm campaign there,
+        bit for bit."""
+        import json
+
+        plan = self._model_plan(tmp_path / "plan.json", (2, 0), (3, 1))
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "first"))
+        assert main(["campaign", "run", str(plan), "--json", str(tmp_path / "cold.json")]) == 0
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "second"))
+        capsys.readouterr()
+        assert main(["campaign", "store", "--sync", str(tmp_path / "first")]) == 0
+        assert "copied 5 records" in capsys.readouterr().out
+        assert main(["campaign", "run", str(plan), "--json", str(tmp_path / "warm.json")]) == 0
+        assert "5 cached, 0 computed" in capsys.readouterr().out
+        cold = json.loads((tmp_path / "cold.json").read_text())
+        warm = json.loads((tmp_path / "warm.json").read_text())
+        assert json.dumps(cold["runsets"], sort_keys=True) == json.dumps(
+            warm["runsets"], sort_keys=True
+        )
+        assert warm["execution"]["store"] == str(tmp_path / "second")
+
     def test_store_has_no_migrate_or_backend_flag(self, capsys):
         for argv in (
             ["campaign", "store", "--migrate", "sqlite"],
