@@ -1,7 +1,8 @@
 """Shared configuration of the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper (or one ablation
-from DESIGN.md) and prints the resulting rows/series, so running::
+Every benchmark regenerates one table or figure of the paper (or one
+design ablation of :mod:`repro.experiments.ablation`) and prints the
+resulting rows/series, so running::
 
     pytest benchmarks/ --benchmark-only -s
 

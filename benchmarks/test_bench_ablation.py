@@ -1,4 +1,4 @@
-"""Benchmark: design-choice ablations from DESIGN.md.
+"""Benchmark: design-choice ablations (see :mod:`repro.experiments.ablation`).
 
 Not part of the paper's evaluation, but they answer the questions its design
 raises: how much does modelling cluster-size heterogeneity matter, and how
@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from repro.experiments.ablation import heterogeneity_ablation, variance_ablation
+from repro.experiments.compare import relative_difference
 from repro.experiments.configs import table1_system
-from repro.experiments.report import ablation_to_table
+from repro.experiments.report import curve_table
 from repro.model import MultiClusterLatencyModel, saturation_point
 from repro.model.parameters import MessageSpec
 
@@ -25,6 +26,19 @@ def _steady_state_grid(total_nodes: int, points: int = 6) -> np.ndarray:
     return np.linspace(0.0, upper, points + 1)[1:]
 
 
+def _print_ablation(result) -> None:
+    reference, variant = result.engines
+    table = curve_table(
+        result,
+        result.engines,
+        reference=reference,
+        headers=(reference, variant, "difference"),
+        title=f"Ablation — {result.scenario.name}",
+    )
+    print()
+    print(table.to_text())
+
+
 @pytest.mark.benchmark(group="ablation")
 @pytest.mark.parametrize("total_nodes", [1120, 544], ids=["N1120", "N544"])
 def test_heterogeneity_ablation(benchmark, total_nodes):
@@ -33,16 +47,16 @@ def test_heterogeneity_ablation(benchmark, total_nodes):
     offered = _steady_state_grid(total_nodes)
 
     result = benchmark(lambda: heterogeneity_ablation(spec, MESSAGE, offered))
-    print()
-    print(ablation_to_table(result).to_text())
+    _print_ablation(result)
 
+    differences = relative_difference(result, *result.engines)
+    finite = [abs(d) for d in differences if not math.isnan(d)]
     # Ignoring the size mix visibly changes the prediction for both Table 1
     # organisations (they are strongly heterogeneous).
-    assert result.max_relative_difference() > 0.01
+    assert max(finite) > 0.01
     # And the difference is not an artefact of saturation: at least half of
     # the grid compares finite values.
-    finite = [p for p in result.points if not math.isnan(p.relative_difference)]
-    assert len(finite) >= len(result.points) // 2
+    assert len(finite) >= len(differences) // 2
 
 
 @pytest.mark.benchmark(group="ablation")
@@ -53,19 +67,17 @@ def test_variance_approximation_ablation(benchmark, total_nodes):
     offered = _steady_state_grid(total_nodes)
 
     result = benchmark(lambda: variance_ablation(spec, MESSAGE, offered))
-    print()
-    print(ablation_to_table(result).to_text())
+    _print_ablation(result)
 
     differences = [
-        abs(p.relative_difference)
-        for p in result.points
-        if not math.isnan(p.relative_difference)
+        abs(d) for d in relative_difference(result, *result.engines) if not math.isnan(d)
     ]
     # The variance term only matters as queues fill up: negligible at low
     # load, visible near saturation.
     assert differences[0] < 0.05
     assert differences[-1] > differences[0]
     # Zero variance can only lower the predicted latency.
-    for point in result.points:
-        if math.isfinite(point.reference) and math.isfinite(point.variant):
-            assert point.variant <= point.reference + 1e-9
+    reference, variant = (result.curve(engine) for engine in result.engines)
+    for latency_reference, latency_variant in zip(reference, variant):
+        if math.isfinite(latency_reference) and math.isfinite(latency_variant):
+            assert latency_variant <= latency_reference + 1e-9

@@ -11,7 +11,8 @@ import pytest
 from benchmarks.conftest import bench_simulation_config
 from repro.experiments.ablation import traffic_pattern_ablation
 from repro.experiments.configs import table1_system
-from repro.experiments.report import ablation_to_table
+from repro.experiments.compare import relative_difference
+from repro.experiments.report import curve_table
 from repro.model import (
     HotspotTrafficModel,
     MessageSpec,
@@ -70,17 +71,23 @@ def test_hotspot_simulation_versus_uniform_model(benchmark):
             simulation_config=bench_simulation_config(),
         )
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    runset = benchmark.pedantic(run, rounds=1, iterations=1)
     print()
-    for result in results.values():
-        print(ablation_to_table(result).to_text())
+    for label in patterns:
+        table = curve_table(
+            runset,
+            ("model", label),
+            reference="model",
+            headers=("uniform-traffic analytical model", f"simulation under {label}", "difference"),
+            title=f"Ablation — {runset.scenario.name}: {label}",
+        )
+        print(table.to_text())
         print()
 
-    uniform_error = abs(results["uniform"].points[0].relative_difference)
-    hotspot_error = abs(results["hotspot-20%"].points[0].relative_difference)
+    uniform_error = abs(relative_difference(runset, "model", "uniform")[0])
     # The uniform simulation tracks the model; the hot-spot one sits higher.
     assert uniform_error < 0.25
-    assert results["hotspot-20%"].points[0].variant > results["uniform"].points[0].variant
+    assert runset.curve("hotspot-20%")[0] > runset.curve("uniform")[0]
 
 
 @pytest.mark.benchmark(group="extensions")

@@ -15,10 +15,11 @@ import math
 import pytest
 
 from benchmarks.conftest import bench_points, bench_simulation_config
-from repro.experiments.compare import compare_model_and_simulation, curves_match_in_shape
+from repro import api
+from repro.experiments.compare import compare_runset, curves_match_in_shape
 from repro.experiments.configs import FIGURE_SPECS
-from repro.experiments.report import agreement_to_text, sweep_to_table
-from repro.experiments.sweep import latency_sweep
+from repro.experiments.figures import panel_scenario
+from repro.experiments.report import agreement_to_text, curve_table
 from repro.model.parameters import MessageSpec
 
 PANELS = [
@@ -33,37 +34,32 @@ PANELS = [
 @pytest.mark.parametrize("panel_name,flit_bytes", PANELS)
 def test_fig3_series(benchmark, panel_name, flit_bytes):
     panel = FIGURE_SPECS[panel_name]
-    message = MessageSpec(panel.message_length, flit_bytes)
-    offered = panel.offered_traffic(bench_points())
+    scenario = panel_scenario(
+        panel,
+        MessageSpec(panel.message_length, flit_bytes),
+        num_points=bench_points(),
+        simulation_config=bench_simulation_config(),
+    )
 
     def run():
-        return latency_sweep(
-            panel.system,
-            message,
-            offered,
-            run_simulation=True,
-            simulation_config=bench_simulation_config(),
-        )
+        return api.run(scenario, engines=("model", "sim"))
 
-    sweep = benchmark.pedantic(run, rounds=1, iterations=1)
+    runset = benchmark.pedantic(run, rounds=1, iterations=1)
     print()
-    print(sweep_to_table(sweep).to_text())
-    report = compare_model_and_simulation(sweep)
+    print(curve_table(runset).to_text())
+    report = compare_runset(runset)
     print(agreement_to_text(report))
 
     # Shape assertions (paper findings), not absolute numbers.  The Lm=512
     # curves saturate within the first half of the figure's traffic axis, so
     # they may contribute a single steady-state point at the bench grid.
-    if len(sweep.steady_state_points()) >= 2:
-        ok, reason = curves_match_in_shape(sweep, tolerance=0.35)
+    steady = [latency for latency in runset.curve("model") if not math.isinf(latency)]
+    if len(steady) >= 2:
+        ok, reason = curves_match_in_shape(runset, tolerance=0.35)
         assert ok, reason
     assert report.compared_points >= 1
     assert report.max_relative_error < 0.35
-    finite_sim = [
-        point.simulated.mean_latency
-        for point in sweep.points
-        if point.simulated is not None and math.isfinite(point.simulated.mean_latency)
-    ]
+    finite_sim = [latency for latency in runset.curve("sim") if math.isfinite(latency)]
     assert finite_sim[-1] > finite_sim[0], "latency must rise with offered traffic"
 
 
@@ -76,14 +72,20 @@ def test_fig3_larger_flits_saturate_earlier(benchmark, message_length):
 
     def run():
         return {
-            flit: latency_sweep(panel.system, MessageSpec(message_length, flit), offered,
-                                run_simulation=False)
+            flit: api.run(
+                panel_scenario(panel, MessageSpec(message_length, flit), num_points=bench_points()),
+                engines=("model",),
+            ).curve("model")
             for flit in (256, 512)
         }
 
-    sweeps = benchmark(run)
-    small, large = sweeps[256], sweeps[512]
-    assert large.model_saturation_point() <= small.model_saturation_point()
-    for point_small, point_large in zip(small.points, large.points):
-        if math.isfinite(point_small.model_latency) and math.isfinite(point_large.model_latency):
-            assert point_large.model_latency > point_small.model_latency
+    def saturation(curve):
+        """First offered traffic at which the model saturates (inf if never)."""
+        return next((load for load, latency in zip(offered, curve) if math.isinf(latency)), math.inf)
+
+    curves = benchmark(run)
+    small, large = curves[256], curves[512]
+    assert saturation(large) <= saturation(small)
+    for latency_small, latency_large in zip(small, large):
+        if math.isfinite(latency_small) and math.isfinite(latency_large):
+            assert latency_large > latency_small

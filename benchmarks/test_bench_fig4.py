@@ -11,10 +11,11 @@ import math
 import pytest
 
 from benchmarks.conftest import bench_points, bench_simulation_config
-from repro.experiments.compare import compare_model_and_simulation, curves_match_in_shape
+from repro import api
+from repro.experiments.compare import compare_runset, curves_match_in_shape
 from repro.experiments.configs import FIGURE_SPECS, table1_system
-from repro.experiments.report import agreement_to_text, sweep_to_table
-from repro.experiments.sweep import latency_sweep
+from repro.experiments.figures import panel_scenario
+from repro.experiments.report import agreement_to_text, curve_table
 from repro.model import MultiClusterLatencyModel, saturation_point
 from repro.model.parameters import MessageSpec
 
@@ -30,37 +31,32 @@ PANELS = [
 @pytest.mark.parametrize("panel_name,flit_bytes", PANELS)
 def test_fig4_series(benchmark, panel_name, flit_bytes):
     panel = FIGURE_SPECS[panel_name]
-    message = MessageSpec(panel.message_length, flit_bytes)
-    offered = panel.offered_traffic(bench_points())
+    scenario = panel_scenario(
+        panel,
+        MessageSpec(panel.message_length, flit_bytes),
+        num_points=bench_points(),
+        simulation_config=bench_simulation_config(),
+    )
 
     def run():
-        return latency_sweep(
-            panel.system,
-            message,
-            offered,
-            run_simulation=True,
-            simulation_config=bench_simulation_config(),
-        )
+        return api.run(scenario, engines=("model", "sim"))
 
-    sweep = benchmark.pedantic(run, rounds=1, iterations=1)
+    runset = benchmark.pedantic(run, rounds=1, iterations=1)
     print()
-    print(sweep_to_table(sweep).to_text())
-    report = compare_model_and_simulation(sweep)
+    print(curve_table(runset).to_text())
+    report = compare_runset(runset)
     print(agreement_to_text(report))
 
     # Shape assertions (paper findings), not absolute numbers.  The Lm=512
     # curves saturate within the first half of the figure's traffic axis, so
     # they may contribute a single steady-state point at the bench grid.
-    if len(sweep.steady_state_points()) >= 2:
-        ok, reason = curves_match_in_shape(sweep, tolerance=0.35)
+    steady = [latency for latency in runset.curve("model") if not math.isinf(latency)]
+    if len(steady) >= 2:
+        ok, reason = curves_match_in_shape(runset, tolerance=0.35)
         assert ok, reason
     assert report.compared_points >= 1
     assert report.max_relative_error < 0.35
-    finite_sim = [
-        point.simulated.mean_latency
-        for point in sweep.points
-        if point.simulated is not None and math.isfinite(point.simulated.mean_latency)
-    ]
+    finite_sim = [latency for latency in runset.curve("sim") if math.isfinite(latency)]
     assert finite_sim[-1] > finite_sim[0], "latency must rise with offered traffic"
 
 

@@ -25,7 +25,8 @@ import numpy as np
 
 from repro import MessageSpec, MultiClusterLatencyModel, MultiClusterSpec, table1_system
 from repro.experiments.ablation import heterogeneity_ablation
-from repro.experiments.report import ablation_to_table
+from repro.experiments.compare import relative_difference
+from repro.experiments.report import curve_table
 from repro.model import saturation_point
 from repro.model.homogeneous import EqualSizeApproximationModel
 from repro.utils.tables import ResultTable
@@ -40,11 +41,17 @@ def table1_ablation() -> None:
         upper = saturation_point(model, upper_bound=2e-3) * 0.9
         offered = np.linspace(0.0, upper, 6)[1:]
         result = heterogeneity_ablation(spec, MESSAGE, offered)
-        print(ablation_to_table(result).to_text())
-        print(
-            f"  -> worst-case error of the equal-size approximation: "
-            f"{result.max_relative_difference():+.1%}\n"
+        reference, variant = result.engines
+        table = curve_table(
+            result,
+            result.engines,
+            reference=reference,
+            headers=(reference, variant, "difference"),
+            title=f"Ablation — {result.scenario.name}",
         )
+        print(table.to_text())
+        worst = max(abs(d) for d in relative_difference(result, reference, variant))
+        print(f"  -> worst-case error of the equal-size approximation: {worst:+.1%}\n")
 
 
 def per_cluster_spread() -> None:

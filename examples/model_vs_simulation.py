@@ -20,7 +20,7 @@ Run it with::
 import argparse
 from pathlib import Path
 
-from repro.experiments.compare import compare_model_and_simulation
+from repro.experiments.compare import compare_runset
 from repro.experiments.figures import run_figure
 from repro.experiments.report import (
     agreement_to_text,
@@ -74,9 +74,8 @@ def main() -> None:
             print(table.to_text())
             print()
         if not args.no_sim:
-            for key in sorted(result.sweeps):
-                report = compare_model_and_simulation(result.sweeps[key])
-                print(agreement_to_text(report))
+            for _, runset in result:
+                print(agreement_to_text(compare_runset(runset)))
                 print()
         paths = save_figure_csvs(result, args.out)
         print("CSV series written to:")

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import secrets
 import shutil
 import tempfile
@@ -443,7 +444,8 @@ class TaskFailed:
     """
 
     task: CampaignTask
-    #: attempts consumed (== the policy's max_attempts)
+    #: attempts consumed: the policy's max_attempts, or 1 when no retry
+    #: could succeed (a pooled engine that cannot be pickled)
     attempts: int
     error: str
     done: int
@@ -983,11 +985,15 @@ class CampaignExecutor:
         yield CampaignProgress(0, total, 0, 0.0)
 
         def _failure_event(
-            task: CampaignTask, attempts_used: int, reason: str
+            task: CampaignTask, attempts_used: int, reason: str, *, final: bool = False
         ) -> Union[TaskFailed, TaskRetried]:
-            """Book a failed attempt: terminal TaskFailed or a TaskRetried."""
+            """Book a failed attempt: terminal TaskFailed or a TaskRetried.
+
+            ``final`` ends the task whatever its retry budget, for a
+            failure that every attempt would repeat.
+            """
             nonlocal done, failed, retries
-            if attempts_used >= policy.max_attempts:
+            if final or attempts_used >= policy.max_attempts:
                 done += 1
                 failed += 1
                 return TaskFailed(
@@ -1074,16 +1080,34 @@ class CampaignExecutor:
             # its fork-started workers inherit the module-level caches;
             # persistent backends leave it to their workers, which prepare
             # each (engine, scenario) pair once when they first cache it.
+            # An engine that does not pickle can never reach a worker, so
+            # its slot's tasks fail here after one attempt, unretried.
             prepared = set()
+            unpicklable: Dict[Tuple[int, int], str] = {}
             for task in pooled:
                 slot = (task.entry_index, task.engine_index)
                 if slot in prepared:
                     continue
                 prepared.add(slot)
                 engine = self._engines[task.entry_index][task.engine_index]
+                try:
+                    pickle.dumps(engine)
+                except (pickle.PicklingError, AttributeError, TypeError) as error:
+                    unpicklable[slot] = repr(error)
+                    continue
                 self.backend.prepare_entry(
                     engine, self.campaign.entries[task.entry_index].scenario
                 )
+            if unpicklable:
+                for task in pooled:
+                    reason = unpicklable.get((task.entry_index, task.engine_index))
+                    if reason is not None:
+                        yield _failure_event(task, 1, reason, final=True)
+                pooled = [
+                    task
+                    for task in pooled
+                    if (task.entry_index, task.engine_index) not in unpicklable
+                ]
 
             # Workers tag their pid in the pool's registry with this token
             # and the task they run, which is what lets a broken pool charge

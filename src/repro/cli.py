@@ -13,7 +13,8 @@ Sub-commands mirror the experiment harness:
   expressed as ``m`` plus per-cluster tree heights;
 * ``saturation`` — locate the saturation point of an organisation;
 * ``ablation``   — run the heterogeneity and variance ablations;
-* ``report``     — regenerate the full EXPERIMENTS.md content;
+* ``report``     — print (or ``--output`` to a file) the full Markdown
+  experiments report: Table 1, both figures and their agreement;
 * ``bench``      — run the fixed simulator benchmark set and write the
   machine-readable ``BENCH_simulator.json`` perf artifact (optionally
   comparing against a previous artifact via ``--baseline``; ``--parallel``
@@ -56,23 +57,17 @@ import numpy as np
 
 from repro import api
 from repro.experiments.ablation import heterogeneity_ablation, variance_ablation
-from repro.experiments.compare import (
-    compare_model_and_simulation,
-    compare_runset,
-    model_applicability,
-)
+from repro.experiments.compare import compare_runset, model_applicability
 from repro.experiments.configs import table1_specs, table1_system
 from repro.experiments.figures import run_figure
 from repro.experiments.report import (
-    ablation_to_table,
     agreement_to_text,
+    curve_table,
     experiments_markdown,
     figure_to_table,
     save_figure_csvs,
-    sweep_to_table,
     table1_to_table,
 )
-from repro.experiments.sweep import latency_sweep, sweep_result_from_runset
 from repro.experiments.table1 import table1_rows
 from repro.model.latency import MultiClusterLatencyModel
 from repro.model.parameters import MessageSpec
@@ -191,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     ablation_parser.add_argument("--points", type=int, default=6)
 
     report_parser = subparsers.add_parser(
-        "report", help="regenerate the EXPERIMENTS.md content"
+        "report", help="print the Markdown experiments report (Table 1, Fig. 3, Fig. 4)"
     )
     _add_simulation_options(report_parser)
     report_parser.add_argument("--points", type=int, default=6)
@@ -559,7 +554,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     print(runset.describe())
     print()
-    table = sweep_to_table(sweep_result_from_runset(runset))
+    table = curve_table(runset)
     print(table.to_text())
     if "model" in runset.engines and "sim" in runset.engines:
         print()
@@ -597,8 +592,8 @@ def _cmd_figure(args: argparse.Namespace, figure: str) -> int:
         print(table.to_text())
         print()
     if not args.no_sim:
-        for key, sweep in sorted(result.sweeps.items()):
-            print(agreement_to_text(compare_model_and_simulation(sweep)))
+        for _, runset in result:
+            print(agreement_to_text(compare_runset(runset)))
             print()
     if args.csv_dir is not None:
         paths = save_figure_csvs(result, args.csv_dir)
@@ -608,17 +603,19 @@ def _cmd_figure(args: argparse.Namespace, figure: str) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = MultiClusterSpec(m=args.ports, cluster_heights=tuple(args.heights))
-    offered = np.linspace(0.0, args.max_traffic, args.points + 1)[1:]
-    sweep = latency_sweep(
-        spec,
-        _message(args),
-        offered,
-        run_simulation=not args.no_sim,
-        simulation_config=_simulation_config(args),
+    scenario = api.Scenario(
+        system=spec,
+        message=_message(args),
+        offered_traffic=api.Scenario.load_grid(args.max_traffic, args.points),
+        sim=_simulation_config(args),
+    )
+    runset = api.run(
+        scenario,
+        engines=("model",) if args.no_sim else ("model", "sim"),
         parallel=args.parallel,
         max_workers=args.workers,
     )
-    table = sweep_to_table(sweep)
+    table = curve_table(runset)
     print(table.to_text())
     if args.csv is not None:
         path = table.save_csv(args.csv)
@@ -647,7 +644,15 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
         heterogeneity_ablation(spec, message, offered),
         variance_ablation(spec, message, offered),
     ):
-        print(ablation_to_table(result).to_text())
+        reference, variant = result.engines
+        table = curve_table(
+            result,
+            result.engines,
+            reference=reference,
+            headers=(reference, variant, "difference"),
+            title=f"Ablation — {result.scenario.name}",
+        )
+        print(table.to_text())
         print()
     return 0
 
@@ -676,8 +681,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not args.no_sim:
         for name, figure in figures.items():
             # Report agreement for the first series of every figure.
-            first_key = sorted(figure.sweeps)[0]
-            agreements[name] = compare_model_and_simulation(figure.sweeps[first_key])
+            agreements[name] = compare_runset(figure.runsets[0])
     markdown = experiments_markdown(
         table1=table1_rows(), figures=figures, agreements=agreements or None
     )
@@ -913,7 +917,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             print()
             continue
         print(f"== {header}")
-        print(sweep_to_table(sweep_result_from_runset(runset)).to_text())
+        print(curve_table(runset).to_text())
         print()
     if not failed_labels:
         for label, report in compare_campaign(result).items():

@@ -1,23 +1,23 @@
 """Experiment harness reproducing the paper's evaluation (Table 1, Fig. 3, Fig. 4).
 
-The harness turns "regenerate figure 3" into one function call:
+The harness turns "regenerate figure 3" into one function call.  Every
+curve it produces is a :class:`~repro.api.RunSet` (one scenario under its
+engines) and a whole figure is a :class:`~repro.campaign.CampaignResult`:
 
 * :mod:`repro.experiments.configs` — the exact Table 1 system organisations,
   the paper's channel timing, the four message geometries and the offered-
   traffic ranges of the figures;
-* :mod:`repro.experiments.sweep` — latency-versus-offered-traffic sweeps
-  running the analytical model and (optionally) the simulator at every
-  operating point;
-* :mod:`repro.experiments.figures` — Fig. 3 and Fig. 4 as data (one series
-  per curve of the original plots);
+* :mod:`repro.experiments.figures` — Fig. 3 and Fig. 4 as one campaign each
+  (one entry per curve of the original plots);
 * :mod:`repro.experiments.table1` — the Table 1 organisation summary;
 * :mod:`repro.experiments.compare` — model-versus-simulation agreement
-  metrics (the paper's "good degree of accuracy" claim, quantified);
-* :mod:`repro.experiments.ablation` — the design-choice ablations called out
-  in DESIGN.md (heterogeneity awareness, variance approximation, traffic
-  pattern);
+  metrics (the paper's "good degree of accuracy" claim, quantified) and the
+  one relative difference of two engine series;
+* :mod:`repro.experiments.ablation` — design-choice ablations the paper
+  raises but does not run (heterogeneity awareness, variance approximation,
+  traffic pattern);
 * :mod:`repro.experiments.report` — plain-text / CSV / Markdown rendering,
-  including the EXPERIMENTS.md generator.
+  including the report ``repro-multicluster report`` prints.
 """
 
 from repro.experiments.configs import (
@@ -27,14 +27,7 @@ from repro.experiments.configs import (
     table1_specs,
     table1_system,
 )
-from repro.experiments.sweep import (
-    OperatingPoint,
-    SweepResult,
-    latency_sweep,
-    sweep_result_from_runset,
-)
 from repro.experiments.figures import (
-    FigureResult,
     figure_campaign,
     panel_scenario,
     run_figure,
@@ -44,9 +37,9 @@ from repro.experiments.compare import (
     AgreementReport,
     ApplicabilityReport,
     compare_campaign,
-    compare_model_and_simulation,
     compare_runset,
     model_applicability,
+    relative_difference,
 )
 from repro.experiments.ablation import (
     heterogeneity_ablation,
@@ -54,9 +47,9 @@ from repro.experiments.ablation import (
     variance_ablation,
 )
 from repro.experiments.report import (
+    curve_table,
     experiments_markdown,
     figure_to_table,
-    sweep_to_table,
 )
 
 __all__ = [
@@ -65,11 +58,6 @@ __all__ = [
     "paper_message_specs",
     "table1_specs",
     "table1_system",
-    "OperatingPoint",
-    "SweepResult",
-    "latency_sweep",
-    "sweep_result_from_runset",
-    "FigureResult",
     "figure_campaign",
     "panel_scenario",
     "run_figure",
@@ -78,13 +66,13 @@ __all__ = [
     "AgreementReport",
     "ApplicabilityReport",
     "compare_campaign",
-    "compare_model_and_simulation",
     "compare_runset",
     "model_applicability",
+    "relative_difference",
     "heterogeneity_ablation",
     "traffic_pattern_ablation",
     "variance_ablation",
+    "curve_table",
     "experiments_markdown",
     "figure_to_table",
-    "sweep_to_table",
 ]

@@ -1,4 +1,4 @@
-"""Design-choice ablations (DESIGN.md section 6).
+"""Design-choice ablations.
 
 Three questions the paper's design raises but does not answer directly:
 
@@ -11,90 +11,23 @@ Three questions the paper's design raises but does not answer directly:
 3. **How far does the uniform-traffic model stretch?**  Evaluate the
    simulator under non-uniform patterns against the (uniform-traffic)
    analytical curve (:func:`traffic_pattern_ablation`).
+
+Each ablation is one :func:`repro.api.run` and returns its
+:class:`~repro.api.RunSet`: the scenario is named after the ablation, and
+the engines, reference first, are named after what they compute, so
+:func:`repro.experiments.report.curve_table` can label the comparison and
+:func:`repro.experiments.compare.relative_difference` quantifies it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro import api
 from repro.model.parameters import MessageSpec, PAPER_TIMING, TimingParameters
 from repro.sim.config import SimulationConfig
 from repro.topology.multicluster import MultiClusterSpec
-from repro.utils.validation import ValidationError
 from repro.workloads.base import TrafficPattern
-
-
-@dataclass(frozen=True)
-class AblationPoint:
-    """Latency of the reference and the variant at one offered traffic."""
-
-    lambda_g: float
-    reference: float
-    variant: float
-
-    @property
-    def relative_difference(self) -> float:
-        if not math.isfinite(self.reference) or not math.isfinite(self.variant):
-            return math.nan
-        return (self.variant - self.reference) / self.reference
-
-
-@dataclass(frozen=True)
-class AblationResult:
-    """One ablation: what was varied and the point-by-point comparison."""
-
-    name: str
-    reference_label: str
-    variant_label: str
-    points: Tuple[AblationPoint, ...]
-
-    def max_relative_difference(self) -> float:
-        values = [
-            abs(point.relative_difference)
-            for point in self.points
-            if not math.isnan(point.relative_difference)
-        ]
-        return max(values) if values else math.nan
-
-    def mean_relative_difference(self) -> float:
-        values = [
-            point.relative_difference
-            for point in self.points
-            if not math.isnan(point.relative_difference)
-        ]
-        return sum(values) / len(values) if values else math.nan
-
-
-def _two_engine_ablation(
-    scenario: api.Scenario,
-    reference_engine: api.Engine,
-    variant_engine: api.Engine,
-    *,
-    name: str,
-    reference_label: str,
-    variant_label: str,
-) -> AblationResult:
-    """Run one scenario under two engines and pair their curves point-wise."""
-    runset = api.run(scenario, engines=(reference_engine, variant_engine))
-    reference = runset.series(reference_engine.name)
-    variant = runset.series(variant_engine.name)
-    points = tuple(
-        AblationPoint(
-            lambda_g=float(lambda_g),
-            reference=reference[index].latency,
-            variant=variant[index].latency,
-        )
-        for index, lambda_g in enumerate(scenario.offered_traffic)
-    )
-    return AblationResult(
-        name=name,
-        reference_label=reference_label,
-        variant_label=variant_label,
-        points=points,
-    )
 
 
 def heterogeneity_ablation(
@@ -103,24 +36,21 @@ def heterogeneity_ablation(
     offered_traffic: Sequence[float],
     *,
     timing: TimingParameters = PAPER_TIMING,
-) -> AblationResult:
+) -> api.RunSet:
     """Exact heterogeneous model vs the equal-cluster-size approximation."""
-    _check_traffic(offered_traffic)
     scenario = api.Scenario(
         system=spec,
         message=message,
         timing=timing,
-        offered_traffic=tuple(float(v) for v in offered_traffic),
+        offered_traffic=offered_traffic,
+        name=f"heterogeneity ({spec.name or spec.total_nodes})",
     )
     variant = api.equal_size_engine()
-    equivalent_height = variant.model_for(scenario).equivalent_height
-    return _two_engine_ablation(
+    height = variant.model_for(scenario).equivalent_height
+    variant.name = f"equal-size approximation (n={height})"
+    return api.run(
         scenario,
-        api.AnalyticalEngine(),
-        variant,
-        name=f"heterogeneity ({spec.name or spec.total_nodes})",
-        reference_label="heterogeneity-aware model",
-        variant_label=f"equal-size approximation (n={equivalent_height})",
+        engines=(api.AnalyticalEngine(name="heterogeneity-aware model"), variant),
     )
 
 
@@ -130,22 +60,23 @@ def variance_ablation(
     offered_traffic: Sequence[float],
     *,
     timing: TimingParameters = PAPER_TIMING,
-) -> AblationResult:
+) -> api.RunSet:
     """Draper-Ghosh source-queue variance (Eq. 22) vs deterministic service."""
-    _check_traffic(offered_traffic)
     scenario = api.Scenario(
         system=spec,
         message=message,
         timing=timing,
-        offered_traffic=tuple(float(v) for v in offered_traffic),
-    )
-    return _two_engine_ablation(
-        scenario,
-        api.AnalyticalEngine(),
-        api.AnalyticalEngine(variance_approximation="zero", name="model/zero-variance"),
+        offered_traffic=offered_traffic,
         name=f"variance approximation ({spec.name or spec.total_nodes})",
-        reference_label="Draper-Ghosh variance (Eq. 22)",
-        variant_label="zero-variance (M/D/1) source queues",
+    )
+    return api.run(
+        scenario,
+        engines=(
+            api.AnalyticalEngine(name="Draper-Ghosh variance (Eq. 22)"),
+            api.AnalyticalEngine(
+                variance_approximation="zero", name="zero-variance (M/D/1) source queues"
+            ),
+        ),
     )
 
 
@@ -158,65 +89,27 @@ def traffic_pattern_ablation(
     timing: TimingParameters = PAPER_TIMING,
     simulation_config: SimulationConfig = SimulationConfig(),
     parallel: bool = False,
-) -> Dict[str, AblationResult]:
+) -> api.RunSet:
     """Simulated latency under alternative traffic patterns vs the uniform model.
 
     ``patterns`` maps a label to a traffic pattern (``None`` means the
-    uniform pattern).  Every pattern is simulated over the same traffic grid
-    and compared against the analytical (uniform-traffic) curve, showing
-    where the published model stops being a good predictor.
+    uniform pattern).  The run set's reference is the analytical
+    (uniform-traffic) curve, engine ``"model"``, and each pattern is
+    simulated over the same grid by a simulation engine named by its label,
+    showing where the published model stops being a good predictor.  With
+    ``parallel=True`` every pattern's points share one process pool.
     """
-    _check_traffic(offered_traffic)
     scenario = api.Scenario(
         system=spec,
         message=message,
         timing=timing,
-        offered_traffic=tuple(float(v) for v in offered_traffic),
+        offered_traffic=offered_traffic,
         sim=simulation_config,
+        name="traffic pattern",
     )
-    reference_curve = api.run(scenario, engines=(api.AnalyticalEngine(),)).curve("model")
-    # One campaign entry per pattern: a parallel execution fans every
-    # pattern's simulation points into one shared process pool instead of
-    # paying a fresh pool (and pool warm-up) per pattern.
-    from repro.campaign import Campaign, CampaignEntry, run_campaign
-
-    labels = tuple(patterns)
-    campaign = Campaign(
-        entries=tuple(
-            CampaignEntry(
-                scenario=scenario,
-                engines=(api.SimulationEngine(pattern=pattern),),
-                label=label,
-            )
-            for label, pattern in patterns.items()
-        ),
-        name="traffic-pattern-ablation",
+    engines = [api.AnalyticalEngine()]
+    engines.extend(
+        api.SimulationEngine(pattern=pattern, name=label)
+        for label, pattern in patterns.items()
     )
-    campaign_result = run_campaign(campaign, parallel=parallel, store=None)
-    results: Dict[str, AblationResult] = {}
-    for label in labels:
-        runset = campaign_result.runset(label)
-        points = tuple(
-            AblationPoint(
-                lambda_g=float(value),
-                reference=float(reference),
-                variant=record.latency,
-            )
-            for value, reference, record in zip(
-                offered_traffic, reference_curve, runset.series("sim")
-            )
-        )
-        results[label] = AblationResult(
-            name=f"traffic pattern: {label}",
-            reference_label="uniform-traffic analytical model",
-            variant_label=f"simulation under {label}",
-            points=points,
-        )
-    return results
-
-
-def _check_traffic(offered_traffic: Sequence[float]) -> None:
-    if len(offered_traffic) == 0:
-        raise ValidationError("offered_traffic must contain at least one value")
-    if any(value <= 0 for value in offered_traffic):
-        raise ValidationError("offered traffic values must be > 0")
+    return api.run(scenario, engines=engines, parallel=parallel)

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro import api
-from repro.experiments.sweep import SweepResult, sweep_result_from_runset
 from repro.utils.validation import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -104,53 +103,45 @@ class AgreementReport:
         }
 
 
-def compare_model_and_simulation(
-    sweep: SweepResult,
-    *,
-    blowup_factor: float = 5.0,
-) -> AgreementReport:
-    """Quantify the agreement of one sweep's model and simulation curves.
+def engine_latencies(runset: api.RunSet, engine: str) -> Tuple[float, ...]:
+    """One engine's latency at every load of the grid (``nan`` throughout
+    when the run set has no such engine)."""
+    if engine not in runset.engines:
+        return (math.nan,) * len(runset.scenario.offered_traffic)
+    return tuple(record.latency for record in runset.series(engine))
 
-    Parameters
-    ----------
-    sweep:
-        A sweep that was run with simulation enabled.
-    blowup_factor:
-        The simulation is considered saturated once its latency exceeds this
-        multiple of the lowest simulated latency of the sweep (the knee of
-        the curve in Fig. 3/4 terms).
+
+def relative_difference(
+    runset: api.RunSet, reference: str, variant: str
+) -> Tuple[float, ...]:
+    """``(variant - reference) / reference`` at every load of the grid.
+
+    The one relative difference of the experiment layer: the agreement
+    metrics and the tables read the model against the simulation with it,
+    and the ablations their variant against their reference.  A point where
+    either engine has no record or a non-finite (saturated) latency reads
+    ``nan``.
     """
-    if not sweep.has_simulation:
-        raise ValidationError("the sweep was run without simulation")
-    errors = []
-    for point in sweep.steady_state_points():
-        error = point.relative_error
-        if not math.isnan(error):
-            errors.append(abs(error))
-    baseline = min(
-        (
-            point.simulated.mean_latency
-            for point in sweep.points
-            if point.simulated is not None and math.isfinite(point.simulated.mean_latency)
-        ),
-        default=math.inf,
+    return tuple(
+        (value - base) / base if math.isfinite(base) and math.isfinite(value) else math.nan
+        for base, value in zip(
+            engine_latencies(runset, reference), engine_latencies(runset, variant)
+        )
     )
-    simulation_blowup = math.inf
-    for point in sweep.points:
-        if point.simulated is None:
-            continue
-        latency = point.simulated.mean_latency
-        if point.simulated.saturated or latency > blowup_factor * baseline:
-            simulation_blowup = point.lambda_g
-            break
-    return AgreementReport(
-        sweep_name=sweep.describe(),
-        compared_points=len(errors),
-        mean_relative_error=sum(errors) / len(errors) if errors else math.nan,
-        max_relative_error=max(errors) if errors else math.nan,
-        model_saturation=sweep.model_saturation_point(),
-        simulation_blowup=simulation_blowup,
-    )
+
+
+def _steady_state_errors(
+    runset: api.RunSet, model_engine: str, simulation_engine: str
+) -> List[float]:
+    """|model vs simulation| relative errors where the model has not saturated."""
+    return [
+        abs(error)
+        for model, error in zip(
+            engine_latencies(runset, model_engine),
+            relative_difference(runset, simulation_engine, model_engine),
+        )
+        if not math.isinf(model) and not math.isnan(error)
+    ]
 
 
 def compare_runset(
@@ -160,15 +151,52 @@ def compare_runset(
     simulation_engine: str = "sim",
     blowup_factor: float = 5.0,
 ) -> AgreementReport:
-    """Agreement metrics straight from a :class:`repro.api.RunSet`.
+    """Quantify how well one run set's model curve tracks its simulation.
 
-    The run set must contain both the analytical and the simulation series
-    (the default engines of :func:`repro.api.run`).
+    Parameters
+    ----------
+    runset:
+        A run with a simulation series (the default engines of
+        :func:`repro.api.run`); without a model series no point compares.
+    blowup_factor:
+        The simulation is considered saturated once its latency exceeds this
+        multiple of the lowest simulated latency of the run (the knee of the
+        curve in Fig. 3/4 terms).
     """
-    sweep = sweep_result_from_runset(
-        runset, model_engine=model_engine, simulation_engine=simulation_engine
+    if simulation_engine not in runset.engines:
+        raise ValidationError(f"the run set has no {simulation_engine!r} series")
+    grid = runset.scenario.offered_traffic
+    simulated = runset.series(simulation_engine)
+    errors = _steady_state_errors(runset, model_engine, simulation_engine)
+    baseline = min(
+        (record.latency for record in simulated if math.isfinite(record.latency)),
+        default=math.inf,
     )
-    return compare_model_and_simulation(sweep, blowup_factor=blowup_factor)
+    simulation_blowup = next(
+        (
+            lambda_g
+            for lambda_g, record in zip(grid, simulated)
+            if record.saturated or record.latency > blowup_factor * baseline
+        ),
+        math.inf,
+    )
+    model_saturation = next(
+        (
+            lambda_g
+            for lambda_g, latency in zip(grid, engine_latencies(runset, model_engine))
+            if math.isinf(latency)
+        ),
+        math.inf,
+    )
+    scenario = runset.scenario
+    return AgreementReport(
+        sweep_name=f"{scenario.spec_label}, {scenario.message.describe()}",
+        compared_points=len(errors),
+        mean_relative_error=sum(errors) / len(errors) if errors else math.nan,
+        max_relative_error=max(errors) if errors else math.nan,
+        model_saturation=model_saturation,
+        simulation_blowup=simulation_blowup,
+    )
 
 
 def compare_campaign(
@@ -211,28 +239,31 @@ def saturation_shift(report: AgreementReport) -> float:
     return report.model_saturation / report.simulation_blowup
 
 
-def curves_match_in_shape(sweep: SweepResult, tolerance: float = 0.25) -> Tuple[bool, str]:
+def curves_match_in_shape(runset: api.RunSet, tolerance: float = 0.25) -> Tuple[bool, str]:
     """Cheap structural check used by the benchmarks.
 
-    Verifies (a) both curves are non-decreasing over the steady-state region
-    and (b) the model tracks the simulation within ``tolerance`` there.
+    Verifies (a) the model and simulation curves are non-decreasing over the
+    steady-state region (the loads where the model has not saturated) and
+    (b) the model tracks the simulation within ``tolerance`` there.
     Returns (ok, reason).
     """
-    steady = sweep.steady_state_points()
+    grid = runset.scenario.offered_traffic
+    model = engine_latencies(runset, "model")
+    simulated = engine_latencies(runset, "sim")
+    steady = [index for index, latency in enumerate(model) if not math.isinf(latency)]
     if len(steady) < 2:
         return False, "fewer than two steady-state points"
     last_model = -math.inf
     last_sim = -math.inf
-    for point in steady:
-        if point.model_latency < last_model - 1e-9:
-            return False, f"model curve decreases at lambda={point.lambda_g}"
-        last_model = point.model_latency
-        if point.simulated is not None and math.isfinite(point.simulated.mean_latency):
-            if point.simulated.mean_latency < last_sim * 0.9:
-                return False, f"simulation curve decreases at lambda={point.lambda_g}"
-            last_sim = point.simulated.mean_latency
-    if sweep.has_simulation:
-        error = sweep.max_steady_state_error()
-        if not math.isnan(error) and error > tolerance:
-            return False, f"steady-state error {error:.2f} exceeds {tolerance}"
+    for index in steady:
+        if model[index] < last_model - 1e-9:
+            return False, f"model curve decreases at lambda={grid[index]}"
+        last_model = model[index]
+        if math.isfinite(simulated[index]):
+            if simulated[index] < last_sim * 0.9:
+                return False, f"simulation curve decreases at lambda={grid[index]}"
+            last_sim = simulated[index]
+    errors = _steady_state_errors(runset, "model", "sim")
+    if errors and max(errors) > tolerance:
+        return False, f"steady-state error {max(errors):.2f} exceeds {tolerance}"
     return True, "ok"

@@ -3,49 +3,21 @@
 Each figure of the paper has two panels (message length 32 and 64 flits) and
 each panel shows four curves: analysis and simulation for flit sizes 256 and
 512 bytes.  :func:`run_figure` regenerates all of that as data — one
-:class:`~repro.experiments.sweep.SweepResult` per (panel, flit size) — which
-the report module renders as tables/CSV and the benchmarks check for shape.
+campaign entry, and so one :class:`~repro.api.RunSet`, per (panel, flit
+size) — which the report module renders as tables/CSV and the benchmarks
+check for shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from repro import api
-from repro.campaign import Campaign, CampaignEntry, run_campaign
+from repro.campaign import Campaign, CampaignEntry, CampaignResult, run_campaign
 from repro.experiments.configs import FigureSpec, figure_panels
-from repro.experiments.sweep import SweepResult, sweep_result_from_runset
 from repro.model.parameters import MessageSpec
 from repro.sim.config import SimulationConfig
 from repro.store import ResultStore
-from repro.utils.validation import ValidationError
-
-
-@dataclass(frozen=True)
-class FigureResult:
-    """All series of one figure, keyed by (message length, flit size)."""
-
-    figure: str
-    sweeps: Dict[Tuple[int, int], SweepResult]
-
-    def sweep(self, message_length: int, flit_bytes: int) -> SweepResult:
-        key = (message_length, flit_bytes)
-        if key not in self.sweeps:
-            raise ValidationError(
-                f"{self.figure} has no series for M={message_length}, Lm={flit_bytes}"
-            )
-        return self.sweeps[key]
-
-    @property
-    def panels(self) -> Tuple[int, ...]:
-        """The message lengths (one per panel of the original figure)."""
-        return tuple(sorted({length for length, _ in self.sweeps}))
-
-    def series_labels(self) -> Tuple[str, ...]:
-        return tuple(
-            f"M={length} Lm={flit}" for length, flit in sorted(self.sweeps.keys())
-        )
 
 
 def panel_scenario(
@@ -89,35 +61,6 @@ def figure_campaign(
     return Campaign(entries=tuple(entries), name=figure)
 
 
-def _sweeps_from_campaign(result) -> Dict[Tuple[int, int], SweepResult]:
-    sweeps: Dict[Tuple[int, int], SweepResult] = {}
-    for _, runset in result:
-        message = runset.scenario.message
-        sweeps[(message.length_flits, message.flit_bytes)] = sweep_result_from_runset(runset)
-    return sweeps
-
-
-def run_panel(
-    panel: FigureSpec,
-    *,
-    num_points: Optional[int] = None,
-    run_simulation: bool = True,
-    simulation_config: SimulationConfig = SimulationConfig(),
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
-) -> Dict[Tuple[int, int], SweepResult]:
-    """All series of one panel (one sweep per flit size)."""
-    sweeps: Dict[Tuple[int, int], SweepResult] = {}
-    engines = ("model", "sim") if run_simulation else ("model",)
-    for message in panel.message_specs():
-        scenario = panel_scenario(
-            panel, message, num_points=num_points, simulation_config=simulation_config
-        )
-        runset = api.run(scenario, engines=engines, parallel=parallel, max_workers=max_workers)
-        sweeps[(message.length_flits, message.flit_bytes)] = sweep_result_from_runset(runset)
-    return sweeps
-
-
 def run_figure(
     figure: str,
     *,
@@ -127,10 +70,12 @@ def run_figure(
     parallel: bool = False,
     max_workers: Optional[int] = None,
     store: Optional[ResultStore] = None,
-) -> FigureResult:
+) -> CampaignResult:
     """Regenerate ``"fig3"`` (N=1120) or ``"fig4"`` (N=544) as data.
 
-    The figure executes as one campaign (:func:`figure_campaign`): with
+    The figure executes as one campaign (:func:`figure_campaign`), whose
+    result holds one run set per series, labelled
+    ``"<figure>/M<length>-Lm<flit bytes>"`` in panel order: with
     ``parallel=True`` all series share a single process pool, and passing a
     :class:`~repro.store.ResultStore` makes re-generation incremental —
     only series whose scenario (or kernel switches) changed re-simulate.
@@ -147,15 +92,4 @@ def run_figure(
         run_simulation=run_simulation,
         simulation_config=simulation_config,
     )
-    result = run_campaign(
-        campaign, parallel=parallel, max_workers=max_workers, store=store
-    )
-    return FigureResult(figure=figure, sweeps=_sweeps_from_campaign(result))
-
-
-def expected_message_specs(figure: str) -> Tuple[MessageSpec, ...]:
-    """The four (M, Lm) combinations a figure's panels cover."""
-    specs = []
-    for panel in figure_panels(figure):
-        specs.extend(panel.message_specs())
-    return tuple(specs)
+    return run_campaign(campaign, parallel=parallel, max_workers=max_workers, store=store)

@@ -1,24 +1,32 @@
-"""Rendering of experiment results: tables, CSV files and EXPERIMENTS.md.
+"""Rendering of experiment results: tables, CSV files and a Markdown report.
 
 The paper communicates its evaluation through one table and four figure
 panels.  Without a plotting dependency the reproduction reports the same
 content as aligned text tables (for the terminal / benchmark output), CSV
-files (for anyone who wants to re-plot) and a Markdown report that becomes
-EXPERIMENTS.md.
+files (for anyone who wants to re-plot) and the Markdown report that
+``repro-multicluster report`` prints.  Every curve arrives as a
+:class:`~repro.api.RunSet` (a whole figure as a
+:class:`~repro.campaign.CampaignResult`), and :func:`curve_table` renders
+any two of its engines side by side.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
-from repro.experiments.ablation import AblationResult
-from repro.experiments.compare import AgreementReport
-from repro.experiments.figures import FigureResult
-from repro.experiments.sweep import SweepResult
+from repro.api import RunSet
+from repro.experiments.compare import (
+    AgreementReport,
+    engine_latencies,
+    relative_difference,
+)
 from repro.experiments.table1 import Table1Row
 from repro.utils.tables import ResultTable
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.campaign import CampaignResult
 
 
 def _fmt_latency(value: float) -> str:
@@ -29,25 +37,50 @@ def _fmt_latency(value: float) -> str:
     return f"{value:.1f}"
 
 
-def sweep_to_table(sweep: SweepResult) -> ResultTable:
-    """One sweep as a table: offered traffic, model, simulation, error."""
+def curve_table(
+    runset: RunSet,
+    engines: Sequence[str] = ("model", "sim"),
+    *,
+    reference: str = "sim",
+    headers: Sequence[str] = ("model_latency", "sim_latency", "rel_error"),
+    title: Optional[str] = None,
+) -> ResultTable:
+    """Two engines' latency curves over the load grid and their difference.
+
+    ``engines`` are the two latency columns in display order, ``reference``
+    the one the difference is relative to
+    (:func:`~repro.experiments.compare.relative_difference`) and
+    ``headers`` the three column headers after ``offered_traffic``.  An
+    engine the run set lacks shows ``-``.  The defaults give the
+    model-versus-simulation table of every experiment command; an ablation
+    passes its two engines, reference first.
+    """
+    first, second = engines
+    variant = first if reference == second else second
+    scenario = runset.scenario
     table = ResultTable(
-        headers=["offered_traffic", "model_latency", "sim_latency", "rel_error"],
-        title=f"Mean message latency — {sweep.describe()}",
+        headers=["offered_traffic", *headers],
+        title=title
+        or f"Mean message latency — {scenario.spec_label}, {scenario.message.describe()}",
     )
-    for point in sweep.points:
+    for lambda_g, left, right, difference in zip(
+        scenario.offered_traffic,
+        engine_latencies(runset, first),
+        engine_latencies(runset, second),
+        relative_difference(runset, reference, variant),
+    ):
         table.add_row(
-            f"{point.lambda_g:.6g}",
-            _fmt_latency(point.model_latency),
-            _fmt_latency(point.simulated_latency),
-            "-" if math.isnan(point.relative_error) else f"{point.relative_error:+.1%}",
+            f"{lambda_g:.6g}",
+            _fmt_latency(left),
+            _fmt_latency(right),
+            "-" if math.isnan(difference) else f"{difference:+.1%}",
         )
     return table
 
 
-def figure_to_table(figure: FigureResult) -> List[ResultTable]:
+def figure_to_table(figure: "CampaignResult") -> List[ResultTable]:
     """One table per series of a figure (matches the original curves)."""
-    return [sweep_to_table(sweep) for _, sweep in sorted(figure.sweeps.items())]
+    return [curve_table(runset) for _, runset in figure]
 
 
 def table1_to_table(rows: Iterable[Table1Row]) -> ResultTable:
@@ -64,24 +97,6 @@ def table1_to_table(rows: Iterable[Table1Row]) -> ResultTable:
             row.organisation,
             row.icn2_height,
             row.total_switches,
-        )
-    return table
-
-
-def ablation_to_table(result: AblationResult) -> ResultTable:
-    """One ablation as a table of reference vs variant latency."""
-    table = ResultTable(
-        headers=["offered_traffic", result.reference_label, result.variant_label, "difference"],
-        title=f"Ablation — {result.name}",
-    )
-    for point in result.points:
-        table.add_row(
-            f"{point.lambda_g:.6g}",
-            _fmt_latency(point.reference),
-            _fmt_latency(point.variant),
-            "-"
-            if math.isnan(point.relative_difference)
-            else f"{point.relative_difference:+.1%}",
         )
     return table
 
@@ -103,30 +118,33 @@ def agreement_to_text(report: AgreementReport) -> str:
     return "\n".join(lines)
 
 
-def save_sweep_csv(sweep: SweepResult, path: str | Path) -> Path:
-    """Write one sweep to CSV and return the path."""
-    return sweep_to_table(sweep).save_csv(path)
-
-
-def save_figure_csvs(figure: FigureResult, directory: str | Path) -> List[Path]:
+def save_figure_csvs(figure: "CampaignResult", directory: str | Path) -> List[Path]:
     """Write every series of a figure to CSV files under ``directory``."""
     directory = Path(directory)
     paths = []
-    for (length, flit), sweep in sorted(figure.sweeps.items()):
-        filename = f"{figure.figure}_M{length}_Lm{flit}.csv"
-        paths.append(save_sweep_csv(sweep, directory / filename))
+    for _, runset in figure:
+        message = runset.scenario.message
+        filename = (
+            f"{figure.campaign.name}_M{message.length_flits}_Lm{message.flit_bytes}.csv"
+        )
+        paths.append(curve_table(runset).save_csv(directory / filename))
     return paths
 
 
 def experiments_markdown(
     *,
     table1: Iterable[Table1Row],
-    figures: Dict[str, FigureResult],
+    figures: Dict[str, "CampaignResult"],
     agreements: Optional[Dict[str, AgreementReport]] = None,
-    ablations: Optional[Iterable[AblationResult]] = None,
+    ablations: Optional[Iterable[RunSet]] = None,
     notes: Optional[str] = None,
 ) -> str:
-    """Render a full experiments report as Markdown (EXPERIMENTS.md content)."""
+    """Render a full experiments report as Markdown.
+
+    ``figures`` maps a section heading to a figure's campaign result and
+    ``ablations`` holds ablation run sets (reference engine first, the
+    scenario named after the ablation).
+    """
     lines: List[str] = [
         "# Experiments: paper versus reproduction",
         "",
@@ -157,8 +175,16 @@ def experiments_markdown(
         lines.append("## Ablations")
         lines.append("")
         for ablation in ablations:
+            reference, variant = ablation.engines
+            table = curve_table(
+                ablation,
+                ablation.engines,
+                reference=reference,
+                headers=(reference, variant, "difference"),
+                title=f"Ablation — {ablation.scenario.name}",
+            )
             lines.append("```")
-            lines.append(ablation_to_table(ablation).to_text())
+            lines.append(table.to_text())
             lines.append("```")
             lines.append("")
     if notes:

@@ -12,8 +12,8 @@ context:
   same size (the closest representable size to the true mean) and evaluate
   the multi-cluster model on that homogenised organisation.  Comparing it
   with the true heterogeneous prediction quantifies how much accuracy the
-  cluster-size heterogeneity modelling actually buys — the ablation called
-  out in DESIGN.md.
+  cluster-size heterogeneity modelling actually buys — the ablation of
+  :func:`repro.experiments.ablation.heterogeneity_ablation`.
 """
 
 from __future__ import annotations

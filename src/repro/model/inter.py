@@ -113,7 +113,7 @@ def pair_latency(
     (Eq. 6-7, 11-13); the traffic-pattern extensions pass generalised rates.
 
     ``lambda_source`` is the arrival rate used for the M/G/1 source queue
-    (Eq. 30).  The paper's text is ambiguous here (see DESIGN.md): taken
+    (Eq. 30).  The paper's text is ambiguous here: taken
     literally, Eq. 30 re-uses the pair-sum rate of Eq. 6, but that makes the
     model saturate far below the operating range the paper itself plots.  We
     therefore use the *source cluster's* external message rate

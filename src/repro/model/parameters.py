@@ -119,7 +119,8 @@ class ModelParameters:
     variance_approximation:
         How the source-queue service-time variance is approximated:
         ``"draper-ghosh"`` is the paper's Eq. 22; ``"zero"`` treats the
-        service time as deterministic (the ablation discussed in DESIGN.md).
+        service time as deterministic (the ablation of
+        :func:`repro.experiments.ablation.variance_ablation`).
     """
 
     spec: MultiClusterSpec

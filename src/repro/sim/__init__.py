@@ -25,9 +25,15 @@ arrays (``event_core.c``, compiled on the first simulation against numpy's
 ``libnpyrandom.a`` and cached by :mod:`repro.sim.native`);
 ``REPRO_SIM_KERNEL`` selects between them.
 
-See DESIGN.md for the two documented deviations from a fully physical
-simulator (channel-release granularity and the distributed-concentrator
-realisation of the ECN1 exit points).
+Two deliberate deviations from a fully physical simulator:
+
+* channel-release granularity: a worm holds every channel it acquired
+  until its tail is delivered (:mod:`repro.sim.wormhole` gives the reason);
+* distributed concentrators: an external message ascends its cluster's
+  ECN1 towards a uniformly drawn peer node and descends from a uniformly
+  drawn peer of the destination cluster, rather than through one fixed
+  attachment point, so ECN1 traffic spreads over the tree the way the
+  model's uniform channel rates (Eq. 11) assume.
 """
 
 from repro.sim.config import SimulationConfig

@@ -120,9 +120,5 @@ class FlatChannels:
         """Number of slots currently held (diagnostic aid)."""
         return sum(1 for holder in self.holder if holder is not None)
 
-    def queued_requests(self) -> int:
-        """Number of grants currently waiting across all slots."""
-        return sum(len(queue) for queue in self.queues if queue)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FlatChannels(slots={self.num_slots}, busy={self.busy_slots()})"

@@ -105,7 +105,8 @@ class MultiClusterSimulator:
         :class:`~repro.workloads.base.ArrivalProcess`; defaults to Poisson
         generation (assumption 1).  Passing
         :class:`~repro.workloads.DeterministicArrivals` turns the generator
-        into the variance ablation discussed in DESIGN.md.  The vectorized
+        into a simulated counterpart of the variance ablation
+        (:func:`repro.experiments.ablation.variance_ablation`).  The vectorized
         kernel draws the built-in arrival processes and patterns only; any
         other class needs ``kernel="generator"``.
     kernel:

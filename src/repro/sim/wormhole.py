@@ -14,9 +14,11 @@ process that
 4. releases everything.
 
 Holding every acquired channel until the tail is delivered is slightly
-conservative (a real worm frees its earliest channels a few flit-times
-sooner); DESIGN.md discusses why this does not change the latency behaviour
-the validation study measures.
+conservative: a real worm frees its earliest channels a few flit-times
+sooner.  The analytical model makes the same simplification — its service
+time of a channel (Eq. 16-18, :mod:`repro.model.service_time`) is the
+whole message's transfer time plus the waits at every later stage — so
+simulation and analysis charge each channel alike.
 
 Inter-cluster journeys chain three networks: the ascending leg in the source
 cluster's ECN1, the ICN2 crossing between the two concentrators, and the

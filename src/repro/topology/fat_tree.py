@@ -188,11 +188,6 @@ class MPortNTree:
         return (2 * self.n - 1) * self.k ** (self.n - 1)
 
     @property
-    def num_levels(self) -> int:
-        """Number of switch levels (``n``)."""
-        return self.n
-
-    @property
     def root_level(self) -> int:
         """Index of the root switch level."""
         return self.n - 1
@@ -332,16 +327,6 @@ class MPortNTree:
             address[exchange] = digit
             result.append(FatTreeSwitch(below, tuple(address)))
         return result
-
-    def down_ports(self, switch: FatTreeSwitch) -> int:
-        """Number of downward ports in use on ``switch``."""
-        if switch.level == 0:
-            return self.m if self.n == 1 else self.k
-        return len(self.down_switches(switch))
-
-    def up_ports(self, switch: FatTreeSwitch) -> int:
-        """Number of upward ports in use on ``switch`` (0 at the root level)."""
-        return len(self.up_switches(switch))
 
     # ------------------------------------------------------------- navigation
     def parent_toward(self, switch: FatTreeSwitch, up_digit: int) -> FatTreeSwitch:

@@ -2,8 +2,8 @@
 
 Experiment records contain dataclasses, numpy scalars/arrays and nested
 containers; :func:`to_jsonable` flattens them into plain Python structures so
-results can be written to disk and re-loaded for later comparison
-(EXPERIMENTS.md is generated from such records).
+results can be written to disk and re-loaded for later comparison (the
+result store and ``repro run --json`` write records this way).
 
 :func:`from_jsonable` is the typed inverse for *inputs*: given a target
 dataclass (or container/primitive annotation) it rebuilds the original object

@@ -3,7 +3,6 @@
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro import api
@@ -521,7 +520,7 @@ class TestCampaignResult:
 
 
 class TestRunCompatibility:
-    """api.run / latency_sweep stay thin wrappers with unchanged output."""
+    """api.run stays a thin wrapper with unchanged output."""
 
     def test_api_run_matches_hand_rolled_engine_loop(self):
         scenario = scenario_for(TINY)
@@ -565,25 +564,6 @@ class TestRunCompatibility:
             json.dumps(jsonable_record(second.records[0]), sort_keys=True)
         )
         assert len(store) == 1
-
-    def test_latency_sweep_matches_campaign_execution(self, tmp_path):
-        from repro.experiments.sweep import latency_sweep
-
-        grid = (4e-4, 8e-4)
-        sweep = latency_sweep(TINY, MessageSpec(32, 256), grid, simulation_config=FAST)
-        result = run_campaign(
-            Campaign(
-                entries=(
-                    CampaignEntry(
-                        scenario=scenario_for(TINY, traffic=grid), engines=("model", "sim")
-                    ),
-                )
-            ),
-            store=ResultStore(tmp_path),
-        )
-        runset = result.runsets[0]
-        assert np.array_equal(sweep.model_curve, runset.curve("model"))
-        assert np.array_equal(sweep.simulation_curve, runset.curve("sim"))
 
 
 class TestChunkedSubmission:

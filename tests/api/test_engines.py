@@ -171,31 +171,3 @@ class TestEngineParity:
         )
         assert runset.engines == ("model", "model/equal-size")
         assert math.isfinite(runset.curve("model/equal-size")[0])
-
-
-class TestSweepBackCompat:
-    """latency_sweep (the shim) must match direct API runs exactly."""
-
-    def test_latency_sweep_matches_api_run(self):
-        from repro.experiments.sweep import latency_sweep
-
-        grid = (2e-4, 6e-4, 1e-3)
-        sweep = latency_sweep(
-            TINY, MessageSpec(32, 256), grid, simulation_config=FAST
-        )
-        runset = api.run(tiny_scenario(offered_traffic=grid), engines=("model", "sim"))
-        assert np.array_equal(sweep.model_curve, runset.curve("model"))
-        assert np.array_equal(sweep.simulation_curve, runset.curve("sim"))
-
-    def test_sweep_result_from_runset_handles_missing_series(self):
-        from repro.experiments.sweep import sweep_result_from_runset
-
-        model_only = sweep_result_from_runset(
-            api.run(tiny_scenario(), engines=("model",))
-        )
-        assert not model_only.has_simulation
-        sim_only = sweep_result_from_runset(
-            api.run(tiny_scenario(offered_traffic=(4e-4,)), engines=("sim",))
-        )
-        assert sim_only.has_simulation
-        assert math.isnan(sim_only.points[0].model_latency)

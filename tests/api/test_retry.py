@@ -498,6 +498,58 @@ class TestTimedTasksOnThePool:
         assert canonical(recovered) == canonical(reference)
 
 
+def local_engine():
+    """An expensive engine whose class is defined inside a function, so it
+    cannot be pickled for a pool worker."""
+
+    class LocalEngine:
+        name = "local"
+        expensive = True
+
+        def evaluate(self, scenario, lambda_g):
+            return api.AnalyticalEngine(name=self.name).evaluate(scenario, lambda_g)
+
+    return LocalEngine()
+
+
+class TestUnpicklableEngine:
+    """An engine the pool cannot receive fails every task of its slot at
+    once: pickling fails the same way on every attempt, so a retry only
+    repeats it."""
+
+    @pytest.mark.parametrize(
+        "parallel,timeout",
+        [(False, 30.0), (True, None)],
+        ids=["sequential-timed", "parallel"],
+    )
+    def test_tasks_fail_after_one_attempt_without_retries(self, parallel, timeout):
+        campaign = Campaign(
+            entries=(
+                CampaignEntry(scenario=scenario_for(TINY), engines=(local_engine(),)),
+            )
+        )
+        events = list(
+            CampaignExecutor(
+                campaign,
+                store=None,
+                parallel=parallel,
+                retry=RetryPolicy(max_attempts=3, timeout_seconds=timeout),
+            ).execute()
+        )
+        assert not [event for event in events if isinstance(event, TaskRetried)]
+        failures = [event for event in events if isinstance(event, TaskFailed)]
+        assert [failure.task.task_id for failure in failures] == [
+            "tiny:local:0",
+            "tiny:local:1",
+        ]
+        for failure in failures:
+            assert failure.attempts == 1
+            assert "pickle" in failure.error
+        closing = events[-1]
+        assert isinstance(closing, CampaignProgress)
+        assert (closing.done, closing.failed, closing.retries) == (2, 2, 0)
+
+
 class TestPooledTimeout:
     def test_hung_worker_is_killed_and_retried(self, tmp_path, monkeypatch):
         campaign = sim_campaign()

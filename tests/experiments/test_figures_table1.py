@@ -1,13 +1,26 @@
 """Tests of the figure and Table 1 reproduction helpers (model-only runs)."""
 
-import numpy as np
+import math
+
 import pytest
 
-from repro.experiments.figures import expected_message_specs, run_figure, run_panel
-from repro.experiments.configs import FIGURE_SPECS
+from repro.experiments.configs import paper_message_specs
+from repro.experiments.figures import figure_campaign, run_figure
 from repro.experiments.table1 import table1_row, table1_rows
 from repro.experiments.configs import table1_system
 from repro.utils import ValidationError
+
+
+def saturation(runset) -> float:
+    """First offered traffic at which the model saturates (inf if never)."""
+    return next(
+        (
+            load
+            for load, latency in zip(runset.scenario.offered_traffic, runset.curve("model"))
+            if math.isinf(latency)
+        ),
+        math.inf,
+    )
 
 
 class TestRunFigure:
@@ -17,37 +30,40 @@ class TestRunFigure:
         return run_figure("fig4", num_points=4, run_simulation=False)
 
     def test_all_four_series_present(self, fig4):
-        assert set(fig4.sweeps.keys()) == {(32, 256), (32, 512), (64, 256), (64, 512)}
-        assert fig4.panels == (32, 64)
+        messages = [
+            (runset.scenario.message.length_flits, runset.scenario.message.flit_bytes)
+            for _, runset in fig4
+        ]
+        assert messages == [(32, 256), (32, 512), (64, 256), (64, 512)]
+        assert fig4.campaign.name == "fig4"
 
     def test_series_lookup(self, fig4):
-        sweep = fig4.sweep(32, 256)
-        assert len(sweep.points) == 4
+        runset = fig4.runset("fig4/M32-Lm256")
+        assert len(runset.records) == 4
         with pytest.raises(ValidationError):
-            fig4.sweep(32, 128)
+            fig4.runset("fig4/M32-Lm128")
 
     def test_series_labels(self, fig4):
-        labels = fig4.series_labels()
-        assert "M=32 Lm=256" in labels and "M=64 Lm=512" in labels
+        labels = fig4.labels
+        assert "fig4/M32-Lm256" in labels and "fig4/M64-Lm512" in labels
 
     def test_larger_flits_saturate_earlier(self, fig4):
-        small = fig4.sweep(32, 256).model_saturation_point()
-        large = fig4.sweep(32, 512).model_saturation_point()
+        small = saturation(fig4.runset("fig4/M32-Lm256"))
+        large = saturation(fig4.runset("fig4/M32-Lm512"))
         assert large < small
 
     def test_longer_messages_saturate_earlier(self, fig4):
-        short = fig4.sweep(32, 256).model_saturation_point()
-        long = fig4.sweep(64, 256).model_saturation_point()
+        short = saturation(fig4.runset("fig4/M32-Lm256"))
+        long = saturation(fig4.runset("fig4/M64-Lm256"))
         assert long < short
 
-    def test_run_panel_returns_one_sweep_per_flit_size(self):
-        panel = FIGURE_SPECS["fig4-M32"]
-        sweeps = run_panel(panel, num_points=3, run_simulation=False)
-        assert set(sweeps.keys()) == {(32, 256), (32, 512)}
-
-    def test_expected_message_specs(self):
-        specs = expected_message_specs("fig3")
-        assert len(specs) == 4
+    def test_figure_campaign_covers_the_four_message_specs(self):
+        campaign = figure_campaign("fig3", num_points=3, run_simulation=False)
+        messages = tuple(entry.scenario.message for entry in campaign.entries)
+        assert sorted(messages, key=lambda m: (m.length_flits, m.flit_bytes)) == sorted(
+            paper_message_specs(), key=lambda m: (m.length_flits, m.flit_bytes)
+        )
+        assert all(entry.engines == ("model",) for entry in campaign.entries)
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(ValidationError):
@@ -57,9 +73,9 @@ class TestRunFigure:
         """The larger N=1120 system saturates at lower offered traffic."""
         fig3 = run_figure("fig3", num_points=4, run_simulation=False)
         fig4 = run_figure("fig4", num_points=4, run_simulation=False)
-        assert fig3.sweep(32, 256).model_saturation_point() < fig4.sweep(
-            32, 256
-        ).model_saturation_point()
+        assert saturation(fig3.runset("fig3/M32-Lm256")) < saturation(
+            fig4.runset("fig4/M32-Lm256")
+        )
 
 
 class TestTable1:

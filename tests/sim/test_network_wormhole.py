@@ -92,10 +92,11 @@ class TestFlatChannels:
         env = Environment()
         channels = FlatChannels(env, 3)
         channels.acquire(0)
-        channels.acquire(0)
+        waiter = channels.acquire(0)
         channels.acquire(2)
         assert channels.busy_slots() == 2
-        assert channels.queued_requests() == 1
+        assert list(channels.queues[0]) == [waiter]
+        assert channels.queues[1:] == [None, None]
 
     def test_withdrawing_a_queued_grant_twice_is_a_noop(self):
         env = Environment()
@@ -105,7 +106,7 @@ class TestFlatChannels:
         channels.release(0, waiter)
         channels.release(0, waiter)
         assert channels.holder == [holder]
-        assert channels.queued_requests() == 0
+        assert not any(channels.queues)
         channels.release(0, holder)
         env.run()
         assert channels.holder == [None]
@@ -135,7 +136,7 @@ class TestFlatChannels:
         assert not withdrawn.triggered
         assert channels.granted_at == [4.0]
         assert channels.total_grants == [3]
-        assert channels.queued_requests() == 0
+        assert not any(channels.queues)
 
     def test_idle_gap_between_holders_is_not_busy_time(self):
         env = Environment()
@@ -169,7 +170,7 @@ class TestFlatChannels:
         channels.release(0, other)
         channels.release(1, waiter)
         assert channels.holder == [holder, other]
-        assert channels.queued_requests() == 1
+        assert list(channels.queues[0]) == [waiter]
         env.run()
         assert channels.busy_time == [0.0, 0.0]
         assert not waiter.triggered
@@ -245,7 +246,7 @@ class TestWormholeTransfer:
         env.run()
         assert channels.holder == [None, None, None]
         assert channels.busy_slots() == 0
-        assert channels.queued_requests() == 0
+        assert not any(channels.queues)
         assert channels.busy_time == [4.0, 0.0, 5.0]
 
     def test_blocking_on_a_busy_channel(self):
