@@ -93,9 +93,10 @@ def main() -> None:
         f"latency={record.latency:.1f}"
     )
     print()
-    print("Next steps: README.md 'Topology zoo' covers routing and the")
-    print("degenerate-cluster compilation; tests/sim/test_golden_seed_zoo.py")
-    print("pins every family bit-identical across all three kernels.")
+    print("Next steps: README.md 'Topology zoo' covers routing and how a zoo")
+    print("network compiles as the one cluster of a multi-cluster layout;")
+    print("tests/sim/test_golden_seed_zoo.py pins every family bit-identical")
+    print("across both kernels.")
 
 
 if __name__ == "__main__":

@@ -808,13 +808,15 @@ def _register_builtin_scenarios() -> None:
 _register_builtin_scenarios()
 
 
+def _equal_size_model(scenario: Scenario) -> EqualSizeApproximationModel:
+    # Module level, so the engine pickles onto the worker pool.
+    return EqualSizeApproximationModel(
+        _require_system(scenario), scenario.message, scenario.timing
+    )
+
+
 # Re-exported for ablation convenience: an analytical engine built on the
 # equal-cluster-size approximation instead of the heterogeneity-aware model.
 def equal_size_engine(name: str = "model/equal-size") -> AnalyticalEngine:
     """An :class:`AnalyticalEngine` running the equal-size approximation."""
-    return AnalyticalEngine(
-        model_factory=lambda scenario: EqualSizeApproximationModel(
-            _require_system(scenario), scenario.message, scenario.timing
-        ),
-        name=name,
-    )
+    return AnalyticalEngine(model_factory=_equal_size_model, name=name)

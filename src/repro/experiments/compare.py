@@ -103,12 +103,26 @@ class AgreementReport:
         }
 
 
-def engine_latencies(runset: api.RunSet, engine: str) -> Tuple[float, ...]:
-    """One engine's latency at every load of the grid (``nan`` throughout
-    when the run set has no such engine)."""
+def _records_by_load(runset: api.RunSet, engine: str) -> Dict[float, api.RunRecord]:
+    """One engine's records keyed by their load (empty without that engine).
+
+    A partial run set (``collect(strict=False)``) lacks the records of failed
+    tasks, so records are matched to the grid by ``lambda_g``, never by
+    position.
+    """
     if engine not in runset.engines:
-        return (math.nan,) * len(runset.scenario.offered_traffic)
-    return tuple(record.latency for record in runset.series(engine))
+        return {}
+    return {record.lambda_g: record for record in runset.series(engine)}
+
+
+def engine_latencies(runset: api.RunSet, engine: str) -> Tuple[float, ...]:
+    """One engine's latency at every load of the grid (``nan`` at each load
+    where the run set has no record of that engine)."""
+    records = _records_by_load(runset, engine)
+    return tuple(
+        records[lambda_g].latency if lambda_g in records else math.nan
+        for lambda_g in runset.scenario.offered_traffic
+    )
 
 
 def relative_difference(
@@ -166,17 +180,18 @@ def compare_runset(
     if simulation_engine not in runset.engines:
         raise ValidationError(f"the run set has no {simulation_engine!r} series")
     grid = runset.scenario.offered_traffic
-    simulated = runset.series(simulation_engine)
+    simulated = _records_by_load(runset, simulation_engine)
     errors = _steady_state_errors(runset, model_engine, simulation_engine)
     baseline = min(
-        (record.latency for record in simulated if math.isfinite(record.latency)),
+        (record.latency for record in simulated.values() if math.isfinite(record.latency)),
         default=math.inf,
     )
     simulation_blowup = next(
         (
-            lambda_g
-            for lambda_g, record in zip(grid, simulated)
-            if record.saturated or record.latency > blowup_factor * baseline
+            record.lambda_g
+            for record in map(simulated.get, grid)
+            if record is not None
+            and (record.saturated or record.latency > blowup_factor * baseline)
         ),
         math.inf,
     )

@@ -34,12 +34,13 @@ tables equal a router walk over every pair of the figures' shapes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.topology.compile import (
     CompiledSystem,
+    cached,
     compile_system,
     compile_tree,
     node_channel_ids,
@@ -296,11 +297,7 @@ _GRAPH_ROUTES: Dict[Tuple, CompiledGraphRoutes] = {}
 
 def compile_graph_routes(spec) -> CompiledGraphRoutes:
     """The (cached) route tables of zoo topology ``spec``, keyed by identity."""
-    key = spec.identity
-    routes = _GRAPH_ROUTES.get(key)
-    if routes is None:
-        routes = _GRAPH_ROUTES[key] = CompiledGraphRoutes(spec)
-    return routes
+    return cached(_GRAPH_ROUTES, spec.identity, lambda: CompiledGraphRoutes(spec))
 
 
 class FlatRoutes(NamedTuple):
@@ -483,9 +480,10 @@ class CompiledSystemRoutes:
 class CompiledZooRoutes:
     """Zoo route tables presented through the system-routes surface.
 
-    A zoo topology compiles as a single degenerate cluster, so only the
-    intra table carries routes; with every message intra-cluster by
-    construction, no kernel ever builds an external journey.
+    A zoo topology compiles as the one cluster of a system with no ECN1
+    and no ICN2, so only the intra table carries routes; with every
+    message intra-cluster by construction, no kernel ever builds an
+    external journey.
     """
 
     __slots__ = ("core", "graph")
@@ -515,39 +513,22 @@ class CompiledZooRoutes:
         return f"CompiledZooRoutes({self.core!r})"
 
 
-_SYSTEM_ROUTES: Dict[MultiClusterSpec, CompiledSystemRoutes] = {}
-_ZOO_SYSTEM_ROUTES: Dict[Tuple, CompiledZooRoutes] = {}
-
-#: Bound the per-spec cache so sweeps over many organisations cannot pin
-#: unbounded memory for the process lifetime.
-_SYSTEM_ROUTE_CACHE_LIMIT = 64
+_SYSTEM_ROUTES: Dict[Any, "CompiledSystemRoutes | CompiledZooRoutes"] = {}
 
 
 def compile_system_routes(spec) -> "CompiledSystemRoutes | CompiledZooRoutes":
     """The (cached) route tables of ``spec``.
 
-    Cached per frozen spec alongside :func:`compile_system`, so repeated
-    sweep points, engines and pool workers pay the compilation once per
-    process.  ``spec`` may be a :class:`MultiClusterSpec` (the paper's
-    system) or a :class:`~repro.topology.zoo.spec.TopologySpec` (a zoo
-    member, cached by full topology identity).
+    Cached per spec alongside :func:`compile_system` and keyed the same
+    way, so repeated sweep points, engines and pool workers pay the
+    compilation once per process.  ``spec`` may be a
+    :class:`MultiClusterSpec` (the paper's system) or a
+    :class:`~repro.topology.zoo.spec.TopologySpec` (a zoo member, cached by
+    full topology identity).
     """
-    if not isinstance(spec, MultiClusterSpec):
-        key = spec.identity
-        zoo_routes = _ZOO_SYSTEM_ROUTES.get(key)
-        if zoo_routes is None:
-            if len(_ZOO_SYSTEM_ROUTES) >= _SYSTEM_ROUTE_CACHE_LIMIT:
-                _ZOO_SYSTEM_ROUTES.clear()
-            zoo_routes = _ZOO_SYSTEM_ROUTES[key] = CompiledZooRoutes(
-                compile_system(spec)
-            )
-        return zoo_routes
-    routes = _SYSTEM_ROUTES.get(spec)
-    if routes is None:
-        if len(_SYSTEM_ROUTES) >= _SYSTEM_ROUTE_CACHE_LIMIT:
-            _SYSTEM_ROUTES.clear()
-        routes = _SYSTEM_ROUTES[spec] = CompiledSystemRoutes(compile_system(spec))
-    return routes
+    if isinstance(spec, MultiClusterSpec):
+        return cached(_SYSTEM_ROUTES, spec, lambda: CompiledSystemRoutes(compile_system(spec)))
+    return cached(_SYSTEM_ROUTES, spec.identity, lambda: CompiledZooRoutes(compile_system(spec)))
 
 
 def decompile(m: int, n: int, ids: IdTuple) -> Tuple[Channel, ...]:
@@ -569,4 +550,3 @@ def clear_route_caches() -> None:
     _TREE_ROUTES.clear()
     _SYSTEM_ROUTES.clear()
     _GRAPH_ROUTES.clear()
-    _ZOO_SYSTEM_ROUTES.clear()

@@ -13,9 +13,10 @@ constant-bisection-bandwidth topology made of fixed-arity m-port switches:
 * :mod:`repro.topology.properties` — derived metrics (bisection width,
   diameter, link counts, distance distributions) used both by tests and by
   the design-space exploration example;
-* :mod:`repro.topology.compile` — the compilation pass lowering a system's
-  object graph to dense integer channel ids and flat metadata arrays (the
-  representation the wormhole simulator's hot path runs on).
+* :mod:`repro.topology.compile` — the compilation pass lowering each
+  network to dense integer channel ids and a whole system to one slot
+  layout (the representation the wormhole simulator's hot path runs on),
+  for the multi-cluster system and the :mod:`repro.topology.zoo` alike.
 """
 
 from repro.topology.fat_tree import (
@@ -43,17 +44,15 @@ from repro.topology.properties import (
     mean_internode_distance,
 )
 from repro.topology.compile import (
+    CompiledNetwork,
     CompiledSystem,
-    CompiledTree,
-    Topology,
     compile_system,
     compile_tree,
 )
 
 __all__ = [
+    "CompiledNetwork",
     "CompiledSystem",
-    "CompiledTree",
-    "Topology",
     "compile_system",
     "compile_tree",
     "Channel",

@@ -1,29 +1,34 @@
-"""Topology compilation: dense integer channel ids and flat metadata arrays.
+"""Topology compilation: dense integer channel ids and one slot layout.
 
 The object-graph topology layer (:class:`~repro.topology.fat_tree.MPortNTree`
-and friends) is the *source of truth*: readable, validated, and exactly the
-representation the analytical model reasons about.  But it is a poor hot-path
+and the zoo's :class:`~repro.topology.zoo.graphs.ZooTopology`) is the
+*source of truth*: readable, validated, and exactly the representation the
+analytical model and the routers reason about.  But it is a poor hot-path
 representation — every :class:`Channel` is a frozen dataclass whose hash
 walks nested address tuples, so keying per-channel simulation state on
 ``Channel`` objects costs a rehash per hop per message.
 
-This module compiles that object graph **once** into dense integer ids:
+This module compiles both topology families **once**, through the same two
+classes:
 
-* :class:`CompiledTree` assigns every directed channel of one m-port n-tree
-  a dense id (the enumeration order of :meth:`MPortNTree.channels`) and
-  emits flat NumPy metadata arrays (endpoint ids, channel kind, node-channel
-  flags).  Compiled trees depend only on the shape ``(m, n)`` — channel
-  objects carry no tree name — so one compiled tree is shared by every
-  same-shape ICN1/ECN1/ICN2 instance via a module-level cache.
-  :func:`node_channel_ids` and :func:`up_channel_id` state the same id
-  layout in closed form, so the route-table kernel computes ids with array
-  arithmetic instead of hashing :class:`Channel` objects.
-* :class:`CompiledSystem` lays the channels of every network of a
-  :class:`MultiClusterSystem` into one global id space (one block per
-  network, plus one pseudo-channel slot per concentrator and dispatcher
-  unit) and emits system-wide metadata arrays.  Compiled systems are cached
-  per :class:`MultiClusterSpec`, so a sweep compiles once and every worker
-  process compiles at most once.
+* :class:`CompiledNetwork` assigns every directed channel of one network a
+  dense id (the enumeration order of its ``channels()``) and flags the node
+  channels.  :func:`compile_tree` builds it for an m-port n-tree shape,
+  cached per ``(m, n)`` — channel objects carry no tree name, so one
+  compiled tree serves every same-shape ICN1/ECN1/ICN2 — and
+  :func:`repro.topology.zoo.compile.compile_graph` for a zoo topology,
+  cached per spec identity.  :func:`node_channel_ids` and
+  :func:`up_channel_id` state the tree id layout in closed form, so the
+  route-table kernel computes ids with array arithmetic instead of hashing
+  :class:`Channel` objects.
+* :class:`CompiledSystem` lays the compiled networks of one system into one
+  global slot space (one block per network, plus one pseudo-channel slot
+  per concentrator and dispatcher unit).  :func:`compile_system` chooses the
+  networks: each cluster's ICN1 and ECN1 and the ICN2 for a
+  :class:`MultiClusterSpec`, the graph as the one ICN1 of a one-cluster
+  system for a zoo :class:`~repro.topology.zoo.spec.TopologySpec`.
+  Compiled systems are cached per spec, so a sweep compiles once and every
+  worker process compiles at most once.
 
 The simulator's flat-array hot path (:mod:`repro.sim.network`,
 :mod:`repro.sim.simulator`) and the compiled route tables
@@ -32,65 +37,50 @@ The simulator's flat-array hot path (:mod:`repro.sim.network`,
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Protocol, Tuple, runtime_checkable
+from typing import Any, Callable, Dict, List, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-from repro.topology.fat_tree import (
-    Channel,
-    ChannelKind,
-    FatTreeNode,
-    FatTreeSwitch,
-    MPortNTree,
-    shared_tree,
-)
-from repro.topology.multicluster import MultiClusterSpec, MultiClusterSystem
+from repro.topology.fat_tree import Channel, shared_tree
+from repro.topology.multicluster import MultiClusterSpec, MultiClusterSystem, NodeLayout
 from repro.utils.validation import ValidationError
 
 __all__ = [
-    "Topology",
-    "CompiledTree",
+    "CompiledNetwork",
     "CompiledSystem",
     "compile_tree",
     "compile_system",
     "clear_compile_caches",
     "node_channel_ids",
     "up_channel_id",
-    "KIND_CODES",
 ]
 
+T = TypeVar("T")
 
-@runtime_checkable
-class Topology(Protocol):
-    """The minimal surface a network must expose to be compilable.
-
-    :class:`MPortNTree` satisfies this structurally; alternative topologies
-    (e.g. a torus backend) only need dense node indices and a deterministic
-    channel enumeration to plug into the same compilation pass.
-    """
-
-    name: str
-
-    @property
-    def num_nodes(self) -> int: ...
-
-    @property
-    def num_channels(self) -> int: ...
-
-    def channels(self) -> Iterator[Channel]: ...
+#: The per-spec caches (compiled systems, zoo graphs and topologies, system
+#: and zoo route tables) clear wholesale once they hold this many specs, so a
+#: sweep over many organisations, or a long-lived worker serving many zoo
+#: topologies, cannot pin them all for the process lifetime.
+CACHE_LIMIT = 64
 
 
-#: Stable integer code per channel kind (order matches the enum declaration).
-KIND_CODES: Dict[ChannelKind, int] = {
-    ChannelKind.INJECTION: 0,
-    ChannelKind.EJECTION: 1,
-    ChannelKind.UP: 2,
-    ChannelKind.DOWN: 3,
-}
+def cached(cache: Dict[Any, T], key: Any, build: Callable[[], T]) -> T:
+    """``cache[key]``, built by ``build()`` on a miss (bounded by CACHE_LIMIT)."""
+    value = cache.get(key)
+    if value is None:
+        if len(cache) >= CACHE_LIMIT:
+            cache.clear()
+        value = cache[key] = build()
+    return value
 
 
-class CompiledTree:
-    """One m-port n-tree lowered to dense channel ids and flat arrays.
+class CompiledNetwork:
+    """One network lowered to dense channel ids.
+
+    ``network`` is any object with ``channels()`` (its directed channels in
+    a deterministic order), ``name``, ``num_nodes``, ``num_switches`` and
+    ``num_channels``: an :class:`MPortNTree` or a zoo
+    :class:`~repro.topology.zoo.graphs.ZooTopology`.
 
     Attributes
     ----------
@@ -98,81 +88,45 @@ class CompiledTree:
         Channel objects in id order (``channels[cid]`` decompiles ``cid``).
     channel_ids:
         The inverse mapping ``Channel -> cid``.
-    kind_codes / is_node_channel:
-        Per-channel metadata arrays (``KIND_CODES`` values; True on
-        injection/ejection channels, whose per-flit time is ``t_cn``).
-    source_ids / target_ids:
-        Per-channel endpoint ids: processing nodes keep their dense index,
-        switch ``s`` becomes ``num_nodes + switch_id`` with switch ids in
-        :meth:`MPortNTree.switches` enumeration order.
+    is_node_channel:
+        Per-channel flags, True on injection/ejection channels (whose
+        per-flit time is ``t_cn``).
     """
 
     __slots__ = (
-        "m",
-        "n",
+        "name",
         "num_nodes",
         "num_switches",
         "num_channels",
         "channels",
         "channel_ids",
-        "kind_codes",
         "is_node_channel",
-        "source_ids",
-        "target_ids",
     )
 
-    def __init__(self, tree: MPortNTree) -> None:
-        self.m = tree.m
-        self.n = tree.n
-        self.num_nodes = tree.num_nodes
-        self.num_switches = tree.num_switches
-        switch_ids: Dict[FatTreeSwitch, int] = {
-            switch: index for index, switch in enumerate(tree.switches())
-        }
-        channels: List[Channel] = list(tree.channels())
-        if len(channels) != tree.num_channels:
+    def __init__(self, network: Any) -> None:
+        self.name = network.name
+        self.num_nodes = network.num_nodes
+        self.num_switches = network.num_switches
+        self.channels: Tuple[Channel, ...] = tuple(network.channels())
+        if len(self.channels) != network.num_channels:
             raise ValidationError(
-                f"channel enumeration produced {len(channels)} channels, "
-                f"expected {tree.num_channels}"
+                f"channel enumeration produced {len(self.channels)} channels, "
+                f"expected {network.num_channels}"
             )  # pragma: no cover - structural invariant
-        self.num_channels = len(channels)
-        self.channels = tuple(channels)
-        self.channel_ids = {channel: cid for cid, channel in enumerate(channels)}
-
-        def entity_id(entity) -> int:
-            if isinstance(entity, FatTreeNode):
-                return entity.index
-            return self.num_nodes + switch_ids[entity]
-
-        self.kind_codes = np.fromiter(
-            (KIND_CODES[channel.kind] for channel in channels),
-            dtype=np.uint8,
-            count=self.num_channels,
-        )
+        self.num_channels = len(self.channels)
+        self.channel_ids = {channel: cid for cid, channel in enumerate(self.channels)}
         self.is_node_channel = np.fromiter(
-            (channel.kind.is_node_channel for channel in channels),
+            (channel.kind.is_node_channel for channel in self.channels),
             dtype=np.bool_,
-            count=self.num_channels,
-        )
-        self.source_ids = np.fromiter(
-            (entity_id(channel.source) for channel in channels),
-            dtype=np.int32,
-            count=self.num_channels,
-        )
-        self.target_ids = np.fromiter(
-            (entity_id(channel.target) for channel in channels),
-            dtype=np.int32,
             count=self.num_channels,
         )
 
     def index_of(self, channel: Channel) -> int:
-        """Dense id of ``channel`` (raises for channels of another shape)."""
+        """Dense id of ``channel`` (raises for channels of another network)."""
         try:
             return self.channel_ids[channel]
         except KeyError:
-            raise ValidationError(
-                f"{channel!r} is not a channel of a {self.m}-port {self.n}-tree"
-            ) from None
+            raise ValidationError(f"{channel!r} is not a channel of {self.name}") from None
 
     def channel_at(self, cid: int) -> Channel:
         """Decompile a dense id back into its :class:`Channel`."""
@@ -183,12 +137,10 @@ class CompiledTree:
         return self.channels[cid]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CompiledTree(m={self.m}, n={self.n}, channels={self.num_channels})"
-        )
+        return f"CompiledNetwork({self.name}, channels={self.num_channels})"
 
 
-# The closed form of the CompiledTree id layout.  MPortNTree.channels()
+# The closed form of a compiled tree's id layout.  MPortNTree.channels()
 # yields each node's injection/ejection pair in node order, then, level by
 # level, each non-root switch's up/down pairs in switch-rank order (the
 # lexicographic order of ``switches_at_level``) and up-digit order.  A
@@ -208,132 +160,106 @@ def up_channel_id(num_nodes: int, k: int, level, rank, digit):
     return 2 * num_nodes * (1 + level) + 2 * (rank * k + digit)
 
 
-_COMPILED_TREES: Dict[Tuple[int, int], CompiledTree] = {}
+_COMPILED_TREES: Dict[Tuple[int, int], CompiledNetwork] = {}
 
 
-def compile_tree(m: int, n: int) -> CompiledTree:
+def compile_tree(m: int, n: int) -> CompiledNetwork:
     """The (cached) compiled form of the ``(m, n)`` tree shape."""
     key = (int(m), int(n))
     compiled = _COMPILED_TREES.get(key)
     if compiled is None:
-        compiled = _COMPILED_TREES[key] = CompiledTree(shared_tree(m, n))
+        compiled = _COMPILED_TREES[key] = CompiledNetwork(shared_tree(m, n))
     return compiled
 
 
 class CompiledSystem:
-    """A :class:`MultiClusterSystem` lowered to one global channel-id space.
+    """The networks of one system laid out in one global channel-id space.
 
     The id space is laid out block by block::
 
-        [cluster0 ICN1][cluster0 ECN1][cluster1 ICN1] ... [ICN2]
-        [concentrator slots (C)][dispatcher slots (C)]
+        [ICN1 of cluster 0] ... [ICN1 of cluster C-1]
+        [ECN1 of cluster 0] ... [ECN1 of cluster C-1] [ICN2]
+        [concentrator slots (C)] [dispatcher slots (C)]
 
-    The concentrator/dispatcher units are *pseudo-channels*: they contend
-    like a capacity-1 channel with a switch-channel service time.
+    ``system`` is the :class:`~repro.topology.multicluster.NodeLayout` of
+    the ``C`` clusters.  A zoo topology passes no ``ecn1`` and no ``icn2``,
+    so their blocks are empty.  The concentrator/dispatcher units are
+    *pseudo-channels*: they contend like a capacity-1 channel with a
+    switch-channel service time.
 
     Besides the block offsets, the compiled system exposes flat metadata
     over the whole slot space (``is_node_channel_list``, ``pool_index_list``)
     as plain Python lists: the simulator indexes them per hop, and scalar
     indexing of a list is several times faster than scalar indexing of a
-    NumPy array (the per-tree NumPy metadata arrays live on
-    :class:`CompiledTree`).
+    NumPy array.
 
     Pool indexing (one pool per network, used by utilisation reporting):
     pool ``c`` is cluster ``c``'s ICN1, pool ``C + c`` its ECN1, pool ``2C``
     the ICN2, and pool ``2C + 1`` the relay pseudo-pool (reported
-    separately, via per-slot grant counts).
+    separately, via per-slot grant counts).  ``utilisation_labels`` are the
+    report keys of the ICN1 pools, the ECN1 pools, the ICN2 pool and the
+    relay slots, in that order.
     """
-
-    #: report keys the kernels use for channel-utilisation aggregation, in
-    #: pool-layout order (per-cluster pools, ICN2 pool, relay slots); the
-    #: zoo facade overrides them with its own labels.
-    utilisation_labels = ("ICN1", "ECN1", "ICN2", "concentrators")
 
     __slots__ = (
         "spec",
         "system",
-        "icn1_trees",
-        "ecn1_trees",
-        "icn2_tree",
+        "utilisation_labels",
         "icn1_offsets",
         "ecn1_offsets",
         "icn2_offset",
         "concentrator_base",
         "dispatcher_base",
         "total_slots",
-        "num_pools",
         "is_node_channel_list",
         "pool_index_list",
-        "pool_labels",
     )
 
-    def __init__(self, spec: MultiClusterSpec) -> None:
-        self.spec = spec
-        self.system = MultiClusterSystem(spec)
-        clusters = self.system.clusters
-        num_clusters = len(clusters)
-
-        self.icn1_trees: Tuple[CompiledTree, ...] = tuple(
-            compile_tree(spec.m, cluster.height) for cluster in clusters
-        )
-        self.ecn1_trees: Tuple[CompiledTree, ...] = self.icn1_trees  # same shapes
-        self.icn2_tree = compile_tree(spec.m, spec.icn2_height)
-
-        icn1_offsets: List[int] = []
-        ecn1_offsets: List[int] = []
-        pool_labels: List[str] = []
-        offset = 0
-        pool_of_slot: List[int] = []
+    def __init__(
+        self,
+        system: NodeLayout,
+        utilisation_labels: Tuple[str, str, str, str],
+        icn1: Sequence[CompiledNetwork],
+        ecn1: Sequence[CompiledNetwork] = (),
+        icn2: "CompiledNetwork | None" = None,
+    ) -> None:
+        self.spec = system.spec
+        self.system = system
+        self.utilisation_labels = utilisation_labels
+        num_clusters = system.num_clusters
+        pool_index: List[int] = []
         node_flag: List[bool] = []
 
-        def add_block(tree: CompiledTree, pool: int) -> int:
-            nonlocal offset
-            start = offset
-            pool_of_slot.extend([pool] * tree.num_channels)
-            node_flag.extend(bool(flag) for flag in tree.is_node_channel)
-            offset += tree.num_channels
+        def add_block(network: CompiledNetwork, pool: int) -> int:
+            start = len(pool_index)
+            pool_index.extend([pool] * network.num_channels)
+            node_flag.extend(network.is_node_channel.tolist())
             return start
 
-        for index in range(num_clusters):
-            icn1_offsets.append(add_block(self.icn1_trees[index], index))
-            pool_labels.append(f"cluster{index}/ICN1")
-        for index in range(num_clusters):
-            ecn1_offsets.append(add_block(self.ecn1_trees[index], num_clusters + index))
-            pool_labels.append(f"cluster{index}/ECN1")
-        self.icn2_offset = add_block(self.icn2_tree, 2 * num_clusters)
-        pool_labels.append("ICN2")
-
-        relay_pool = 2 * num_clusters + 1
-        self.concentrator_base = offset
-        pool_of_slot.extend([relay_pool] * num_clusters)
-        node_flag.extend([False] * num_clusters)
-        offset += num_clusters
-        self.dispatcher_base = offset
-        pool_of_slot.extend([relay_pool] * num_clusters)
-        node_flag.extend([False] * num_clusters)
-        offset += num_clusters
-        pool_labels.append("relays")
-
-        self.icn1_offsets = tuple(icn1_offsets)
-        self.ecn1_offsets = tuple(ecn1_offsets)
-        self.total_slots = offset
-        # ICN1s + ECN1s + ICN2 + the relay pseudo-pool, so per-pool
-        # structures sized by num_pools can be indexed with the pool of
-        # *any* slot, relay slots included.
-        self.num_pools = 2 * num_clusters + 2
-        self.pool_labels = tuple(pool_labels)
-        self.pool_index_list = pool_of_slot
+        self.icn1_offsets = tuple(add_block(net, c) for c, net in enumerate(icn1))
+        self.ecn1_offsets = tuple(
+            add_block(net, num_clusters + c) for c, net in enumerate(ecn1)
+        )
+        self.icn2_offset = (
+            len(pool_index) if icn2 is None else add_block(icn2, 2 * num_clusters)
+        )
+        self.concentrator_base = len(pool_index)
+        self.dispatcher_base = self.concentrator_base + num_clusters
+        pool_index.extend([2 * num_clusters + 1] * (2 * num_clusters))
+        node_flag.extend([False] * (2 * num_clusters))
+        self.total_slots = len(pool_index)
+        self.pool_index_list = pool_index
         self.is_node_channel_list = node_flag
 
     # ------------------------------------------------------------- id helpers
     def concentrator_slot(self, cluster_index: int) -> int:
         """Global slot id of cluster ``cluster_index``'s concentrator unit."""
-        self.spec._check_cluster(cluster_index)
+        self.system.cluster(cluster_index)
         return self.concentrator_base + cluster_index
 
     def dispatcher_slot(self, cluster_index: int) -> int:
         """Global slot id of cluster ``cluster_index``'s dispatcher unit."""
-        self.spec._check_cluster(cluster_index)
+        self.system.cluster(cluster_index)
         return self.dispatcher_base + cluster_index
 
     def header_times(self, t_cn: float, t_cs: float) -> List[float]:
@@ -345,42 +271,46 @@ class CompiledSystem:
         return [t_cn if is_node else t_cs for is_node in self.is_node_channel_list]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CompiledSystem(C={self.spec.num_clusters}, m={self.spec.m}, "
-            f"slots={self.total_slots})"
-        )
+        return f"CompiledSystem({self.system!r}, slots={self.total_slots})"
 
 
-_COMPILED_SYSTEMS: Dict[MultiClusterSpec, CompiledSystem] = {}
-
-#: Compiled systems are a few MB each; a design-space sweep over many
-#: distinct organisations must not pin them all for the process lifetime,
-#: so the cache clears wholesale once it exceeds this many specs.
-_COMPILED_SYSTEM_CACHE_LIMIT = 64
+_COMPILED_SYSTEMS: Dict[Any, CompiledSystem] = {}
 
 
 def compile_system(spec) -> CompiledSystem:
-    """The (cached) compiled channel-id space of ``spec``.
+    """The (cached) compiled slot layout of ``spec``.
 
-    The cache is keyed by the frozen spec itself, so every sweep point, every
-    engine and — because the cache is module level — every process-pool
-    worker reuses one compilation per organisation.  ``spec`` may be a
-    :class:`MultiClusterSpec` or a zoo
-    :class:`~repro.topology.zoo.spec.TopologySpec`; zoo members compile to
-    the same surface (a single degenerate cluster) through their own
-    identity-keyed cache.
+    A :class:`MultiClusterSpec` brings one ICN1 and one ECN1 per cluster and
+    the ICN2.  A zoo :class:`~repro.topology.zoo.spec.TopologySpec` brings
+    its graph as the one ICN1 of a one-cluster system, with no ECN1 and no
+    ICN2, so no message is ever external.  The cache is keyed by the frozen
+    multi-cluster spec, or by the zoo spec's full identity, so every sweep
+    point, every engine and — because the cache is module level — every
+    process-pool worker reuses one compilation per organisation.
     """
-    if not isinstance(spec, MultiClusterSpec):
-        # Imported lazily: the zoo package builds on this module.
-        from repro.topology.zoo.compile import compile_zoo_system
+    if isinstance(spec, MultiClusterSpec):
 
-        return compile_zoo_system(spec)
-    compiled = _COMPILED_SYSTEMS.get(spec)
-    if compiled is None:
-        if len(_COMPILED_SYSTEMS) >= _COMPILED_SYSTEM_CACHE_LIMIT:
-            _COMPILED_SYSTEMS.clear()
-        compiled = _COMPILED_SYSTEMS[spec] = CompiledSystem(spec)
-    return compiled
+        def lower() -> CompiledSystem:
+            trees = tuple(compile_tree(spec.m, height) for height in spec.cluster_heights)
+            return CompiledSystem(
+                MultiClusterSystem(spec),
+                ("ICN1", "ECN1", "ICN2", "concentrators"),
+                trees,
+                trees,
+                compile_tree(spec.m, spec.icn2_height),
+            )
+
+        return cached(_COMPILED_SYSTEMS, spec, lower)
+    # Imported lazily: the zoo package builds on this module.
+    from repro.topology.zoo.compile import ZooSystem, compile_graph
+
+    return cached(
+        _COMPILED_SYSTEMS,
+        spec.identity,
+        lambda: CompiledSystem(
+            ZooSystem(spec), ("network", "external", "crossing", "relays"), (compile_graph(spec),)
+        ),
+    )
 
 
 def clear_compile_caches() -> None:

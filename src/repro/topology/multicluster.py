@@ -24,9 +24,7 @@ heterogeneity the paper models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
-
-import numpy as np
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.topology.fat_tree import FatTreeNode, MPortNTree
 from repro.utils.validation import (
@@ -204,38 +202,25 @@ class Cluster:
         return f"Cluster(index={self.index}, n={self.height}, nodes={self.num_nodes})"
 
 
-class MultiClusterSystem:
-    """A concrete heterogeneous multi-cluster system (Fig. 1).
+class NodeLayout:
+    """Dense system-wide addressing of the nodes of a list of clusters.
 
-    The system owns one :class:`Cluster` per entry of the spec, the global
-    ICN2 tree and one :class:`Concentrator` per cluster, and provides the
-    global-node-index bookkeeping shared by the analytical model, the
-    simulator and the experiment harness.
+    Cluster ``c`` holds ``clusters[c].num_nodes`` nodes, numbered globally
+    after every node of the clusters before it.  Every system the simulator
+    runs is one: a :class:`MultiClusterSystem`, and a zoo topology as the
+    one-cluster :class:`~repro.topology.zoo.compile.ZooSystem`.  The
+    analytical model, the traffic patterns, the stream pool and both
+    simulator kernels address nodes through it.
     """
 
-    def __init__(self, spec: MultiClusterSpec) -> None:
-        self.spec = spec
-        self.clusters: List[Cluster] = [
-            Cluster(index, spec.m, height)
-            for index, height in enumerate(spec.cluster_heights)
-        ]
-        self.icn2 = MPortNTree(spec.m, spec.icn2_height, name="ICN2")
-        if self.icn2.num_nodes != spec.num_clusters:
-            raise ValidationError(
-                f"ICN2 hosts {self.icn2.num_nodes} concentrators but the system "
-                f"has {spec.num_clusters} clusters"
-            )
-        self.concentrators: List[Concentrator] = [
-            Concentrator(cluster_index=i, icn2_node=FatTreeNode(i))
-            for i in range(spec.num_clusters)
-        ]
+    def __init__(self, clusters: Iterable) -> None:
+        self.clusters = list(clusters)
         self._offsets: List[int] = []
         offset = 0
         for cluster in self.clusters:
             self._offsets.append(offset)
             offset += cluster.num_nodes
         self._total_nodes = offset
-        self._node_offsets: np.ndarray | None = None
 
     # ------------------------------------------------------------------ sizes
     @property
@@ -251,18 +236,12 @@ class MultiClusterSystem:
     def cluster_sizes(self) -> Tuple[int, ...]:
         return tuple(cluster.num_nodes for cluster in self.clusters)
 
-    @property
-    def total_switches(self) -> int:
-        """Total switch count over every ICN1, ECN1 and the ICN2."""
-        per_cluster = sum(
-            cluster.icn1.num_switches + cluster.ecn1.num_switches
-            for cluster in self.clusters
-        )
-        return per_cluster + self.icn2.num_switches
-
     # --------------------------------------------------------- node addressing
-    def cluster(self, index: int) -> Cluster:
-        self.spec._check_cluster(index)
+    def cluster(self, index: int):
+        if not 0 <= index < len(self.clusters):
+            raise ValidationError(
+                f"cluster index {index} out of range [0, {len(self.clusters)})"
+            )
         return self.clusters[index]
 
     def global_index(self, cluster_index: int, local_index: int) -> int:
@@ -291,36 +270,54 @@ class MultiClusterSystem:
         """Cluster index of a dense system-wide node index."""
         return self.locate(global_index)[0]
 
-    @property
-    def node_offsets(self) -> np.ndarray:
-        """Per-cluster starting global node index as a read-only int64 array.
-
-        The vectorized counterpart of :meth:`locate`:
-        ``searchsorted(node_offsets, g, side="right") - 1`` maps a batch of
-        global indexes to their clusters in one call, with results identical
-        to the scalar scan (both pick the last offset at or below ``g``).
-        """
-        offsets = self._node_offsets
-        if offsets is None:
-            offsets = np.asarray(self._offsets, dtype=np.int64)
-            offsets.setflags(write=False)
-            self._node_offsets = offsets
-        return offsets
-
-    def nodes(self) -> Iterator[Tuple[int, FatTreeNode]]:
+    def nodes(self) -> Iterator[tuple]:
         """All nodes as ``(cluster_index, node)`` pairs, cluster by cluster."""
         for cluster in self.clusters:
             for node in cluster.nodes():
                 yield cluster.index, node
 
-    def concentrator(self, cluster_index: int) -> Concentrator:
-        self.spec._check_cluster(cluster_index)
-        return self.concentrators[cluster_index]
-
-    # ------------------------------------------------------------------ checks
     def same_cluster(self, global_a: int, global_b: int) -> bool:
         """True when two system-wide node indices belong to the same cluster."""
         return self.cluster_of(global_a) == self.cluster_of(global_b)
+
+
+class MultiClusterSystem(NodeLayout):
+    """A concrete heterogeneous multi-cluster system (Fig. 1).
+
+    The system owns one :class:`Cluster` per entry of the spec, the global
+    ICN2 tree and one :class:`Concentrator` per cluster; its node addressing
+    is :class:`NodeLayout`'s.
+    """
+
+    def __init__(self, spec: MultiClusterSpec) -> None:
+        self.spec = spec
+        super().__init__(
+            Cluster(index, spec.m, height)
+            for index, height in enumerate(spec.cluster_heights)
+        )
+        self.icn2 = MPortNTree(spec.m, spec.icn2_height, name="ICN2")
+        if self.icn2.num_nodes != spec.num_clusters:
+            raise ValidationError(
+                f"ICN2 hosts {self.icn2.num_nodes} concentrators but the system "
+                f"has {spec.num_clusters} clusters"
+            )
+        self.concentrators: List[Concentrator] = [
+            Concentrator(cluster_index=i, icn2_node=FatTreeNode(i))
+            for i in range(spec.num_clusters)
+        ]
+
+    @property
+    def total_switches(self) -> int:
+        """Total switch count over every ICN1, ECN1 and the ICN2."""
+        per_cluster = sum(
+            cluster.icn1.num_switches + cluster.ecn1.num_switches
+            for cluster in self.clusters
+        )
+        return per_cluster + self.icn2.num_switches
+
+    def concentrator(self, cluster_index: int) -> Concentrator:
+        self.spec._check_cluster(cluster_index)
+        return self.concentrators[cluster_index]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

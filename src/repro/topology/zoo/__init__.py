@@ -6,12 +6,9 @@ fat-tree, depth/fanout tree, 2-D torus) with the
 """
 
 from repro.topology.zoo.compile import (
-    CompiledGraph,
-    CompiledZooSystem,
     ZooSystem,
     clear_zoo_compile_caches,
     compile_graph,
-    compile_zoo_system,
 )
 from repro.topology.zoo.graphs import (
     FanoutTree,
@@ -29,8 +26,6 @@ from repro.topology.zoo.spec import (
 )
 
 __all__ = [
-    "CompiledGraph",
-    "CompiledZooSystem",
     "FanoutTree",
     "GraphSwitch",
     "Host",
@@ -42,7 +37,6 @@ __all__ = [
     "build_topology",
     "clear_zoo_compile_caches",
     "compile_graph",
-    "compile_zoo_system",
     "register_topology",
     "zoo_kinds",
 ]

@@ -1,10 +1,10 @@
 """The topology zoo: graph topologies beyond the paper's m-port n-tree.
 
-Every member lowers to the exact representation the compilation pass of
-:mod:`repro.topology.compile` produces for fat trees — a deterministic
-enumeration of directed :class:`~repro.topology.fat_tree.Channel` objects
-over dense host/switch indices — so the flat-array simulator hot path
-and the frozen integer route tables apply unchanged.
+Every member is a deterministic enumeration of directed
+:class:`~repro.topology.fat_tree.Channel` objects over dense host/switch
+indices, the surface :class:`~repro.topology.compile.CompiledNetwork` lowers
+for an m-port n-tree too, so the flat-array simulator hot path and the
+frozen integer route tables apply unchanged.
 
 A :class:`ZooTopology` is described by four things:
 
@@ -64,9 +64,11 @@ class GraphSwitch(object):
 class ZooTopology:
     """Base class: a switch graph with hosts, lowered to directed channels.
 
-    Subclasses define the structure (:meth:`host_switch`, :meth:`links`,
-    :meth:`switch_depths`); this base derives the :class:`Channel`
-    enumeration satisfying :class:`repro.topology.compile.Topology`.
+    Subclasses define the structure (:meth:`host_switch`,
+    :meth:`_build_links`, :meth:`_build_depths`); this base derives the
+    up*/down* orientation (:meth:`oriented_links`) and the :class:`Channel`
+    enumeration (:meth:`channels`) that
+    :class:`~repro.topology.compile.CompiledNetwork` lowers.
     """
 
     #: registry kind, set by each subclass (matches TopologySpec.kind)

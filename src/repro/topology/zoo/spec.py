@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Tuple
 
+from repro.topology.compile import cached
 from repro.utils.validation import ValidationError
 
 __all__ = [
@@ -96,7 +97,7 @@ class TopologySpec:
 
     @property
     def num_clusters(self) -> int:
-        """Zoo topologies compile as a single degenerate cluster."""
+        """Zoo topologies compile as a one-cluster system."""
         return 1
 
     @property
@@ -122,10 +123,7 @@ _SHARED_TOPOLOGIES: Dict[Tuple[Any, ...], Any] = {}
 
 def build_topology(spec: TopologySpec) -> Any:
     """The (cached) shared topology instance of ``spec``."""
-    topology = _SHARED_TOPOLOGIES.get(spec.identity)
-    if topology is None:
-        topology = _SHARED_TOPOLOGIES[spec.identity] = spec.build()
-    return topology
+    return cached(_SHARED_TOPOLOGIES, spec.identity, spec.build)
 
 
 def clear_shared_topologies() -> None:

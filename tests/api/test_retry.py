@@ -550,6 +550,35 @@ class TestUnpicklableEngine:
         assert (closing.done, closing.failed, closing.retries) == (2, 2, 0)
 
 
+class TestEqualSizeEngineOnThePool:
+    def test_timed_campaign_returns_the_untimed_latencies(self):
+        """Under a task timeout every task runs on the worker pool, so the
+        equal-size ablation engine must pickle there."""
+        campaign = Campaign(
+            entries=(
+                CampaignEntry(
+                    scenario=api.scenario("table1/544", points=2),
+                    engines=(api.AnalyticalEngine(), api.equal_size_engine()),
+                ),
+            )
+        )
+
+        def latencies(result):
+            return [
+                (record.engine, record.lambda_g, record.latency)
+                for _, runset in result
+                for record in runset.records
+            ]
+
+        untimed = run_campaign(campaign, store=None)
+        timed = run_campaign(
+            campaign, store=None, retry=RetryPolicy(max_attempts=2, timeout_seconds=30)
+        )
+        assert not timed.failures
+        assert len(latencies(timed)) == 4
+        assert latencies(timed) == latencies(untimed)
+
+
 class TestPooledTimeout:
     def test_hung_worker_is_killed_and_retried(self, tmp_path, monkeypatch):
         campaign = sim_campaign()

@@ -133,3 +133,63 @@ class TestAgreement:
         ok, reason = curves_match_in_shape(runset)
         assert not ok
         assert "steady-state" in reason
+
+
+@pytest.fixture(scope="module")
+def complete_and_partial():
+    """heterogeneous at 3 points, and the same run set without its
+    λ=8e-4 model record, as ``collect(strict=False)`` returns it when that
+    task failed."""
+    scenario = api.scenario("heterogeneous", points=3, sim=api.simulation_budget("quick", 0))
+    complete = api.run(scenario)
+    missing = scenario.offered_traffic[1]
+    assert missing == pytest.approx(8e-4)
+    partial = api.RunSet(
+        scenario,
+        tuple(
+            record
+            for record in complete.records
+            if not (record.engine == "model" and record.lambda_g == missing)
+        ),
+    )
+    return complete, partial
+
+
+class TestPartialRunSet:
+    """Records are matched to the load grid by ``lambda_g``, never by position."""
+
+    def test_table_rows_keep_their_own_loads(self, complete_and_partial):
+        complete, partial = complete_and_partial
+        full_rows = curve_table(complete).rows
+        rows = curve_table(partial).rows
+        assert len(rows) == len(full_rows) == 3
+        assert rows[0] == full_rows[0]
+        assert rows[2] == full_rows[2]
+        offered, model, simulated, error = rows[1]
+        assert (offered, simulated) == (full_rows[1][0], full_rows[1][2])
+        assert (model, error) == ("-", "-")
+
+    def test_agreement_compares_only_loads_with_both_records(self, complete_and_partial):
+        complete, partial = complete_and_partial
+        errors = relative_difference(complete, "sim", "model")
+        assert not any(math.isnan(error) for error in errors)
+        report = compare_runset(partial)
+        kept = [abs(errors[0]), abs(errors[2])]
+        assert report.compared_points == 2
+        assert report.mean_relative_error == sum(kept) / 2
+        assert report.max_relative_error == max(kept)
+        assert engine_latencies(partial, "model")[0] == engine_latencies(complete, "model")[0]
+        assert math.isnan(engine_latencies(partial, "model")[1])
+
+    def test_blowup_is_read_at_the_records_own_load(self):
+        scenario = api.Scenario(
+            system=TINY, message=MessageSpec(32, 256), offered_traffic=(1e-4, 2e-4, 3e-4)
+        )
+        records = (
+            api.RunRecord(engine="sim", lambda_g=1e-4, latency=10.0, saturated=False),
+            api.RunRecord(engine="sim", lambda_g=3e-4, latency=100.0, saturated=False),
+        )
+        report = compare_runset(api.RunSet(scenario, records))
+        assert report.simulation_blowup == 3e-4
+        assert report.compared_points == 0
+

@@ -16,8 +16,14 @@ Two layers of guarantees:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.routing.compile import CompiledGraphRoutes, compile_graph_routes
+from repro.routing import compile as routing_compile
+from repro.routing.compile import (
+    CompiledGraphRoutes,
+    compile_graph_routes,
+    compile_system_routes,
+)
 from repro.routing.updown import GraphUpDownRouter
+from repro.topology.compile import CACHE_LIMIT
 from repro.topology.fat_tree import ChannelKind
 from repro.topology.zoo import (
     FanoutTree,
@@ -29,6 +35,7 @@ from repro.topology.zoo import (
     build_topology,
     compile_graph,
 )
+from repro.topology.zoo import spec as zoo_spec
 from repro.utils.validation import ValidationError
 
 ZOO_SPECS = [
@@ -195,3 +202,14 @@ def test_lazy_and_eager_tables_agree(spec):
         (*lazy.table()[0], lazy.table()[1]), (*eager.table()[0], eager.table()[1])
     ):
         assert lazy_array.tolist() == eager_array.tolist()
+
+
+def test_zoo_caches_stay_bounded():
+    """A long-lived worker routing many distinct zoo topologies (``repro
+    serve`` takes inline ones from any client) keeps at most CACHE_LIMIT
+    topologies and route tables, like every other per-spec cache."""
+    for fanout in range(2, CACHE_LIMIT + 8):
+        spec = TopologySpec("tree", {"depth": 1, "fanout": fanout})
+        assert compile_system_routes(spec).intra_route(0, 0, 1) == ((0, 3), False)
+        assert len(routing_compile._GRAPH_ROUTES) <= CACHE_LIMIT
+        assert len(zoo_spec._SHARED_TOPOLOGIES) <= CACHE_LIMIT

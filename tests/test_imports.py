@@ -1,7 +1,8 @@
-"""numpy is the package's only third-party import, and no module imports
-a name it never uses."""
+"""numpy is the package's only third-party import, no module imports a
+name it never uses, and every exported name exists."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -101,3 +102,22 @@ def test_names_in_prose_are_not_uses(tmp_path):
     module = tmp_path / "module.py"
     module.write_text('"""Uses field from dataclasses."""\nfrom dataclasses import field\n')
     assert unused_imports(module) == [(2, "field")]
+
+
+def test_every_exported_name_resolves():
+    """Each ``__all__`` entry of every ``repro`` module is an attribute of it."""
+    package = Path(repro.__file__).parent
+    missing = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "__main__.py":
+            continue
+        parts = path.relative_to(package.parent).with_suffix("").parts
+        name = ".".join(parts[:-1] if path.name == "__init__.py" else parts)
+        module = importlib.import_module(name)
+        missing += [
+            f"{name}.{export}"
+            for export in getattr(module, "__all__", ())
+            if not hasattr(module, export)
+        ]
+    assert not missing, missing
+

@@ -116,20 +116,15 @@ class TestTreeAdjacency:
     def test_compiled_channels_cross_every_link_both_ways(self, m, n):
         tree = MPortNTree(m, n)
         compiled = compile_tree(m, n)
-        switch_ids = {switch: index for index, switch in enumerate(tree.switches())}
-
-        def entity_id(vertex):
-            entity = vertex[1]
-            if isinstance(entity, FatTreeNode):
-                return entity.index
-            return tree.num_nodes + switch_ids[entity]
-
         directed_links = {
-            (entity_id(vertex), entity_id(neighbour))
+            (vertex, neighbour)
             for vertex, neighbours in tree_adjacency(tree).items()
             for neighbour in neighbours
         }
-        channels = list(zip(compiled.source_ids.tolist(), compiled.target_ids.tolist()))
+        channels = [
+            ((tree.name, channel.source), (tree.name, channel.target))
+            for channel in compiled.channels
+        ]
         assert len(set(channels)) == len(channels) == tree.num_channels
         assert set(channels) == directed_links
 

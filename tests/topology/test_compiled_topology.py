@@ -1,26 +1,26 @@
-"""Tests of the topology compilation pass (dense ids + flat metadata)."""
+"""Tests of the topology compilation pass (dense ids + one slot layout)."""
 
-import numpy as np
 import pytest
 
 from repro.topology import (
-    ChannelKind,
     MPortNTree,
     MultiClusterSpec,
-    Topology,
     compile_system,
     compile_tree,
 )
-from repro.topology.compile import KIND_CODES, CompiledSystem
-from repro.topology.fat_tree import FatTreeNode
+from repro.topology.compile import CompiledSystem
+from repro.topology.zoo import TopologySpec, compile_graph
 from repro.utils import ValidationError
 
 HETERO = MultiClusterSpec(m=4, cluster_heights=(1, 2, 2, 1), name="tiny")
 
-
-class TestTopologyProtocol:
-    def test_m_port_n_tree_satisfies_the_protocol(self):
-        assert isinstance(MPortNTree(4, 2), Topology)
+#: One spec per family: the heterogeneous system and each registered zoo member.
+LAYOUT_SPECS = [
+    HETERO,
+    TopologySpec("fattree", {"k": 4}),
+    TopologySpec("tree", {"depth": 2, "fanout": 4}),
+    TopologySpec("torus", {"rows": 4, "cols": 4}),
+]
 
 
 class TestCompiledTree:
@@ -37,20 +37,7 @@ class TestCompiledTree:
     def test_metadata_arrays_match_the_channel_objects(self):
         compiled = compile_tree(4, 2)
         for cid, channel in enumerate(compiled.channels):
-            assert compiled.kind_codes[cid] == KIND_CODES[channel.kind]
             assert compiled.is_node_channel[cid] == channel.kind.is_node_channel
-
-    def test_endpoint_ids_distinguish_nodes_and_switches(self):
-        compiled = compile_tree(4, 2)
-        num_nodes = compiled.num_nodes
-        for cid, channel in enumerate(compiled.channels):
-            source_id = int(compiled.source_ids[cid])
-            if channel.kind == ChannelKind.INJECTION:
-                assert isinstance(channel.source, FatTreeNode)
-                assert source_id == channel.source.index < num_nodes
-            else:
-                assert source_id >= num_nodes or channel.kind == ChannelKind.EJECTION
-        assert compiled.source_ids.dtype == np.int32
 
     def test_compile_tree_is_cached_per_shape(self):
         assert compile_tree(4, 2) is compile_tree(4, 2)
@@ -74,8 +61,8 @@ class TestCompiledSystem:
 
     def test_slot_space_covers_every_network_plus_relays(self, core):
         expected = (
-            2 * sum(tree.num_channels for tree in core.icn1_trees)
-            + core.icn2_tree.num_channels
+            2 * sum(compile_tree(4, height).num_channels for height in HETERO.cluster_heights)
+            + compile_tree(4, HETERO.icn2_height).num_channels
             + 2 * HETERO.num_clusters
         )
         assert core.total_slots == expected
@@ -86,7 +73,8 @@ class TestCompiledSystem:
         offsets = [*core.icn1_offsets, *core.ecn1_offsets, core.icn2_offset]
         assert offsets == sorted(offsets)
         assert len(set(offsets)) == len(offsets)
-        assert core.concentrator_base == core.icn2_offset + core.icn2_tree.num_channels
+        icn2 = compile_tree(4, HETERO.icn2_height)
+        assert core.concentrator_base == core.icn2_offset + icn2.num_channels
         assert core.dispatcher_base == core.concentrator_base + HETERO.num_clusters
 
     def test_pool_index_groups_each_block(self, core):
@@ -96,12 +84,12 @@ class TestCompiledSystem:
             assert core.pool_index_list[start] == cluster
             start = core.ecn1_offsets[cluster]
             assert core.pool_index_list[start] == C + cluster
-        assert core.pool_index_list[core.icn2_offset] == 2 * C
+        icn2 = compile_tree(4, HETERO.icn2_height)
+        icn2_pools = core.pool_index_list[core.icn2_offset : core.concentrator_base]
+        assert icn2_pools == [2 * C] * icn2.num_channels
         assert core.pool_index_list[core.concentrator_slot(0)] == 2 * C + 1
-        assert core.pool_labels[2 * C] == "ICN2"
-        # Every slot's pool index must be addressable in structures sized by
-        # num_pools — relay slots included.
-        assert max(core.pool_index_list) < core.num_pools
+        # The relay pseudo-pool is the last of the 2C + 2 pools.
+        assert max(core.pool_index_list) == 2 * C + 1
 
     def test_relay_slots_are_switch_class(self, core):
         times = core.header_times(t_cn=0.3, t_cs=0.5)
@@ -117,7 +105,69 @@ class TestCompiledSystem:
     def test_compile_system_is_cached_per_spec(self):
         assert compile_system(HETERO) is compile_system(HETERO)
 
-    def test_same_shape_clusters_share_one_compiled_tree(self, core):
-        assert core.icn1_trees[0] is core.icn1_trees[3]  # both n=1
-        assert core.icn1_trees[1] is core.icn1_trees[2]  # both n=2
-        assert core.ecn1_trees[0] is core.icn1_trees[0]
+    def test_every_block_lays_out_its_shapes_compiled_tree(self, core):
+        heights = HETERO.cluster_heights
+        blocks = [
+            *zip(core.icn1_offsets, heights),
+            *zip(core.ecn1_offsets, heights),
+            (core.icn2_offset, HETERO.icn2_height),
+        ]
+        for start, height in blocks:
+            tree = compile_tree(4, height)
+            flags = core.is_node_channel_list[start : start + tree.num_channels]
+            assert flags == tree.is_node_channel.tolist()
+
+
+def _blocks(spec):
+    """``(compiled network, pool)`` of each block in slot order, and the labels.
+
+    Stated independently of :class:`CompiledSystem`: a multi-cluster system
+    lays out every ICN1, every ECN1 and the ICN2; a zoo topology its graph
+    as the one cluster's ICN1.
+    """
+    if isinstance(spec, MultiClusterSpec):
+        trees = [compile_tree(spec.m, height) for height in spec.cluster_heights]
+        C = len(trees)
+        blocks = [(tree, c) for c, tree in enumerate(trees)]
+        blocks += [(tree, C + c) for c, tree in enumerate(trees)]
+        blocks.append((compile_tree(spec.m, spec.icn2_height), 2 * C))
+        return blocks, ("ICN1", "ECN1", "ICN2", "concentrators")
+    return [(compile_graph(spec), 0)], ("network", "external", "crossing", "relays")
+
+
+def _equal_copy(spec):
+    if isinstance(spec, MultiClusterSpec):
+        return MultiClusterSpec(m=spec.m, cluster_heights=spec.cluster_heights, name=spec.name)
+    return TopologySpec(spec.kind, dict(spec.params))
+
+
+@pytest.mark.parametrize("spec", LAYOUT_SPECS, ids=lambda spec: spec.name)
+def test_one_slot_layout_for_both_families(spec):
+    core = compile_system(spec)
+    assert isinstance(core, CompiledSystem)
+    blocks, labels = _blocks(spec)
+    C = core.system.num_clusters
+    assert C == spec.num_clusters
+    assert core.total_slots == sum(network.num_channels for network, _ in blocks) + 2 * C
+    assert len(core.pool_index_list) == len(core.is_node_channel_list) == core.total_slots
+    slot = 0
+    for network, pool in blocks:
+        for channel in network.channels:
+            assert core.pool_index_list[slot] == pool
+            assert core.is_node_channel_list[slot] == channel.kind.is_node_channel
+            slot += 1
+    # The relay block: C concentrators, then C dispatchers, in the last pool.
+    assert core.concentrator_base == slot
+    assert core.dispatcher_base == slot + C
+    assert [core.concentrator_slot(c) for c in range(C)] == list(range(slot, slot + C))
+    assert [core.dispatcher_slot(c) for c in range(C)] == list(range(slot + C, slot + 2 * C))
+    assert core.pool_index_list[slot:] == [2 * C + 1] * (2 * C)
+    assert core.is_node_channel_list[slot:] == [False] * (2 * C)
+    for cluster in (-1, C):
+        with pytest.raises(ValidationError, match="cluster index"):
+            core.concentrator_slot(cluster)
+        with pytest.raises(ValidationError, match="cluster index"):
+            core.dispatcher_slot(cluster)
+    assert core.utilisation_labels == labels
+    # Cached per spec identity: an equal spec built anew gets the same object.
+    assert compile_system(_equal_copy(spec)) is core

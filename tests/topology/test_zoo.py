@@ -1,20 +1,22 @@
 """Unit tests for the topology zoo: families, specs, registry, caches."""
 
-import numpy as np
 import pytest
 
-from repro.topology.compile import KIND_CODES, clear_compile_caches, compile_system
+from repro.topology.compile import (
+    CompiledNetwork,
+    CompiledSystem,
+    clear_compile_caches,
+    compile_system,
+)
 from repro.topology.fat_tree import ChannelKind
 from repro.topology.zoo import (
-    CompiledGraph,
-    CompiledZooSystem,
     FanoutTree,
     KAryFatTree,
     Torus2D,
     TopologySpec,
+    ZooSystem,
     build_topology,
     compile_graph,
-    compile_zoo_system,
     register_topology,
     zoo_kinds,
 )
@@ -152,22 +154,26 @@ class TestTopologySpec:
 # --------------------------------------------------------------------------- #
 # Compilation
 # --------------------------------------------------------------------------- #
-class TestCompiledGraph:
+class TestCompileGraph:
     def test_channel_enumeration_matches_arrays(self):
         spec = TopologySpec("tree", {"depth": 2, "fanout": 4})
         graph = compile_graph(spec)
         topo = build_topology(spec)
         assert graph.num_channels == topo.num_channels
+        assert graph.channels == tuple(topo.channels())
         for cid, channel in enumerate(graph.channels):
             assert graph.channel_ids[channel] == cid
-            assert graph.kind_codes[cid] == KIND_CODES[channel.kind]
             assert bool(graph.is_node_channel[cid]) == channel.kind.is_node_channel
 
     def test_injection_ejection_pairs_lead(self):
         graph = compile_graph(TopologySpec("torus", {"rows": 3, "cols": 3}))
         for host in range(graph.num_nodes):
-            assert graph.kind_codes[2 * host] == KIND_CODES[ChannelKind.INJECTION]
-            assert graph.kind_codes[2 * host + 1] == KIND_CODES[ChannelKind.EJECTION]
+            assert graph.channels[2 * host].kind == ChannelKind.INJECTION
+            assert graph.channels[2 * host + 1].kind == ChannelKind.EJECTION
+        assert {channel.kind for channel in graph.channels[2 * graph.num_nodes :]} == {
+            ChannelKind.UP,
+            ChannelKind.DOWN,
+        }
 
     def test_compile_is_cached_by_identity(self):
         spec = TopologySpec("torus", {"rows": 3, "cols": 3})
@@ -182,41 +188,50 @@ class TestCompiledGraph:
         c = compile_graph(TopologySpec("torus", {"rows": 4, "cols": 4}))  # 16 hosts
         assert a.num_nodes == b.num_nodes == c.num_nodes == 16
         assert a is not b and b is not c and a is not c
-        assert len({a.token, b.token, c.token}) == 3
+        assert len({a.name, b.name, c.name}) == 3
         # fattree(4) and torus(4x4) even share a channel count (96); the
-        # wiring arrays still must differ.
+        # wiring still must differ.
         assert a.num_channels == c.num_channels
-        assert not np.array_equal(a.source_ids, c.source_ids)
+        assert a.channels != c.channels
 
 
-class TestCompiledZooSystem:
+class TestZooSlotLayout:
     def test_single_cluster_facade(self):
-        core = compile_zoo_system(TopologySpec("torus", {"rows": 4, "cols": 4}))
+        core = compile_system(TopologySpec("torus", {"rows": 4, "cols": 4}))
         assert core.system.num_clusters == 1
         assert core.system.total_nodes == 16
         assert core.system.cluster_sizes == (16,)
         assert core.system.locate(7) == (0, 7)
         assert core.system.global_index(0, 7) == 7
         assert core.system.same_cluster(0, 15)
+        assert [cluster for cluster, _ in core.system.nodes()] == [0] * 16
+        with pytest.raises(ValidationError, match="cluster index 1 out of range"):
+            core.system.cluster(1)
+        with pytest.raises(ValidationError, match="local index 16 out of range"):
+            core.system.global_index(0, 16)
+        with pytest.raises(ValidationError, match="global index 16 out of range"):
+            core.system.locate(16)
 
     def test_relay_slots_exist_but_are_outside_graph(self):
-        core = compile_zoo_system(TopologySpec("fattree", {"k": 4}))
-        assert core.concentrator_base == core.graph.num_channels
-        assert core.dispatcher_base == core.graph.num_channels + 1
-        assert core.total_slots == core.graph.num_channels + 2
-        assert core.num_pools == 4
+        spec = TopologySpec("fattree", {"k": 4})
+        core = compile_system(spec)
+        graph = compile_graph(spec)
+        assert core.concentrator_base == graph.num_channels
+        assert core.dispatcher_base == graph.num_channels + 1
+        assert core.total_slots == graph.num_channels + 2
         assert core.pool_index_list[-2:] == [3, 3]
-        assert set(core.pool_index_list[: core.graph.num_channels]) == {0}
+        assert set(core.pool_index_list[: graph.num_channels]) == {0}
 
     def test_utilisation_labels_are_zoo_specific(self):
-        core = compile_zoo_system(TopologySpec("tree", {"depth": 2, "fanout": 4}))
+        core = compile_system(TopologySpec("tree", {"depth": 2, "fanout": 4}))
         assert core.utilisation_labels == ("network", "external", "crossing", "relays")
 
     def test_compile_system_dispatches_on_spec_type(self):
         spec = TopologySpec("torus", {"rows": 3, "cols": 3})
         core = compile_system(spec)
-        assert isinstance(core, CompiledZooSystem)
-        assert core is compile_zoo_system(spec)
+        assert isinstance(core, CompiledSystem)
+        assert isinstance(core.system, ZooSystem)
+        assert core is compile_system(TopologySpec("torus", {"rows": 3, "cols": 3}))
 
 
 def test_clear_compile_caches_clears_zoo_too():
@@ -225,4 +240,4 @@ def test_clear_compile_caches_clears_zoo_too():
     clear_compile_caches()
     after = compile_graph(spec)
     assert before is not after
-    assert isinstance(after, CompiledGraph)
+    assert isinstance(after, CompiledNetwork)
