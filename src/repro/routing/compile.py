@@ -40,7 +40,6 @@ import numpy as np
 
 from repro.topology.compile import (
     CompiledSystem,
-    cached,
     compile_system,
     compile_tree,
     node_channel_ids,
@@ -48,6 +47,7 @@ from repro.topology.compile import (
 )
 from repro.topology.fat_tree import Channel, shared_tree
 from repro.topology.multicluster import MultiClusterSpec
+from repro.utils.cache import cached
 from repro.utils.validation import ValidationError
 
 __all__ = [
@@ -193,11 +193,7 @@ _TREE_ROUTES: Dict[Tuple[int, int], CompiledTreeRoutes] = {}
 
 def compile_tree_routes(m: int, n: int) -> CompiledTreeRoutes:
     """The (cached) route tables of the ``(m, n)`` tree shape."""
-    key = (int(m), int(n))
-    routes = _TREE_ROUTES.get(key)
-    if routes is None:
-        routes = _TREE_ROUTES[key] = CompiledTreeRoutes(m, n)
-    return routes
+    return cached(_TREE_ROUTES, (int(m), int(n)), lambda: CompiledTreeRoutes(m, n))
 
 
 class CompiledGraphRoutes:

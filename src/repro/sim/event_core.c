@@ -14,8 +14,14 @@
  * libnpyrandom.a and calls it through ctypes; repro/sim/vector.py
  * documents the event order the loop replays.
  *
- * An event is (time, seq, payload) with payload = (ident << 3) | kind;
- * the heap pops in (time, seq) order and seq counts pushes.
+ * An event is (time, seq, payload) with payload = (ident << 3) | kind,
+ * and events run in (time, seq) order, seq counting pushes.  They sit in
+ * two binary heaps: one pending arrival per live source, and every other
+ * event.  Each step runs the earlier of the two roots, which, seq being
+ * unique, is the event one heap of them all would pop.  The event being
+ * run stays at its root until the handler's first push to the same heap
+ * takes its place (one sift-down instead of a pop and a push); a handler
+ * that pushes nothing there has its event popped before the next step.
  */
 
 #include <stdbool.h>
@@ -55,7 +61,7 @@ static int before(const event *a, const event *b)
     return a->time < b->time || (a->time == b->time && a->seq < b->seq);
 }
 
-static int heap_push(heap *h, double time, int64_t seq, int64_t payload)
+static int heap_push(heap *h, event fresh)
 {
     if (h->size == h->capacity) {
         int64_t capacity = 2 * h->capacity;
@@ -67,7 +73,6 @@ static int heap_push(heap *h, double time, int64_t seq, int64_t payload)
     }
     event *items = h->items;
     int64_t at = h->size++;
-    event fresh = {time, seq, payload};
     while (at > 0) {
         int64_t parent = (at - 1) / 2;
         if (!before(&fresh, &items[parent]))
@@ -79,11 +84,10 @@ static int heap_push(heap *h, double time, int64_t seq, int64_t payload)
     return CORE_OK;
 }
 
-static event heap_pop(heap *h)
+/* Put fresh in the root's place and sift it down: a pop and a push in one. */
+static void heap_replace(heap *h, event fresh)
 {
     event *items = h->items;
-    event top = items[0];
-    event last = items[--h->size];
     int64_t size = h->size, at = 0;
     for (;;) {
         int64_t child = 2 * at + 1;
@@ -91,14 +95,18 @@ static event heap_pop(heap *h)
             break;
         if (child + 1 < size && before(&items[child + 1], &items[child]))
             child++;
-        if (!before(&items[child], &last))
+        if (!before(&items[child], &fresh))
             break;
         items[at] = items[child];
         at = child;
     }
-    if (size > 0)
-        items[at] = last;
-    return top;
+    items[at] = fresh;
+}
+
+static void heap_pop(heap *h)
+{
+    if (--h->size > 0)
+        heap_replace(h, h->items[h->size]);
 }
 
 /* Transfer rows: one per message in flight, recycled through a stack. */
@@ -175,11 +183,18 @@ static int append_slot(int32_t *journey, int32_t *length, int64_t stride, int64_
     return CORE_OK;
 }
 
-#define PUSH(t, p)                                        \
-    do {                                                  \
-        if ((status = heap_push(&h, (t), seq, (p))) != CORE_OK) \
-            goto done;                                    \
-        seq++;                                            \
+/* Queue an event on the shared heap.  While the event being handled is
+ * the shared root, the handler's first push takes its place. */
+#define PUSH(t, p)                                                    \
+    do {                                                              \
+        event pushed = {(t), seq, (p)};                               \
+        if (pending == &shared) {                                     \
+            heap_replace(&shared, pushed);                            \
+            pending = NULL;                                           \
+        } else if ((status = heap_push(&shared, pushed)) != CORE_OK) { \
+            goto done;                                                \
+        }                                                             \
+        seq++;                                                        \
     } while (0)
 
 int core_run(
@@ -208,7 +223,9 @@ int core_run(
     int64_t seq = 0, generated = 0, delivered = 0, touched_count = 0;
     int done_fired = 0;
     double time = 0.0;
-    heap h = {NULL, 0, 0};
+    /* One pending arrival per live source, and every other event. */
+    heap arrivals = {NULL, 0, num_sources + 1}, shared = {NULL, 0, 256};
+    heap *pending = NULL; /* the heap whose root is the event being handled */
     rows r = {0};
     r.stride = stride;
     int32_t *holder = malloc((size_t)total_slots * sizeof(int32_t));
@@ -216,9 +233,10 @@ int core_run(
     int32_t *queue_tail = malloc((size_t)total_slots * sizeof(int32_t));
     double *granted_at = malloc((size_t)total_slots * sizeof(double));
     uint8_t *touched = calloc((size_t)total_slots, 1);
-    h.capacity = num_sources + 64;
-    h.items = malloc((size_t)h.capacity * sizeof(event));
-    if (!holder || !queue_head || !queue_tail || !granted_at || !touched || !h.items) {
+    arrivals.items = malloc((size_t)arrivals.capacity * sizeof(event));
+    shared.items = malloc((size_t)shared.capacity * sizeof(event));
+    if (!holder || !queue_head || !queue_tail || !granted_at || !touched || !arrivals.items
+        || !shared.items) {
         status = CORE_NO_MEMORY;
         goto done;
     }
@@ -234,16 +252,26 @@ int core_run(
     PUSH(max_time, EV_GUARD);
     for (int64_t source = 0; source < num_sources; source++) {
         consumed[source] = 0;
-        PUSH(times[offsets[source] + source], (source << 3) | EV_ARRIVAL);
+        event first = {times[offsets[source] + source], seq++, (source << 3) | EV_ARRIVAL};
+        if ((status = heap_push(&arrivals, first)) != CORE_OK)
+            goto done;
     }
 
-    /* The guard stays queued until it pops, and its pop queues the stop. */
+    /* The guard stays queued until it pops, and its pop queues the stop.
+     * Each step handles the earlier of the two roots (see the top). */
     for (;;) {
-        if (h.size == 0) {
+        if (pending != NULL) /* the last handler pushed nothing in its place */
+            heap_pop(pending);
+        if (arrivals.size > 0 && (shared.size == 0 || before(arrivals.items, shared.items))) {
+            pending = &arrivals;
+        } else if (shared.size > 0) {
+            pending = &shared;
+        } else {
+            pending = NULL;
             status = CORE_HEAP_DRAINED;
             goto done;
         }
-        event ev = heap_pop(&h);
+        event ev = pending->items[0];
         time = ev.time;
         int kind = (int)(ev.payload & 7);
         int64_t ident = ev.payload >> 3;
@@ -322,7 +350,7 @@ int core_run(
             r.free_rows[r.free_count++] = (int32_t)ident;
         } else if (kind == EV_ARRIVAL) {
             if (generated >= total_messages)
-                continue; /* the source retires without drawing */
+                continue; /* the source retires without drawing; its arrival pops */
             int64_t index = generated++;
             int64_t cursor = consumed[ident];
             int64_t message = offsets[ident] + cursor;
@@ -413,7 +441,10 @@ int core_run(
                 status = CORE_CURSOR_OVERRUN;
                 goto done;
             }
-            PUSH(times[offsets[ident] + ident + cursor], ev.payload);
+            /* The source's next arrival takes this one's place. */
+            event next = {times[offsets[ident] + ident + cursor], seq++, ev.payload};
+            heap_replace(&arrivals, next);
+            pending = NULL;
         } else if (kind == EV_GRANT) {
             int32_t position = r.pos[ident];
             if (position == 0) /* the wait for the injection slot is the source-queue delay */
@@ -429,7 +460,9 @@ int core_run(
 
 done:
     clock[0] = time;
-    counts[0] = seq - h.size; /* every push took one seq, every pop ran one event */
+    /* Every push took one seq; every event no longer queued ran, the
+     * pending root included. */
+    counts[0] = seq - (arrivals.size + shared.size - (pending != NULL));
     counts[1] = delivered;
     counts[2] = touched_count;
     counts[3] = done_fired;
@@ -438,7 +471,8 @@ done:
     free(queue_tail);
     free(granted_at);
     free(touched);
-    free(h.items);
+    free(arrivals.items);
+    free(shared.items);
     rows_free(&r);
     return status;
 }
@@ -516,12 +550,56 @@ extern double random_exponential(bitgen_t *bitgen_state, double scale);
 extern void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off, uint64_t rng,
                                        intptr_t cnt, bool use_masked, uint64_t *out);
 
-/* numpy's pcg64_set_seed, applied to SeedSequence.generate_state(4, uint64)
- * words: the initial state of numpy.random.PCG64(seed_sequence). */
-void rng_seed(int64_t count, const uint64_t *words, uint64_t *states)
+/*
+ * numpy's SeedSequence: entropy words hash into a pool of four words,
+ * every pool word is mixed with every other, and any entropy past the
+ * pool is mixed into each pool word (SeedSequence.mix_entropy).
+ */
+static uint32_t hashmix(uint32_t value, uint32_t *hash_const)
 {
+    value ^= *hash_const;
+    *hash_const *= 0x931e8875u;
+    value *= *hash_const;
+    return value ^ (value >> 16);
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t result = 0xca01f9ddu * x - 0x4973f715u * y;
+    return result ^ (result >> 16);
+}
+
+/*
+ * Row i of entropy[1:] holds entropy[0] 32-bit words (one per uint64): the
+ * array SeedSequence(seed) assembles from its seed.  states[i] becomes the
+ * initial state of numpy.random.PCG64(SeedSequence(seed)): the pool,
+ * SeedSequence.generate_state(4, uint64) (eight words paired little-endian)
+ * and then numpy's pcg64_set_seed.
+ */
+void rng_seed(int64_t count, const uint64_t *entropy, uint64_t *states)
+{
+    int64_t width = (int64_t)entropy[0];
     for (int64_t i = 0; i < count; i++) {
-        const uint64_t *seed = words + 4 * i;
+        const uint64_t *row = entropy + 1 + i * width;
+        uint32_t pool[4], hash_const = 0x43b0d7e5u;
+        for (int j = 0; j < 4; j++)
+            pool[j] = hashmix(j < width ? (uint32_t)row[j] : 0, &hash_const);
+        for (int source = 0; source < 4; source++)
+            for (int target = 0; target < 4; target++)
+                if (source != target)
+                    pool[target] = mix(pool[target], hashmix(pool[source], &hash_const));
+        for (int64_t source = 4; source < width; source++)
+            for (int target = 0; target < 4; target++)
+                pool[target] = mix(pool[target], hashmix((uint32_t)row[source], &hash_const));
+        uint64_t seed[4] = {0};
+        hash_const = 0x8b51f9ddu;
+        for (int j = 0; j < 8; j++) {
+            uint32_t value = pool[j & 3] ^ hash_const;
+            hash_const *= 0x58f38dedu;
+            value *= hash_const;
+            value ^= value >> 16;
+            seed[j >> 1] |= (uint64_t)value << (32 * (j & 1));
+        }
         pcg64 rng = {0, ((((u128)seed[2] << 64) | seed[3]) << 1) | 1, 0, 0};
         pcg64_step(&rng);
         rng.state += ((u128)seed[0] << 64) | seed[1];

@@ -69,7 +69,7 @@ _ERRORS = {
     2: "a source's message cursor ran past its pre-drawn messages",
     3: "more measured messages were delivered than the run measures",
     4: "a journey is empty or longer than its row",
-    5: "the event heap drained before the stop event",
+    5: "both event heaps drained before the stop event",
     6: "a destination draw has no node to choose from",
     7: "drawing a peer needs at least two nodes",
     8: "a drawn destination lies outside the system",
@@ -203,19 +203,27 @@ def _raise_for(status: int) -> None:
         raise SimulationError(_ERRORS.get(status, f"native event core failed ({status})"))
 
 
-def seed_states(words: np.ndarray) -> np.ndarray:
+def seed_states(entropy: np.ndarray) -> np.ndarray:
     """Seeded PCG64 states, one row of four words per stream.
 
-    ``words`` holds each stream's ``SeedSequence.generate_state(4,
-    np.uint64)``; row ``i`` of the result is the state numpy's
-    ``PCG64(seed_sequence)`` starts from, as (state high, state low,
-    increment high, increment low).
+    Row ``i`` of ``entropy`` holds stream ``i``'s entropy as 32-bit words
+    (one per element), the array :class:`numpy.random.SeedSequence`
+    assembles from its seed: for ``SeedSequence([root, *keys])``, the
+    root's words, least significant first, then one word per key below
+    ``2**32``.  Row ``i`` of the result is the state numpy's
+    ``PCG64(SeedSequence(...))`` starts from, as (state high, state low,
+    increment high, increment low).  The whole of numpy's seeding — the
+    sequence's entropy mixing, ``generate_state(4, np.uint64)`` and
+    ``pcg64_set_seed`` — runs in C, with no ``SeedSequence`` object made.
     """
-    words = np.ascontiguousarray(words, dtype=np.uint64)
-    if words.ndim != 2 or words.shape[1] != 4:
-        raise ValidationError("seed words must be rows of four uint64 words")
-    states = np.empty_like(words)
-    load().rng_seed(len(words), words, states)
+    entropy = np.ascontiguousarray(entropy, dtype=np.uint64)
+    if entropy.ndim != 2 or entropy.shape[1] < 1 or (entropy.size and entropy.max() >> 32):
+        raise ValidationError("seed entropy must be rows of at least one 32-bit word")
+    # The C side reads the row width from the first word.
+    words = np.empty(entropy.size + 1, dtype=np.uint64)
+    words[0], words[1:] = entropy.shape[1], entropy.ravel()
+    states = np.empty((len(entropy), 4), dtype=np.uint64)
+    load().rng_seed(len(entropy), words, states)
     return states
 
 

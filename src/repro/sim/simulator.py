@@ -193,7 +193,7 @@ class MultiClusterSimulator:
         """The (arrivals, destinations, peers) PCG64 states of every node.
 
         One read-only block per (seed, system), derived once and pooled by
-        :func:`repro.utils.rng.stream_states`, with numpy's seeding step
+        :func:`repro.utils.rng.stream_states`, with numpy's whole seeding
         run in C (:func:`repro.sim.native.seed_states`).
         """
         return stream_states(streams, STREAM_KINDS, self._cluster_nodes, native.seed_states)
@@ -201,16 +201,16 @@ class MultiClusterSimulator:
     def warm_streams(self, config: Optional[SimulationConfig] = None) -> None:
         """Derive every per-node stream's initial state once for the run seed.
 
-        Seeding a stream mixes its key through SeedSequence — the dominant
-        per-run setup cost on 1000+-node systems.  On the vectorized kernel
-        this derives the run seed's flat block of initial PCG64 states
-        (:meth:`stream_states`) into the module-level pool of
-        :mod:`repro.utils.rng`, building and loading the native library on
-        the way, and builds no :class:`~numpy.random.Generator`: every later
-        run of the same seed (each sweep point, and — under a fork start —
-        every pool worker) finds the block with one lookup.  The generator
-        kernel snapshots its generators on first use instead, so this does
-        nothing there.
+        Seeding a stream mixes its key through SeedSequence — in Python,
+        the dominant per-run setup cost on 1000+-node systems.  On the
+        vectorized kernel this derives the run seed's flat block of initial
+        PCG64 states (:meth:`stream_states`, mixed in C) into the
+        module-level pool of :mod:`repro.utils.rng`, building and loading
+        the native library on the way, and builds no
+        :class:`~numpy.random.Generator`: every later run of the same seed
+        (each sweep point, and — under a fork start — every pool worker)
+        finds the block with one lookup.  The generator kernel snapshots
+        its generators on first use instead, so this does nothing there.
         """
         if self.kernel != "vectorized":
             return

@@ -16,12 +16,21 @@ Three things make it fast:
   any other class needs the generator kernel.  The loop reads the
   messages from flat arrays by a per-source cursor, which it
   bounds-checks, and never draws.
-* **a native loop on one plain heap** — an event is a ``(time, seq,
-  payload)`` triple, where ``payload`` packs ``(ident << 3) | kind`` and
-  ``seq`` counts pushes; channel state, transfer rows and per-channel FIFO
-  queues are C arrays.  Routes come from the CSR tables of
-  :class:`~repro.routing.compile.FlatRoutes`, each cluster's channel offset
-  added as a journey is copied.
+* **a native loop on two queues under one order** — an event is a
+  ``(time, seq, payload)`` triple, where ``payload`` packs ``(ident << 3) |
+  kind`` and ``seq`` counts pushes, and events run in ``(time, seq)``
+  order.  Each live source's one pending arrival sits in an arrival heap,
+  every other event in a shared heap, and each step runs the earlier of
+  the two roots.  The merge is exact: ``seq`` is unique, so no two events
+  compare equal and the earlier root is the event one heap of them all
+  would pop, ties in time included.  Handling an arrival replaces it in
+  place with the source's next one; any other event stays at the shared
+  root until its handler's first push takes its place.  The shared heap
+  thus holds only the events of transfers in flight, not one entry per
+  source, and a pop-then-push pair costs one sift-down.  Channel state,
+  transfer rows and per-channel FIFO queues are C arrays.  Routes come
+  from the CSR tables of :class:`~repro.routing.compile.FlatRoutes`, each
+  cluster's channel offset added as a journey is copied.
 * **grant elision** — the delay-0 grant hop is collapsed into its acquire
   on schedules where that is provably order-safe (see
   :meth:`VectorizedRunState._grant_elision_safe`), which removes nearly
@@ -38,9 +47,9 @@ native loop replays its schedule exactly, by construction:
   matching push at the same simulation time and, among pushes that can
   land on the same time, in the same relative order, so ``(time, seq)``
   order is the environment's order.  Pushes for the current time — grants
-  on the non-elided path, zero-length tails and the stop markers — go into
-  the same heap, where their ``seq`` puts them after everything already
-  queued at that time, exactly where a larger ``eid`` puts them;
+  on the non-elided path, zero-length tails and the stop markers — get a
+  ``seq`` that puts them after everything already queued at that time, in
+  either heap, exactly where a larger ``eid`` puts them;
 * one pair of pushes is swapped: a fresh transfer acquires its first
   channel before its source schedules the next arrival, where the
   specification's URGENT ``Initialize`` runs the acquire just after.  The

@@ -37,12 +37,13 @@ The simulator's flat-array hot path (:mod:`repro.sim.network`,
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence, Tuple, TypeVar
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.topology.fat_tree import Channel, shared_tree
 from repro.topology.multicluster import MultiClusterSpec, MultiClusterSystem, NodeLayout
+from repro.utils.cache import cached
 from repro.utils.validation import ValidationError
 
 __all__ = [
@@ -54,25 +55,6 @@ __all__ = [
     "node_channel_ids",
     "up_channel_id",
 ]
-
-T = TypeVar("T")
-
-#: The per-spec caches (compiled systems, zoo graphs and topologies, system
-#: and zoo route tables) clear wholesale once they hold this many specs, so a
-#: sweep over many organisations, or a long-lived worker serving many zoo
-#: topologies, cannot pin them all for the process lifetime.
-CACHE_LIMIT = 64
-
-
-def cached(cache: Dict[Any, T], key: Any, build: Callable[[], T]) -> T:
-    """``cache[key]``, built by ``build()`` on a miss (bounded by CACHE_LIMIT)."""
-    value = cache.get(key)
-    if value is None:
-        if len(cache) >= CACHE_LIMIT:
-            cache.clear()
-        value = cache[key] = build()
-    return value
-
 
 class CompiledNetwork:
     """One network lowered to dense channel ids.
@@ -165,11 +147,7 @@ _COMPILED_TREES: Dict[Tuple[int, int], CompiledNetwork] = {}
 
 def compile_tree(m: int, n: int) -> CompiledNetwork:
     """The (cached) compiled form of the ``(m, n)`` tree shape."""
-    key = (int(m), int(n))
-    compiled = _COMPILED_TREES.get(key)
-    if compiled is None:
-        compiled = _COMPILED_TREES[key] = CompiledNetwork(shared_tree(m, n))
-    return compiled
+    return cached(_COMPILED_TREES, (int(m), int(n)), lambda: CompiledNetwork(shared_tree(m, n)))
 
 
 class CompiledSystem:

@@ -58,6 +58,7 @@ from enum import Enum
 from itertools import product
 from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
+from repro.utils.cache import cached
 from repro.utils.validation import (
     ValidationError,
     check_even,
@@ -454,10 +455,8 @@ class MPortNTree:
         )
 
 
-#: Module-level shared-tree cache, explicitly keyed by ``(m, n)``.  An
-#: explicit dict (rather than ``functools.lru_cache``) keeps the keying
-#: visible, lets tests clear it, and avoids the cache holding positional
-#: argument tuples whose lifetime is easy to misread.
+#: Module-level shared-tree cache, explicitly keyed by ``(m, n)`` and
+#: bounded like every per-shape cache (:func:`repro.utils.cache.cached`).
 _SHARED_TREES: Dict[Tuple[int, int], MPortNTree] = {}
 
 
@@ -469,11 +468,7 @@ def shared_tree(m: int, n: int) -> MPortNTree:
     address memo) instead of recomputing address tables.  The cache is keyed
     by ``(m, n)`` — the only state a tree has besides its display name.
     """
-    key = (int(m), int(n))
-    tree = _SHARED_TREES.get(key)
-    if tree is None:
-        tree = _SHARED_TREES[key] = MPortNTree(m, n)
-    return tree
+    return cached(_SHARED_TREES, (int(m), int(n)), lambda: MPortNTree(m, n))
 
 
 def clear_shared_trees() -> None:

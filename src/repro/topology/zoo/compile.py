@@ -23,10 +23,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
-from repro.topology.compile import CompiledNetwork, cached
+from repro.topology.compile import CompiledNetwork
 from repro.topology.multicluster import NodeLayout
 from repro.topology.zoo.graphs import Host
 from repro.topology.zoo.spec import TopologySpec, build_topology, clear_shared_topologies
+from repro.utils.cache import cached
 
 __all__ = [
     "ZooCluster",

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Tuple
 
-from repro.topology.compile import cached
+from repro.utils.cache import cached
 from repro.utils.validation import ValidationError
 
 __all__ = [

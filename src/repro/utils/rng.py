@@ -15,13 +15,15 @@ Two pools skip re-seeding across runs.  The generator kernel draws from
 run.  The vectorized kernel draws in C from flat PCG64 states:
 :func:`stream_states` derives every node's initial states once per (seed,
 system) into one read-only ``uint64`` block, which each run finds with one
-lookup and draws from without writing it.
+lookup and draws from without writing it.  It makes no
+:class:`~numpy.random.SeedSequence`: it lays out each stream's entropy
+words and hands them to a seeding function that runs numpy's mixing in C.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Dict, Hashable, Sequence
+from typing import Callable, Dict, Hashable, List, Sequence
 
 import numpy as np
 
@@ -40,28 +42,18 @@ def _stable_key_hash(part: Hashable) -> int:
     return zlib.crc32(repr(part).encode("utf-8"))
 
 
-#: Module-level memo of stream seed material -> SeedSequence.  A simulation
-#: run creates thousands of named streams (three per node) and every run of
-#: a sweep re-derives the same sequences; SeedSequence objects are immutable
-#: (``default_rng`` never mutates them), so sharing them across runs only
-#: skips the entropy-mixing setup, never changes a stream.  Bounded by a
-#: wholesale clear so replication studies over many seeds cannot grow it
-#: without limit.
-_SEED_SEQUENCES: Dict[tuple, np.random.SeedSequence] = {}
-_SEED_SEQUENCE_CACHE_LIMIT = 262_144
+def _words(value: int) -> List[int]:
+    """``value``'s 32-bit words, least significant first (at least one).
 
-
-def _seed_sequence(entropy: int, key: tuple, memoise: bool = True) -> np.random.SeedSequence:
-    """The SeedSequence of stream ``key`` under root ``entropy`` (memoised)."""
-    cache_key = (entropy, key)
-    sequence = _SEED_SEQUENCES.get(cache_key)
-    if sequence is None:
-        sequence = np.random.SeedSequence([entropy, *map(_stable_key_hash, key)])
-        if memoise:
-            if len(_SEED_SEQUENCES) >= _SEED_SEQUENCE_CACHE_LIMIT:
-                _SEED_SEQUENCES.clear()
-            _SEED_SEQUENCES[cache_key] = sequence
-    return sequence
+    The words :class:`~numpy.random.SeedSequence` splits an integer of its
+    seed into.
+    """
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
 
 
 #: Module-level stream pool: (entropy, key) -> (Generator, initial PCG64
@@ -156,7 +148,8 @@ class RandomStreams:
                     generator.bit_generator.state = snapshot
                     self._cache[key] = generator
                     return generator
-            generator = self._cache[key] = np.random.default_rng(_seed_sequence(entropy, key))
+            sequence = np.random.SeedSequence([entropy, *map(_stable_key_hash, key)])
+            generator = self._cache[key] = np.random.default_rng(sequence)
             if self._pooled:
                 if len(_STREAM_POOL) >= _STREAM_POOL_LIMIT:
                     _STREAM_POOL.clear()
@@ -183,12 +176,14 @@ def stream_states(
     Entry ``[s, k]`` of the read-only ``(nodes, len(kinds), 4)`` uint64
     block is the state ``streams.get(kinds[k], cluster, node)`` starts
     from, node ``s`` being node ``node`` of cluster ``cluster`` in system
-    order: ``seed`` turns each stream's ``SeedSequence.generate_state(4,
-    np.uint64)`` words into numpy's seeded ``PCG64`` state (the simulator
-    passes :func:`repro.sim.native.seed_states`).  Blocks of seeded
-    families are memoised per (seed, kinds, cluster sizes), so later runs
-    find theirs with one lookup; ``seed=None`` families are derived afresh
-    and store nothing, not even their SeedSequences.
+    order.  Each stream's entropy row is the words
+    ``SeedSequence([entropy, *key])`` assembles — the root entropy's 32-bit
+    words, then the stable hash of ``kind``, ``cluster`` and ``node`` — and
+    ``seed`` turns the rows into numpy's seeded ``PCG64`` states (the
+    simulator passes :func:`repro.sim.native.seed_states`).  Each distinct
+    key part is hashed once.  Blocks of seeded families are memoised per
+    (seed, kinds, cluster sizes), so later runs find theirs with one
+    lookup; ``seed=None`` families are derived afresh and store nothing.
     """
     entropy = streams.entropy
     seeded = streams.seed is not None
@@ -197,15 +192,15 @@ def stream_states(
     block = _STATE_BLOCKS.get(key) if seeded else None
     if block is not None:
         return block
-    words = np.empty((sum(sizes), len(kinds), 4), dtype=np.uint64)
-    row = 0
-    for cluster, size in enumerate(sizes):
-        for node in range(size):
-            for column, kind in enumerate(kinds):
-                sequence = _seed_sequence(entropy, (kind, cluster, node), seeded)
-                words[row, column] = sequence.generate_state(4, np.uint64)
-            row += 1
-    block = seed(words.reshape(-1, 4)).reshape(words.shape)
+    root = _words(entropy)
+    clusters = [_stable_key_hash(cluster) for cluster in range(len(sizes))]
+    nodes = [_stable_key_hash(node) for node in range(max(sizes))]
+    rows = np.empty((sum(sizes), len(kinds), len(root) + 3), dtype=np.uint64)
+    rows[..., : len(root)] = root
+    rows[..., -3] = [_stable_key_hash(kind) for kind in kinds]
+    rows[..., -2] = np.repeat(clusters, sizes)[:, None]
+    rows[..., -1] = np.concatenate([nodes[:size] for size in sizes])[:, None]
+    block = seed(rows.reshape(-1, rows.shape[-1])).reshape(*rows.shape[:2], 4)
     block.setflags(write=False)
     if seeded:
         pooled = sum(each.shape[0] * each.shape[1] for each in _STATE_BLOCKS.values())

@@ -17,10 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.experiments.configs import table1_system
 from repro.routing import UpDownRouter, compile_system_routes, compile_tree_routes
+from repro.routing import compile as routing_compile
 from repro.routing.compile import CompiledTreeRoutes, decompile, route_table_size
 from repro.topology import ChannelKind, MultiClusterSpec, compile_system
+from repro.topology import compile as topology_compile, fat_tree
 from repro.topology.compile import compile_tree, node_channel_ids, up_channel_id
 from repro.topology.fat_tree import shared_tree
+from repro.utils.cache import CACHE_LIMIT
 
 SHAPES = [(4, 1), (4, 2), (6, 2), (4, 3), (8, 2)]
 
@@ -318,3 +321,18 @@ class TestSystemRouteRoundTrip:
     def test_system_tables_are_cached_per_spec(self):
         spec = HETERO_SPECS[0]
         assert compile_system_routes(spec) is compile_system_routes(spec)
+
+    def test_per_shape_caches_stay_bounded(self):
+        """A long-lived worker compiling many shapes (``repro serve`` takes
+        them from any client) keeps at most CACHE_LIMIT of each: trees,
+        compiled trees, tree routes, compiled systems and system routes."""
+        caches = (
+            fat_tree._SHARED_TREES,
+            topology_compile._COMPILED_TREES,
+            routing_compile._TREE_ROUTES,
+            topology_compile._COMPILED_SYSTEMS,
+            routing_compile._SYSTEM_ROUTES,
+        )
+        for m in range(4, 2 * CACHE_LIMIT + 15, 2):  # 70 shapes (m, 1)
+            compile_system_routes(MultiClusterSpec(m, (1,) * m))
+            assert all(len(cache) <= CACHE_LIMIT for cache in caches)

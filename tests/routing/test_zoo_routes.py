@@ -23,7 +23,6 @@ from repro.routing.compile import (
     compile_system_routes,
 )
 from repro.routing.updown import GraphUpDownRouter
-from repro.topology.compile import CACHE_LIMIT
 from repro.topology.fat_tree import ChannelKind
 from repro.topology.zoo import (
     FanoutTree,
@@ -36,6 +35,7 @@ from repro.topology.zoo import (
     compile_graph,
 )
 from repro.topology.zoo import spec as zoo_spec
+from repro.utils.cache import CACHE_LIMIT
 from repro.utils.validation import ValidationError
 
 ZOO_SPECS = [

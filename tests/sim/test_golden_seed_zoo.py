@@ -28,6 +28,14 @@ GOLDEN_SIM = SimulationConfig(
 
 GRID_INDICES = (0, 2)
 
+#: The native loop's ``events_processed`` at every fixture point, pinned as
+#: in ``test_golden_seed.py``.
+VECTORIZED_EVENTS = {
+    "zoo/fattree4": [4896, 4896],
+    "zoo/torus": [4050, 4050],
+    "zoo/tree": [3666, 3666],
+}
+
 
 def _result_for(name: str, entry_index: int):
     scenario = api.scenario(name, points=4, sim=GOLDEN_SIM)
@@ -73,6 +81,8 @@ def test_zoo_statistics_are_bit_identical(name, entry_index, kernel, monkeypatch
         for key, value in result.channel_utilisation.items()
     }
     assert utilisation == expected["channel_utilisation"]
+    if kernel == "vectorized":
+        assert result.events_processed == VECTORIZED_EVENTS[name][entry_index]
 
 
 def test_zoo_golden_covers_every_family():

@@ -57,18 +57,18 @@ def _run_checked(monkeypatch, state, workload=None, routes=None):
     )
 
 
+def _random_entropy(seed, count, width=5):
+    """``count`` rows of ``width`` random 32-bit entropy words."""
+    return np.random.default_rng(seed).integers(0, 2**32, size=(count, width), dtype=np.uint64)
+
+
 def _random_sequences(seed, count):
-    """``count`` SeedSequences of random entropy, one to four words long."""
-    rng = np.random.default_rng(seed)
-    return [
-        np.random.SeedSequence(rng.integers(0, 2**63, size=rng.integers(1, 5)).tolist())
-        for _ in range(count)
-    ]
+    """``count`` SeedSequences over random entropy words."""
+    return [np.random.SeedSequence(row.tolist()) for row in _random_entropy(seed, count)]
 
 
 def _seeded(sequences):
-    words = np.stack([sequence.generate_state(4, np.uint64) for sequence in sequences])
-    return native.seed_states(words)
+    return native.seed_states([sequence.entropy for sequence in sequences])
 
 
 def _words(state):
@@ -79,11 +79,13 @@ def _words(state):
 
 
 class TestDrawsEqualNumpy:
-    def test_seeding_equals_pcg64(self):
-        sequences = _random_sequences(0, 500)
-        states = _seeded(sequences)
-        assert states.tolist() == [
-            _words(np.random.PCG64(sequence).state) for sequence in sequences
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8])
+    def test_seeding_equals_pcg64(self, width):
+        """Entropy shorter than, as long as and longer than the pool."""
+        entropy = _random_entropy(width, 300, width)
+        entropy[:4] = [0] * width, [2**32 - 1] * width, range(width), [0, *[7] * (width - 1)]
+        assert native.seed_states(entropy).tolist() == [
+            _words(np.random.PCG64(np.random.SeedSequence(row.tolist())).state) for row in entropy
         ]
 
     def test_arrival_gaps_equal_exponential_draws(self):
@@ -154,10 +156,10 @@ class TestDrawInputsAreCheckedBeforeTheCall:
     def _untouchable(self, monkeypatch):
         monkeypatch.setattr(native, "_library", _Untouchable())
 
-    def test_seed_words_must_be_rows_of_four_words(self):
-        for words in (np.zeros(4), np.zeros((2, 3)), np.zeros((2, 4, 1))):
-            with pytest.raises(ValidationError, match="rows of four"):
-                native.seed_states(words)
+    def test_seed_entropy_must_be_rows_of_32_bit_words(self):
+        for entropy in (np.zeros(4), np.zeros((2, 0)), np.zeros((2, 4, 1)), [[1, 2**32]]):
+            with pytest.raises(ValidationError, match="rows of at least one 32-bit word"):
+                native.seed_states(entropy)
 
     def test_arrival_states_must_be_writable_uint64_rows(self):
         read_only = np.zeros((2, 4), dtype=np.uint64)

@@ -1,15 +1,15 @@
 """Tests of the vectorized event core (:mod:`repro.sim.vector`).
 
-The vectorized kernel executes on flat state — one ``heapq`` of
-``(time, seq, payload)`` entries, the run's pre-drawn messages, flat-list
+The vectorized kernel executes on flat state — ``(time, seq, payload)``
+events in two heaps under one order, the run's pre-drawn messages, flat
 channel state — but must replay the generator specification event for
 event.  The golden-seed regression pins it to the historical fixture;
 these tests pin it against the generator kernel directly, on the paths the
-fixture does not reach: lockstep deterministic arrivals, the guard-timeout
-stop, the explicit-grant fallback that runs when delay-0 grant elision
-cannot be proven safe, the schedules that proof must reject, and random
-small topologies.  Beyond the folded statistics, they compare the two
-kernels' run records array for array.
+fixture does not reach: lockstep deterministic arrivals, arrivals tying
+with header events, the guard-timeout stop, the explicit-grant fallback
+that runs when delay-0 grant elision cannot be proven safe, the schedules
+that proof must reject, and random small topologies.  Beyond the folded
+statistics, they compare the two kernels' run records array for array.
 """
 
 import json
@@ -121,6 +121,32 @@ class TestMatchesGenerator:
     def test_deterministic_lockstep_is_bit_identical(self):
         """All sources fire simultaneously: maximal equal-time frontiers."""
         _assert_kernels_agree(arrivals_factory=DeterministicArrivals, lambda_g=2e-3)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [TopologySpec("torus", {"rows": 3, "cols": 3}), MultiClusterSpec(4, (1, 1, 2, 2))],
+        ids=["torus", "multicluster"],
+    )
+    @pytest.mark.parametrize("header", ["_t_cn", "_t_cs"])
+    @pytest.mark.parametrize("flits", [4, 2])
+    def test_arrivals_tying_with_header_events_are_bit_identical(self, spec, header, flits):
+        """Deterministic gaps equal to a header time: arrivals, which the
+        loop queues apart from every other event, tie exactly with header
+        events (and, with two flits, with tails), and the explicit-grant
+        path the tie forces must still replay the specification's order."""
+        message = MessageSpec(length_flits=flits, flit_bytes=256)
+        config = SimulationConfig(
+            measured_messages=300, warmup_messages=30, drain_messages=30, seed=31
+        )
+        kwargs = dict(
+            spec=spec, message=message, config=config, arrivals_factory=DeterministicArrivals
+        )
+        simulator = _simulator("vectorized", **kwargs)
+        gap = getattr(simulator, header)
+        lambda_g = 1.0 / gap
+        assert 1.0 / lambda_g == gap and gap in simulator._distinct_header_times
+        assert not VectorizedRunState(simulator, lambda_g, config)._elide_grants
+        _assert_kernels_agree(lambda_g=lambda_g, **kwargs)
 
     def test_guard_timeout_stop_is_bit_identical(self):
         """A run the guard cuts off: saturated flag and partial statistics."""

@@ -128,21 +128,29 @@ class TestStreamStates:
     KINDS = ("arrivals", "destinations", "peers")
 
     @staticmethod
-    def _identity(words):
-        return words.copy()
+    def _fake(entropy):
+        """A stand-in seeder: each stream's last four entropy words."""
+        return entropy[:, -4:].copy()
 
-    def test_block_holds_every_streams_initial_pcg64_state(self):
+    @pytest.mark.parametrize(
+        "seed",
+        [13, 0, 1, 12345, 2**31 - 1, 2**32 - 1, 2**32, 2**63 + 7, 2**64 + 5, 2**100 + 3,
+         2**128 - 1, None],
+    )
+    def test_block_holds_every_streams_initial_pcg64_state(self, seed):
         from repro.sim.native import seed_states
         from repro.utils.rng import clear_stream_pool, stream_states
 
         clear_stream_pool()
-        block = stream_states(RandomStreams(seed=13), self.KINDS, (2, 3), seed_states)
+        streams = RandomStreams(seed=seed)
+        block = stream_states(streams, self.KINDS, (2, 3), seed_states)
         assert block.shape == (5, 3, 4) and not block.flags.writeable
         nodes = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]
         mask = 2**64 - 1
         for row, (cluster, node) in enumerate(nodes):
             for column, kind in enumerate(self.KINDS):
-                state = RandomStreams(seed=13).get(kind, cluster, node).bit_generator.state
+                # Same instance: a seed=None family's entropy is drawn once.
+                state = streams.get(kind, cluster, node).bit_generator.state
                 value, increment = state["state"]["state"], state["state"]["inc"]
                 assert block[row, column].tolist() == [
                     value >> 64, value & mask, increment >> 64, increment & mask
@@ -152,31 +160,29 @@ class TestStreamStates:
         from repro.utils.rng import clear_stream_pool, stream_states
 
         clear_stream_pool()
-        first = stream_states(RandomStreams(seed=3), self.KINDS, (2, 2), self._identity)
-        assert stream_states(RandomStreams(seed=3), self.KINDS, (2, 2), self._identity) is first
-        other_seed = stream_states(RandomStreams(seed=4), self.KINDS, (2, 2), self._identity)
-        other_shape = stream_states(RandomStreams(seed=3), self.KINDS, (4,), self._identity)
+        first = stream_states(RandomStreams(seed=3), self.KINDS, (2, 2), self._fake)
+        assert stream_states(RandomStreams(seed=3), self.KINDS, (2, 2), self._fake) is first
+        other_seed = stream_states(RandomStreams(seed=4), self.KINDS, (2, 2), self._fake)
+        other_shape = stream_states(RandomStreams(seed=3), self.KINDS, (4,), self._fake)
         assert not np.array_equal(first, other_seed)
         assert not np.array_equal(first, other_shape)
         clear_stream_pool()
-        assert stream_states(RandomStreams(seed=3), self.KINDS, (2, 2), self._identity) is not first
+        assert stream_states(RandomStreams(seed=3), self.KINDS, (2, 2), self._fake) is not first
 
     def test_unseeded_blocks_are_never_stored(self):
         from repro.utils import rng
 
         rng.clear_stream_pool()
-        sequences = dict(rng._SEED_SEQUENCES)
         streams = RandomStreams(seed=None)
-        block = rng.stream_states(streams, self.KINDS, (2, 2), self._identity)
+        block = rng.stream_states(streams, self.KINDS, (2, 2), self._fake)
         assert block.shape == (4, 3, 4)
         assert not rng._STATE_BLOCKS
-        assert rng._SEED_SEQUENCES == sequences
 
     def test_pool_is_bounded_by_streams(self, monkeypatch):
         from repro.utils import rng
 
         rng.clear_stream_pool()
         monkeypatch.setattr(rng, "_STREAM_POOL_LIMIT", 20)
-        rng.stream_states(RandomStreams(seed=1), self.KINDS, (2, 2), self._identity)
-        rng.stream_states(RandomStreams(seed=2), self.KINDS, (2, 2), self._identity)
+        rng.stream_states(RandomStreams(seed=1), self.KINDS, (2, 2), self._fake)
+        rng.stream_states(RandomStreams(seed=2), self.KINDS, (2, 2), self._fake)
         assert len(rng._STATE_BLOCKS) == 1

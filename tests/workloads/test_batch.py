@@ -289,8 +289,9 @@ class TestAllSourcesDestinations:
         pattern = HotspotTraffic(hot_cluster, fraction, hot_node)
         sources = [(cluster, node.index) for cluster, node in SYSTEM.nodes()]
         sequences = [np.random.SeedSequence([seed, index]) for index in range(len(sources))]
-        words = np.stack([sequence.generate_state(4, np.uint64) for sequence in sequences])
-        block = np.repeat(native.seed_states(words)[:, None], 3, axis=1)
+        # seed < 2**32: SeedSequence([seed, index]) assembles exactly these words
+        entropy = [[seed, index] for index in range(len(sources))]
+        block = np.repeat(native.seed_states(entropy)[:, None], 3, axis=1)
         clusters, nodes, _, _ = native.draw_messages(
             [4, 8, 8, 4],
             counts,
@@ -456,10 +457,8 @@ class TestKernelReadsOnlyPreDrawnMessages:
 
     def test_unseeded_runs_memoise_nothing(self):
         clear_stream_pool()
-        sequences = dict(rng_module._SEED_SEQUENCES)
         simulator = self._simulator()
         result = simulator.run(8e-4, config=replace(self.CONFIG, seed=None))
         assert result.measured_messages == self.CONFIG.measured_messages
         assert result.seed is None
         assert not rng_module._STATE_BLOCKS and not rng_module._STREAM_POOL
-        assert rng_module._SEED_SEQUENCES == sequences
