@@ -445,7 +445,8 @@ class TaskFailed:
 
     task: CampaignTask
     #: attempts consumed: the policy's max_attempts, or 1 when no retry
-    #: could succeed (a pooled engine that cannot be pickled)
+    #: could succeed (a pooled engine that cannot be pickled, or whose
+    #: preparation raised before the pool started)
     attempts: int
     error: str
     done: int
@@ -543,9 +544,8 @@ def result_payload(
     execution stats.
 
     ``repro campaign run --json`` writes it and the campaign service sends
-    it as the terminal ``result`` event; each caller passes its own extra
-    ``execution`` keys (the CLI its runners, the server its workers and
-    dispatch count).
+    it as the terminal ``result`` event; the server passes its own extra
+    ``execution`` keys (its workers and dispatch count).
     """
     return {
         "name": result.campaign.name,
@@ -621,7 +621,7 @@ def _maybe_inject_fault(task_id: str) -> None:
 WorkerRegistry = Tuple[str, str]
 
 
-def _note_worker_task(registry: Optional[WorkerRegistry], task_id: str) -> None:
+def _note_worker_task(registry: WorkerRegistry, task_id: str) -> None:
     """Tag this worker's pid with the execution and task it is about to run.
 
     The executor reads these tags when a pool breaks: the dead pids name the
@@ -629,8 +629,6 @@ def _note_worker_task(registry: Optional[WorkerRegistry], task_id: str) -> None:
     shared crash re-queue without being charged an attempt.  Written before
     the fault hook so even an injected crash leaves its tag behind.
     """
-    if registry is None:
-        return
     directory, execution = registry
     try:
         Path(directory, str(os.getpid())).write_text(
@@ -659,18 +657,18 @@ def _pool_evaluate_chunk(
     engine: Engine,
     scenario: Scenario,
     items: Sequence[Tuple[float, str]],
-    registry: Optional[WorkerRegistry] = None,
+    registry: WorkerRegistry,
 ) -> List[ChunkOutcome]:
     """Evaluate a chunk of tasks for one (engine, scenario) — every worker's core.
 
-    ``items`` is a sequence of ``(lambda_g, task_id)`` pairs.  This is the
-    one chunk evaluator: ephemeral pool workers run it directly, daemon
-    workers and inline runners after looking up their cached engine.  Per
-    task it tags the pid, runs the fault hook, evaluates, and records the
-    outcome.  Chunking amortises the per-submission IPC and engine/scenario
-    pickling over many operating points — one pickled engine per chunk
-    instead of per task — which is what keeps the cold 2-worker fan-out
-    above 1x.
+    ``items`` is a sequence of ``(lambda_g, task_id)`` pairs and
+    ``registry`` the pool's pid registry plus the execution token.  This is
+    the one chunk evaluator: ephemeral pool workers run it directly, daemon
+    workers after looking up their cached engine.  Per task it tags the
+    pid, runs the fault hook, evaluates, and records the outcome.
+    Chunking amortises the per-submission IPC and engine/scenario pickling
+    over many operating points — one pickled engine per chunk instead of
+    per task — which is what keeps the cold 2-worker fan-out above 1x.
 
     An ordinary evaluation error is contained to its task: the chunk keeps
     going and reports per-task outcomes, so one bad operating point never
@@ -710,25 +708,22 @@ class WorkerBackend:
         note_workers()                  # snapshot pids for crash forensics
         [dead_worker_pids() / kill_workers() as failures demand]
         end_round(broken=...)           # always runs, via finally
-
-    ``close()`` releases whatever state outlives a round (nothing, for the
-    ephemeral backend).
     """
 
     #: Persistent backends keep warm workers between campaigns; the executor
     #: then never demotes a lone pooled task to inline execution.
     persistent = False
 
-    #: The pool's pid registry directory, valid during a round: workers tag
-    #: their pid there (see :func:`_note_worker_task`).  ``None`` for pools
-    #: whose pids this process cannot observe (remote runners).
+    #: The pool's pid registry directory, set for every round: workers tag
+    #: their pid there (see :func:`_note_worker_task`).
     registry: Optional[str] = None
 
     def prepare_entry(self, engine: Engine, scenario: Scenario) -> None:
         """Warm one (engine, scenario) pair before its tasks are submitted.
 
         Nothing by default: workers that outlive a round compile their own
-        tables when they first cache the pair.
+        tables when they first cache the pair.  An exception fails every
+        task of the pair once, unretried.
         """
 
     def begin_round(self, workers: int) -> int:
@@ -754,8 +749,9 @@ class WorkerBackend:
         resolves to a list of :data:`ChunkOutcome` aligned with ``items`` —
         per-task ``("ok", record)`` / ``("error", repr)`` — so an evaluation
         error in one task never fails the whole chunk.  A chunk-level
-        exception from the future means infrastructure died (broken pool,
-        lost runner), not that a task mis-evaluated.
+        exception from the future means the chunk never ran to its per-task
+        outcomes (a broken pool, or a worker that could not prepare the
+        engine), not that one task mis-evaluated.
         """
         raise NotImplementedError
 
@@ -771,9 +767,6 @@ class WorkerBackend:
 
     def end_round(self, *, broken: bool) -> None:
         """Finish the round; ``broken`` reports a poisoned pool."""
-
-    def close(self) -> None:
-        """Release any cross-round state."""
 
 
 class EphemeralPoolBackend(WorkerBackend):
@@ -1080,10 +1073,12 @@ class CampaignExecutor:
             # its fork-started workers inherit the module-level caches;
             # persistent backends leave it to their workers, which prepare
             # each (engine, scenario) pair once when they first cache it.
-            # An engine that does not pickle can never reach a worker, so
-            # its slot's tasks fail here after one attempt, unretried.
+            # An engine that does not pickle can never reach a worker, and
+            # one whose preparation raises here would raise again on every
+            # attempt, so either slot's tasks fail here after one attempt,
+            # unretried.
             prepared = set()
-            unpicklable: Dict[Tuple[int, int], str] = {}
+            unrunnable: Dict[Tuple[int, int], str] = {}
             for task in pooled:
                 slot = (task.entry_index, task.engine_index)
                 if slot in prepared:
@@ -1093,20 +1088,23 @@ class CampaignExecutor:
                 try:
                     pickle.dumps(engine)
                 except (pickle.PicklingError, AttributeError, TypeError) as error:
-                    unpicklable[slot] = repr(error)
+                    unrunnable[slot] = repr(error)
                     continue
-                self.backend.prepare_entry(
-                    engine, self.campaign.entries[task.entry_index].scenario
-                )
-            if unpicklable:
+                try:
+                    self.backend.prepare_entry(
+                        engine, self.campaign.entries[task.entry_index].scenario
+                    )
+                except Exception as error:  # noqa: BLE001 - structured failure path
+                    unrunnable[slot] = repr(error)
+            if unrunnable:
                 for task in pooled:
-                    reason = unpicklable.get((task.entry_index, task.engine_index))
+                    reason = unrunnable.get((task.entry_index, task.engine_index))
                     if reason is not None:
                         yield _failure_event(task, 1, reason, final=True)
                 pooled = [
                     task
                     for task in pooled
-                    if (task.entry_index, task.engine_index) not in unpicklable
+                    if (task.entry_index, task.engine_index) not in unrunnable
                 ]
 
             # Workers tag their pid in the pool's registry with this token
@@ -1275,14 +1273,15 @@ class CampaignExecutor:
                             yield event
                             if isinstance(event, TaskRetried):
                                 requeue.append(task)
-                    except Exception as error:  # noqa: BLE001 - infrastructure failure
-                        # A chunk-level exception means the chunk's substrate
-                        # died (a lost runner, a failed submission) — per-task
-                        # evaluation errors come back as outcomes below.
-                        # Every task of the chunk is charged one attempt;
-                        # tasks our own timeout kill reclaimed keep the
-                        # timeout label, and its innocent casualties re-queue
-                        # uncharged exactly as on the broken-pool path.
+                    except Exception as error:  # noqa: BLE001 - chunk-level failure
+                        # The chunk raised before it produced per-task
+                        # outcomes (a daemon worker whose engine's prepare
+                        # raised); per-task evaluation errors come back as
+                        # outcomes below.  Every task of the chunk is
+                        # charged one attempt; tasks our own timeout kill
+                        # reclaimed keep the timeout label, and its innocent
+                        # casualties re-queue uncharged exactly as on the
+                        # broken-pool path.
                         for task in chunk:
                             unresolved.discard(task.task_id)
                             if task in timed_out:
@@ -1378,8 +1377,6 @@ class CampaignExecutor:
           within ``max_attempts`` rounds.
         """
         registry = self.backend.registry
-        if registry is None:
-            return None
         # A broken pool means a worker died abruptly, but its death may not
         # be *observable* yet: the pool's manager thread reaps workers
         # concurrently, and a lost waitpid race reads as "still alive"

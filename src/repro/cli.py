@@ -27,14 +27,8 @@ Sub-commands mirror the experiment harness:
   crashed or hung workers (``--allow-failures`` reports partial results
   instead of failing); ``campaign example`` writes a starter plan;
   ``campaign store`` inspects (``--stats``) / prunes / clears the SQLite
-  result store and merges stores from other machines (``--sync SRC``
-  copies, ``--merge SRC`` drains); ``campaign run --runners`` shards the
-  plan's simulation tasks over socket runners (``host:port`` list, or a
-  count to auto-spawn loopback runner subprocesses);
-* ``runner``     — one remote runner for distributed campaigns
-  (:mod:`repro.service.cluster`): serves campaign task chunks to a
-  coordinator over a length-prefixed JSON TCP protocol, evaluating inline
-  or on a warm local worker pool (``--workers``);
+  result store and merges another machine's store into it (``--sync SRC``
+  copies, ``--merge SRC`` drains);
 * ``serve``      — the campaign service (:mod:`repro.service`): a persistent
   warm worker daemon behind a stdlib HTTP front-end that accepts campaign
   plans as JSON on ``POST /campaigns`` and streams progress back as
@@ -51,7 +45,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -322,15 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write every entry's run set plus execution stats to this JSON file",
     )
-    campaign_run.add_argument(
-        "--runners",
-        default=None,
-        metavar="SPEC",
-        help="distribute simulation tasks over socket runners: either "
-        "'host1:port1,host2:port2' naming running `repro runner` processes, "
-        "or a count N to auto-spawn N loopback runner subprocesses "
-        "(implies --parallel; results merge into the result store)",
-    )
 
     campaign_example = campaign_sub.add_parser(
         "example", help="write a starter two-scenario campaign plan"
@@ -389,26 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help="print record count, size, backend and hit/miss/put counters",
-    )
-
-    runner_parser = subparsers.add_parser(
-        "runner",
-        help="serve campaign task chunks to a remote coordinator over TCP",
-    )
-    runner_parser.add_argument(
-        "--listen",
-        default="127.0.0.1:0",
-        metavar="HOST:PORT",
-        help="bind address (default 127.0.0.1:0; port 0 picks a free port, "
-        "announced as 'runner listening on HOST:PORT' on stdout)",
-    )
-    runner_parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="evaluate chunks on a warm local worker pool of N processes "
-        "(default 0 = inline: the runner process itself is the one worker)",
     )
 
     serve_parser = subparsers.add_parser(
@@ -814,40 +779,16 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             timeout_seconds=args.task_timeout,
             backoff_seconds=args.backoff,
         )
-    backend = None
-    runner_addresses: Optional[List[str]] = None
-    if args.runners is not None:
-        from repro.service.cluster import (
-            ClusterBackend,
-            LocalRunnerFleet,
-            parse_runner_spec,
-        )
-
-        spec = parse_runner_spec(args.runners)
-        fleet = None
-        if isinstance(spec, int):
-            fleet = LocalRunnerFleet(spec)
-            runner_addresses = list(fleet.addresses)
-        else:
-            runner_addresses = list(spec)
-        backend = ClusterBackend(runner_addresses, fleet=fleet)
-        # Sharding only exists on the pooled path; --runners without
-        # --parallel would silently run everything inline on this machine.
-        args.parallel = True
     executor = CampaignExecutor(
         campaign,
         parallel=args.parallel,
         max_workers=args.workers,
         store=store,
         retry=retry,
-        backend=backend,
     )
     print(campaign.describe())
     if store is not None:
         print(f"result store: {store.root} [{store.backend.name}]")
-    if runner_addresses is not None:
-        origin = "auto-spawned" if args.runners.strip().isdigit() else "remote"
-        print(f"runners: {', '.join(runner_addresses)} ({origin})")
     print()
 
     bar = _ProgressBar(campaign) if args.progress == "bar" else None
@@ -886,17 +827,8 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             bar.finish()
         print(f"error: {error}", file=sys.stderr)
         return 3
-    finally:
-        if backend is not None:
-            backend.close()
     if bar is not None:
         bar.finish()
-    if backend is not None and backend.dead_runners():
-        print(
-            f"lost runners (tasks re-queued to survivors): "
-            f"{', '.join(backend.dead_runners())}",
-            file=sys.stderr,
-        )
     if args.progress is not None:
         print()
     failed_labels = {failure.task.label for failure in result.failures}
@@ -934,13 +866,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         summary += f", {len(result.failures)} FAILED"
     print(summary)
     if args.json is not None:
-        payload = result_payload(
-            result,
-            parallel=bool(args.parallel),
-            store=store,
-            runners=runner_addresses,
-            lost_runners=list(backend.dead_runners()) if backend is not None else [],
-        )
+        payload = result_payload(result, parallel=bool(args.parallel), store=store)
         path = dump_json(payload, args.json)
         print(f"wrote: {path}")
     return 0
@@ -1003,15 +929,6 @@ def _cmd_campaign_store(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_runner(args: argparse.Namespace) -> int:
-    from repro.service.cluster import run_runner
-
-    if args.workers < 0:
-        raise ValidationError(f"--workers must be >= 0, got {args.workers}")
-    run_runner(args.listen, workers=args.workers)
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.campaign import RetryPolicy
     from repro.service import WorkerDaemon, serve
@@ -1058,8 +975,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_bench(args)
         if args.command == "campaign":
             return _cmd_campaign(args)
-        if args.command == "runner":
-            return _cmd_runner(args)
         if args.command == "serve":
             return _cmd_serve(args)
         parser.error(f"unknown command {args.command!r}")  # pragma: no cover

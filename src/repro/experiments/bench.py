@@ -39,9 +39,7 @@ machine-readable across PRs::
                   ...,
                   {"workers": 2, "mode": "daemon", "speedup": ..,
                    "speedup_vs_sequential": ..,
-                   "warmup_seconds": .., ...},
-                  {"workers": 2, "mode": "distributed", "runners": 2,
-                   "speedup": .., "warmup_seconds": .., ...}],  # --parallel
+                   "warmup_seconds": .., ...}],                # --parallel
       "task_retries": 0,                                 # --parallel
       "baseline": {"label": .., "scenarios": {...}},   # when compared
       "speedup": {"fig3": 2.2, ...}                    # when compared
@@ -202,12 +200,6 @@ def _measure_scaling(
       the cold rung at the same worker count (warm service vs fresh
       campaign process); ``speedup_vs_sequential`` keeps the ratio against
       the 1-worker baseline that the cold rungs report.
-    * ``"distributed"`` — the same campaign sharded over ``runners`` (>= 2)
-      auto-spawned loopback runner subprocesses through
-      :class:`repro.service.cluster.ClusterBackend`, after one untimed
-      warm-up pass; ``speedup`` is against the 1-worker cold baseline.  On
-      a many-core host the runners are genuinely parallel machines-in-
-      miniature; on a small host the rung prices the socket protocol.
 
     Results are bit-identical across every rung (each point is reproducible
     from the scenario seed alone); only the elapsed time changes.
@@ -268,36 +260,6 @@ def _measure_scaling(
     )
     entry["speedup_vs_sequential"] = entry["speedup"]
     entry["speedup"] = round(same_width["elapsed_seconds"] / entry["elapsed_seconds"], 2)
-    entry["warmup_seconds"] = round(warmup_seconds, 4)
-    curve.append(entry)
-
-    # Distributed rung: the same campaign sharded over loopback runner
-    # subprocesses (>= 2, per the multi-runner claim this rung records)
-    # through the socket coordinator.  One untimed warm-up campaign lets
-    # each runner compile its tables and warm its engine cache — matching
-    # the daemon rung's warm-service framing — then the timed run measures
-    # coordinator + wire + remote evaluation.  Results stay bit-identical
-    # to every other rung; on a single-core host the rung records protocol
-    # overhead rather than speedup, which is exactly what it should say.
-    from repro.service.cluster import ClusterBackend, LocalRunnerFleet
-
-    runner_count = max(2, effective_workers)
-    _clear_compiled_state()
-    with LocalRunnerFleet(runner_count) as fleet:
-        backend = ClusterBackend(fleet.addresses)
-        try:
-            warmup_started = time.perf_counter()
-            _run_rung(
-                campaign, parallel=True, workers=runner_count, backend=backend
-            )
-            warmup_seconds = time.perf_counter() - warmup_started
-            elapsed, measured, retries = _run_rung(
-                campaign, parallel=True, workers=runner_count, backend=backend
-            )
-        finally:
-            backend.close()
-    entry = rung_entry("distributed", runner_count, elapsed, measured, retries)
-    entry["runners"] = int(runner_count)
     entry["warmup_seconds"] = round(warmup_seconds, 4)
     curve.append(entry)
     return curve
@@ -559,10 +521,8 @@ def bench_to_text(payload: Dict[str, Any]) -> str:
                 f"vs {rung['workers']}-worker cold" if mode == "daemon"
                 else "vs 1 worker cold"
             )
-            width = rung["runners"] if mode == "distributed" else rung["workers"]
-            unit = "runners" if mode == "distributed" else "workers"
             line = (
-                f"    {width:>2} {unit:<7} {mode:<11} "
+                f"    {rung['workers']:>2} workers {mode:<11} "
                 f"{rung['elapsed_seconds']:>8.3f} s  "
                 f"{rung['messages_per_second']:>9.1f} msg/s  "
                 f"({rung['speedup']:.2f}x {reference})"

@@ -83,8 +83,11 @@ def run_figure(
     With ``run_simulation=False`` only the analysis curves are produced,
     which takes well under a second; the full analysis-plus-simulation
     reproduction at the paper's message budget is available through
-    ``simulation_config=SimulationConfig.paper()`` and takes minutes (or
-    ``parallel=True`` to spread the points over the machine's cores).
+    ``simulation_config=SimulationConfig.paper()``.  At the default 11
+    points per series (44 simulation runs of 100k measured messages) it
+    took 7.7 s for fig3 and 8.9 s for fig4 on one core of a 2-vCPU Xeon,
+    sequentially and with no result store; ``parallel=True`` spreads the
+    points over the machine's cores.
     """
     campaign = figure_campaign(
         figure,

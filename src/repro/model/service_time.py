@@ -23,6 +23,7 @@ time of stage 0.
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence, Tuple
 
 from repro.utils.validation import (
@@ -71,6 +72,10 @@ def stage_service_times(
     (service_times, waiting_times):
         ``service_times[k]`` is ``S_k`` and ``waiting_times[k]`` is ``W_k``;
         ``service_times[0]`` is the network latency of the journey.
+
+    Deep overload can overflow a wait ``W = ½ηS²`` to inf.  Every stage
+    upstream of it then has an infinite service time and wait: the journey
+    is saturated and its latency is inf, never an error.
     """
     check_positive_int(message_length, "message_length")
     check_positive(t_cs, "t_cs")
@@ -87,7 +92,10 @@ def stage_service_times(
             service[stage] = message_length * t_cn
         else:
             service[stage] = message_length * t_cs + downstream_wait
-        waiting[stage] = stage_waiting_time(rate, service[stage])
+        if math.isinf(service[stage]):
+            waiting[stage] = math.inf
+        else:
+            waiting[stage] = stage_waiting_time(rate, service[stage])
         downstream_wait += waiting[stage]
     return service, waiting
 

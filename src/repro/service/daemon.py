@@ -298,7 +298,8 @@ class PersistentPoolBackend(WorkerBackend):
     daemon's pool (once, generation-guarded) and the next round's
     submissions bring up a fresh one.  Nothing is prepared in this process
     (the inherited :meth:`~repro.campaign.WorkerBackend.prepare_entry` is a
-    no-op): daemon workers prepare each pair themselves.
+    no-op): daemon workers prepare each pair themselves.  The daemon's
+    lifecycle belongs to its owner, not to any one campaign's backend.
     """
 
     persistent = True
@@ -341,6 +342,3 @@ class PersistentPoolBackend(WorkerBackend):
         if broken:
             self.daemon.restart(self._generation)
         self._workers = {}
-
-    def close(self) -> None:
-        """The daemon's lifecycle belongs to its owner, not any one campaign."""

@@ -588,8 +588,8 @@ def merge_stores(
 ) -> MergeReport:
     """Merge ``source``'s records into ``dest``, owner-wins on identical keys.
 
-    This is how results come home from a fleet: a runner's (or any other
-    machine's) store is synced into the coordinator's.  Records are
+    This is how results computed elsewhere (another machine's store, a
+    scratch store of an earlier run) join this one.  Records are
     content-addressed, so a key collision *is* an identity — both sides
     computed the same task — and the destination's copy wins: its bytes are
     left untouched and the source copy contributes nothing.  New keys are

@@ -439,7 +439,7 @@ class TestResultPayload:
     """``result_payload``: the one JSON form of a collected campaign, written
     by ``campaign run --json`` and sent as the server's ``result`` event."""
 
-    CLI_KEYS = {"runners": None, "lost_runners": []}
+    CLI_KEYS = {}
     SERVER_KEYS = {"workers": 2, "tasks_dispatched": 0}
 
     def test_runsets_are_the_collected_runsets(self, tmp_path):
@@ -571,8 +571,7 @@ class TestChunkedSubmission:
 
     Chunking exists to amortise per-submission IPC and engine pickling over
     many operating points (the cold 2-worker fan-out regression); these tests
-    pin the worker-side contract the coordinator and the cluster runner both
-    rely on.
+    pin the worker-side contract both pool backends rely on.
     """
 
     class _BrokenAt:
@@ -592,7 +591,7 @@ class TestChunkedSubmission:
             (model,) = resolve_engines(("model",))
             return model.evaluate(scenario, lambda_g)
 
-    def test_chunk_outcomes_align_with_items(self):
+    def test_chunk_outcomes_align_with_items(self, tmp_path):
         from repro.campaign import _pool_evaluate_chunk
 
         scenario = scenario_for(TINY, traffic=(4e-4, 8e-4))
@@ -600,11 +599,12 @@ class TestChunkedSubmission:
             self._BrokenAt(None),
             scenario,
             [(4e-4, "t:broken-at:0"), (8e-4, "t:broken-at:1")],
+            (str(tmp_path), "execution"),
         )
         assert [status for status, _ in outcomes] == ["ok", "ok"]
         assert [record.lambda_g for _, record in outcomes] == [4e-4, 8e-4]
 
-    def test_one_bad_point_never_costs_its_chunk_mates(self):
+    def test_one_bad_point_never_costs_its_chunk_mates(self, tmp_path):
         from repro.campaign import _pool_evaluate_chunk
 
         scenario = scenario_for(TINY, traffic=(4e-4, 8e-4))
@@ -612,10 +612,67 @@ class TestChunkedSubmission:
             self._BrokenAt(8e-4),
             scenario,
             [(4e-4, "t:broken-at:0"), (8e-4, "t:broken-at:1")],
+            (str(tmp_path), "execution"),
         )
         (good_status, record), (bad_status, reason) = outcomes
         assert good_status == "ok" and record.lambda_g == 4e-4
         assert bad_status == "error" and "boom at the bad point" in reason
+
+    def test_chunk_tags_its_pid_with_the_execution_and_last_task(self, tmp_path):
+        import os
+
+        from repro.campaign import _pool_evaluate_chunk, _read_worker_tag
+
+        _pool_evaluate_chunk(
+            self._BrokenAt(8e-4),
+            scenario_for(TINY, traffic=(4e-4, 8e-4)),
+            [(4e-4, "t:broken-at:0"), (8e-4, "t:broken-at:1")],
+            (str(tmp_path), "execution"),
+        )
+        assert os.listdir(tmp_path) == [str(os.getpid())]
+        assert _read_worker_tag(str(tmp_path), os.getpid()) == (
+            "execution",
+            "t:broken-at:1",
+        )
+
+    @pytest.mark.parametrize("kind", ["ephemeral", "daemon"])
+    def test_every_round_gives_its_workers_a_pid_registry(self, kind):
+        """Crash attribution reads the round's registry unconditionally, so
+        both backends must provide one and their workers must tag it."""
+        import os
+
+        from repro.api import resolve_engines
+        from repro.campaign import EphemeralPoolBackend, _read_worker_tag
+        from repro.service.daemon import PersistentPoolBackend, WorkerDaemon
+
+        daemon = WorkerDaemon(1) if kind == "daemon" else None
+        backend = PersistentPoolBackend(daemon) if daemon else EphemeralPoolBackend()
+        (model,) = resolve_engines(("model",))
+        try:
+            assert backend.begin_round(1) == 1
+            try:
+                registry = backend.registry
+                assert registry is not None and os.path.isdir(registry)
+                future = backend.submit_chunk(
+                    model,
+                    scenario_for(TINY),
+                    [(4e-4, "tiny:model:0"), (8e-4, "tiny:model:1")],
+                    "round-token",
+                    named_engine=True,
+                )
+                outcomes = future.result(timeout=120)
+                assert [status for status, _ in outcomes] == ["ok", "ok"]
+                (pid,) = os.listdir(registry)
+                assert int(pid) != os.getpid()
+                assert _read_worker_tag(registry, int(pid)) == (
+                    "round-token",
+                    "tiny:model:1",
+                )
+            finally:
+                backend.end_round(broken=False)
+        finally:
+            if daemon is not None:
+                daemon.shutdown()
 
     def test_campaign_contains_a_mid_chunk_failure(self):
         """End to end: a failing operating point surfaces as that task's

@@ -550,6 +550,120 @@ class TestUnpicklableEngine:
         assert (closing.done, closing.failed, closing.retries) == (2, 2, 0)
 
 
+class UnpreparableEngine:
+    """A picklable expensive engine whose ``prepare`` always raises, the way
+    the vectorized kernel raises ``NativeCoreUnavailable`` without a C
+    compiler."""
+
+    name = "unpreparable"
+    expensive = True
+
+    def prepare(self, scenario):
+        raise RuntimeError("cannot prepare this engine")
+
+    def evaluate(self, scenario, lambda_g):
+        return api.AnalyticalEngine(name=self.name).evaluate(scenario, lambda_g)
+
+
+class TestPrepareFailure:
+    """An engine whose preparation raises fails its tasks as structured
+    events on either backend; nothing escapes ``execute()``.
+
+    The ephemeral backend prepares in this process before the pool forks,
+    so its tasks fail there after one attempt, unretried.  Daemon workers
+    prepare worker-side, so the chunk itself raises and the tasks go through
+    the retry policy.
+    """
+
+    @pytest.mark.parametrize(
+        "case", ["ephemeral-parallel", "ephemeral-timed", "daemon", "daemon-timed"]
+    )
+    def test_every_task_ends_failed_and_execute_never_raises(self, case):
+        from repro.service.daemon import PersistentPoolBackend, WorkerDaemon
+
+        campaign = Campaign(
+            entries=(
+                CampaignEntry(
+                    scenario=scenario_for(TINY), engines=(UnpreparableEngine(),)
+                ),
+            )
+        )
+        daemon = WorkerDaemon(1) if case.startswith("daemon") else None
+        try:
+            events = list(
+                CampaignExecutor(
+                    campaign,
+                    store=None,
+                    parallel=case != "ephemeral-timed",
+                    retry=RetryPolicy(
+                        max_attempts=2,
+                        timeout_seconds=30.0 if case.endswith("timed") else None,
+                    ),
+                    backend=PersistentPoolBackend(daemon) if daemon else None,
+                ).execute()
+            )
+        finally:
+            if daemon is not None:
+                daemon.shutdown()
+        outcomes = [
+            event for event in events if isinstance(event, (TaskRetried, TaskFailed))
+        ]
+        assert len(outcomes) == len(events) - 2  # between the two progress events
+        failures = [event for event in outcomes if isinstance(event, TaskFailed)]
+        assert sorted(failure.task.task_id for failure in failures) == [
+            "tiny:unpreparable:0",
+            "tiny:unpreparable:1",
+        ]
+        expected_attempts = 2 if daemon is not None else 1
+        assert len(outcomes) == 2 * expected_attempts
+        for event in outcomes:
+            assert "cannot prepare this engine" in event.error
+        for failure in failures:
+            assert failure.attempts == expected_attempts
+        closing = events[-1]
+        assert isinstance(closing, CampaignProgress)
+        assert (closing.done, closing.failed) == (2, 2)
+
+    @pytest.mark.parametrize("case", ["ephemeral", "ephemeral-timed", "daemon"])
+    def test_healthy_slots_complete_bit_identically_beside_it(self, case):
+        """Only the unpreparable engine's tasks fail; the pooled sim tasks
+        beside it complete with the records of a sequential run."""
+        from repro.service.daemon import PersistentPoolBackend, WorkerDaemon
+
+        campaign = Campaign(
+            entries=(
+                CampaignEntry(
+                    scenario=scenario_for(TINY),
+                    engines=(UnpreparableEngine(), "sim"),
+                ),
+                CampaignEntry(scenario=scenario_for(WIDE), engines=("sim",)),
+            )
+        )
+        daemon = WorkerDaemon(2) if case == "daemon" else None
+        try:
+            result = CampaignExecutor(
+                campaign,
+                store=None,
+                parallel=True,
+                max_workers=2,
+                retry=RetryPolicy(
+                    max_attempts=2,
+                    timeout_seconds=60.0 if case == "ephemeral-timed" else None,
+                ),
+                backend=PersistentPoolBackend(daemon) if daemon else None,
+            ).collect(strict=False)
+        finally:
+            if daemon is not None:
+                daemon.shutdown()
+        assert sorted(failure.task.task_id for failure in result.failures) == [
+            "tiny:unpreparable:0",
+            "tiny:unpreparable:1",
+        ]
+        assert result.task_retries == (2 if case == "daemon" else 0)
+        reference = run_campaign(sim_campaign(), store=None)
+        assert canonical(result) == canonical(reference)
+
+
 class TestEqualSizeEngineOnThePool:
     def test_timed_campaign_returns_the_untimed_latencies(self):
         """Under a task timeout every task runs on the worker pool, so the

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.model import (
     MessageSpec,
@@ -50,6 +51,47 @@ class TestSaturationPoint:
             saturation_point(model, upper_bound=0.0)
         with pytest.raises(ValidationError):
             saturation_point(model, upper_bound=1e-3, tolerance=0.0)
+
+
+class TestDeepOverload:
+    """Far past the knee the model reads saturated (inf); it never raises.
+
+    On the N=544 organisation (fig4, and hotspot's model) the backward
+    recursion's waits overflow to inf from about 24x the saturation load.
+    """
+
+    @pytest.fixture(scope="class", params=["fig4", "hotspot"])
+    def n544_model(self, request):
+        from repro import api
+
+        scenario = api.scenario(request.param, points=3)
+        return api.AnalyticalEngine().model_for(scenario)
+
+    @pytest.mark.parametrize("lambda_g", [0.0117, 0.02, 0.1, 1.0])
+    def test_mean_latency_is_inf(self, n544_model, lambda_g):
+        assert math.isinf(n544_model.mean_latency(lambda_g))
+
+    @given(exponent=st.floats(min_value=math.log10(5e-4), max_value=6.0))
+    @settings(max_examples=40, deadline=None)
+    def test_every_load_past_the_knee_reads_inf(self, n544_model, exponent):
+        assert math.isinf(n544_model.mean_latency(10.0**exponent))
+
+    def test_default_bracket_finds_the_saturation_point(self, n544_model):
+        # The default upper bound (1.0) is deep in overload; the search must
+        # agree with a bracket that starts just past the knee.
+        assert saturation_point(n544_model) == pytest.approx(
+            saturation_point(n544_model, upper_bound=2e-3), abs=1e-9
+        )
+        assert saturation_point(n544_model) == pytest.approx(4.8815e-4, rel=1e-4)
+
+    def test_overloaded_point_is_a_saturated_record(self):
+        from repro import api
+
+        scenario = api.scenario("fig4", points=3).with_traffic((0.02,))
+        runset = api.run(scenario, engines=("model",), store=None)
+        (record,) = runset.records
+        assert record.saturated is True
+        assert math.isinf(record.latency)
 
 
 class TestUtilisationDiagnostics:

@@ -1,5 +1,7 @@
 """Tests of the per-stage blocking/service-time recursion (Eq. 16-18, 28-29)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -69,6 +71,18 @@ class TestStageServiceTimes:
         long = journey_latency([1e-3] * 5, message_length=64, t_cs=T_CS, t_cn=T_CN)
         assert long > short
 
+    def test_overflowed_wait_saturates_every_upstream_stage(self):
+        # Stage 2's wait 0.5*eta*S^2 overflows; stages 1 and 0 then have an
+        # infinite service time and wait instead of raising.
+        service, waiting = stage_service_times(
+            [1e300] * 4, message_length=M, t_cs=T_CS, t_cn=T_CN
+        )
+        assert [math.isinf(s) for s in service] == [True, True, False, False]
+        assert [math.isinf(w) for w in waiting] == [True, True, True, False]
+        assert math.isinf(
+            journey_latency([1e300] * 4, message_length=M, t_cs=T_CS, t_cn=T_CN)
+        )
+
     def test_empty_journey_rejected(self):
         with pytest.raises(ValidationError):
             stage_service_times([], message_length=M, t_cs=T_CS, t_cn=T_CN)
@@ -80,6 +94,12 @@ class TestStageServiceTimes:
             stage_service_times([0.0], message_length=M, t_cs=-1.0, t_cn=T_CN)
         with pytest.raises(ValidationError):
             stage_service_times([-0.1], message_length=M, t_cs=T_CS, t_cn=T_CN)
+        # A bad rate upstream of an overflowed wait still raises.
+        for bad in (-0.1, math.nan):
+            with pytest.raises(ValidationError):
+                stage_service_times(
+                    [bad, 1e300, 1e300, 1e300], message_length=M, t_cs=T_CS, t_cn=T_CN
+                )
 
     @given(
         rates=st.lists(st.floats(min_value=0.0, max_value=5e-3), min_size=1, max_size=12),
@@ -93,6 +113,19 @@ class TestStageServiceTimes:
         else:
             floor = message_length * T_CS
         assert latency >= floor - 1e-12
+
+    @given(
+        rates=st.lists(st.floats(min_value=0.0, max_value=1e308), min_size=1, max_size=12)
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_any_finite_load_solves_and_overflow_spreads_upstream(self, rates):
+        service, waiting = stage_service_times(
+            rates, message_length=M, t_cs=T_CS, t_cn=T_CN
+        )
+        assert not any(math.isnan(value) for value in service + waiting)
+        for stage in range(len(rates) - 1):
+            if math.isinf(waiting[stage + 1]):
+                assert math.isinf(service[stage]) and math.isinf(waiting[stage])
 
     @given(rate=st.floats(min_value=0.0, max_value=1e-2), stages=st.integers(2, 12))
     @settings(max_examples=60, deadline=None)

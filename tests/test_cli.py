@@ -127,6 +127,24 @@ class TestCommands:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_sweep_far_past_the_knee_prints_saturated_points(self, tmp_path, capsys):
+        # The N=544 organisation saturates near 4.9e-4; from about 24x that
+        # the model's waits overflow, which must read as saturated too.
+        csv_path = tmp_path / "sweep.csv"
+        heights = ["3"] * 8 + ["4"] * 3 + ["5"] * 5
+        code = main(
+            ["sweep", "--ports", "4", "--heights", *heights, "--max-traffic", "0.02",
+             "--points", "3", "--no-sim", "--csv", str(csv_path)]
+        )
+        assert code == 0
+        assert "N=544" in capsys.readouterr().out
+        rows = csv_path.read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [
+            ["0.00666667", "saturated"],
+            ["0.0133333", "saturated"],
+            ["0.02", "saturated"],
+        ]
+
     def test_ablation(self, capsys):
         assert main(["ablation", "--nodes", "544", "--points", "3"]) == 0
         output = capsys.readouterr().out
@@ -494,6 +512,33 @@ class TestCampaignCommand:
                 build_parser().parse_args(argv)
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["runner"], ["runner", "--listen", "127.0.0.1:0"]],
+        ids=["runner", "runner-listen"],
+    )
+    def test_runner_subcommand_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(argv)
+        assert exited.value.code == 2
+        assert "invalid choice: 'runner'" in capsys.readouterr().err
+
+    def test_no_runner_command_or_option(self, capsys):
+        import argparse
+
+        parser = build_parser()
+        for name in ("campaign", "run"):
+            (subparsers,) = [
+                action
+                for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)
+            ]
+            parser = subparsers.choices[name]
+        assert "--retries" in parser._option_string_actions
+        assert not [
+            option for option in parser._option_string_actions if "runner" in option
+        ]
+
     def test_run_json_execution_keys_are_pinned(self, tmp_path, capsys, monkeypatch):
         import json
 
@@ -505,13 +550,11 @@ class TestCampaignCommand:
         assert set(payload) == {"name", "labels", "runsets", "execution"}
         assert set(payload["execution"]) == {
             "tasks", "cache_hits", "cache_misses", "elapsed_seconds", "parallel",
-            "store", "store_backend", "runners", "lost_runners", "task_retries",
-            "failures",
+            "store", "store_backend", "task_retries", "failures",
         }
         execution = payload["execution"]
         assert execution["store"] == str(tmp_path / "store")
         assert execution["store_backend"] == "sqlite"
-        assert execution["runners"] is None and execution["lost_runners"] == []
         assert (tmp_path / "store" / "store.db").is_file()
 
     def test_run_survives_injected_worker_crash(self, tmp_path, capsys, monkeypatch):
@@ -546,6 +589,103 @@ class TestCampaignCommand:
         assert execution["task_retries"] >= 1
         assert execution["failures"] == []
         assert execution["cache_misses"] == 8
+
+    def test_crashed_run_files_the_records_of_a_clean_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A worker crash changes how a campaign ran, not what it filed:
+        every record lands under the same machine-independent key with the
+        same content, so syncing the crashed run's store into a clean run's
+        store copies nothing."""
+        import json
+
+        def without_wall_clock(obj):
+            if isinstance(obj, dict):
+                return {
+                    key: without_wall_clock(value)
+                    for key, value in obj.items()
+                    if key != "wall_clock_seconds"
+                }
+            if isinstance(obj, list):
+                return [without_wall_clock(value) for value in obj]
+            return obj
+
+        def runsets(path):
+            # Everything but the wall clock, which differs between runs.
+            payload = json.loads(path.read_text())
+            return json.dumps(without_wall_clock(payload["runsets"]), sort_keys=True)
+
+        plan = self._tiny_plan(tmp_path)
+        clean, crashed = tmp_path / "clean", tmp_path / "crashed"
+        argv = ["campaign", "run", str(plan), "--parallel", "--workers", "2"]
+        monkeypatch.setenv("REPRO_STORE", str(clean))
+        assert main([*argv, "--json", str(tmp_path / "clean.json")]) == 0
+        monkeypatch.setenv("REPRO_STORE", str(crashed))
+        marker = tmp_path / "crash-marker"
+        monkeypatch.setenv(
+            "REPRO_CAMPAIGN_FAULT",
+            json.dumps(
+                {"kind": "crash", "task": "heterogeneous:sim:0", "marker": str(marker)}
+            ),
+        )
+        crashed_json = tmp_path / "crashed.json"
+        assert main([*argv, "--retries", "3", "--json", str(crashed_json)]) == 0
+        assert marker.exists()
+        assert json.loads(crashed_json.read_text())["execution"]["task_retries"] >= 1
+        assert runsets(crashed_json) == runsets(tmp_path / "clean.json")
+        capsys.readouterr()
+
+        monkeypatch.setenv("REPRO_STORE", str(clean))
+        assert main(["campaign", "store", "--sync", str(crashed)]) == 0
+        out = capsys.readouterr().out
+        assert "copied 0 records (8 already present, 0 corrupt skipped)" in out
+        assert "8 records" in out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--parallel", "--workers", "2"], ["--task-timeout", "60"]],
+        ids=["sequential", "parallel", "timed"],
+    )
+    def test_run_without_a_compiler_fails_each_sim_task_once(
+        self, tmp_path, capsys, monkeypatch, flags
+    ):
+        """With no C compiler the vectorized kernel cannot be built: however
+        the campaign runs, each sim task fails once with the reason, the
+        model tasks complete, and the exit code reports the failures."""
+        import json
+
+        from repro.sim import native
+
+        monkeypatch.setattr(native, "COMPILER", "repro-no-such-compiler")
+        monkeypatch.setattr(native, "_library", None)
+        argv = ["campaign", "run", str(self._tiny_plan(tmp_path)), "--no-store", *flags]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "failed after exhausting retries" in err
+        assert err.count("NativeCoreUnavailable") == 4
+
+        result_json = tmp_path / "partial.json"
+        assert main([*argv, "--allow-failures", "--json", str(result_json)]) == 0
+        out = capsys.readouterr().out
+        assert "PARTIAL" in out and "4 FAILED" in out
+        payload = json.loads(result_json.read_text())
+        failures = payload["execution"]["failures"]
+        assert sorted(failure["task"] for failure in failures) == [
+            "heterogeneous:sim:0",
+            "heterogeneous:sim:1",
+            "reseeded:sim:0",
+            "reseeded:sim:1",
+        ]
+        for failure in failures:
+            assert failure["attempts"] == 1
+            assert "repro-no-such-compiler" in failure["error"]
+        models = [
+            record
+            for runset in payload["runsets"].values()
+            for record in runset["records"]
+            if record["engine"] == "model"
+        ]
+        assert len(models) == 4
 
     def test_run_exhausted_retries_exit_code_and_allow_failures(
         self, tmp_path, capsys, monkeypatch
