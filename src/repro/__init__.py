@@ -22,8 +22,8 @@ The package provides, as importable building blocks:
   failures) and backed by a content-addressed result store
   (:mod:`repro.store`, one SQLite file) so re-runs only simulate what
   changed,
-* the **campaign service** (:mod:`repro.service`): a persistent warm
-  worker daemon (each worker keeps its compiled tables and engines) behind
+* the **campaign service** (:mod:`repro.service`): one long-lived worker
+  pool (each worker keeps its compiled tables and engines) behind
   a stdlib asyncio HTTP front-end (``repro-multicluster serve``) that
   streams campaign progress to any number of concurrent clients as
   server-sent events,

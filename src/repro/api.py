@@ -471,10 +471,9 @@ class SimulationEngine:
     from module-level caches (:func:`repro.topology.compile.compile_system`,
     :func:`repro.routing.compile.compile_system_routes`), so a sweep
     compiles once and every operating point replays the tables.
-    :meth:`prepare` triggers that compilation eagerly; :func:`run` calls it
-    before fanning points out over a process pool, so forked workers inherit
-    the compiled tables instead of recompiling (and spawn-start workers
-    compile at most once per process thanks to the same caches).
+    :meth:`prepare` triggers that compilation eagerly; a pool worker calls
+    it once per (engine, scenario) pair it caches, so each worker compiles
+    the tables once and every point it evaluates replays them.
 
     Parameters
     ----------
@@ -526,8 +525,7 @@ class SimulationEngine:
         Besides the channel-id space and route tables this derives, on the
         vectorized kernel, the run seed's flat block of initial PCG64 stream
         states once (building and loading the native library), so each
-        sweep point (and, under a fork start, every pool worker) finds it
-        with one lookup instead of re-seeding — and lays out the route
+        sweep point finds it with one lookup instead of re-seeding — and lays out the route
         tables the kernels read (every route row of a zoo topology), so
         none of it lands inside a timed run.
         """
@@ -605,7 +603,7 @@ def run(
     max_workers: Optional[int] = None,
     store: Optional[Any] = None,
     retry: Optional[Any] = None,
-    backend: Optional[Any] = None,
+    pool: Optional[Any] = None,
 ) -> RunSet:
     """Evaluate ``scenario`` under every engine and collect a :class:`RunSet`.
 
@@ -640,12 +638,11 @@ def run(
         pooled workers crash or hang.  ``None`` (the default) gives every
         task one attempt; a task failure then raises a
         :class:`repro.campaign.CampaignExecutionError`.
-    backend:
-        Optional :class:`repro.campaign.WorkerBackend` supplying the worker
-        pool — e.g. :class:`repro.service.PersistentPoolBackend` to run this
-        call's pooled tasks on a warm
-        :class:`~repro.service.daemon.WorkerDaemon` instead of a fresh
-        ephemeral pool.  ``None`` (the default) keeps the ephemeral pool.
+    pool:
+        Optional shared :class:`repro.campaign.WorkerPool` to run this
+        call's pooled tasks on — e.g. a warm pool kept across calls.
+        ``None`` (the default) starts a pool for the call's pooled tasks
+        and shuts it down before returning.
 
     Records are ordered engine-by-engine in the order given, each series in
     load-grid order.
@@ -664,7 +661,7 @@ def run(
         max_workers=max_workers,
         store=store,
         retry=retry,
-        backend=backend,
+        pool=pool,
     )
     return executor.collect().runsets[0]
 

@@ -15,17 +15,16 @@ experiment campaign as one schedulable unit:
 * :class:`CampaignExecutor` — flattens every (scenario, engine, lambda_g)
   task of the plan into **one work queue** and fans the expensive misses out
   over a **single shared process pool**: scenario-level parallelism for
-  free, no per-scenario pool churn.  Where that pool lives is pluggable
-  through :class:`WorkerBackend` — :class:`EphemeralPoolBackend` (the
-  default) builds one pool per campaign, while the campaign service's
-  :class:`~repro.service.daemon.PersistentPoolBackend` reuses a warm,
-  long-lived daemon pool across campaigns.  Execution is *streaming* —
-  :meth:`~CampaignExecutor.execute` yields a :class:`TaskCompleted` event
-  (carrying the :class:`~repro.api.RunRecord`) per finished task plus
-  :class:`CampaignProgress` events with done/total counts and elapsed time —
-  and :meth:`~CampaignExecutor.collect` is the blocking wrapper that
-  preserves ``run()``-style ergonomics, assembling one
-  :class:`~repro.api.RunSet` per entry.
+  free, no per-scenario pool churn.  That pool is a :class:`WorkerPool`:
+  the executor starts its own for its pooled misses and shuts it down when
+  the execution ends, or runs on one passed as ``pool=`` — the campaign
+  service shares one warm pool across every campaign it serves.  Execution
+  is *streaming* — :meth:`~CampaignExecutor.execute` yields a
+  :class:`TaskCompleted` event (carrying the :class:`~repro.api.RunRecord`)
+  per finished task plus :class:`CampaignProgress` events with done/total
+  counts and elapsed time — and :meth:`~CampaignExecutor.collect` is the
+  blocking wrapper that preserves ``run()``-style ergonomics, assembling
+  one :class:`~repro.api.RunSet` per entry.
 * a :class:`RetryPolicy` makes unattended campaigns survive their workers:
   a pooled task whose worker **crashes** (the pool breaks) or **hangs**
   (exceeds the per-task timeout; the worker is killed, and under a timeout
@@ -64,11 +63,13 @@ Quick start::
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import pickle
 import secrets
-import shutil
+import signal
 import tempfile
+import threading
 import time
 from concurrent.futures import (
     CancelledError,
@@ -118,12 +119,11 @@ __all__ = [
     "CampaignProgress",
     "CampaignResult",
     "CampaignTask",
-    "EphemeralPoolBackend",
     "RetryPolicy",
     "TaskCompleted",
     "TaskFailed",
     "TaskRetried",
-    "WorkerBackend",
+    "WorkerPool",
     "resolve_store",
     "result_payload",
     "run_campaign",
@@ -340,19 +340,13 @@ class RetryPolicy:
         reclaimed; without ``parallel`` the pool has one worker, so the
         campaign stays sequential.  Without a timeout, cheap engines (and
         every engine of a sequential campaign) run in the calling process.
-    backoff_seconds:
-        Sleep before re-queuing a failed task (grows by
-        ``backoff_multiplier`` per prior attempt).  ``0`` retries
-        immediately — the right default for crash recovery, where the
-        failure is not load-dependent.
-    backoff_multiplier:
-        Exponential factor applied per additional attempt.
+
+    A retried task re-runs at once, from its seed: a crash or a hang is not
+    load-dependent, so waiting before the retry buys nothing.
     """
 
     max_attempts: int = 3
     timeout_seconds: Optional[float] = None
-    backoff_seconds: float = 0.0
-    backoff_multiplier: float = 2.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -363,20 +357,6 @@ class RetryPolicy:
             raise ValidationError(
                 f"timeout_seconds must be > 0 or None, got {self.timeout_seconds}"
             )
-        if self.backoff_seconds < 0:
-            raise ValidationError(
-                f"backoff_seconds must be >= 0, got {self.backoff_seconds}"
-            )
-        if self.backoff_multiplier < 1:
-            raise ValidationError(
-                f"backoff_multiplier must be >= 1, got {self.backoff_multiplier}"
-            )
-
-    def delay_before(self, attempt: int) -> float:
-        """Backoff before attempt number ``attempt`` (2-based: first retry)."""
-        if attempt <= 1 or self.backoff_seconds == 0:
-            return 0.0
-        return self.backoff_seconds * self.backoff_multiplier ** (attempt - 2)
 
 
 #: The executor default: one attempt, no timeout.  Failures still surface as
@@ -616,8 +596,8 @@ def _maybe_inject_fault(task_id: str) -> None:
 
 #: Where a worker tags its pid: ``(registry directory, execution token)``.
 #: The directory belongs to the pool; the token to one
-#: :meth:`CampaignExecutor.execute` call, so executions sharing a pool (a
-#: daemon serving several campaigns) can tell their tasks apart.
+#: :meth:`CampaignExecutor.execute` call, so executions sharing a pool (the
+#: service's, serving several campaigns) can tell their tasks apart.
 WorkerRegistry = Tuple[str, str]
 
 
@@ -652,23 +632,62 @@ def _read_worker_tag(directory: str, pid: int) -> Optional[Tuple[str, str]]:
 #: ``("error", "<repr>")``.
 ChunkOutcome = Tuple[str, Any]
 
+#: Worker-side: (engine name, canonical scenario JSON) -> (engine, scenario)
+#: pairs whose memoised simulator state stays warm across tasks and
+#: campaigns.  Bounded like the compile caches: cleared wholesale when it
+#: outgrows the limit.
+_WORKER_ENGINES: Dict[Tuple[str, str], Tuple[Engine, Scenario]] = {}
+_WORKER_ENGINE_CACHE_LIMIT = 32
+
+
+def _worker_engine(
+    engine: Engine, scenario: Scenario, cache_key: Optional[Tuple[str, str]]
+) -> Tuple[Engine, Scenario]:
+    """The warm (engine, scenario) pair a pool worker evaluates with.
+
+    A pair seen for the first time is prepared here, once: that compiles
+    the topology and route tables into this worker's compile caches, warms
+    its stream pool and fills lazily compiled route rows before the first
+    timed run.  Engines without a cache key (programmatic instances) arrive
+    fresh with every chunk and are prepared every time; the compile caches
+    make the repeat cheap.  A ``prepare`` that raises fails the whole chunk,
+    so its tasks go through the retry policy; only a prepared pair is
+    cached.
+    """
+    if cache_key is not None:
+        cached = _WORKER_ENGINES.get(cache_key)
+        if cached is not None:
+            # Evaluate against the *cached* scenario object: engine
+            # memoisation is identity-based, so the freshly unpickled (but
+            # equal) scenario would rebuild the simulator it came to reuse.
+            return cached
+    prepare = getattr(engine, "prepare", None)
+    if prepare is not None:
+        prepare(scenario)
+    if cache_key is not None:
+        if len(_WORKER_ENGINES) >= _WORKER_ENGINE_CACHE_LIMIT:
+            _WORKER_ENGINES.clear()
+        _WORKER_ENGINES[cache_key] = (engine, scenario)
+    return engine, scenario
+
 
 def _pool_evaluate_chunk(
     engine: Engine,
     scenario: Scenario,
     items: Sequence[Tuple[float, str]],
     registry: WorkerRegistry,
+    cache_key: Optional[Tuple[str, str]] = None,
 ) -> List[ChunkOutcome]:
     """Evaluate a chunk of tasks for one (engine, scenario) — every worker's core.
 
-    ``items`` is a sequence of ``(lambda_g, task_id)`` pairs and
-    ``registry`` the pool's pid registry plus the execution token.  This is
-    the one chunk evaluator: ephemeral pool workers run it directly, daemon
-    workers after looking up their cached engine.  Per task it tags the
-    pid, runs the fault hook, evaluates, and records the outcome.
-    Chunking amortises the per-submission IPC and engine/scenario pickling
-    over many operating points — one pickled engine per chunk instead of
-    per task — which is what keeps the cold 2-worker fan-out above 1x.
+    ``items`` is a sequence of ``(lambda_g, task_id)`` pairs, ``registry``
+    the pool's pid registry plus the execution token, and ``cache_key`` the
+    worker-side engine cache key (``None`` for engine instances).  After
+    looking up (or preparing) the warm engine, per task it tags the pid,
+    runs the fault hook, evaluates, and records the outcome.  Chunking
+    amortises the per-submission IPC and engine/scenario pickling over many
+    operating points — one pickled engine per chunk instead of per task —
+    which is what keeps the cold 2-worker fan-out above 1x.
 
     An ordinary evaluation error is contained to its task: the chunk keeps
     going and reports per-task outcomes, so one bad operating point never
@@ -676,6 +695,7 @@ def _pool_evaluate_chunk(
     worker and with it the chunk — the executor's crash attribution charges
     the tagged culprit and re-queues the rest uncharged.)
     """
+    engine, scenario = _worker_engine(engine, scenario, cache_key)
     outcomes: List[ChunkOutcome] = []
     for lambda_g, task_id in items:
         _note_worker_task(registry, task_id)
@@ -690,110 +710,103 @@ def _pool_evaluate_chunk(
 
 
 # --------------------------------------------------------------------------- #
-# Worker backends
+# The worker pool
 # --------------------------------------------------------------------------- #
-class WorkerBackend:
-    """Where pooled campaign tasks execute.
+class WorkerPool:
+    """The process pool campaign tasks run on, shared by any number of executions.
 
-    :class:`CampaignExecutor` is backend-agnostic: it drives rounds of
-    submissions through this interface, so the same :class:`RetryPolicy`
-    crash/timeout machinery applies whether the pool lives for one campaign
-    (:class:`EphemeralPoolBackend`, the default) or persists across many
-    (:class:`repro.service.daemon.PersistentPoolBackend`).
+    A :class:`CampaignExecutor` without a ``pool`` starts its own for its
+    pooled misses and shuts it down when its execution ends; the campaign
+    service (:mod:`repro.service`) keeps one for its whole lifetime and
+    runs every campaign it serves on it.  Either way:
 
-    Round protocol, driven once per pool round of one execution::
+    * **a broken pool is replaced in place** — a crashed or killed worker
+      breaks the :class:`ProcessPoolExecutor`; :meth:`restart` retires it
+      (generation-guarded, so executions sharing it retire it once) and the
+      next submission starts a fresh one.  :attr:`restarts` counts those
+      replacements.
+    * **warm worker-side engines** — workers cache one prepared engine per
+      (engine name, scenario) (:func:`_worker_engine`), so topology and
+      route tables compile once per worker into its own compile caches, and
+      the memoised simulator survives from chunk to chunk and campaign to
+      campaign.  The submitting process prepares nothing.
+    * **one pid registry for the pool's lifetime** — workers tag their pid
+      with the submitting execution's token and the task id, so when a
+      crash breaks the pool each execution on it can tell its own culprit
+      from collateral damage (:func:`_crash_culprits`).
 
-        begin_round(workers) -> effective concurrency
-        submit_chunk(...) per chunk -> Future
-        note_workers()                  # snapshot pids for crash forensics
-        [dead_worker_pids() / kill_workers() as failures demand]
-        end_round(broken=...)           # always runs, via finally
+    ``start_method`` is the :mod:`multiprocessing` start method.  ``None``
+    keeps the platform default (fork on Linux), whose workers start
+    fastest.  The campaign service passes ``"spawn"``: it submits from
+    executor threads while its event loop runs, and forking a multithreaded
+    process can leave children deadlocked on inherited locks.  Spawned
+    workers re-import the main module, so a script that submits to a
+    spawned pool needs an ``if __name__ == "__main__":`` guard.
+
+    Sharing has one caveat: a :class:`RetryPolicy` *timeout kill*
+    (:meth:`kill_workers`) terminates every worker, which also breaks any
+    other execution on the pool; those recover through their own retry
+    rounds.  All public methods are thread-safe.  Also a context manager,
+    whose exit is :meth:`shutdown`.
     """
 
-    #: Persistent backends keep warm workers between campaigns; the executor
-    #: then never demotes a lone pooled task to inline execution.
-    persistent = False
-
-    #: The pool's pid registry directory, set for every round: workers tag
-    #: their pid there (see :func:`_note_worker_task`).
-    registry: Optional[str] = None
-
-    def prepare_entry(self, engine: Engine, scenario: Scenario) -> None:
-        """Warm one (engine, scenario) pair before its tasks are submitted.
-
-        Nothing by default: workers that outlive a round compile their own
-        tables when they first cache the pair.  An exception fails every
-        task of the pair once, unretried.
-        """
-
-    def begin_round(self, workers: int) -> int:
-        """Make the pool ready for one round; returns the concurrency to
-        assume when clamping the per-task timeout clock."""
-        raise NotImplementedError
-
-    def submit_chunk(
-        self,
-        engine: Engine,
-        scenario: Scenario,
-        items: Sequence[Tuple[float, str]],
-        execution: str,
-        *,
-        named_engine: bool,
-    ) -> Future:
-        """Submit a chunk of tasks sharing one (engine, scenario).
-
-        ``items`` holds ``(lambda_g, task_id)`` pairs and ``execution`` is
-        the submitting execution's token, which workers write into their pid
-        tags.  ``named_engine`` marks registry engines, which a persistent
-        backend may cache worker-side by (name, scenario).  The future
-        resolves to a list of :data:`ChunkOutcome` aligned with ``items`` —
-        per-task ``("ok", record)`` / ``("error", repr)`` — so an evaluation
-        error in one task never fails the whole chunk.  A chunk-level
-        exception from the future means the chunk never ran to its per-task
-        outcomes (a broken pool, or a worker that could not prepare the
-        engine), not that one task mis-evaluated.
-        """
-        raise NotImplementedError
-
-    def note_workers(self) -> None:
-        """Snapshot the pool's worker pids (after the round's submissions)."""
-
-    def dead_worker_pids(self) -> Tuple[int, ...]:
-        """Pids from the last snapshot whose processes have died."""
-        return ()
-
-    def kill_workers(self) -> None:
-        """Terminate every worker (the timeout reclaim path)."""
-
-    def end_round(self, *, broken: bool) -> None:
-        """Finish the round; ``broken`` reports a poisoned pool."""
-
-
-class EphemeralPoolBackend(WorkerBackend):
-    """One fresh :class:`ProcessPoolExecutor` per round — the classic mode.
-
-    A crashed worker poisons its whole pool, so recovery is simply a new
-    pool over whatever the old one left unfinished; nothing survives the
-    round, the pid registry included, and fork-started workers inherit the
-    caches :meth:`prepare_entry` warmed in this process.
-    """
-
-    def __init__(self) -> None:
+    def __init__(
+        self, max_workers: Optional[int] = None, *, start_method: Optional[str] = None
+    ) -> None:
+        self.max_workers = max(
+            1, int(max_workers) if max_workers is not None else (os.cpu_count() or 1)
+        )
+        #: resolved here, so an unknown start method fails at construction
+        self._context = multiprocessing.get_context(start_method)
+        self.start_method = self._context.get_start_method()
+        self._lock = threading.RLock()
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._workers: Dict[int, Any] = {}
+        self._pool_generation = 0
+        #: the pid registry every worker of every pool generation tags
+        self._registry = tempfile.TemporaryDirectory(
+            prefix="repro-pool-pids-", ignore_cleanup_errors=True
+        )
+        self.registry = self._registry.name
+        self._closed = False
+        #: tasks handed to workers (never incremented for store hits, which
+        #: the executor serves before any submission — the "warm requests
+        #: bypass workers" invariant is an assertion on this counter)
+        self.tasks_dispatched = 0
+        self.restarts = 0
 
-    def prepare_entry(self, engine: Engine, scenario: Scenario) -> None:
-        """Compile and warm in this process, before the pool forks."""
-        prepare = getattr(engine, "prepare", None)
-        if prepare is not None:
-            prepare(scenario)
+    # ------------------------------------------------------------- lifecycle
+    def start(self) -> "WorkerPool":
+        """Create the pool eagerly (otherwise the first submission does)."""
+        self.pool_generation()
+        return self
 
-    def begin_round(self, workers: int) -> int:
-        self.registry = tempfile.mkdtemp(prefix="repro-campaign-pids-")
-        self._pool = ProcessPoolExecutor(max_workers=workers)
-        self._workers = {}
-        return workers
+    def __enter__(self) -> "WorkerPool":
+        return self.start()
 
+    def __exit__(self, *exc_info: Any) -> None:
+        self.shutdown()
+
+    def _ensure_pool(self) -> ProcessPoolExecutor:
+        if self._closed:
+            raise ValidationError("worker pool is shut down")
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.max_workers, mp_context=self._context
+            )
+            self._pool_generation += 1
+        return self._pool
+
+    def shutdown(self) -> None:
+        """Stop the workers, once their running tasks end, and remove the
+        pid registry."""
+        with self._lock:
+            self._closed = True
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+        self._registry.cleanup()
+
+    # ------------------------------------------------------------- execution
     def submit_chunk(
         self,
         engine: Engine,
@@ -803,38 +816,150 @@ class EphemeralPoolBackend(WorkerBackend):
         *,
         named_engine: bool,
     ) -> Future:
-        return self._pool.submit(
-            _pool_evaluate_chunk,
-            engine,
-            scenario,
-            tuple(items),
-            (self.registry, execution),
-        )
+        """Hand a chunk of same-(engine, scenario) tasks to the pool.
 
-    def note_workers(self) -> None:
-        self._workers = dict(getattr(self._pool, "_processes", None) or {})
-
-    def dead_worker_pids(self) -> Tuple[int, ...]:
-        return tuple(
-            pid for pid, process in self._workers.items() if not process.is_alive()
+        ``execution`` is the submitting execution's token, which workers
+        write into their pid tags.  A pool that arrived broken is restarted
+        once and the chunk resubmitted.  Only registry-named engines get a
+        worker-side cache key (an engine *instance* may carry arbitrary
+        programmatic state that must not be conflated across campaigns by
+        name).  The future resolves to the per-task outcome list of
+        :func:`_pool_evaluate_chunk`; a chunk-level exception from it means
+        the chunk never reached per-task outcomes (a broken pool, or a
+        worker that could not prepare the engine).
+        """
+        with self._lock:
+            pool = self._ensure_pool()
+            self.tasks_dispatched += len(items)
+        cache_key = (
+            (engine.name, json.dumps(scenario.to_dict(), sort_keys=True))
+            if named_engine
+            else None
         )
+        args = (engine, scenario, tuple(items), (self.registry, execution), cache_key)
+        try:
+            return pool.submit(_pool_evaluate_chunk, *args)
+        except (BrokenProcessPool, RuntimeError):
+            # The pool broke under another execution between rounds; retire
+            # it and resubmit on a fresh one (a second failure propagates).
+            with self._lock:
+                self._retire_pool(pool)
+                pool = self._ensure_pool()
+            return pool.submit(_pool_evaluate_chunk, *args)
+
+    def _retire_pool(self, pool: ProcessPoolExecutor) -> None:
+        """Drop ``pool`` if it is still current (idempotent across sharers)."""
+        if self._pool is pool:
+            self._pool = None
+            self.restarts += 1
+            pool.shutdown(wait=False, cancel_futures=True)
+
+    def pool_generation(self) -> int:
+        """Ensure a pool exists and return its generation number."""
+        with self._lock:
+            self._ensure_pool()
+            return self._pool_generation
+
+    def restart(self, generation: int) -> None:
+        """Retire the current pool if ``generation`` still names it.
+
+        Executions sharing the pool all report the same broken pool; the
+        generation guard makes sure it is only restarted once.  The
+        replacement pool is created lazily by the next submission.
+        """
+        with self._lock:
+            if self._pool is not None and generation == self._pool_generation:
+                self._retire_pool(self._pool)
+
+    # ------------------------------------------------------------ observation
+    def worker_snapshot(self) -> Dict[int, Any]:
+        """pid -> process handle for the current pool's workers."""
+        with self._lock:
+            if self._pool is None:
+                return {}
+            return dict(getattr(self._pool, "_processes", None) or {})
+
+    def worker_pids(self) -> Tuple[int, ...]:
+        return tuple(self.worker_snapshot())
 
     def kill_workers(self) -> None:
-        processes = getattr(self._pool, "_processes", None) or {}
-        for process in list(processes.values()):
+        """Terminate every worker (the executor's timeout reclaim path).
+
+        This breaks the pool for *every* execution running on it; sharers
+        recover through their retry rounds.
+        """
+        for process in self.worker_snapshot().values():
             try:
                 process.terminate()
             except Exception:  # pragma: no cover - already-dead worker
                 pass
 
-    def end_round(self, *, broken: bool) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-            self._workers = {}
-        if self.registry is not None:
-            shutil.rmtree(self.registry, ignore_errors=True)
-            self.registry = None
+    def stats(self) -> Dict[str, Any]:
+        """A JSON-able health snapshot (the service's ``/health`` body).
+
+        ``shared_memory_segments`` is always empty: the pool owns no shared
+        memory.  The key stays so health checks that sweep for leaked
+        segments keep working.
+        """
+        with self._lock:
+            return {
+                "max_workers": self.max_workers,
+                "worker_pids": sorted(self.worker_pids()),
+                "tasks_dispatched": self.tasks_dispatched,
+                "restarts": self.restarts,
+                "shared_memory_segments": [],
+                "closed": self._closed,
+            }
+
+
+def _crash_culprits(
+    workers: Dict[int, Any], registry: str, execution: str, unresolved: Set[str]
+) -> Optional[Set[str]]:
+    """Which unfinished tasks of ``execution`` took a broken pool down.
+
+    ``workers`` is the round's pid -> process snapshot.  Workers tag their
+    pid in the pool's ``registry`` with an execution token and a task id
+    before running the task.  When one worker crashes the pool terminates
+    the others, so a death by SIGTERM is collateral and names no culprit;
+    any other death is a crash.  The dead pids tell three cases apart:
+
+    * crashes tagged with this execution's unresolved tasks — those tasks
+      are the culprits and are charged;
+    * crashes tagged only by another execution sharing the pool, or, with
+      no crash seen, SIGTERM deaths of which one carries another
+      execution's tag (its timeout kill) — this round's tasks are
+      collateral: the empty set re-queues them all uncharged;
+    * anything else (no death observed, or no usable tag) — ``None``: the
+      caller charges every unfinished task, which is what guarantees a
+      deterministic crasher converges within ``max_attempts`` rounds.
+    """
+    # A broken pool means a worker died abruptly, but its death may not be
+    # *observable* yet: the pool's manager thread reaps workers
+    # concurrently, and a lost waitpid race reads as "still alive"
+    # (multiprocessing treats ECHILD as not-yet-started).  Poll briefly
+    # until a crash shows up rather than misattributing.
+    deadline = time.monotonic() + 0.5
+    while True:
+        codes = {pid: process.exitcode for pid, process in workers.items()}
+        dead = [pid for pid, code in codes.items() if code is not None]
+        crashed = [pid for pid in dead if codes[pid] != -signal.SIGTERM]
+        if crashed or time.monotonic() >= deadline:
+            break
+        time.sleep(0.02)
+    culprits: Set[str] = set()
+    foreign = False
+    for pid in crashed or dead:
+        tag = _read_worker_tag(registry, pid)
+        if tag is None:
+            continue
+        if tag[0] != execution:
+            foreign = True
+        elif crashed:
+            culprits.add(tag[1])
+    culprits &= unresolved
+    if culprits:
+        return culprits
+    return set() if foreign else None
 
 
 # --------------------------------------------------------------------------- #
@@ -880,12 +1005,14 @@ class CampaignExecutor:
         (``None``) gives every task one attempt and no timeout; pass e.g.
         ``RetryPolicy(max_attempts=3, timeout_seconds=600)`` for unattended
         campaigns that must survive crashed or hung workers.
-    backend:
-        The :class:`WorkerBackend` pooled tasks execute on.  The default
-        (``None``) builds a fresh :class:`EphemeralPoolBackend` — one
-        process pool per campaign, the pre-service behaviour.  Pass a
-        :class:`repro.service.daemon.PersistentPoolBackend` to run on a
-        warm, long-lived worker daemon shared across campaigns.
+    pool:
+        The :class:`WorkerPool` pooled tasks run on.  The default (``None``)
+        starts a pool of ``min(max_workers, pooled tasks)`` workers for this
+        execution's pooled misses and shuts it down when :meth:`execute`
+        ends or its consumer closes it; no pool starts when every task is a
+        cache hit, or for a lone untimed task, which runs in this process.
+        Pass a shared pool (the campaign service's) to run on its warm
+        workers instead; its lifecycle stays its owner's.
     """
 
     def __init__(
@@ -896,13 +1023,13 @@ class CampaignExecutor:
         max_workers: Optional[int] = None,
         store: Union[ResultStore, None, str] = "default",
         retry: Optional[RetryPolicy] = None,
-        backend: Optional[WorkerBackend] = None,
+        pool: Optional[WorkerPool] = None,
     ) -> None:
         self.campaign = campaign
         self.parallel = parallel
         self.max_workers = max_workers
         self.retry = retry if retry is not None else NO_RETRY
-        self.backend = backend if backend is not None else EphemeralPoolBackend()
+        self.pool = pool
         self.store = resolve_store(store)
         self._labels = campaign.labels
         #: resolved engine instances, one tuple per entry (validates names,
@@ -1030,7 +1157,7 @@ class CampaignExecutor:
             )
 
         # Only a pool worker can be killed, so under a timeout every miss
-        # goes to the pool (one worker unless parallel, see _pooled_round).
+        # goes to the pool (one worker unless parallel).
         timed = policy.timeout_seconds is not None
         inline: List[CampaignTask] = []
         pooled: List[CampaignTask] = []
@@ -1040,11 +1167,11 @@ class CampaignExecutor:
                 pooled.append(task)
             else:
                 inline.append(task)
-        if len(pooled) == 1 and not timed and not self.backend.persistent:
-            # A pool of one buys no parallelism and pays process spawn plus
-            # engine pickling — evaluate the lone task in this process.  A
-            # persistent backend keeps warm workers either way, so lone
-            # tasks stay out of the serving process there.
+        if len(pooled) == 1 and not timed and self.pool is None:
+            # A pool of one buys no parallelism and pays process start-up
+            # plus engine pickling — evaluate the lone task in this process.
+            # A shared pool keeps warm workers either way, so lone tasks
+            # stay out of the serving process there.
             inline.extend(pooled)
             pooled = []
 
@@ -1059,80 +1186,73 @@ class CampaignExecutor:
                     yield event
                     if isinstance(event, TaskFailed):
                         break
-                    delay = policy.delay_before(attempt + 1)
-                    if delay > 0:
-                        time.sleep(delay)
                     continue
                 yield self._complete(task, record, started, done, total)
                 done += 1
                 break
 
-        if pooled:
-            # Compile every pooled entry's network core before the workers
-            # see it.  The ephemeral backend prepares in this process, so
-            # its fork-started workers inherit the module-level caches;
-            # persistent backends leave it to their workers, which prepare
-            # each (engine, scenario) pair once when they first cache it.
-            # An engine that does not pickle can never reach a worker, and
-            # one whose preparation raises here would raise again on every
-            # attempt, so either slot's tasks fail here after one attempt,
-            # unretried.
-            prepared = set()
-            unrunnable: Dict[Tuple[int, int], str] = {}
-            for task in pooled:
-                slot = (task.entry_index, task.engine_index)
-                if slot in prepared:
-                    continue
-                prepared.add(slot)
-                engine = self._engines[task.entry_index][task.engine_index]
+        # An engine that does not pickle can never reach a worker, so its
+        # slot's tasks fail here after one attempt, unretried.  (Workers
+        # prepare each engine themselves; a raising prepare fails its chunk
+        # on the worker and goes through the retry policy.)
+        pickle_errors: Dict[Tuple[int, int], Optional[str]] = {}
+        runnable: List[CampaignTask] = []
+        for task in pooled:
+            slot = (task.entry_index, task.engine_index)
+            if slot not in pickle_errors:
+                pickle_errors[slot] = None
                 try:
-                    pickle.dumps(engine)
+                    pickle.dumps(self._engines[slot[0]][slot[1]])
                 except (pickle.PicklingError, AttributeError, TypeError) as error:
-                    unrunnable[slot] = repr(error)
-                    continue
-                try:
-                    self.backend.prepare_entry(
-                        engine, self.campaign.entries[task.entry_index].scenario
-                    )
-                except Exception as error:  # noqa: BLE001 - structured failure path
-                    unrunnable[slot] = repr(error)
-            if unrunnable:
-                for task in pooled:
-                    reason = unrunnable.get((task.entry_index, task.engine_index))
-                    if reason is not None:
-                        yield _failure_event(task, 1, reason, final=True)
-                pooled = [
-                    task
-                    for task in pooled
-                    if (task.entry_index, task.engine_index) not in unrunnable
-                ]
+                    pickle_errors[slot] = repr(error)
+            if pickle_errors[slot] is None:
+                runnable.append(task)
+            else:
+                yield _failure_event(task, 1, pickle_errors[slot], final=True)
 
+        if runnable:
+            if not self.parallel:
+                requested = 1  # timed tasks of a sequential campaign
+            elif self.max_workers is not None:
+                requested = self.max_workers
+            else:
+                requested = os.cpu_count() or 1
+            own = self.pool is None
+            pool = WorkerPool(min(requested, len(runnable))) if own else self.pool
             # Workers tag their pid in the pool's registry with this token
             # and the task they run, which is what lets a broken pool charge
             # the actual culprits instead of every unfinished task — even
             # when another execution sharing the pool caused the break.
             execution = secrets.token_hex(8)
-            attempts: Dict[CampaignTask, int] = {task: 0 for task in pooled}
-            pending: List[CampaignTask] = list(pooled)
-            while pending:
-                # One "round" per pool: a crashed worker poisons its whole
-                # process pool, so recovery means a fresh (or restarted)
-                # pool over everything the previous one left unfinished.
-                requeue: List[CampaignTask] = []
-                for event in self._pooled_round(
-                    pending, attempts, requeue, _failure_event, started,
-                    lambda: done, total, execution,
-                ):
-                    if isinstance(event, TaskCompleted):
-                        done += 1
-                    yield event
-                pending = requeue
-                if pending:
-                    delay = max(
-                        policy.delay_before(attempts[task] + 1) for task in pending
-                    )
-                    if delay > 0:
-                        time.sleep(delay)
+            attempts: Dict[CampaignTask, int] = {task: 0 for task in runnable}
+            pending: List[CampaignTask] = runnable
+            finished = False
+            try:
+                while pending:
+                    # One "round" per pool generation: a crashed worker
+                    # poisons its whole process pool, so recovery means a
+                    # restarted pool over everything the previous one left
+                    # unfinished.
+                    requeue: List[CampaignTask] = []
+                    workers = max(1, min(requested, len(pending), pool.max_workers))
+                    for event in self._pooled_round(
+                        pool, workers, pending, attempts, requeue, _failure_event,
+                        started, lambda: done, total, execution,
+                    ):
+                        if isinstance(event, TaskCompleted):
+                            done += 1
+                        yield event
+                    pending = requeue
+                finished = True
+            finally:
+                if own:
+                    # Our own pool never outlives the execution.  A consumer
+                    # that abandons the stream gets its workers killed, not
+                    # waited for: their results are unwanted, and a hung
+                    # task would never return.
+                    if not finished:
+                        pool.kill_workers()
+                    pool.shutdown()
 
         yield CampaignProgress(
             done, total, hits, time.perf_counter() - started, failed, retries
@@ -1140,6 +1260,8 @@ class CampaignExecutor:
 
     def _pooled_round(
         self,
+        pool: WorkerPool,
+        workers: int,
         pending: Sequence[CampaignTask],
         attempts: Dict[CampaignTask, int],
         requeue: List[CampaignTask],
@@ -1149,27 +1271,22 @@ class CampaignExecutor:
         total: int,
         execution: str,
     ) -> Iterator[CampaignEvent]:
-        """Run one backend round over ``pending``, streaming its events.
+        """Run one round of ``pending`` on ``pool``, streaming its events.
 
-        Tasks that must run again land in ``requeue``: failed attempts with
-        retries left (attempt counted), plus innocent casualties of a
-        timeout kill or of *another* task's worker crash (attempt *not*
-        counted — the culprit is known, from the kill itself or from the
-        dead workers' pid tags, which may name a task of another execution
-        sharing the pool).  Only when crash attribution fails — no dead pid
-        observed, or no dead worker had tagged an unfinished task — is every
-        unfinished task of the round charged an attempt, the fallback that
-        makes a deterministic crasher converge in ``max_attempts`` rounds.
+        ``workers`` is the concurrency the round assumes when it sizes
+        chunks and clamps the per-task timeout clock.  Tasks that must run
+        again land in ``requeue``: failed attempts with retries left
+        (attempt counted), plus innocent casualties of a timeout kill or of
+        *another* task's worker crash (attempt *not* counted — the culprit
+        is known, from the kill itself or from the dead workers' pid tags,
+        which may name a task of another execution sharing the pool).  Only
+        when crash attribution fails is every unfinished task of the round
+        charged an attempt (see :func:`_crash_culprits`).  A broken round
+        restarts the pool, once per generation however many executions
+        share it.
         """
         policy = self.retry
-        backend = self.backend
-        if not self.parallel:
-            requested = 1  # timed tasks of a sequential campaign
-        elif self.max_workers is not None:
-            requested = self.max_workers
-        else:
-            requested = os.cpu_count() or 1
-        workers = backend.begin_round(max(1, min(requested, len(pending))))
+        generation = pool.pool_generation()
         # Chunked submission amortises per-task IPC/pickling: ~4 chunks per
         # worker keeps the pool load-balanced while an uneven task mix
         # drains.  The per-task timeout clock is per *future*, so any
@@ -1197,7 +1314,7 @@ class CampaignExecutor:
                 for start in range(0, len(group), chunk_size):
                     chunk = tuple(group[start : start + chunk_size])
                     futures[
-                        backend.submit_chunk(
+                        pool.submit_chunk(
                             engine,
                             entry.scenario,
                             tuple((task.lambda_g, task.task_id) for task in chunk),
@@ -1205,7 +1322,7 @@ class CampaignExecutor:
                             named_engine=named,
                         )
                     ] = chunk
-            backend.note_workers()
+            snapshot = pool.worker_snapshot()
             outstanding: Set[Future] = set(futures)
             unresolved: Set[str] = {task.task_id for task in pending}
             crash_culprits: Any = _UNDETERMINED
@@ -1250,8 +1367,8 @@ class CampaignExecutor:
                                 continue
                             else:
                                 if crash_culprits is _UNDETERMINED:
-                                    crash_culprits = self._crash_culprits(
-                                        execution, unresolved
+                                    crash_culprits = _crash_culprits(
+                                        snapshot, pool.registry, execution, unresolved
                                     )
                                 if (
                                     crash_culprits is not None
@@ -1275,7 +1392,7 @@ class CampaignExecutor:
                                 requeue.append(task)
                     except Exception as error:  # noqa: BLE001 - chunk-level failure
                         # The chunk raised before it produced per-task
-                        # outcomes (a daemon worker whose engine's prepare
+                        # outcomes (a worker whose engine's prepare
                         # raised); per-task evaluation errors come back as
                         # outcomes below.  Every task of the chunk is
                         # charged one attempt; tasks our own timeout kill
@@ -1354,53 +1471,10 @@ class CampaignExecutor:
                         # A hung worker never returns; killing the pool's
                         # processes resolves every outstanding future as
                         # broken, and the round's cleanup re-queues them.
-                        backend.kill_workers()
+                        pool.kill_workers()
         finally:
-            backend.end_round(broken=broken)
-
-    def _crash_culprits(
-        self, execution: str, unresolved: Set[str]
-    ) -> Optional[Set[str]]:
-        """Which unfinished tasks of this execution took the dead workers down.
-
-        Workers tag their pid in the pool's registry with an execution token
-        and a task id before running the task, so when the pool breaks the
-        dead pids tell three cases apart:
-
-        * tagged with one of this execution's unresolved tasks — those tasks
-          are the culprits and are charged;
-        * tagged only by another execution sharing the pool — this round's
-          tasks are collateral: the empty set re-queues them all uncharged;
-        * no usable tag (no dead pid observed, or none tagged a task still
-          unfinished here) — ``None``: the caller charges every unfinished
-          task, which is what guarantees a deterministic crasher converges
-          within ``max_attempts`` rounds.
-        """
-        registry = self.backend.registry
-        # A broken pool means a worker died abruptly, but its death may not
-        # be *observable* yet: the pool's manager thread reaps workers
-        # concurrently, and a lost waitpid race reads as "still alive"
-        # (multiprocessing treats ECHILD as not-yet-started).  Poll briefly
-        # until at least one death shows up rather than misattributing.
-        deadline = time.monotonic() + 0.5
-        dead = self.backend.dead_worker_pids()
-        while not dead and time.monotonic() < deadline:
-            time.sleep(0.02)
-            dead = self.backend.dead_worker_pids()
-        culprits: Set[str] = set()
-        foreign = False
-        for pid in dead:
-            tag = _read_worker_tag(registry, pid)
-            if tag is None:
-                continue
-            if tag[0] == execution:
-                culprits.add(tag[1])
-            else:
-                foreign = True
-        culprits &= unresolved
-        if culprits:
-            return culprits
-        return set() if foreign else None
+            if broken:
+                pool.restart(generation)
 
     def _evaluate(self, task: CampaignTask) -> RunRecord:
         engine = self._engines[task.entry_index][task.engine_index]
@@ -1509,7 +1583,7 @@ def run_campaign(
     max_workers: Optional[int] = None,
     store: Union[ResultStore, None, str] = "default",
     retry: Optional[RetryPolicy] = None,
-    backend: Optional[WorkerBackend] = None,
+    pool: Optional[WorkerPool] = None,
     strict: bool = True,
     on_event: Optional[Callable[[CampaignEvent], None]] = None,
 ) -> CampaignResult:
@@ -1520,6 +1594,6 @@ def run_campaign(
         max_workers=max_workers,
         store=store,
         retry=retry,
-        backend=backend,
+        pool=pool,
     )
     return executor.collect(strict=strict, on_event=on_event)

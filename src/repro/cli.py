@@ -29,15 +29,16 @@ Sub-commands mirror the experiment harness:
   ``campaign store`` inspects (``--stats``) / prunes / clears the SQLite
   result store and merges another machine's store into it (``--sync SRC``
   copies, ``--merge SRC`` drains);
-* ``serve``      — the campaign service (:mod:`repro.service`): a persistent
-  warm worker daemon behind a stdlib HTTP front-end that accepts campaign
-  plans as JSON on ``POST /campaigns`` and streams progress back as
-  server-sent events; warm workers keep their own compiled tables and
-  engines, so a warm daemon skips the per-campaign compile entirely, and
+* ``serve``      — the campaign service (:mod:`repro.service`): one
+  long-lived worker pool behind a stdlib HTTP front-end that accepts
+  campaign plans as JSON on ``POST /campaigns`` and streams progress back
+  as server-sent events; warm workers keep their own compiled tables and
+  engines, so a warm pool skips the per-campaign compile entirely, and
   fully cached plans are answered straight from the result store.
 
 Every command is pure text output (tables / CSV / JSON); nothing requires a
-plotting stack.
+plotting stack.  A command whose campaign has tasks that exhausted their
+retries prints ``error:`` and the failures, and exits 3.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro import api
+from repro.campaign import CampaignExecutionError
 from repro.experiments.ablation import heterogeneity_ablation, variance_ablation
 from repro.experiments.compare import compare_runset, model_applicability
 from repro.experiments.configs import table1_specs, table1_system
@@ -296,13 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         "worker process (one, without --parallel), and a worker over budget "
         "is killed and its task re-queued (requires --retries > 1 to "
         "actually retry)",
-    )
-    campaign_run.add_argument(
-        "--backoff",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="base sleep before re-queuing a failed task (doubles per attempt)",
     )
     campaign_run.add_argument(
         "--allow-failures",
@@ -755,7 +750,6 @@ class _ProgressBar:
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
     from repro.campaign import (
         Campaign,
-        CampaignExecutionError,
         CampaignExecutor,
         RetryPolicy,
         TaskCompleted,
@@ -773,11 +767,9 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         raise ValidationError(f"invalid campaign plan {args.plan}: {error}") from error
     store = None if args.no_store else _campaign_store(args)
     retry = None
-    if args.retries != 1 or args.task_timeout is not None or args.backoff:
+    if args.retries != 1 or args.task_timeout is not None:
         retry = RetryPolicy(
-            max_attempts=args.retries,
-            timeout_seconds=args.task_timeout,
-            backoff_seconds=args.backoff,
+            max_attempts=args.retries, timeout_seconds=args.task_timeout
         )
     executor = CampaignExecutor(
         campaign,
@@ -822,13 +814,9 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         result = executor.collect(
             strict=not args.allow_failures, on_event=_print_event
         )
-    except CampaignExecutionError as error:
+    finally:
         if bar is not None:
             bar.finish()
-        print(f"error: {error}", file=sys.stderr)
-        return 3
-    if bar is not None:
-        bar.finish()
     if args.progress is not None:
         print()
     failed_labels = {failure.task.label for failure in result.failures}
@@ -931,14 +919,13 @@ def _cmd_campaign_store(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.campaign import RetryPolicy
-    from repro.service import WorkerDaemon, serve
+    from repro.service import serve
 
     if args.retries < 1:
         raise ValidationError(f"--retries must be >= 1, got {args.retries}")
     store = None if args.no_store else _campaign_store(args)
     retry = RetryPolicy(max_attempts=args.retries) if args.retries > 1 else None
-    daemon = WorkerDaemon(args.workers)
-    serve(args.host, args.port, daemon=daemon, store=store, retry=retry)
+    serve(args.host, args.port, store=store, retry=retry, max_workers=args.workers)
     return 0
 
 
@@ -981,6 +968,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValidationError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except CampaignExecutionError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 3
     return 0  # pragma: no cover
 
 

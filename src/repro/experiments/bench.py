@@ -55,13 +55,13 @@ The per-scenario entries are always measured sequentially (one engine, one
 process), so the ``messages_per_second`` trajectory stays comparable across
 PRs and machines regardless of ``--parallel``; the ``scaling`` section is
 where multi-core fan-out is recorded.  Its ``"cold"`` rungs measure a fresh
-campaign process (compile caches cleared, ephemeral pool); the ``"daemon"``
-rung measures the same campaign against a warm
-:class:`repro.service.daemon.WorkerDaemon` — what a request to an
-already-running ``repro-multicluster serve`` costs once the persistent
-workers are warm and hold their own compiled route tables.  Cold
-rungs report ``speedup`` against the sequential (1-worker cold) baseline;
-the daemon rung reports ``speedup`` against the cold rung at the *same*
+campaign process (compile caches cleared, the executor's own pool); the
+``"daemon"`` rung measures the same campaign against a warm, shared
+:class:`repro.campaign.WorkerPool` started the way ``repro-multicluster
+serve`` starts its pool — what a request to an already-running server
+costs once its workers are warm and hold their own compiled route tables.
+Cold rungs report ``speedup`` against the sequential (1-worker cold)
+baseline; the daemon rung reports ``speedup`` against the cold rung at the *same*
 worker count — warm service vs fresh campaign process is the comparison
 the rung exists to measure — and carries the sequential ratio separately
 as ``speedup_vs_sequential``.
@@ -153,7 +153,7 @@ def _clear_compiled_state() -> None:
 
 
 def _run_rung(
-    campaign: "Campaign", *, parallel: bool, workers: int, backend: Any = None
+    campaign: "Campaign", *, parallel: bool, workers: int, pool: Any = None
 ) -> tuple:
     """One timed campaign execution; returns (elapsed, messages, retries)."""
     from repro.campaign import CampaignExecutor, RetryPolicy
@@ -164,7 +164,7 @@ def _run_rung(
         max_workers=workers,
         store=None,
         retry=RetryPolicy(max_attempts=2),
-        backend=backend,
+        pool=pool,
     )
     started = time.perf_counter()
     result = executor.collect()
@@ -188,15 +188,16 @@ def _measure_scaling(
     * ``"cold"`` — what a fresh ``repro-multicluster campaign run`` pays.
       The compile caches and stream pool are cleared before each rung, so
       the measurement includes route-table compilation and (for pooled
-      rungs) process-pool start-up.  The ``workers=1`` cold rung executes
-      sequentially in-process and is the curve's speedup baseline.
-    * ``"daemon"`` — the same campaign served by a *warm*
-      :class:`repro.service.daemon.WorkerDaemon` at the top worker count:
-      one untimed warm-up campaign spawns the persistent workers, which
-      compile their tables and warm their engines, then the timed run
-      measures what a request to an already-running
-      ``repro-multicluster serve`` costs.  The warm-up cost
-      itself is recorded as ``warmup_seconds``.  Its ``speedup`` is against
+      rungs) the start-up of the executor's own pool.  The ``workers=1``
+      cold rung executes sequentially in-process and is the curve's
+      speedup baseline.
+    * ``"daemon"`` — the same campaign served by a *warm*, shared
+      :class:`repro.campaign.WorkerPool` at the top worker count, spawned
+      as the server spawns its own: one untimed warm-up campaign starts
+      the workers, which compile their tables and warm their engines, then
+      the timed run measures what a request to an already-running
+      ``repro-multicluster serve`` costs.  The warm-up cost itself is
+      recorded as ``warmup_seconds``.  Its ``speedup`` is against
       the cold rung at the same worker count (warm service vs fresh
       campaign process); ``speedup_vs_sequential`` keeps the ratio against
       the 1-worker baseline that the cold rungs report.
@@ -209,7 +210,7 @@ def _measure_scaling(
     rung records how many retries it needed (0 on healthy hardware — a
     non-zero count flags that the elapsed time includes recovery work).
     """
-    from repro.service.daemon import PersistentPoolBackend, WorkerDaemon
+    from repro.campaign import WorkerPool
 
     def rung_entry(mode: str, workers: int, elapsed: float, measured: int, retries: int):
         # Speedups are ratios of the *recorded* (rounded) elapsed times, so
@@ -234,20 +235,12 @@ def _measure_scaling(
         )
         curve.append(rung_entry("cold", workers, elapsed, measured, retries))
     _clear_compiled_state()
-    with WorkerDaemon(effective_workers) as daemon:
+    with WorkerPool(effective_workers, start_method="spawn") as pool:
         warmup_started = time.perf_counter()
-        _run_rung(
-            campaign,
-            parallel=True,
-            workers=effective_workers,
-            backend=PersistentPoolBackend(daemon),
-        )
+        _run_rung(campaign, parallel=True, workers=effective_workers, pool=pool)
         warmup_seconds = time.perf_counter() - warmup_started
         elapsed, measured, retries = _run_rung(
-            campaign,
-            parallel=True,
-            workers=effective_workers,
-            backend=PersistentPoolBackend(daemon),
+            campaign, parallel=True, workers=effective_workers, pool=pool
         )
     entry = rung_entry("daemon", effective_workers, elapsed, measured, retries)
     # The daemon rung answers "same campaign, same worker count: what does

@@ -90,7 +90,7 @@ class SingleClusterModel:
 
         network_latency = 0.0
         tail_time = 0.0
-        for j, probability in enumerate(probabilities, start=1):
+        for j, probability in enumerate(probabilities.tolist(), start=1):
             rates = intra_stage_rates(j, channel_rate)
             network_latency += probability * journey_latency(
                 rates, message_length=message_length, t_cs=link.t_cs, t_cn=link.t_cn

@@ -134,9 +134,11 @@ def pair_latency(
     timing = params.link_timing
     message_length = params.message_length
 
-    p_source = link_probability_vector(spec.m, height_i)
-    p_dest = link_probability_vector(spec.m, height_v)
-    p_icn2 = link_probability_vector(spec.m, height_c)
+    # Python floats, not numpy scalars: far past the knee the journey
+    # products overflow, and a Python float turns inf without a warning.
+    p_source = link_probability_vector(spec.m, height_i).tolist()
+    p_dest = link_probability_vector(spec.m, height_v).tolist()
+    p_icn2 = link_probability_vector(spec.m, height_c).tolist()
 
     if eta_ecn1 is None:
         eta_ecn1 = ecn1_channel_rate(spec, source, dest, params.lambda_g)

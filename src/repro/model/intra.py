@@ -78,9 +78,11 @@ def intra_cluster_latency(
         arrival_rate = icn1_rate(spec, cluster, params.lambda_g)
 
     # Eq. 3: average the per-journey network latency over the 2j-link classes.
+    # Python floats, not numpy scalars: far past the knee the products
+    # overflow, and a Python float turns inf without a warning.
     network_latency = 0.0
     tail_time = 0.0
-    for j, probability in enumerate(probabilities, start=1):
+    for j, probability in enumerate(probabilities.tolist(), start=1):
         rates = intra_stage_rates(j, channel_rate)
         network_latency += probability * journey_latency(
             rates,

@@ -3,7 +3,7 @@
 ``repro serve`` binds a :class:`CampaignServer` — a deliberately small
 stdlib-only HTTP/1.1 endpoint (no web framework in the dependency set) that
 multiplexes any number of concurrent clients onto one shared
-:class:`~repro.service.daemon.WorkerDaemon`:
+:class:`~repro.campaign.WorkerPool`:
 
 * ``GET /health`` — JSON snapshot: worker pids, tasks dispatched, pool
   restarts, campaigns served (``shared_memory_segments`` is always ``[]``).
@@ -15,20 +15,21 @@ multiplexes any number of concurrent clients onto one shared
   ``retried`` / ``failed``, each ``data:`` line the JSON form of the event)
   followed by a terminal ``result`` event carrying every entry's run set
   plus execution stats — :func:`repro.campaign.result_payload`, the payload
-  ``repro campaign run --json`` writes, plus the daemon's ``workers`` and
+  ``repro campaign run --json`` writes, plus the pool's ``workers`` and
   ``tasks_dispatched``.
 
 Each campaign runs its ordinary :class:`~repro.campaign.CampaignExecutor`
-in a worker thread with a :class:`~repro.service.daemon.PersistentPoolBackend`;
-the event loop only parses requests and forwards events, so slow clients
-never stall the simulation.  Warm requests — every task already in the
-result store — are served entirely from the executor's cache-hits-first
-path and never touch a daemon worker.
+in a worker thread, on the shared pool; the event loop only parses requests
+and forwards events, so slow clients never stall the simulation.  Because
+campaigns submit from those threads, the pool the server builds spawns its
+workers rather than forking them.  Warm requests — every task already in
+the result store — are served entirely from the executor's
+cache-hits-first path and never touch a pool worker.
 
 The server intentionally applies no per-task timeout by default: a timeout
-kill terminates the *shared* daemon's workers, collateral included (see
-:mod:`repro.service.daemon`); pass an explicit :class:`RetryPolicy` to opt
-in anyway.
+kill terminates the *shared* pool's workers, collateral included (see
+:class:`~repro.campaign.WorkerPool`); pass an explicit :class:`RetryPolicy`
+to opt in anyway.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ from repro.campaign import (
     TaskCompleted,
     TaskFailed,
     TaskRetried,
+    WorkerPool,
     resolve_store,
     result_payload,
 )
-from repro.service.daemon import PersistentPoolBackend, WorkerDaemon
 from repro.store import ResultStore
 from repro.utils.serialization import to_jsonable
 from repro.utils.validation import ValidationError
@@ -91,19 +92,21 @@ def event_payload(event: CampaignEvent) -> Dict[str, Any]:
 
 
 class CampaignServer:
-    """The asyncio HTTP/SSE front-end over one shared worker daemon.
+    """The asyncio HTTP/SSE front-end over one shared worker pool.
 
     Parameters mirror :class:`~repro.campaign.CampaignExecutor` where they
     overlap: ``store`` is resolved once and shared by every campaign (one
     cached SQLite connection per serving thread, not one per request), and
     ``retry`` applies to every served campaign (default: no retries, no
-    timeout).  ``port=0`` binds an ephemeral port, published as
-    :attr:`port` after :meth:`start`.
+    timeout).  Without a ``pool``, the server builds a spawn-started
+    :class:`~repro.campaign.WorkerPool` of ``max_workers`` workers.
+    ``port=0`` binds an ephemeral port, published as :attr:`port` after
+    :meth:`start`.
     """
 
     def __init__(
         self,
-        daemon: Optional[WorkerDaemon] = None,
+        pool: Optional[WorkerPool] = None,
         *,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -111,7 +114,11 @@ class CampaignServer:
         retry: Optional[RetryPolicy] = None,
         max_workers: Optional[int] = None,
     ) -> None:
-        self.daemon = daemon if daemon is not None else WorkerDaemon(max_workers)
+        self.pool = (
+            pool
+            if pool is not None
+            else WorkerPool(max_workers, start_method="spawn")
+        )
         self.host = host
         self.port = port
         self.store = resolve_store(store)
@@ -132,7 +139,7 @@ class CampaignServer:
         return self
 
     async def stop(self) -> None:
-        """Stop accepting clients (the daemon's lifecycle stays the owner's)."""
+        """Stop accepting clients (the pool's lifecycle stays the owner's)."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -216,7 +223,7 @@ class CampaignServer:
     # ---------------------------------------------------------- the endpoints
     def health(self) -> Dict[str, Any]:
         """The ``GET /health`` body (also handy for in-process checks)."""
-        stats = self.daemon.stats()
+        stats = self.pool.stats()
         stats.update(
             {
                 "status": "ok",
@@ -259,10 +266,10 @@ class CampaignServer:
             executor = CampaignExecutor(
                 campaign,
                 parallel=True,
-                max_workers=self.daemon.max_workers,
+                max_workers=self.pool.max_workers,
                 store=self.store,
                 retry=self.retry,
-                backend=PersistentPoolBackend(self.daemon),
+                pool=self.pool,
             )
             try:
                 # strict=False: exhausted tasks ride in the result payload as
@@ -289,8 +296,8 @@ class CampaignServer:
                 result,
                 parallel=True,
                 store=self.store,
-                workers=self.daemon.max_workers,
-                tasks_dispatched=self.daemon.tasks_dispatched,
+                workers=self.pool.max_workers,
+                tasks_dispatched=self.pool.tasks_dispatched,
             )
             await self._send_event(writer, "result", payload)
         finally:
@@ -324,7 +331,7 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8765,
     *,
-    daemon: Optional[WorkerDaemon] = None,
+    pool: Optional[WorkerPool] = None,
     store: Union[ResultStore, None, str] = "default",
     retry: Optional[RetryPolicy] = None,
     max_workers: Optional[int] = None,
@@ -332,13 +339,13 @@ def serve(
     """Blocking entry point: serve until SIGINT/SIGTERM, then clean up.
 
     Shutdown order matters: the listener stops first (no new campaigns),
-    then the daemon stops its workers and removes its pid registry, so no
+    then the pool stops its workers and removes its pid registry, so no
     worker outlives the server — the guarantee the CI serve job pins.
     """
     server = CampaignServer(
-        daemon, host=host, port=port, store=store, retry=retry, max_workers=max_workers
+        pool, host=host, port=port, store=store, retry=retry, max_workers=max_workers
     )
     try:
         asyncio.run(_serve_async(server))
     finally:
-        server.daemon.shutdown()
+        server.pool.shutdown()

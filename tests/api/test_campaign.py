@@ -12,6 +12,7 @@ from repro.campaign import (
     CampaignExecutor,
     CampaignProgress,
     TaskCompleted,
+    WorkerPool,
     resolve_store,
     result_payload,
     run_campaign,
@@ -571,7 +572,7 @@ class TestChunkedSubmission:
 
     Chunking exists to amortise per-submission IPC and engine pickling over
     many operating points (the cold 2-worker fan-out regression); these tests
-    pin the worker-side contract both pool backends rely on.
+    pin the worker-side contract every pool relies on.
     """
 
     class _BrokenAt:
@@ -635,44 +636,36 @@ class TestChunkedSubmission:
             "t:broken-at:1",
         )
 
-    @pytest.mark.parametrize("kind", ["ephemeral", "daemon"])
-    def test_every_round_gives_its_workers_a_pid_registry(self, kind):
-        """Crash attribution reads the round's registry unconditionally, so
-        both backends must provide one and their workers must tag it."""
+    @pytest.mark.parametrize("kind", ["own", "shared"])
+    def test_every_round_gives_its_workers_a_pid_registry(self, kind, started_pools):
+        """Crash attribution reads the pool's registry unconditionally, so
+        every pool must provide one and its workers must tag it — the pool
+        an executor starts for itself and a shared one alike."""
         import os
 
-        from repro.api import resolve_engines
-        from repro.campaign import EphemeralPoolBackend, _read_worker_tag
-        from repro.service.daemon import PersistentPoolBackend, WorkerDaemon
+        from repro.campaign import _read_worker_tag
 
-        daemon = WorkerDaemon(1) if kind == "daemon" else None
-        backend = PersistentPoolBackend(daemon) if daemon else EphemeralPoolBackend()
-        (model,) = resolve_engines(("model",))
+        shared = WorkerPool(1, start_method="spawn") if kind == "shared" else None
+        campaign = Campaign(
+            entries=(CampaignEntry(scenario=scenario_for(TINY), engines=("sim",)),)
+        )
         try:
-            assert backend.begin_round(1) == 1
-            try:
-                registry = backend.registry
-                assert registry is not None and os.path.isdir(registry)
-                future = backend.submit_chunk(
-                    model,
-                    scenario_for(TINY),
-                    [(4e-4, "tiny:model:0"), (8e-4, "tiny:model:1")],
-                    "round-token",
-                    named_engine=True,
-                )
-                outcomes = future.result(timeout=120)
-                assert [status for status, _ in outcomes] == ["ok", "ok"]
-                (pid,) = os.listdir(registry)
-                assert int(pid) != os.getpid()
-                assert _read_worker_tag(registry, int(pid)) == (
-                    "round-token",
-                    "tiny:model:1",
-                )
-            finally:
-                backend.end_round(broken=False)
+            stream = CampaignExecutor(
+                campaign, parallel=True, max_workers=1, store=None, pool=shared
+            ).execute()
+            next(event for event in stream if isinstance(event, TaskCompleted))
+            pool = shared if shared is not None else started_pools[0]
+            (pid,) = os.listdir(pool.registry)
+            assert int(pid) != os.getpid()
+            assert int(pid) in pool.worker_pids()
+            execution, task_id = _read_worker_tag(pool.registry, int(pid))
+            assert execution
+            assert task_id in ("tiny:sim:0", "tiny:sim:1")
+            stream.close()
         finally:
-            if daemon is not None:
-                daemon.shutdown()
+            if shared is not None:
+                shared.shutdown()
+        assert started_pools == ([] if shared is not None else [pool])
 
     def test_campaign_contains_a_mid_chunk_failure(self):
         """End to end: a failing operating point surfaces as that task's
@@ -692,3 +685,146 @@ class TestChunkedSubmission:
         assert "boom at the bad point" in result.failures[0].error
         completed = [r for runset in result.runsets for r in runset.records]
         assert [r.lambda_g for r in completed] == [4e-4]
+
+
+class TestOwnPool:
+    """An executor without a ``pool`` starts one for its pooled misses, and
+    that pool never outlives :meth:`CampaignExecutor.execute`."""
+
+    @staticmethod
+    def assert_gone(pool):
+        """Every worker the pool ran exits within seconds; its registry is gone."""
+        import os
+        import time
+
+        assert pool.workers  # the rounds really ran on worker processes
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and any(
+            process.is_alive() for process in pool.workers.values()
+        ):
+            time.sleep(0.05)
+        assert not any(process.is_alive() for process in pool.workers.values())
+        assert not os.path.exists(pool.registry)
+
+    def test_a_drained_execution_leaves_no_worker_behind(self, started_pools):
+        campaign = Campaign(
+            entries=(
+                CampaignEntry(scenario=scenario_for(TINY), engines=("sim",)),
+                CampaignEntry(scenario=scenario_for(WIDE), engines=("sim",)),
+            )
+        )
+        events = list(
+            CampaignExecutor(campaign, parallel=True, max_workers=2, store=None).execute()
+        )
+        assert sum(isinstance(event, TaskCompleted) for event in events) == 4
+        (pool,) = started_pools
+        assert pool.max_workers == 2
+        self.assert_gone(pool)
+
+    def test_a_closed_execution_kills_its_workers_even_a_hung_one(
+        self, started_pools, tmp_path, monkeypatch
+    ):
+        """The consumer walks away after the first record while the other
+        worker hangs: closing the stream kills it instead of waiting."""
+        import threading
+        import time
+
+        marker = tmp_path / "hang-marker"
+        monkeypatch.setenv(
+            "REPRO_CAMPAIGN_FAULT",
+            json.dumps({"kind": "hang", "task": "wide:sim:0", "marker": str(marker)}),
+        )
+        campaign = Campaign(
+            entries=(
+                CampaignEntry(
+                    scenario=scenario_for(TINY, traffic=(4e-4,)), engines=("sim",)
+                ),
+                CampaignEntry(
+                    scenario=scenario_for(WIDE, traffic=(4e-4,)), engines=("sim",)
+                ),
+            )
+        )
+        stream = CampaignExecutor(
+            campaign, parallel=True, max_workers=2, store=None
+        ).execute()
+        first = next(event for event in stream if isinstance(event, TaskCompleted))
+        assert first.task.task_id == "tiny:sim:0"
+        deadline = time.monotonic() + 60.0
+        while not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert marker.exists()  # the other worker is hung now
+        closer = threading.Thread(target=stream.close, daemon=True)
+        closer.start()
+        closer.join(timeout=10.0)
+        assert not closer.is_alive()
+        (pool,) = started_pools
+        self.assert_gone(pool)
+
+    def test_all_hits_and_a_lone_untimed_task_start_no_pool(
+        self, tmp_path, started_pools
+    ):
+        store = ResultStore(tmp_path)
+        lone = Campaign(
+            entries=(
+                CampaignEntry(
+                    scenario=scenario_for(TINY, traffic=(4e-4,)), engines=("sim",)
+                ),
+            )
+        )
+        run_campaign(lone, parallel=True, store=store)
+        hits = run_campaign(lone, parallel=True, store=store)
+        assert (hits.cache_hits, hits.cache_misses) == (1, 0)
+        assert started_pools == []
+
+
+class TestCrashAttribution:
+    """``_crash_culprits`` on a fake worker snapshot: processes that report
+    exit codes, and their tags in a registry directory."""
+
+    @staticmethod
+    def snapshot(registry, workers):
+        """``workers`` maps pid -> (exit code or None if alive, tag or None)."""
+        from types import SimpleNamespace
+
+        for pid, (_, tag) in workers.items():
+            if tag is not None:
+                (registry / str(pid)).write_text(" ".join(tag), encoding="utf-8")
+        return {pid: SimpleNamespace(exitcode=code) for pid, (code, _) in workers.items()}
+
+    def culprits(self, tmp_path, workers, unresolved=("me:sim:0", "me:sim:1")):
+        from repro.campaign import _crash_culprits
+
+        return _crash_culprits(
+            self.snapshot(tmp_path, workers), str(tmp_path), "me", set(unresolved)
+        )
+
+    def test_a_co_worker_terminated_by_the_pool_is_not_charged(self, tmp_path):
+        import signal
+
+        workers = {
+            101: (3, ("me", "me:sim:0")),
+            102: (-signal.SIGTERM, ("me", "me:sim:1")),
+        }
+        assert self.culprits(tmp_path, workers) == {"me:sim:0"}
+
+    def test_a_crash_in_another_execution_charges_nothing(self, tmp_path):
+        import signal
+
+        workers = {
+            101: (3, ("other", "other:sim:0")),
+            102: (-signal.SIGTERM, ("me", "me:sim:1")),
+        }
+        assert self.culprits(tmp_path, workers) == set()
+
+    def test_sigterm_deaths_alone_with_a_foreign_tag_charge_nothing(self, tmp_path):
+        import signal
+
+        workers = {
+            101: (-signal.SIGTERM, ("other", "other:sim:0")),
+            102: (-signal.SIGTERM, ("me", "me:sim:1")),
+        }
+        assert self.culprits(tmp_path, workers) == set()
+
+    def test_no_observed_death_charges_everything(self, tmp_path):
+        workers = {101: (None, ("me", "me:sim:0")), 102: (None, None)}
+        assert self.culprits(tmp_path, workers) is None

@@ -20,11 +20,11 @@ from repro.campaign import (
     CampaignExecutionError,
     CampaignExecutor,
     CampaignProgress,
-    EphemeralPoolBackend,
     RetryPolicy,
     TaskCompleted,
     TaskFailed,
     TaskRetried,
+    WorkerPool,
     run_campaign,
 )
 from repro.store import ResultStore, jsonable_record
@@ -108,7 +108,6 @@ class TestRetryPolicy:
         policy = RetryPolicy()
         assert policy.max_attempts == 3
         assert policy.timeout_seconds is None
-        assert policy.backoff_seconds == 0.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -116,20 +115,11 @@ class TestRetryPolicy:
             {"max_attempts": 0},
             {"timeout_seconds": 0},
             {"timeout_seconds": -1.0},
-            {"backoff_seconds": -0.1},
-            {"backoff_multiplier": 0.5},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             RetryPolicy(**kwargs)
-
-    def test_backoff_grows_exponentially(self):
-        policy = RetryPolicy(backoff_seconds=0.5, backoff_multiplier=2.0)
-        assert policy.delay_before(1) == 0.0  # the first attempt never waits
-        assert policy.delay_before(2) == 0.5
-        assert policy.delay_before(3) == 1.0
-        assert policy.delay_before(4) == 2.0
 
     def test_task_id_is_label_engine_point(self):
         campaign = sim_campaign()
@@ -317,18 +307,6 @@ class TestPooledCrashRecovery:
         assert len(completed) == 4  # every task still completed
 
 
-class RecordingPoolBackend(EphemeralPoolBackend):
-    """The default pool backend, noting the worker count of every round."""
-
-    def __init__(self):
-        super().__init__()
-        self.rounds = []
-
-    def begin_round(self, workers):
-        self.rounds.append(workers)
-        return super().begin_round(workers)
-
-
 class TestTimedTasksOnThePool:
     """With a timeout set, every task runs on the worker pool — one worker
     without ``parallel`` — so a hung evaluation can actually be reclaimed."""
@@ -351,61 +329,54 @@ class TestTimedTasksOnThePool:
         # Records survive the crossing from the worker unchanged.
         assert canonical(pooled) == canonical(reference)
 
-    def test_sequential_timed_campaign_uses_one_worker(self):
+    def test_sequential_timed_campaign_uses_one_worker(self, started_pools):
         campaign = Campaign(
             entries=(
                 CampaignEntry(scenario=scenario_for(TINY), engines=("model", "sim")),
                 CampaignEntry(scenario=scenario_for(WIDE), engines=("sim",)),
             )
         )
-        backend = RecordingPoolBackend()
         result = CampaignExecutor(
             campaign,
             store=None,
             retry=RetryPolicy(max_attempts=2, timeout_seconds=60.0),
-            backend=backend,
         ).collect()
-        assert backend.rounds == [1]  # all six misses, cheap ones included
+        # One pool of one worker for all six misses, cheap ones included.
+        assert [pool.max_workers for pool in started_pools] == [1]
         assert canonical(result) == canonical(run_campaign(campaign, store=None))
 
-    def test_a_lone_timed_task_stays_on_the_pool(self):
+    def test_a_lone_timed_task_stays_on_the_pool(self, started_pools):
         """Without a timeout a lone pooled task is evaluated in the calling
         process; under one it keeps its worker, which a hang can be killed in."""
-        backend = RecordingPoolBackend()
         result = CampaignExecutor(
             self.campaign(),
             store=None,
             parallel=True,
             retry=RetryPolicy(max_attempts=2, timeout_seconds=60.0),
-            backend=backend,
         ).collect()
-        assert backend.rounds == [1]
+        assert [pool.max_workers for pool in started_pools] == [1]
         assert canonical(result) == canonical(run_campaign(self.campaign(), store=None))
 
-    def test_parallel_timed_round_honours_max_workers(self):
-        backend = RecordingPoolBackend()
+    def test_parallel_timed_round_honours_max_workers(self, started_pools):
         CampaignExecutor(
             sim_campaign(),
             store=None,
             parallel=True,
             max_workers=2,
             retry=RetryPolicy(max_attempts=2, timeout_seconds=60.0),
-            backend=backend,
         ).collect()
-        assert backend.rounds == [2]
+        assert [pool.max_workers for pool in started_pools] == [2]
 
-    def test_timed_warm_rerun_starts_no_pool(self, tmp_path):
+    def test_timed_warm_rerun_starts_no_pool(self, tmp_path, started_pools):
         """Timed records persist like any others, and a fully cached rerun
         has no miss to put on the pool."""
         store = ResultStore(tmp_path)
         retry = RetryPolicy(max_attempts=2, timeout_seconds=60.0)
         cold = run_campaign(sim_campaign(), store=store, retry=retry)
         assert len(store) == 4
-        backend = RecordingPoolBackend()
-        warm = CampaignExecutor(
-            sim_campaign(), store=store, retry=retry, backend=backend
-        ).collect()
-        assert backend.rounds == []
+        assert len(started_pools) == 1
+        warm = CampaignExecutor(sim_campaign(), store=store, retry=retry).collect()
+        assert len(started_pools) == 1  # the warm rerun started none
         assert (warm.cache_hits, warm.cache_misses) == (4, 0)
         assert canonical(warm) == canonical(cold)
 
@@ -567,20 +538,17 @@ class UnpreparableEngine:
 
 class TestPrepareFailure:
     """An engine whose preparation raises fails its tasks as structured
-    events on either backend; nothing escapes ``execute()``.
+    events on every pool; nothing escapes ``execute()``.
 
-    The ephemeral backend prepares in this process before the pool forks,
-    so its tasks fail there after one attempt, unretried.  Daemon workers
-    prepare worker-side, so the chunk itself raises and the tasks go through
-    the retry policy.
+    Pool workers prepare each engine themselves, so the chunk raises on the
+    worker and its tasks go through the retry policy, whether the pool is
+    the executor's own or a shared one.
     """
 
     @pytest.mark.parametrize(
-        "case", ["ephemeral-parallel", "ephemeral-timed", "daemon", "daemon-timed"]
+        "case", ["own-parallel", "own-timed", "shared", "shared-timed"]
     )
     def test_every_task_ends_failed_and_execute_never_raises(self, case):
-        from repro.service.daemon import PersistentPoolBackend, WorkerDaemon
-
         campaign = Campaign(
             entries=(
                 CampaignEntry(
@@ -588,23 +556,23 @@ class TestPrepareFailure:
                 ),
             )
         )
-        daemon = WorkerDaemon(1) if case.startswith("daemon") else None
+        shared = WorkerPool(1, start_method="spawn") if case.startswith("shared") else None
         try:
             events = list(
                 CampaignExecutor(
                     campaign,
                     store=None,
-                    parallel=case != "ephemeral-timed",
+                    parallel=case != "own-timed",
                     retry=RetryPolicy(
                         max_attempts=2,
                         timeout_seconds=30.0 if case.endswith("timed") else None,
                     ),
-                    backend=PersistentPoolBackend(daemon) if daemon else None,
+                    pool=shared,
                 ).execute()
             )
         finally:
-            if daemon is not None:
-                daemon.shutdown()
+            if shared is not None:
+                shared.shutdown()
         outcomes = [
             event for event in events if isinstance(event, (TaskRetried, TaskFailed))
         ]
@@ -614,22 +582,19 @@ class TestPrepareFailure:
             "tiny:unpreparable:0",
             "tiny:unpreparable:1",
         ]
-        expected_attempts = 2 if daemon is not None else 1
-        assert len(outcomes) == 2 * expected_attempts
+        assert len(outcomes) == 2 * 2  # one retry, then the failure, per task
         for event in outcomes:
             assert "cannot prepare this engine" in event.error
         for failure in failures:
-            assert failure.attempts == expected_attempts
+            assert failure.attempts == 2
         closing = events[-1]
         assert isinstance(closing, CampaignProgress)
         assert (closing.done, closing.failed) == (2, 2)
 
-    @pytest.mark.parametrize("case", ["ephemeral", "ephemeral-timed", "daemon"])
+    @pytest.mark.parametrize("case", ["own", "own-timed", "shared"])
     def test_healthy_slots_complete_bit_identically_beside_it(self, case):
         """Only the unpreparable engine's tasks fail; the pooled sim tasks
         beside it complete with the records of a sequential run."""
-        from repro.service.daemon import PersistentPoolBackend, WorkerDaemon
-
         campaign = Campaign(
             entries=(
                 CampaignEntry(
@@ -639,7 +604,7 @@ class TestPrepareFailure:
                 CampaignEntry(scenario=scenario_for(WIDE), engines=("sim",)),
             )
         )
-        daemon = WorkerDaemon(2) if case == "daemon" else None
+        shared = WorkerPool(2, start_method="spawn") if case == "shared" else None
         try:
             result = CampaignExecutor(
                 campaign,
@@ -648,18 +613,18 @@ class TestPrepareFailure:
                 max_workers=2,
                 retry=RetryPolicy(
                     max_attempts=2,
-                    timeout_seconds=60.0 if case == "ephemeral-timed" else None,
+                    timeout_seconds=60.0 if case == "own-timed" else None,
                 ),
-                backend=PersistentPoolBackend(daemon) if daemon else None,
+                pool=shared,
             ).collect(strict=False)
         finally:
-            if daemon is not None:
-                daemon.shutdown()
+            if shared is not None:
+                shared.shutdown()
         assert sorted(failure.task.task_id for failure in result.failures) == [
             "tiny:unpreparable:0",
             "tiny:unpreparable:1",
         ]
-        assert result.task_retries == (2 if case == "daemon" else 0)
+        assert result.task_retries == 2
         reference = run_campaign(sim_campaign(), store=None)
         assert canonical(result) == canonical(reference)
 

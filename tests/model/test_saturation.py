@@ -112,3 +112,23 @@ class TestUtilisationDiagnostics:
         model = MultiClusterLatencyModel(table1_large_spec, MessageSpec(32, 256))
         name = bottleneck(model, 1e-4)
         assert "ecn1" in name
+
+
+class TestSilentOverflow:
+    """Far past the knee the journey products overflow a double.  The model
+    carries them as Python floats, which turn inf silently, so it reads
+    saturated without a numpy overflow warning."""
+
+    @pytest.mark.parametrize(
+        "name,lambda_g",
+        [("fig4", 62.75), ("fig4", 63.0), ("fig4", 63.5), ("fig3", 2.35)],
+    )
+    def test_overflow_reads_inf_without_a_warning(self, name, lambda_g):
+        import warnings
+
+        from repro import api
+
+        model = api.AnalyticalEngine().model_for(api.scenario(name, points=3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isinf(model.mean_latency(lambda_g))

@@ -1,6 +1,6 @@
-"""Tests of the persistent worker daemon and its executor backend.
+"""Tests of a shared worker pool, started the way the campaign service starts it.
 
-The daemon's workers are *spawn*-started (the serving front-end submits
+The service's pool *spawns* its workers (the serving front-end submits
 from threads, and forking a multithreaded process deadlocks), so workers
 inherit none of this process's compiled caches — every table they read
 they compile themselves, and the serving process compiles nothing.  That
@@ -21,11 +21,11 @@ from repro.campaign import (
     Campaign,
     CampaignEntry,
     RetryPolicy,
+    WorkerPool,
     run_campaign,
 )
 from repro.model.parameters import MessageSpec
 from repro.routing import compile as route_compile
-from repro.service.daemon import PersistentPoolBackend, WorkerDaemon
 from repro.sim.config import SimulationConfig
 from repro.store import ResultStore, jsonable_record
 from repro.topology import compile as topology_compile
@@ -85,37 +85,38 @@ def inject_fault(monkeypatch, tmp_path, kind, task_id):
     return marker
 
 
+def spawned_pool(workers):
+    """A pool started the way the campaign service starts its own."""
+    return WorkerPool(workers, start_method="spawn")
+
+
 @pytest.fixture(scope="module")
-def daemon():
-    """One warm daemon shared by the healthy-path tests (worker spawn is the
+def pool():
+    """One warm pool shared by the healthy-path tests (worker spawn is the
     expensive part; fault tests build their own so the injection env var is
     present when *their* workers spawn)."""
-    with WorkerDaemon(2) as shared:
+    with spawned_pool(2) as shared:
         yield shared
 
 
-def run_on(daemon, campaign, **kwargs):
+def run_on(pool, campaign, **kwargs):
     kwargs.setdefault("store", None)
     return run_campaign(
-        campaign,
-        parallel=True,
-        max_workers=daemon.max_workers,
-        backend=PersistentPoolBackend(daemon),
-        **kwargs,
+        campaign, parallel=True, max_workers=pool.max_workers, pool=pool, **kwargs
     )
 
 
-class TestDaemonExecution:
-    def test_records_bit_identical_to_sequential(self, daemon):
-        """The acceptance criterion: daemon-served records match a clean
-        sequential run bit for bit (wall clock aside)."""
+class TestSharedPoolExecution:
+    def test_records_bit_identical_to_sequential(self, pool):
+        """The acceptance criterion: records served from a shared pool match
+        a clean sequential run bit for bit (wall clock aside)."""
         campaign = sim_campaign()
         reference = run_campaign(campaign, store=None)
-        served = run_on(daemon, campaign)
+        served = run_on(pool, campaign)
         assert not served.failures
         assert canonical(served) == canonical(reference)
 
-    def test_zoo_campaign_on_daemon_is_bit_identical(self, daemon):
+    def test_zoo_campaign_on_a_shared_pool_is_bit_identical(self, pool):
         """Zoo topologies compile worker-side too, down to the same bits."""
         scenario = api.scenario("zoo/torus", points=2, sim=FAST)
         campaign = Campaign(
@@ -123,74 +124,74 @@ class TestDaemonExecution:
             name="zoo",
         )
         sequential = run_campaign(campaign, store=None)
-        dispatched = daemon.tasks_dispatched
-        served = run_on(daemon, campaign)
-        assert daemon.tasks_dispatched == dispatched + 2
+        dispatched = pool.tasks_dispatched
+        served = run_on(pool, campaign)
+        assert pool.tasks_dispatched == dispatched + 2
         assert not served.failures
         assert canonical(served) == canonical(sequential)
 
-    def test_serving_process_compiles_nothing(self, daemon):
+    def test_serving_process_compiles_nothing(self, pool):
         """Workers compile and warm their own state; the serving process,
         which never runs the simulator, leaves its caches empty."""
         topology_compile.clear_compile_caches()
         route_compile.clear_route_caches()
         rng.clear_stream_pool()
-        served = run_on(daemon, sim_campaign(traffic=(3e-4,)))
+        served = run_on(pool, sim_campaign(traffic=(3e-4,)))
         assert not served.failures
         assert not topology_compile._COMPILED_SYSTEMS
         assert not route_compile._SYSTEM_ROUTES
         assert not rng._STREAM_POOL
         assert not rng._STATE_BLOCKS
 
-    def test_dispatch_counter_counts_submissions(self, daemon):
-        before = daemon.tasks_dispatched
-        result = run_on(daemon, sim_campaign(traffic=(5e-4,)))
+    def test_dispatch_counter_counts_submissions(self, pool):
+        before = pool.tasks_dispatched
+        result = run_on(pool, sim_campaign(traffic=(5e-4,)))
         assert result.cache_misses == 2
-        assert daemon.tasks_dispatched == before + 2
+        assert pool.tasks_dispatched == before + 2
 
-    def test_warm_store_requests_bypass_the_workers(self, daemon, tmp_path):
+    def test_warm_store_requests_bypass_the_workers(self, pool, tmp_path):
         campaign = sim_campaign(traffic=(6e-4,))
         store = ResultStore(tmp_path / "store")
-        cold = run_on(daemon, campaign, store=store)
+        cold = run_on(pool, campaign, store=store)
         assert cold.cache_misses == 2 and cold.cache_hits == 0
-        dispatched = daemon.tasks_dispatched
-        warm = run_on(daemon, campaign, store=store)
+        dispatched = pool.tasks_dispatched
+        warm = run_on(pool, campaign, store=store)
         assert warm.cache_hits == 2 and warm.cache_misses == 0
         # The invariant the service's warm path rests on: a fully cached
         # campaign never submits anything to a worker.
-        assert daemon.tasks_dispatched == dispatched
+        assert pool.tasks_dispatched == dispatched
         assert canonical(warm) == canonical(cold)
 
-    def test_second_campaign_reuses_the_pool(self, daemon):
-        generation = daemon.pool_generation()
-        run_on(daemon, sim_campaign(traffic=(7e-4,)))
-        assert daemon.pool_generation() == generation  # no pool churn
+    def test_second_campaign_reuses_the_pool(self, pool):
+        generation = pool.pool_generation()
+        run_on(pool, sim_campaign(traffic=(7e-4,)))
+        assert pool.pool_generation() == generation  # no pool churn
 
-    def test_stats_surface(self, daemon):
-        stats = daemon.stats()
+    def test_stats_surface(self, pool):
+        stats = pool.stats()
         assert stats["max_workers"] == 2
         assert stats["closed"] is False
         assert stats["tasks_dispatched"] >= 0
         assert isinstance(stats["worker_pids"], list)
-        # The daemon owns no shared memory; the key stays for leak sweeps.
+        # The pool owns no shared memory; the key stays for leak sweeps.
         assert stats["shared_memory_segments"] == []
         json.dumps(stats)  # the /health body must be JSON-able
 
 
-class TestDaemonFaults:
+class TestSharedPoolFaults:
     def test_crash_mid_campaign_requeues_and_restarts_the_pool(
         self, tmp_path, monkeypatch
     ):
         campaign = sim_campaign()
         reference = run_campaign(campaign, store=None)
         marker = inject_fault(monkeypatch, tmp_path, "crash", "tiny:sim:0")
-        with WorkerDaemon(2) as daemon:
+        with spawned_pool(2) as pool:
             recovered = run_on(
-                daemon, campaign, retry=RetryPolicy(max_attempts=3)
+                pool, campaign, retry=RetryPolicy(max_attempts=3)
             )
             assert marker.exists()
-            assert daemon.restarts >= 1  # the broken pool was retired in place
-            assert daemon.pool_generation() >= 2
+            assert pool.restarts >= 1  # the broken pool was retired in place
+            assert pool.pool_generation() >= 2
         assert recovered.task_retries >= 1
         assert not recovered.failures
         assert canonical(recovered) == canonical(reference)
@@ -203,9 +204,9 @@ class TestDaemonFaults:
         the same pool re-queues uncharged and completes."""
         campaign = sim_campaign(traffic=(4e-4,))  # two tasks, one per entry
         inject_fault(monkeypatch, tmp_path, "crash", "tiny:sim:0")
-        with WorkerDaemon(1) as daemon:  # one worker: serial, deterministic
+        with spawned_pool(1) as pool:  # one worker: serial, deterministic
             result = run_on(
-                daemon,
+                pool,
                 campaign,
                 retry=RetryPolicy(max_attempts=1),
                 strict=False,
@@ -245,18 +246,18 @@ class TestDaemonFaults:
         reference = run_campaign(ay, store=None)
         marker = inject_fault(monkeypatch, tmp_path, "crash", "bee:sim:1")
         results = {}
-        with WorkerDaemon(1) as daemon:
+        with spawned_pool(1) as pool:
             thread = threading.Thread(
                 target=lambda: results.setdefault(
-                    "bee", run_on(daemon, bee, retry=RetryPolicy(max_attempts=3))
+                    "bee", run_on(pool, bee, retry=RetryPolicy(max_attempts=3))
                 )
             )
             thread.start()
             deadline = time.monotonic() + 60.0
-            while daemon.tasks_dispatched < 2 and time.monotonic() < deadline:
+            while pool.tasks_dispatched < 2 and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert daemon.tasks_dispatched == 2  # bee's two chunks are queued
-            served = run_on(daemon, ay, strict=False)
+            assert pool.tasks_dispatched == 2  # bee's two chunks are queued
+            served = run_on(pool, ay, strict=False)
             thread.join(timeout=300.0)
         assert not thread.is_alive()
         assert marker.exists()
@@ -272,36 +273,36 @@ class TestDaemonFaults:
         campaign = sim_campaign(traffic=(4e-4,))
         reference = run_campaign(campaign, store=None)
         marker = inject_fault(monkeypatch, tmp_path, "hang", "wide:sim:0")
-        with WorkerDaemon(2) as daemon:
+        with spawned_pool(2) as pool:
             recovered = run_on(
-                daemon,
+                pool,
                 campaign,
                 retry=RetryPolicy(max_attempts=2, timeout_seconds=2.0),
             )
             assert marker.exists()
-            assert daemon.restarts >= 1  # the timeout kill broke the pool
+            assert pool.restarts >= 1  # the timeout kill broke the pool
         assert recovered.task_retries >= 1
         assert not recovered.failures
         assert canonical(recovered) == canonical(reference)
 
 
-class TestDaemonLifecycle:
+class TestPoolLifecycle:
     def test_shutdown_stops_every_worker_and_removes_the_registry(self):
-        with WorkerDaemon(2) as daemon:
-            run_on(daemon, sim_campaign(traffic=(4e-4,)))
-            workers = daemon.worker_snapshot()
-            assert workers and os.path.isdir(daemon.registry)
+        with spawned_pool(2) as pool:
+            run_on(pool, sim_campaign(traffic=(4e-4,)))
+            workers = pool.worker_snapshot()
+            assert workers and os.path.isdir(pool.registry)
         # Context exit is shutdown(): no worker and no pid tag survive it.
         assert not any(process.is_alive() for process in workers.values())
-        assert not os.path.exists(daemon.registry)
+        assert not os.path.exists(pool.registry)
 
     def test_shutdown_is_idempotent_and_closes_for_good(self):
-        daemon = WorkerDaemon(1).start()
-        daemon.shutdown()
-        daemon.shutdown()
-        assert daemon.stats()["closed"] is True
+        pool = spawned_pool(1).start()
+        pool.shutdown()
+        pool.shutdown()
+        assert pool.stats()["closed"] is True
         with pytest.raises(ValidationError, match="shut down"):
-            daemon.submit_chunk(
+            pool.submit_chunk(
                 api.AnalyticalEngine(),
                 scenario_for(TINY, traffic=(4e-4,)),
                 ((4e-4, "tiny:model:0"),),
@@ -310,8 +311,8 @@ class TestDaemonLifecycle:
             )
 
     def test_worker_count_floor(self):
-        daemon = WorkerDaemon(0)
+        pool = spawned_pool(0)
         try:
-            assert daemon.max_workers == 1
+            assert pool.max_workers == 1
         finally:
-            daemon.shutdown()
+            pool.shutdown()

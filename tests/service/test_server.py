@@ -5,7 +5,7 @@ is exercised through real ``http.client`` connections — the same byte
 stream a curl-driven CI job sees.  Model-only campaigns keep most tests off
 the worker pool entirely (inexpensive engines run inline in the serving
 executor thread); the one cold/warm simulation test at the end is the
-end-to-end acceptance path through the daemon's spawn workers.
+end-to-end acceptance path through the pool's spawn workers.
 """
 
 import asyncio
@@ -21,10 +21,11 @@ from repro.campaign import (
     CampaignEntry,
     CampaignProgress,
     TaskCompleted,
+    WorkerPool,
     run_campaign,
 )
 from repro.model.parameters import MessageSpec
-from repro.service import CampaignServer, WorkerDaemon
+from repro.service import CampaignServer
 from repro.service.server import event_name, event_payload
 from repro.sim.config import SimulationConfig
 from repro.store import ResultStore
@@ -35,6 +36,11 @@ from repro.utils.validation import ValidationError
 TINY = MultiClusterSpec(m=4, cluster_heights=(1, 2, 2, 1), name="tiny")
 WIDE = MultiClusterSpec(m=4, cluster_heights=(1, 1, 1, 1), name="wide")
 FAST = SimulationConfig(measured_messages=300, warmup_messages=30, drain_messages=30, seed=3)
+
+
+def spawned_pool(workers):
+    """A pool started the way ``repro serve`` starts its own."""
+    return WorkerPool(workers, start_method="spawn")
 
 
 def scenario_for(system, *, traffic=(4e-4, 8e-4)) -> api.Scenario:
@@ -83,7 +89,7 @@ class ServerHandle:
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(timeout=10)
         self.loop.close()
-        self.server.daemon.shutdown()
+        self.server.pool.shutdown()
 
     @property
     def port(self) -> int:
@@ -125,7 +131,7 @@ class ServerHandle:
 def handle():
     """A store-less model-only server: no workers ever spawn, so the fixture
     is cheap enough for per-test isolation of the served/active counters."""
-    server = CampaignServer(WorkerDaemon(2), store=None)
+    server = CampaignServer(spawned_pool(2), store=None)
     with ServerHandle(server) as running:
         yield running
 
@@ -153,7 +159,7 @@ class TestEventCodec:
 
 
 class TestHttpSurface:
-    def test_health_reports_daemon_and_service_state(self, handle):
+    def test_health_reports_pool_and_service_state(self, handle):
         status, headers, body = handle.request("GET", "/health")
         assert status == 200
         assert headers["Content-Type"] == "application/json"
@@ -251,7 +257,7 @@ class TestCampaignStreaming:
         assert health["active_campaigns"] == 0
 
     def test_concurrent_clients_each_get_a_complete_stream(self, handle):
-        """Two clients multiplexed onto one daemon at the same time: each SSE
+        """Two clients multiplexed onto one pool at the same time: each SSE
         stream must be complete and carry only its own campaign's tasks."""
         plans = {"tiny": model_plan(TINY), "wide": model_plan(WIDE)}
         streams = {}
@@ -282,7 +288,7 @@ class TestCampaignStreaming:
 
 class TestServedSimulationCampaigns:
     def test_cold_then_warm_requests_round_trip_the_store(self, tmp_path):
-        """The serving acceptance path: a cold POST simulates on the daemon's
+        """The serving acceptance path: a cold POST simulates on the pool's
         spawn workers, a warm re-POST answers entirely from the SQLite-backed
         store — identical records, no new worker dispatch."""
         campaign = Campaign(
@@ -293,7 +299,7 @@ class TestServedSimulationCampaigns:
             name="cold-warm",
         )
         store = ResultStore(tmp_path / "store", backend="sqlite")
-        server = CampaignServer(WorkerDaemon(2), store=store)
+        server = CampaignServer(spawned_pool(2), store=store)
         with ServerHandle(server) as handle:
             cold = dict(handle.post_plan(campaign))["result"]
             assert cold["execution"]["cache_misses"] == 2
@@ -309,7 +315,7 @@ class TestServedSimulationCampaigns:
             # Cached records are the cold run's bytes, wall clock included.
             assert warm["runsets"] == cold["runsets"]
 
-            # And the daemon-served records match a clean sequential run.
+            # And the pool-served records match a clean sequential run.
             direct = run_campaign(campaign, store=None)
             assert strip_wall_clock(cold["runsets"]) == strip_wall_clock(
                 {label: to_jsonable(runset) for label, runset in direct}
@@ -318,33 +324,33 @@ class TestServedSimulationCampaigns:
 
 class TestServerConstruction:
     def test_store_argument_validated(self):
-        daemon = WorkerDaemon(1)
+        pool = spawned_pool(1)
         try:
             with pytest.raises(ValidationError, match="store"):
-                CampaignServer(daemon, store=123)
+                CampaignServer(pool, store=123)
         finally:
-            daemon.shutdown()
+            pool.shutdown()
 
     def test_default_store_follows_repro_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "served"))
-        daemon = WorkerDaemon(1)
+        pool = spawned_pool(1)
         try:
-            server = CampaignServer(daemon)
+            server = CampaignServer(pool)
             assert server.store.root == tmp_path / "served"
             assert server.store.backend.name == "sqlite"
         finally:
-            daemon.shutdown()
+            pool.shutdown()
 
     def test_a_store_instance_is_shared_as_is(self, tmp_path):
         store = ResultStore(tmp_path)
-        daemon = WorkerDaemon(1)
+        pool = spawned_pool(1)
         try:
-            assert CampaignServer(daemon, store=store).store is store
+            assert CampaignServer(pool, store=store).store is store
         finally:
-            daemon.shutdown()
+            pool.shutdown()
 
     def test_result_names_the_served_store(self, tmp_path):
-        server = CampaignServer(WorkerDaemon(2), store=ResultStore(tmp_path / "store"))
+        server = CampaignServer(spawned_pool(2), store=ResultStore(tmp_path / "store"))
         with ServerHandle(server) as handle:
             execution = dict(handle.post_plan(model_plan(TINY, traffic=(4e-4,))))[
                 "result"
@@ -354,9 +360,10 @@ class TestServerConstruction:
         assert execution["cache_misses"] == 1
         assert (tmp_path / "store" / "store.db").is_file()
 
-    def test_default_daemon_built_from_max_workers(self):
+    def test_default_pool_spawns_max_workers(self):
         server = CampaignServer(store=None, max_workers=3)
         try:
-            assert server.daemon.max_workers == 3
+            assert server.pool.max_workers == 3
+            assert server.pool.start_method == "spawn"
         finally:
-            server.daemon.shutdown()
+            server.pool.shutdown()

@@ -145,6 +145,30 @@ class TestCommands:
             ["0.02", "saturated"],
         ]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "heterogeneous", "--points", "2", "--budget", "quick"],
+            ["sweep", "--ports", "4", "--heights", "1", "1", "1", "1",
+             "--max-traffic", "4e-4", "--points", "2", "--budget", "quick"],
+        ],
+        ids=["run", "sweep"],
+    )
+    def test_a_failed_task_exits_3_with_an_error_line(self, capsys, monkeypatch, argv):
+        """Without a C compiler every simulation task fails: the command
+        reports the failures on one `error:` block and exits 3, as
+        `campaign run` does, instead of raising."""
+        from repro.sim import native
+
+        monkeypatch.setattr(native, "COMPILER", "repro-no-such-compiler")
+        monkeypatch.setattr(native, "_library", None)
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "failed after exhausting retries" in err
+        assert err.count("NativeCoreUnavailable") == 2
+        assert "Traceback" not in err
+
     def test_ablation(self, capsys):
         assert main(["ablation", "--nodes", "544", "--points", "3"]) == 0
         output = capsys.readouterr().out
@@ -522,6 +546,22 @@ class TestCampaignCommand:
             build_parser().parse_args(argv)
         assert exited.value.code == 2
         assert "invalid choice: 'runner'" in capsys.readouterr().err
+
+    def test_run_option_table_is_pinned(self):
+        import argparse
+
+        parser = build_parser()
+        for name in ("campaign", "run"):
+            (subparsers,) = [
+                action
+                for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)
+            ]
+            parser = subparsers.choices[name]
+        assert set(parser._option_string_actions) == {
+            "-h", "--help", "--parallel", "--workers", "--progress", "--no-store",
+            "--store", "--retries", "--task-timeout", "--allow-failures", "--json",
+        }
 
     def test_no_runner_command_or_option(self, capsys):
         import argparse
