@@ -590,11 +590,6 @@ def resolve_engines(engines: Iterable[EngineLike]) -> Tuple[Engine, ...]:
 # --------------------------------------------------------------------------- #
 # run(): the single entry point
 # --------------------------------------------------------------------------- #
-def _evaluate_point(engine: Engine, scenario: Scenario, lambda_g: float) -> RunRecord:
-    """Process-pool worker: evaluate one (engine, operating point) task."""
-    return engine.evaluate(scenario, lambda_g)
-
-
 def run(
     scenario: Scenario,
     engines: Iterable[EngineLike] = ("model", "sim"),

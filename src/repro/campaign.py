@@ -24,7 +24,9 @@ experiment campaign as one schedulable unit:
   per finished task plus :class:`CampaignProgress` events with done/total
   counts and elapsed time — and :meth:`~CampaignExecutor.collect` is the
   blocking wrapper that preserves ``run()``-style ergonomics, assembling
-  one :class:`~repro.api.RunSet` per entry.
+  one :class:`~repro.api.RunSet` per entry.  Each pooled task is one
+  future on the pool, and every attempt, inline or pooled, turns into its
+  event through one path (the execution's ledger).
 * a :class:`RetryPolicy` makes unattended campaigns survive their workers:
   a pooled task whose worker **crashes** (the pool breaks) or **hangs**
   (exceeds the per-task timeout; the worker is killed, and under a timeout
@@ -103,7 +105,6 @@ from repro.api import (
     RunRecord,
     RunSet,
     Scenario,
-    _evaluate_point,
     resolve_engines,
 )
 from repro.store import ResultStore, kernel_switches, task_key
@@ -302,7 +303,7 @@ class Campaign:
             )
         return CampaignEntry(
             scenario=scenario,
-            engines=tuple(item.get("engines", ("model", "sim"))),
+            engines=from_jsonable(Tuple[str, ...], item.get("engines", ["model", "sim"])),
             label=from_jsonable(str, item.get("label", "")),
         )
 
@@ -628,20 +629,18 @@ def _read_worker_tag(directory: str, pid: int) -> Optional[Tuple[str, str]]:
     return execution, task_id
 
 
-#: One per-task outcome inside a chunk: ``("ok", record)`` or
-#: ``("error", "<repr>")``.
-ChunkOutcome = Tuple[str, Any]
+#: A worker-side engine cache key: (engine name, canonical scenario JSON).
+WorkerKey = Tuple[str, str]
 
-#: Worker-side: (engine name, canonical scenario JSON) -> (engine, scenario)
-#: pairs whose memoised simulator state stays warm across tasks and
-#: campaigns.  Bounded like the compile caches: cleared wholesale when it
-#: outgrows the limit.
-_WORKER_ENGINES: Dict[Tuple[str, str], Tuple[Engine, Scenario]] = {}
+#: Worker-side: cache key -> (engine, scenario) pairs whose memoised
+#: simulator state stays warm across tasks and campaigns.  Bounded like the
+#: compile caches: cleared wholesale when it outgrows the limit.
+_WORKER_ENGINES: Dict[WorkerKey, Tuple[Engine, Scenario]] = {}
 _WORKER_ENGINE_CACHE_LIMIT = 32
 
 
 def _worker_engine(
-    engine: Engine, scenario: Scenario, cache_key: Optional[Tuple[str, str]]
+    engine: Engine, scenario: Scenario, cache_key: Optional[WorkerKey]
 ) -> Tuple[Engine, Scenario]:
     """The warm (engine, scenario) pair a pool worker evaluates with.
 
@@ -649,10 +648,9 @@ def _worker_engine(
     the topology and route tables into this worker's compile caches, warms
     its stream pool and fills lazily compiled route rows before the first
     timed run.  Engines without a cache key (programmatic instances) arrive
-    fresh with every chunk and are prepared every time; the compile caches
-    make the repeat cheap.  A ``prepare`` that raises fails the whole chunk,
-    so its tasks go through the retry policy; only a prepared pair is
-    cached.
+    fresh with every task and are prepared every time; the compile caches
+    make the repeat cheap.  A ``prepare`` that raises fails its task, which
+    goes through the retry policy; only a prepared pair is cached.
     """
     if cache_key is not None:
         cached = _WORKER_ENGINES.get(cache_key)
@@ -671,42 +669,46 @@ def _worker_engine(
     return engine, scenario
 
 
-def _pool_evaluate_chunk(
+class _TaskError(Exception):
+    """A pooled task's exception, carried back to the executor as its repr.
+
+    Exceptions cross the process boundary pickled, and one whose class
+    cannot be rebuilt from its ``args`` breaks the whole pool on the way
+    back.  A repr always crosses, and ``repr`` of this error is the
+    original's, so a pooled failure reads exactly like an inline one.
+    """
+
+    def __repr__(self) -> str:
+        return str(self.args[0])
+
+
+def _pool_evaluate(
     engine: Engine,
     scenario: Scenario,
-    items: Sequence[Tuple[float, str]],
+    lambda_g: float,
+    task_id: str,
     registry: WorkerRegistry,
-    cache_key: Optional[Tuple[str, str]] = None,
-) -> List[ChunkOutcome]:
-    """Evaluate a chunk of tasks for one (engine, scenario) — every worker's core.
+    cache_key: Optional[WorkerKey],
+) -> RunRecord:
+    """Evaluate one task on a pool worker — every worker's core.
 
-    ``items`` is a sequence of ``(lambda_g, task_id)`` pairs, ``registry``
-    the pool's pid registry plus the execution token, and ``cache_key`` the
-    worker-side engine cache key (``None`` for engine instances).  After
-    looking up (or preparing) the warm engine, per task it tags the pid,
-    runs the fault hook, evaluates, and records the outcome.  Chunking
-    amortises the per-submission IPC and engine/scenario pickling over many
-    operating points — one pickled engine per chunk instead of per task —
-    which is what keeps the cold 2-worker fan-out above 1x.
-
-    An ordinary evaluation error is contained to its task: the chunk keeps
-    going and reports per-task outcomes, so one bad operating point never
-    costs its chunk-mates an attempt.  (A *crash* still kills the whole
-    worker and with it the chunk — the executor's crash attribution charges
-    the tagged culprit and re-queues the rest uncharged.)
+    ``registry`` is the pool's pid registry plus the execution token, and
+    ``cache_key`` the worker-side engine cache key (``None`` for engine
+    instances).  The worker tags its pid with the task, runs the fault hook,
+    looks up (or prepares) the warm engine and evaluates.  It returns the
+    record; anything ``prepare`` or the evaluation raises reaches the
+    executor through the task's future as a :class:`_TaskError`.  (A
+    *crash* kills the worker and breaks the pool instead — the executor's
+    crash attribution charges the tagged culprit and re-queues the rest
+    uncharged.)
     """
-    engine, scenario = _worker_engine(engine, scenario, cache_key)
-    outcomes: List[ChunkOutcome] = []
-    for lambda_g, task_id in items:
-        _note_worker_task(registry, task_id)
-        _maybe_inject_fault(task_id)
-        try:
-            record = _evaluate_point(engine, scenario, lambda_g)
-        except Exception as error:  # noqa: BLE001 - contained per-task failure
-            outcomes.append(("error", repr(error)))
-        else:
-            outcomes.append(("ok", record))
-    return outcomes
+    _note_worker_task(registry, task_id)
+    _maybe_inject_fault(task_id)
+    try:
+        engine, scenario = _worker_engine(engine, scenario, cache_key)
+        return engine.evaluate(scenario, lambda_g)
+    except Exception as error:  # noqa: BLE001 - the task's failure, sent back
+        raise _TaskError(repr(error)) from error
 
 
 # --------------------------------------------------------------------------- #
@@ -720,6 +722,9 @@ class WorkerPool:
     service (:mod:`repro.service`) keeps one for its whole lifetime and
     runs every campaign it serves on it.  Either way:
 
+    * **one task, one future** — :meth:`submit` hands the pool a single
+      (engine, operating point) task, whose future resolves to its record
+      or raises its failure.
     * **a broken pool is replaced in place** — a crashed or killed worker
       breaks the :class:`ProcessPoolExecutor`; :meth:`restart` retires it
       (generation-guarded, so executions sharing it retire it once) and the
@@ -728,7 +733,7 @@ class WorkerPool:
     * **warm worker-side engines** — workers cache one prepared engine per
       (engine name, scenario) (:func:`_worker_engine`), so topology and
       route tables compile once per worker into its own compile caches, and
-      the memoised simulator survives from chunk to chunk and campaign to
+      the memoised simulator survives from task to task and campaign to
       campaign.  The submitting process prepares nothing.
     * **one pid registry for the pool's lifetime** — workers tag their pid
       with the submitting execution's token and the task id, so when a
@@ -807,45 +812,39 @@ class WorkerPool:
         self._registry.cleanup()
 
     # ------------------------------------------------------------- execution
-    def submit_chunk(
+    def submit(
         self,
         engine: Engine,
         scenario: Scenario,
-        items: Sequence[Tuple[float, str]],
+        lambda_g: float,
+        task_id: str,
         execution: str,
-        *,
-        named_engine: bool,
+        cache_key: Optional[WorkerKey],
     ) -> Future:
-        """Hand a chunk of same-(engine, scenario) tasks to the pool.
+        """Hand one task to the pool; its future resolves to the task's record.
 
         ``execution`` is the submitting execution's token, which workers
-        write into their pid tags.  A pool that arrived broken is restarted
-        once and the chunk resubmitted.  Only registry-named engines get a
-        worker-side cache key (an engine *instance* may carry arbitrary
+        write into their pid tags.  ``cache_key`` is the worker-side engine
+        cache key, ``None`` for an engine *instance* (which may carry
         programmatic state that must not be conflated across campaigns by
-        name).  The future resolves to the per-task outcome list of
-        :func:`_pool_evaluate_chunk`; a chunk-level exception from it means
-        the chunk never reached per-task outcomes (a broken pool, or a
-        worker that could not prepare the engine).
+        name).  The future raises the task's failure as a
+        :class:`_TaskError`, or ``BrokenProcessPool`` when a worker died.
+        A pool that arrived broken is restarted once and the task
+        resubmitted.
         """
         with self._lock:
             pool = self._ensure_pool()
-            self.tasks_dispatched += len(items)
-        cache_key = (
-            (engine.name, json.dumps(scenario.to_dict(), sort_keys=True))
-            if named_engine
-            else None
-        )
-        args = (engine, scenario, tuple(items), (self.registry, execution), cache_key)
+            self.tasks_dispatched += 1
+        args = (engine, scenario, lambda_g, task_id, (self.registry, execution), cache_key)
         try:
-            return pool.submit(_pool_evaluate_chunk, *args)
+            return pool.submit(_pool_evaluate, *args)
         except (BrokenProcessPool, RuntimeError):
             # The pool broke under another execution between rounds; retire
             # it and resubmit on a fresh one (a second failure propagates).
             with self._lock:
                 self._retire_pool(pool)
                 pool = self._ensure_pool()
-            return pool.submit(_pool_evaluate_chunk, *args)
+            return pool.submit(_pool_evaluate, *args)
 
     def _retire_pool(self, pool: ProcessPoolExecutor) -> None:
         """Drop ``pool`` if it is still current (idempotent across sharers)."""
@@ -960,6 +959,128 @@ def _crash_culprits(
     if culprits:
         return culprits
     return set() if foreign else None
+
+
+# --------------------------------------------------------------------------- #
+# Settling attempts
+# --------------------------------------------------------------------------- #
+#: The outcome of an attempt that costs its task nothing: an innocent
+#: casualty of a timeout kill or of another task's crash, re-run uncharged.
+_FREE = object()
+
+#: What one round yields per finished attempt: the task and its outcome —
+#: the record, the text of a failure charged to the task, or :data:`_FREE`.
+Attempt = Tuple[CampaignTask, Any]
+
+
+class _Ledger:
+    """One execution's counters, and the one place an attempt becomes an event.
+
+    Every attempt, inline or pooled, ends in one outcome (see
+    :data:`Attempt`); :meth:`settle` turns it into the task's event, keeps
+    the done/failed/retry counters the closing :class:`CampaignProgress`
+    reports, and collects the tasks that run again in the next round.
+    """
+
+    def __init__(
+        self,
+        started: float,
+        total: int,
+        max_attempts: int,
+        store: Optional[ResultStore],
+    ) -> None:
+        self.started = started
+        self.total = total
+        self.max_attempts = max_attempts
+        self.store = store
+        self.done = 0
+        self.hits = 0
+        self.failed = 0
+        self.retries = 0
+        self._attempts: Dict[CampaignTask, int] = {}
+        self._requeue: List[CampaignTask] = []
+
+    def _elapsed(self) -> float:
+        return time.perf_counter() - self.started
+
+    def _completed(
+        self, task: CampaignTask, record: RunRecord, from_cache: bool
+    ) -> TaskCompleted:
+        self.done += 1
+        return TaskCompleted(
+            task=task,
+            record=record,
+            from_cache=from_cache,
+            done=self.done,
+            total=self.total,
+            elapsed_seconds=self._elapsed(),
+        )
+
+    def hit(self, task: CampaignTask, record: RunRecord) -> TaskCompleted:
+        """A task served from the result store."""
+        self.hits += 1
+        return self._completed(task, record, from_cache=True)
+
+    def settle(
+        self, task: CampaignTask, outcome: Any, *, final: bool = False
+    ) -> Optional[CampaignEvent]:
+        """The event of one attempt's ``outcome``; ``None`` for a free re-run.
+
+        A record completes the task and is written through to the store.  A
+        failure text charges the task one attempt: it streams
+        :class:`TaskRetried` and runs again while attempts remain, and
+        :class:`TaskFailed` after — or at once when ``final``, for a failure
+        every attempt would repeat.  :data:`_FREE` re-queues the task
+        uncharged and silently.
+        """
+        if outcome is _FREE:
+            self._requeue.append(task)
+            return None
+        if not isinstance(outcome, str):
+            if self.store is not None and task.cache_key is not None:
+                self.store.put(task.cache_key, outcome)
+            return self._completed(task, outcome, from_cache=False)
+        attempts = self._attempts[task] = self._attempts.get(task, 0) + 1
+        if final or attempts >= self.max_attempts:
+            self.done += 1
+            self.failed += 1
+            return TaskFailed(
+                task=task,
+                attempts=attempts,
+                error=outcome,
+                done=self.done,
+                total=self.total,
+                elapsed_seconds=self._elapsed(),
+            )
+        self.retries += 1
+        self._requeue.append(task)
+        return TaskRetried(
+            task=task,
+            attempt=attempts,
+            max_attempts=self.max_attempts,
+            error=outcome,
+            elapsed_seconds=self._elapsed(),
+        )
+
+    def drain(
+        self,
+        tasks: Sequence[CampaignTask],
+        run_round: Callable[[Sequence[CampaignTask]], Iterator[Attempt]],
+    ) -> Iterator[CampaignEvent]:
+        """Run ``tasks`` round after round until nothing is re-queued,
+        settling every attempt ``run_round`` yields."""
+        pending = list(tasks)
+        while pending:
+            for task, outcome in run_round(pending):
+                event = self.settle(task, outcome)
+                if event is not None:
+                    yield event
+            pending, self._requeue = self._requeue, []
+
+    def progress(self) -> CampaignProgress:
+        return CampaignProgress(
+            self.done, self.total, self.hits, self._elapsed(), self.failed, self.retries
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -1089,49 +1210,17 @@ class CampaignExecutor:
 
         Task failures never escape as exceptions mid-stream: a failed
         attempt with retries left streams :class:`TaskRetried` and the task
-        is re-queued (crashed pools are rebuilt, hung workers are killed at
-        the retry policy's timeout), and a task that exhausts its attempts
-        streams a structured :class:`TaskFailed` so the rest of the campaign
-        completes regardless.
+        runs again in the next round (crashed pools are rebuilt, hung
+        workers are killed at the retry policy's timeout), and a task that
+        exhausts its attempts streams a structured :class:`TaskFailed` so
+        the rest of the campaign completes regardless.  Inline and pooled
+        attempts alike are settled into their events by one
+        :class:`_Ledger`.
         """
         started = time.perf_counter()
-        policy = self.retry
         tasks = self.tasks()
-        total = len(tasks)
-        done = 0
-        hits = 0
-        failed = 0
-        retries = 0
-        yield CampaignProgress(0, total, 0, 0.0)
-
-        def _failure_event(
-            task: CampaignTask, attempts_used: int, reason: str, *, final: bool = False
-        ) -> Union[TaskFailed, TaskRetried]:
-            """Book a failed attempt: terminal TaskFailed or a TaskRetried.
-
-            ``final`` ends the task whatever its retry budget, for a
-            failure that every attempt would repeat.
-            """
-            nonlocal done, failed, retries
-            if final or attempts_used >= policy.max_attempts:
-                done += 1
-                failed += 1
-                return TaskFailed(
-                    task=task,
-                    attempts=attempts_used,
-                    error=reason,
-                    done=done,
-                    total=total,
-                    elapsed_seconds=time.perf_counter() - started,
-                )
-            retries += 1
-            return TaskRetried(
-                task=task,
-                attempt=attempts_used,
-                max_attempts=policy.max_attempts,
-                error=reason,
-                elapsed_seconds=time.perf_counter() - started,
-            )
+        ledger = _Ledger(started, len(tasks), self.retry.max_attempts, self.store)
+        yield CampaignProgress(0, ledger.total, 0, 0.0)
 
         # Serve cache hits first: instant, and it means an interrupted
         # campaign streams everything it already knows before simulating.
@@ -1144,21 +1233,12 @@ class CampaignExecutor:
             )
             if record is None:
                 misses.append(task)
-                continue
-            done += 1
-            hits += 1
-            yield TaskCompleted(
-                task=task,
-                record=record,
-                from_cache=True,
-                done=done,
-                total=total,
-                elapsed_seconds=time.perf_counter() - started,
-            )
+            else:
+                yield ledger.hit(task, record)
 
         # Only a pool worker can be killed, so under a timeout every miss
         # goes to the pool (one worker unless parallel).
-        timed = policy.timeout_seconds is not None
+        timed = self.retry.timeout_seconds is not None
         inline: List[CampaignTask] = []
         pooled: List[CampaignTask] = []
         for task in misses:
@@ -1174,75 +1254,51 @@ class CampaignExecutor:
             # stay out of the serving process there.
             inline.extend(pooled)
             pooled = []
-
-        for task in inline:
-            attempt = 0
-            while True:
-                attempt += 1
-                try:
-                    record = self._evaluate(task)
-                except Exception as error:  # noqa: BLE001 - structured failure path
-                    event = _failure_event(task, attempt, repr(error))
-                    yield event
-                    if isinstance(event, TaskFailed):
-                        break
-                    continue
-                yield self._complete(task, record, started, done, total)
-                done += 1
-                break
+        yield from ledger.drain(inline, self._inline_round)
 
         # An engine that does not pickle can never reach a worker, so its
         # slot's tasks fail here after one attempt, unretried.  (Workers
-        # prepare each engine themselves; a raising prepare fails its chunk
-        # on the worker and goes through the retry policy.)
-        pickle_errors: Dict[Tuple[int, int], Optional[str]] = {}
+        # prepare each engine themselves; a raising prepare fails its task
+        # on the worker and goes through the retry policy.)  A slot that
+        # pickles gets its worker-side engine cache key here, once; only
+        # registry-named engines get one.
+        keys: Dict[Tuple[int, int], Optional[WorkerKey]] = {}
+        unpicklable: Dict[Tuple[int, int], str] = {}
         runnable: List[CampaignTask] = []
         for task in pooled:
             slot = (task.entry_index, task.engine_index)
-            if slot not in pickle_errors:
-                pickle_errors[slot] = None
+            if slot not in keys and slot not in unpicklable:
+                engine, scenario = self._slot(task)
                 try:
-                    pickle.dumps(self._engines[slot[0]][slot[1]])
+                    pickle.dumps(engine)
                 except (pickle.PicklingError, AttributeError, TypeError) as error:
-                    pickle_errors[slot] = repr(error)
-            if pickle_errors[slot] is None:
-                runnable.append(task)
+                    unpicklable[slot] = repr(error)
+                else:
+                    named = isinstance(self.campaign.entries[slot[0]].engines[slot[1]], str)
+                    keys[slot] = (
+                        (engine.name, json.dumps(scenario.to_dict(), sort_keys=True))
+                        if named
+                        else None
+                    )
+            if slot in unpicklable:
+                yield ledger.settle(task, unpicklable[slot], final=True)
             else:
-                yield _failure_event(task, 1, pickle_errors[slot], final=True)
+                runnable.append(task)
 
         if runnable:
-            if not self.parallel:
-                requested = 1  # timed tasks of a sequential campaign
-            elif self.max_workers is not None:
-                requested = self.max_workers
-            else:
-                requested = os.cpu_count() or 1
             own = self.pool is None
-            pool = WorkerPool(min(requested, len(runnable))) if own else self.pool
+            pool = WorkerPool(min(self._workers(), len(runnable))) if own else self.pool
             # Workers tag their pid in the pool's registry with this token
             # and the task they run, which is what lets a broken pool charge
             # the actual culprits instead of every unfinished task — even
             # when another execution sharing the pool caused the break.
             execution = secrets.token_hex(8)
-            attempts: Dict[CampaignTask, int] = {task: 0 for task in runnable}
-            pending: List[CampaignTask] = runnable
             finished = False
             try:
-                while pending:
-                    # One "round" per pool generation: a crashed worker
-                    # poisons its whole process pool, so recovery means a
-                    # restarted pool over everything the previous one left
-                    # unfinished.
-                    requeue: List[CampaignTask] = []
-                    workers = max(1, min(requested, len(pending), pool.max_workers))
-                    for event in self._pooled_round(
-                        pool, workers, pending, attempts, requeue, _failure_event,
-                        started, lambda: done, total, execution,
-                    ):
-                        if isinstance(event, TaskCompleted):
-                            done += 1
-                        yield event
-                    pending = requeue
+                yield from ledger.drain(
+                    runnable,
+                    lambda pending: self._pooled_round(pool, pending, execution, keys),
+                )
                 finished = True
             finally:
                 if own:
@@ -1254,193 +1310,114 @@ class CampaignExecutor:
                         pool.kill_workers()
                     pool.shutdown()
 
-        yield CampaignProgress(
-            done, total, hits, time.perf_counter() - started, failed, retries
+        yield ledger.progress()
+
+    def _slot(self, task: CampaignTask) -> Tuple[Engine, Scenario]:
+        """The engine and scenario ``task`` evaluates."""
+        return (
+            self._engines[task.entry_index][task.engine_index],
+            self.campaign.entries[task.entry_index].scenario,
         )
+
+    def _workers(self) -> int:
+        """The pool concurrency this execution asks for: one when it is not
+        parallel (its timed tasks), else ``max_workers`` or the CPU count."""
+        if not self.parallel:
+            return 1
+        if self.max_workers is not None:
+            return max(1, self.max_workers)
+        return os.cpu_count() or 1
+
+    def _inline_round(self, pending: Sequence[CampaignTask]) -> Iterator[Attempt]:
+        """Evaluate ``pending`` in this process, one attempt per task."""
+        for task in pending:
+            engine, scenario = self._slot(task)
+            try:
+                outcome = engine.evaluate(scenario, task.lambda_g)
+            except Exception as error:  # noqa: BLE001 - charged to the task
+                outcome = repr(error)
+            yield task, outcome
 
     def _pooled_round(
         self,
         pool: WorkerPool,
-        workers: int,
         pending: Sequence[CampaignTask],
-        attempts: Dict[CampaignTask, int],
-        requeue: List[CampaignTask],
-        _failure_event: Callable[[CampaignTask, int, str], Union[TaskFailed, TaskRetried]],
-        started: float,
-        current_done: Callable[[], int],
-        total: int,
         execution: str,
-    ) -> Iterator[CampaignEvent]:
-        """Run one round of ``pending`` on ``pool``, streaming its events.
+        keys: Dict[Tuple[int, int], Optional[WorkerKey]],
+    ) -> Iterator[Attempt]:
+        """Run one round of ``pending`` on ``pool``, one future per task,
+        yielding each attempt as its future resolves.
 
-        ``workers`` is the concurrency the round assumes when it sizes
-        chunks and clamps the per-task timeout clock.  Tasks that must run
-        again land in ``requeue``: failed attempts with retries left
-        (attempt counted), plus innocent casualties of a timeout kill or of
-        *another* task's worker crash (attempt *not* counted — the culprit
-        is known, from the kill itself or from the dead workers' pid tags,
-        which may name a task of another execution sharing the pool).  Only
-        when crash attribution fails is every unfinished task of the round
-        charged an attempt (see :func:`_crash_culprits`).  A broken round
-        restarts the pool, once per generation however many executions
-        share it.
+        A round is one pool generation: a crashed worker poisons its whole
+        process pool, so a broken round restarts the pool — once per
+        generation however many executions share it — and whatever the
+        ledger re-queues runs in the next round on the fresh one.  Every
+        failed attempt is decided here, in one place: a task whose timeout
+        expired is charged; the other casualties of that timeout kill, and
+        the innocent casualties of *another* task's worker crash, re-run
+        free (:data:`_FREE`) — the culprit is known, from the kill itself
+        or from the dead workers' pid tags, which may name a task of
+        another execution sharing the pool; anything else is charged its
+        error.  Only when crash attribution fails is every unfinished task
+        of the round charged (see :func:`_crash_culprits`).
         """
-        policy = self.retry
+        timeout = self.retry.timeout_seconds
+        workers = min(self._workers(), len(pending), pool.max_workers)
         generation = pool.pool_generation()
-        # Chunked submission amortises per-task IPC/pickling: ~4 chunks per
-        # worker keeps the pool load-balanced while an uneven task mix
-        # drains.  The per-task timeout clock is per *future*, so any
-        # timeout policy forces chunks of one — coarser chunks would let a
-        # hung point hide behind its chunk-mates' budget.
-        chunk_size = (
-            1
-            if policy.timeout_seconds is not None
-            else max(1, len(pending) // (workers * 4))
-        )
         broken = False
         try:
-            futures: Dict[Future, Tuple[CampaignTask, ...]] = {}
-            # Group by (entry, engine) so every chunk shares one pickled
-            # engine + scenario, preserving submission order within a group.
-            groups: Dict[Tuple[int, int], List[CampaignTask]] = {}
+            futures: Dict[Future, CampaignTask] = {}
             for task in pending:
-                groups.setdefault(
-                    (task.entry_index, task.engine_index), []
-                ).append(task)
-            for (entry_index, engine_index), group in groups.items():
-                entry = self.campaign.entries[entry_index]
-                engine = self._engines[entry_index][engine_index]
-                named = isinstance(entry.engines[engine_index], str)
-                for start in range(0, len(group), chunk_size):
-                    chunk = tuple(group[start : start + chunk_size])
-                    futures[
-                        pool.submit_chunk(
-                            engine,
-                            entry.scenario,
-                            tuple((task.lambda_g, task.task_id) for task in chunk),
-                            execution,
-                            named_engine=named,
-                        )
-                    ] = chunk
+                engine, scenario = self._slot(task)
+                key = keys[(task.entry_index, task.engine_index)]
+                future = pool.submit(
+                    engine, scenario, task.lambda_g, task.task_id, execution, key
+                )
+                futures[future] = task
             snapshot = pool.worker_snapshot()
             outstanding: Set[Future] = set(futures)
             unresolved: Set[str] = {task.task_id for task in pending}
             crash_culprits: Any = _UNDETERMINED
-            #: submission order; the executor feeds workers FIFO, so the
-            #: first `workers` unresolved futures are the ones actually
-            #: executing (a queued future reports running() the moment it
-            #: enters the call queue, which must not start its clock)
-            order: List[Future] = list(futures)
             deadlines: Dict[Future, float] = {}
-            timed_out: Set[CampaignTask] = set()
-            killed_for_timeout = False
-            poll = (
-                min(0.25, max(0.01, policy.timeout_seconds / 10))
-                if policy.timeout_seconds is not None
-                else None
-            )
+            #: the futures our timeout kill was for (empty: no kill yet)
+            timed_out: Set[Future] = set()
+            poll = min(0.25, max(0.01, timeout / 10)) if timeout is not None else None
             while outstanding:
                 finished, outstanding = wait(
                     outstanding, timeout=poll, return_when=FIRST_COMPLETED
                 )
                 for future in finished:
-                    chunk = futures[future]
+                    task = futures[future]
+                    crashed = False
                     try:
-                        outcomes = future.result()
+                        outcome = future.result()
                     except (BrokenProcessPool, CancelledError):
-                        broken = True
-                        for task in chunk:
-                            if task in timed_out:
-                                attempts[task] += 1
-                                event = _failure_event(
-                                    task,
-                                    attempts[task],
-                                    f"timed out after {policy.timeout_seconds:g} s "
-                                    "(worker killed)",
+                        broken = crashed = True
+                        outcome = (
+                            "worker crashed (process pool broke before the task "
+                            "finished)"
+                        )
+                    except Exception as error:  # noqa: BLE001 - the task's failure
+                        outcome = repr(error)
+                    if not crashed:
+                        unresolved.discard(task.task_id)
+                    if isinstance(outcome, str):
+                        if future in timed_out:
+                            outcome = f"timed out after {timeout:g} s (worker killed)"
+                        elif timed_out:
+                            outcome = _FREE
+                        elif crashed:
+                            if crash_culprits is _UNDETERMINED:
+                                crash_culprits = _crash_culprits(
+                                    snapshot, pool.registry, execution, unresolved
                                 )
-                            elif killed_for_timeout:
-                                # Innocent casualty of our own timeout kill:
-                                # the culprit is known, so re-queue without
-                                # charging an attempt (and without noise in
-                                # the stream).
-                                requeue.append(task)
-                                continue
-                            else:
-                                if crash_culprits is _UNDETERMINED:
-                                    crash_culprits = _crash_culprits(
-                                        snapshot, pool.registry, execution, unresolved
-                                    )
-                                if (
-                                    crash_culprits is not None
-                                    and task.task_id not in crash_culprits
-                                ):
-                                    # Collateral casualty of another task's
-                                    # crash: the dead workers' pid tags name
-                                    # the culprits, so re-queue without
-                                    # charging an attempt.
-                                    requeue.append(task)
-                                    continue
-                                attempts[task] += 1
-                                event = _failure_event(
-                                    task,
-                                    attempts[task],
-                                    "worker crashed (process pool broke before "
-                                    "the task finished)",
-                                )
-                            yield event
-                            if isinstance(event, TaskRetried):
-                                requeue.append(task)
-                    except Exception as error:  # noqa: BLE001 - chunk-level failure
-                        # The chunk raised before it produced per-task
-                        # outcomes (a worker whose engine's prepare
-                        # raised); per-task evaluation errors come back as
-                        # outcomes below.  Every task of the chunk is
-                        # charged one attempt; tasks our own timeout kill
-                        # reclaimed keep the timeout label, and its innocent
-                        # casualties re-queue uncharged exactly as on the
-                        # broken-pool path.
-                        for task in chunk:
-                            unresolved.discard(task.task_id)
-                            if task in timed_out:
-                                attempts[task] += 1
-                                event = _failure_event(
-                                    task,
-                                    attempts[task],
-                                    f"timed out after {policy.timeout_seconds:g} s "
-                                    "(worker killed)",
-                                )
-                            elif killed_for_timeout:
-                                requeue.append(task)
-                                continue
-                            else:
-                                attempts[task] += 1
-                                event = _failure_event(
-                                    task, attempts[task], repr(error)
-                                )
-                            yield event
-                            if isinstance(event, TaskRetried):
-                                requeue.append(task)
-                    else:
-                        for task, (status, payload) in zip(chunk, outcomes):
-                            unresolved.discard(task.task_id)
-                            if status == "ok":
-                                yield TaskCompleted(
-                                    task=task,
-                                    record=self._persist(task, payload),
-                                    from_cache=False,
-                                    done=current_done() + 1,
-                                    total=total,
-                                    elapsed_seconds=time.perf_counter() - started,
-                                )
-                            else:
-                                attempts[task] += 1
-                                event = _failure_event(
-                                    task, attempts[task], str(payload)
-                                )
-                                yield event
-                                if isinstance(event, TaskRetried):
-                                    requeue.append(task)
-                if policy.timeout_seconds is not None and outstanding:
+                            if (
+                                crash_culprits is not None
+                                and task.task_id not in crash_culprits
+                            ):
+                                outcome = _FREE
+                    yield task, outcome
+                if timeout is not None and outstanding and not timed_out:
                     now = time.monotonic()
                     # The timeout clock starts when a worker picks the task
                     # up, not while it waits in the queue.  future.running()
@@ -1450,60 +1427,25 @@ class CampaignExecutor:
                     # futures in submission order — the executing set under
                     # the pool's FIFO feed.
                     executing = [
-                        future for future in order if future in outstanding
+                        future for future in futures if future in outstanding
                     ][:workers]
                     for future in executing:
                         if future not in deadlines and future.running():
-                            deadlines[future] = now + policy.timeout_seconds
-                    expired = [
+                            deadlines[future] = now + timeout
+                    timed_out = {
                         future
                         for future in executing
                         if future in deadlines and now >= deadlines[future]
-                    ]
-                    if expired and not killed_for_timeout:
-                        for future in expired:
-                            # Chunks are size 1 whenever a timeout policy is
-                            # active, so an expired future names exactly one
-                            # hung task.
-                            timed_out.update(futures[future])
-                        killed_for_timeout = True
+                    }
+                    if timed_out:
                         broken = True
                         # A hung worker never returns; killing the pool's
                         # processes resolves every outstanding future as
-                        # broken, and the round's cleanup re-queues them.
+                        # broken, and this round settles them.
                         pool.kill_workers()
         finally:
             if broken:
                 pool.restart(generation)
-
-    def _evaluate(self, task: CampaignTask) -> RunRecord:
-        engine = self._engines[task.entry_index][task.engine_index]
-        scenario = self.campaign.entries[task.entry_index].scenario
-        return engine.evaluate(scenario, task.lambda_g)
-
-    def _persist(self, task: CampaignTask, record: RunRecord) -> RunRecord:
-        """Write a freshly computed record through to the store."""
-        if self.store is not None and task.cache_key is not None:
-            self.store.put(task.cache_key, record)
-        return record
-
-    def _complete(
-        self,
-        task: CampaignTask,
-        record: RunRecord,
-        started: float,
-        done: int,
-        total: int,
-    ) -> TaskCompleted:
-        """Persist a freshly computed record and wrap it as an event."""
-        return TaskCompleted(
-            task=task,
-            record=self._persist(task, record),
-            from_cache=False,
-            done=done + 1,
-            total=total,
-            elapsed_seconds=time.perf_counter() - started,
-        )
 
     # ---------------------------------------------------------------- blocking
     def collect(

@@ -17,8 +17,6 @@ Modules
 * :mod:`repro.routing.updown` — the deterministic router producing explicit
   channel-by-channel routes (full routes, ascending-only and descending-only
   legs for the concentrator/dispatcher journeys);
-* :mod:`repro.routing.table` — precomputed routing tables plus traffic-load
-  accounting used to verify the balanced-traffic claim;
 * :mod:`repro.routing.compile` — the same deterministic routes, computed
   in closed form with array arithmetic and frozen into integer-indexed
   tables over the compiled channel-id space (what the wormhole simulator's
@@ -32,7 +30,6 @@ from repro.routing.nca import (
     nca_switch,
 )
 from repro.routing.updown import Route, UpDownRouter
-from repro.routing.table import RoutingTable, channel_load_histogram
 from repro.routing.compile import (
     CompiledSystemRoutes,
     CompiledTreeRoutes,
@@ -47,8 +44,6 @@ __all__ = [
     "nca_switch",
     "Route",
     "UpDownRouter",
-    "RoutingTable",
-    "channel_load_histogram",
     "CompiledSystemRoutes",
     "CompiledTreeRoutes",
     "compile_system_routes",

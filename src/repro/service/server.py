@@ -165,6 +165,8 @@ class CampaignServer:
                     {"error": f"no route for {method} {path}",
                      "routes": ["GET /health", "POST /campaigns"]},
                 )
+        except ValidationError as error:  # a malformed request head
+            await self._send_json(writer, 400, {"error": str(error)})
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
             pass  # client went away mid-exchange; nothing to answer
         finally:
@@ -178,7 +180,11 @@ class CampaignServer:
     async def _read_request(
         reader: asyncio.StreamReader,
     ) -> Optional[Tuple[str, str, bytes]]:
-        """Parse one HTTP/1.1 request (method, path, body) — or None on EOF."""
+        """Parse one HTTP/1.1 request (method, path, body) — or None on EOF.
+
+        A ``Content-Length`` that is not a number raises
+        :class:`ValidationError`, which the client gets as a 400.
+        """
         line = await reader.readline()
         if not line:
             return None
@@ -193,7 +199,12 @@ class CampaignServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        try:
+            length = int(headers.get("content-length", "0") or "0")
+        except ValueError:
+            raise ValidationError(
+                f"Content-Length is not a number: {headers['content-length']!r}"
+            ) from None
         body = await reader.readexactly(length) if length > 0 else b""
         return method, target.split("?", 1)[0], body
 
@@ -239,9 +250,17 @@ class CampaignServer:
         return stats
 
     async def _serve_campaign(self, writer: asyncio.StreamWriter, body: bytes) -> None:
+        # The executor is built before the stream head, so a plan it rejects
+        # (two engine names that alias one engine) is a 400 like any other.
         try:
-            plan = json.loads(body.decode("utf-8"))
-            campaign = Campaign.from_dict(plan)
+            executor = CampaignExecutor(
+                Campaign.from_dict(json.loads(body.decode("utf-8"))),
+                parallel=True,
+                max_workers=self.pool.max_workers,
+                store=self.store,
+                retry=self.retry,
+                pool=self.pool,
+            )
         except (ValueError, ValidationError) as error:
             await self._send_json(writer, 400, {"error": str(error)})
             return
@@ -263,14 +282,6 @@ class CampaignServer:
             loop.call_soon_threadsafe(queue.put_nowait, event)
 
         def work() -> CampaignResult:
-            executor = CampaignExecutor(
-                campaign,
-                parallel=True,
-                max_workers=self.pool.max_workers,
-                store=self.store,
-                retry=self.retry,
-                pool=self.pool,
-            )
             try:
                 # strict=False: exhausted tasks ride in the result payload as
                 # structured failures instead of tearing the stream down.

@@ -181,6 +181,9 @@ class TestCampaignJson:
             [{"scenario": "heterogeneous", "points": "3"}],
             [{"scenario": "heterogeneous", "budget": 5}],
             [{"scenario": "heterogeneous", "label": None}],
+            [{"scenario": "heterogeneous", "engines": [3]}],
+            [{"scenario": "heterogeneous", "engines": "sim"}],
+            [{"scenario": "heterogeneous", "engines": {"sim": 1}}],
         ],
     )
     def test_malformed_entry_shapes_raise_validation_error(self, entries):
@@ -567,13 +570,17 @@ class TestRunCompatibility:
         assert len(store) == 1
 
 
-class TestChunkedSubmission:
-    """The chunked pool contract: per-task outcomes, per-task error containment.
+class TwoPartError(Exception):
+    """An exception whose class cannot be rebuilt from its ``args``, so it
+    does not survive pickling on its own."""
 
-    Chunking exists to amortise per-submission IPC and engine pickling over
-    many operating points (the cold 2-worker fan-out regression); these tests
-    pin the worker-side contract every pool relies on.
-    """
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+class TestPooledSubmission:
+    """One task, one future: the worker-side contract every pool relies on,
+    and the executor's settling of what those futures return."""
 
     class _BrokenAt:
         """A stub engine that fails on one operating point."""
@@ -586,50 +593,64 @@ class TestChunkedSubmission:
 
         def evaluate(self, scenario, lambda_g):
             if lambda_g == self.bad:
-                raise RuntimeError("boom at the bad point")
+                raise self.error()
             from repro.api import resolve_engines
 
             (model,) = resolve_engines(("model",))
             return model.evaluate(scenario, lambda_g)
 
-    def test_chunk_outcomes_align_with_items(self, tmp_path):
-        from repro.campaign import _pool_evaluate_chunk
+        @staticmethod
+        def error():
+            return RuntimeError("boom at the bad point")
 
-        scenario = scenario_for(TINY, traffic=(4e-4, 8e-4))
-        outcomes = _pool_evaluate_chunk(
+    class _TwoPartAt(_BrokenAt):
+        """The same stub, failing with an exception that does not unpickle."""
+
+        @staticmethod
+        def error():
+            return TwoPartError("boom", "the bad point")
+
+    def test_pool_evaluate_returns_the_record(self, tmp_path):
+        from repro.campaign import _pool_evaluate
+
+        record = _pool_evaluate(
             self._BrokenAt(None),
-            scenario,
-            [(4e-4, "t:broken-at:0"), (8e-4, "t:broken-at:1")],
+            scenario_for(TINY, traffic=(4e-4, 8e-4)),
+            8e-4,
+            "t:broken-at:1",
             (str(tmp_path), "execution"),
+            None,
         )
-        assert [status for status, _ in outcomes] == ["ok", "ok"]
-        assert [record.lambda_g for _, record in outcomes] == [4e-4, 8e-4]
+        assert record.lambda_g == 8e-4
 
-    def test_one_bad_point_never_costs_its_chunk_mates(self, tmp_path):
-        from repro.campaign import _pool_evaluate_chunk
+    def test_pool_evaluate_raises_the_failure_as_its_repr(self, tmp_path):
+        from repro.campaign import _pool_evaluate, _TaskError
 
-        scenario = scenario_for(TINY, traffic=(4e-4, 8e-4))
-        outcomes = _pool_evaluate_chunk(
-            self._BrokenAt(8e-4),
-            scenario,
-            [(4e-4, "t:broken-at:0"), (8e-4, "t:broken-at:1")],
-            (str(tmp_path), "execution"),
-        )
-        (good_status, record), (bad_status, reason) = outcomes
-        assert good_status == "ok" and record.lambda_g == 4e-4
-        assert bad_status == "error" and "boom at the bad point" in reason
+        with pytest.raises(_TaskError) as excinfo:
+            _pool_evaluate(
+                self._BrokenAt(8e-4),
+                scenario_for(TINY, traffic=(4e-4, 8e-4)),
+                8e-4,
+                "t:broken-at:1",
+                (str(tmp_path), "execution"),
+                None,
+            )
+        assert repr(excinfo.value) == "RuntimeError('boom at the bad point')"
 
-    def test_chunk_tags_its_pid_with_the_execution_and_last_task(self, tmp_path):
+    def test_pool_evaluate_tags_its_pid_with_the_execution_and_task(self, tmp_path):
         import os
 
-        from repro.campaign import _pool_evaluate_chunk, _read_worker_tag
+        from repro.campaign import _pool_evaluate, _read_worker_tag, _TaskError
 
-        _pool_evaluate_chunk(
-            self._BrokenAt(8e-4),
-            scenario_for(TINY, traffic=(4e-4, 8e-4)),
-            [(4e-4, "t:broken-at:0"), (8e-4, "t:broken-at:1")],
-            (str(tmp_path), "execution"),
-        )
+        with pytest.raises(_TaskError):
+            _pool_evaluate(
+                self._BrokenAt(8e-4),
+                scenario_for(TINY, traffic=(4e-4, 8e-4)),
+                8e-4,
+                "t:broken-at:1",
+                (str(tmp_path), "execution"),
+                None,
+            )
         assert os.listdir(tmp_path) == [str(os.getpid())]
         assert _read_worker_tag(str(tmp_path), os.getpid()) == (
             "execution",
@@ -667,9 +688,9 @@ class TestChunkedSubmission:
                 shared.shutdown()
         assert started_pools == ([] if shared is not None else [pool])
 
-    def test_campaign_contains_a_mid_chunk_failure(self):
+    def test_campaign_contains_a_failing_task(self):
         """End to end: a failing operating point surfaces as that task's
-        failure while its chunk-mates complete normally."""
+        failure while the other task completes normally."""
         campaign = Campaign(
             entries=(
                 CampaignEntry(
@@ -685,6 +706,80 @@ class TestChunkedSubmission:
         assert "boom at the bad point" in result.failures[0].error
         completed = [r for runset in result.runsets for r in runset.records]
         assert [r.lambda_g for r in completed] == [4e-4]
+
+    def test_a_failure_reads_the_same_inline_and_pooled(self, started_pools):
+        campaign = Campaign(
+            entries=(
+                CampaignEntry(
+                    scenario=scenario_for(TINY, traffic=(4e-4, 8e-4)),
+                    engines=(self._BrokenAt(8e-4),),
+                ),
+            )
+        )
+        inline = run_campaign(campaign, store=None, strict=False)
+        pooled = run_campaign(
+            campaign, parallel=True, max_workers=1, store=None, strict=False
+        )
+        assert len(started_pools) == 1  # the second run really pooled
+        assert [failure.error for failure in inline.failures] == [
+            "RuntimeError('boom at the bad point')"
+        ]
+        assert [failure.error for failure in pooled.failures] == [
+            failure.error for failure in inline.failures
+        ]
+
+    def test_an_exception_that_does_not_unpickle_fails_only_its_task(
+        self, started_pools
+    ):
+        """The failure crosses back as its repr, so the pool never breaks on
+        it and the other task completes on the same workers."""
+        campaign = Campaign(
+            entries=(
+                CampaignEntry(
+                    scenario=scenario_for(TINY, traffic=(4e-4, 8e-4)),
+                    engines=(self._TwoPartAt(8e-4),),
+                ),
+            )
+        )
+        result = run_campaign(
+            campaign, parallel=True, max_workers=2, store=None, strict=False
+        )
+        assert [failure.error for failure in result.failures] == [
+            "TwoPartError('boom at the bad point')"
+        ]
+        assert result.task_retries == 0
+        assert [r.lambda_g for runset in result.runsets for r in runset.records] == [4e-4]
+        (pool,) = started_pools
+        assert pool.restarts == 0
+
+    def test_every_pooled_task_is_one_dispatch(self, started_pools):
+        """Twenty pooled tasks on two workers are twenty submissions, and
+        their records are a sequential run's."""
+        traffic = tuple(4e-5 * k for k in range(1, 11))
+        campaign = Campaign(
+            entries=(
+                CampaignEntry(scenario=scenario_for(TINY, traffic=traffic), engines=("sim",)),
+                CampaignEntry(scenario=scenario_for(WIDE, traffic=traffic), engines=("sim",)),
+            )
+        )
+
+        def records(result):
+            rows = [
+                jsonable_record(record)
+                for runset in result.runsets
+                for record in runset.records
+            ]
+            for row in rows:  # wall clock is the one run-dependent field
+                row["metadata"].pop("wall_clock_seconds")
+                row["simulation"].pop("wall_clock_seconds")
+            return rows
+
+        sequential = run_campaign(campaign, store=None)
+        pooled = run_campaign(campaign, parallel=True, max_workers=2, store=None)
+        (pool,) = started_pools
+        assert pool.max_workers == 2
+        assert pool.tasks_dispatched == 20
+        assert records(pooled) == records(sequential)
 
 
 class TestOwnPool:

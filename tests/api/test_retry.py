@@ -540,9 +540,9 @@ class TestPrepareFailure:
     """An engine whose preparation raises fails its tasks as structured
     events on every pool; nothing escapes ``execute()``.
 
-    Pool workers prepare each engine themselves, so the chunk raises on the
-    worker and its tasks go through the retry policy, whether the pool is
-    the executor's own or a shared one.
+    Pool workers prepare each engine themselves, so each task raises on the
+    worker and goes through the retry policy, whether the pool is the
+    executor's own or a shared one.
     """
 
     @pytest.mark.parametrize(

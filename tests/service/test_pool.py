@@ -256,7 +256,7 @@ class TestSharedPoolFaults:
             deadline = time.monotonic() + 60.0
             while pool.tasks_dispatched < 2 and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert pool.tasks_dispatched == 2  # bee's two chunks are queued
+            assert pool.tasks_dispatched == 2  # bee's two tasks are queued
             served = run_on(pool, ay, strict=False)
             thread.join(timeout=300.0)
         assert not thread.is_alive()
@@ -302,12 +302,13 @@ class TestPoolLifecycle:
         pool.shutdown()
         assert pool.stats()["closed"] is True
         with pytest.raises(ValidationError, match="shut down"):
-            pool.submit_chunk(
+            pool.submit(
                 api.AnalyticalEngine(),
                 scenario_for(TINY, traffic=(4e-4,)),
-                ((4e-4, "tiny:model:0"),),
+                4e-4,
+                "tiny:model:0",
                 "execution",
-                named_engine=True,
+                None,
             )
 
     def test_worker_count_floor(self):

@@ -209,6 +209,40 @@ class TestHttpSurface:
         handle.request("POST", "/campaigns", "{not json")
         assert json.loads(handle.request("GET", "/health")[2])["campaigns_served"] == 0
 
+    def test_a_plan_the_executor_rejects_is_400_not_a_hung_stream(self, handle):
+        """Two registered names of one engine pass plan decoding but not
+        engine resolution; the client still gets its 400 at once."""
+        plan = {
+            "entries": [
+                {"scenario": "heterogeneous", "engines": ["model", "analysis"], "points": 1}
+            ]
+        }
+        conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=30)
+        try:
+            conn.request("POST", "/campaigns", body=json.dumps(plan))
+            response = conn.getresponse()
+            body = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert "duplicate engine name" in body["error"]
+        health = json.loads(handle.request("GET", "/health")[2])
+        assert (health["active_campaigns"], health["campaigns_served"]) == (0, 0)
+
+    def test_a_non_numeric_content_length_is_400(self, handle):
+        conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=30)
+        try:
+            conn.putrequest("POST", "/campaigns")
+            conn.putheader("Content-Length", "abc")
+            conn.endheaders()
+            response = conn.getresponse()
+            body = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert "Content-Length" in body["error"]
+        assert handle.request("GET", "/health")[0] == 200
+
 
 class TestCampaignStreaming:
     def test_stream_opens_with_progress_and_closes_with_the_result(self, handle):

@@ -404,6 +404,21 @@ class TestCampaignCommand:
         assert main(["campaign", "run", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "engines", [[3], "sim", {"sim": 1}], ids=["number", "string", "object"]
+    )
+    def test_run_plan_whose_engines_are_not_names_exits_2(
+        self, tmp_path, capsys, engines
+    ):
+        import json
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            json.dumps({"entries": [{"scenario": "heterogeneous", "engines": engines}]})
+        )
+        assert main(["campaign", "run", str(bad), "--no-store"]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid campaign plan")
+
     def test_store_subcommand_reports_clears_and_prunes(
         self, tmp_path, capsys, monkeypatch
     ):
